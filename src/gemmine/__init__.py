@@ -36,7 +36,6 @@ from .miners import (
     gem_mine,
     imp,
     smart_ratio,
-    sparsity_envelope,
     tune_ratios,
 )
 from .optim import Adam, SgdMomentum
@@ -80,7 +79,6 @@ __all__ = [
     "gem_mine",
     "imp",
     "smart_ratio",
-    "sparsity_envelope",
     "tune_ratios",
     "Adam",
     "SgdMomentum",

@@ -5,11 +5,15 @@ softmax-cross-entropy head require, plus straight-through wrappers for
 the non-differentiable masking steps used during score optimization.
 Everything runs in float64 and single-threaded numpy, so repeated runs
 with identical inputs are bit-identical.
+
+No training loop builds this graph: they all call the closed-form
+``masking.loss_and_grads``. The graph is the reference that the tests
+check that kernel against, loss and gradients bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -252,11 +256,3 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def leaf_grads(leaves: Iterable[Tensor]) -> list[np.ndarray]:
-    """Collect gradients from leaves, substituting zeros where untouched."""
-    out = []
-    for leaf in leaves:
-        out.append(leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-    return out

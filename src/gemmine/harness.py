@@ -13,6 +13,7 @@ Output layout under ``<out_root>/<run_id>/``::
 from __future__ import annotations
 
 import csv
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -167,7 +168,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
         try:
             result = mine_for_seed(cfg, data, seed)
         except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
-            errors.append(f"seed {seed}: mining failed: {exc}")
+            errors.append(f"seed {seed}: mining failed: {exc}\n{traceback.format_exc()}")
             continue
         variants = [(BASE_VARIANT, 0)] + [(v.kind, v.seed) for v in cfg.sanity]
         for variant, variant_seed in variants:
@@ -209,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
                     )
                 )
             except Exception as exc:  # noqa: BLE001
-                errors.append(f"seed {seed}: variant {variant} failed: {exc}")
+                errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
 
     write_summary(run_dir / "summary.csv", rows)
     if errors:

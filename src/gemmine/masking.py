@@ -111,10 +111,6 @@ def mask_sparsity(mask: Sequence[np.ndarray]) -> float:
     return sum(int(np.sum(m)) for m in mask) / sum(m.size for m in mask)
 
 
-def kept_counts(mask: Sequence[np.ndarray]) -> list[int]:
-    return [int(np.sum(m)) for m in mask]
-
-
 def unfrozen_fraction(layers: Sequence[MaskedLayer]) -> float:
     total = sum(layer.freeze.size for layer in layers)
     return sum(int(np.sum(layer.freeze)) for layer in layers) / total
@@ -171,12 +167,48 @@ def mlp_forward(x: Tensor, layer_weights: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def mlp_logits(features: np.ndarray, layer_weights: Sequence[np.ndarray]) -> np.ndarray:
-    """Graph-free forward pass for evaluation."""
-    out = np.asarray(features, dtype=np.float64)
+def mlp_activations(features: np.ndarray, layer_weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Graph-free forward pass: the input, each hidden ReLU output, then the logits."""
+    acts = [np.asarray(features, dtype=np.float64)]
     last = len(layer_weights) - 1
     for i, w in enumerate(layer_weights):
-        out = out @ w.T
-        if i != last:
-            out = np.where(out > 0.0, out, 0.0)
-    return out
+        out = acts[-1] @ w.T
+        acts.append(out if i == last else np.where(out > 0.0, out, 0.0))
+    return acts
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax through the log-sum-exp form, so large logits cannot overflow."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+
+def loss_and_grads(features: np.ndarray, labels: np.ndarray, layer_weights: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    """Mean softmax cross-entropy of the ReLU MLP and its gradient for each layer's weights.
+
+    A closed-form backward over the kept activations, doing the autodiff
+    graph's float64 operations in its order, so the results equal its bit for bit.
+    """
+    acts = mlp_activations(features, layer_weights)
+    y = np.asarray(labels)
+    n, k = acts[-1].shape
+    if y.shape != (n,):
+        raise ValueError(f"loss_and_grads: logits {acts[-1].shape} incompatible with labels {y.shape}")
+    if np.any(y < 0) or np.any(y >= k):
+        raise ValueError(f"loss_and_grads: label outside [0, {k})")
+    log_probs = log_softmax(acts[-1])
+    rows = np.arange(n)
+    loss = -np.sum(log_probs[rows, y]) / n
+    # delta[label] = p[label] - 1 = -sum of the other probabilities;
+    # the subtraction form underflows to 0 when p[label] rounds to 1
+    delta = np.exp(log_probs)
+    delta[rows, y] = 0.0
+    delta[rows, y] = -np.sum(delta, axis=1)
+    g = delta * (1.0 / n)
+    grads = [g.T @ acts[-2]]
+    for i in range(len(layer_weights) - 1, 0, -1):
+        # ReLU backward: acts[i] > 0 exactly where its pre-activation was
+        g = (g @ layer_weights[i]) * (acts[i] > 0.0)
+        grads.append(g.T @ acts[i - 1])
+    grads.reverse()
+    return float(loss), grads

@@ -1,6 +1,6 @@
 from .common import LayerRatios, MinerConfig, MiningResult, SparsitySchedule
 from .edge_popup import GLOBAL, LAYERWISE, edge_popup, topk_mask
-from .gem import freeze_step, gem_mine, sparsity_envelope
+from .gem import freeze_step, gem_mine
 from .imp import COLD, LR_REWIND, WARM, RewindSpec, imp, prune_by_magnitude
 from .smart_ratio import VARIANTS, sample_ratio_mask, smart_ratio, smooth_ratios, tune_ratios
 
@@ -15,7 +15,6 @@ __all__ = [
     "topk_mask",
     "freeze_step",
     "gem_mine",
-    "sparsity_envelope",
     "COLD",
     "LR_REWIND",
     "WARM",

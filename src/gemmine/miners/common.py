@@ -1,4 +1,4 @@
-"""Shared miner configuration types and the mining result record."""
+"""Shared miner configuration types, the mining result record and the score step."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..masking import MaskedLayer
+from ..masking import MaskedLayer, loss_and_grads
 from ..optim import OptimizerChoice, SgdMomentum
 from ..trainer import RunReport
 
@@ -116,14 +116,25 @@ class LayerRatios:
         return len(self.ratios)
 
 
-def flatten_layers(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in arrays])
+def score_loss_and_grads(
+    x: np.ndarray, y: np.ndarray, base: Sequence[np.ndarray], binary: Sequence[np.ndarray], scores: Sequence[np.ndarray], config: MinerConfig
+) -> tuple[float, list[np.ndarray]]:
+    """Batch loss and straight-through score gradients for effective weights ``base * binary``.
 
-
-def split_flat(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    start = 0
-    for a in like:
-        out.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return out
+    ``binary`` binarizes ``scores`` with an identity backward, so the score
+    gradient is d(loss)/d(effective weight) * base, plus that of
+    ``config.reg_weight`` times the scores' L1 or squared-L2 norm.
+    """
+    loss, d_eff = loss_and_grads(x, y, [b * m for b, m in zip(base, binary)])
+    grads = [d * b for d, b in zip(d_eff, base)]
+    lam = config.reg_weight
+    if lam > 0.0:
+        if config.regularizer == L1:
+            penalty = sum(np.sum(np.abs(p)) for p in scores)
+            grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
+        else:
+            # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
+            penalty = sum(np.sum(p * p) for p in scores)
+            grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
+        loss = loss + penalty * lam
+    return float(loss), grads

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, add, backward, mul, scale, softmax_cross_entropy, ste_substitute
 from ..data import DatasetSplit
 from ..masking import (
     SIGNED_CONSTANT,
@@ -22,14 +21,12 @@ from ..masking import (
     NetworkSpec,
     init_scores,
     init_weights,
-    mlp_forward,
     stream_rng,
 )
 from ..optim import make_optimizer
 from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, batch_indices, evaluate
-from .common import MinerConfig, MiningResult, SparsitySchedule
-from .gem import score_regularizer
+from ..trainer import EpochRecord, RunReport, evaluate, run_epoch
+from .common import MinerConfig, MiningResult, SparsitySchedule, score_loss_and_grads
 
 LAYERWISE = "layerwise"
 GLOBAL = "global"
@@ -99,7 +96,6 @@ def edge_popup(
     report = RunReport(epochs=schedule.total_epochs)
 
     target_k = schedule.target_sparsity
-    n = data.train_x.shape[0]
     for epoch in range(1, schedule.total_epochs + 1):
         if gradual:
             # staircase along the envelope, updated once per freeze period
@@ -107,28 +103,20 @@ def edge_popup(
             current_k = schedule.envelope(steps_done * schedule.freeze_period)
         else:
             current_k = target_k
-        total_loss = 0.0
-        for idx in batch_indices(n, config.batch_size, rng):
+
+        def batch_loss_and_grads(x, y):
             mask_now = topk_mask(scores, current_k, scope, report.warnings)
-            leaves = [Tensor(p, requires_grad=True) for p in scores]
-            eff = [mul(Tensor(w), ste_substitute(leaf, m)) for w, leaf, m in zip(weights, leaves, mask_now)]
-            logits = mlp_forward(Tensor(data.train_x[idx]), eff)
-            loss = softmax_cross_entropy(logits, data.train_y[idx])
-            if config.reg_weight > 0.0:
-                loss = add(loss, scale(score_regularizer(leaves, config.regularizer), config.reg_weight))
-            backward(loss)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise FloatingPointError(f"score mining diverged: loss={value}")
-            grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
-            optimizer.step(scores, grads, config.lr)
-            total_loss += value * idx.size
+            return score_loss_and_grads(x, y, weights, mask_now, scores, config)
+
+        train_loss = run_epoch(
+            scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
+        )
 
         mask_epoch = topk_mask(scores, current_k, scope, report.warnings)
         eff_now = [w * m for w, m in zip(weights, mask_epoch)]
         _, val_acc = evaluate(eff_now, data.val_x, data.val_y)
         report.records.append(
-            EpochRecord(epoch=epoch, sparsity=current_k, train_loss=total_loss / n, val_accuracy=val_acc)
+            EpochRecord(epoch=epoch, sparsity=current_k, train_loss=train_loss, val_accuracy=val_acc)
         )
 
     final_mask = topk_mask(scores, target_k, scope, report.warnings)

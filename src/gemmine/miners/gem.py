@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from ..autodiff import Tensor, abs_all, add, backward, mul, scale, softmax_cross_entropy, ste_round, sum_all
 from ..data import DatasetSplit
 from ..masking import (
     SIGNED_CONSTANT,
@@ -23,21 +22,16 @@ from ..masking import (
     extract_mask,
     layer_mask,
     mask_sparsity,
-    mlp_forward,
+    round_scores,
     stream_rng,
     unfrozen_fraction,
 )
 from ..optim import make_optimizer
 from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, batch_indices, evaluate
-from .common import L1, MinerConfig, MiningResult, SparsitySchedule
+from ..trainer import EpochRecord, RunReport, evaluate, run_epoch
+from .common import MinerConfig, MiningResult, SparsitySchedule, score_loss_and_grads
 
-__all__ = ["sparsity_envelope", "freeze_step", "gem_mine", "score_regularizer", "check_layer_collapse"]
-
-
-def sparsity_envelope(epoch: int | float, schedule: SparsitySchedule) -> float:
-    """Upper bound on the unfrozen fraction after ``epoch`` epochs."""
-    return schedule.envelope(epoch)
+__all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
 
 
 def freeze_step(layers: list[MaskedLayer], schedule: SparsitySchedule) -> int:
@@ -77,15 +71,6 @@ def check_layer_collapse(layers: list[MaskedLayer], warnings: list[str], when: s
             warnings.append(msg)
 
 
-def score_regularizer(score_leaves: list[Tensor], kind: str) -> Tensor:
-    terms = None
-    for leaf in score_leaves:
-        term = sum_all(abs_all(leaf)) if kind == L1 else sum_all(mul(leaf, leaf))
-        terms = term if terms is None else add(terms, term)
-    assert terms is not None
-    return terms
-
-
 def gem_mine(
     data: DatasetSplit,
     spec: NetworkSpec,
@@ -108,26 +93,20 @@ def gem_mine(
     rng = stream_rng(config.seed, STREAM_BATCHES)
     report = RunReport(epochs=schedule.total_epochs)
 
-    n = data.train_x.shape[0]
+    def batch_loss_and_grads(x, y):
+        # each optimizer step is projected onto [0, 1]: here before the next
+        # batch uses the scores, and after the epoch's last step below
+        for p in scores:
+            np.clip(p, 0.0, 1.0, out=p)
+        frozen_weights = [layer.weights * layer.freeze for layer in layers]
+        return score_loss_and_grads(x, y, frozen_weights, [round_scores(p) for p in scores], scores, config)
+
     for epoch in range(1, schedule.total_epochs + 1):
-        total_loss = 0.0
-        for idx in batch_indices(n, config.batch_size, rng):
-            frozen_weights = [layer.weights * layer.freeze for layer in layers]
-            leaves = [Tensor(p, requires_grad=True) for p in scores]
-            eff = [mul(Tensor(wq), ste_round(leaf)) for wq, leaf in zip(frozen_weights, leaves)]
-            logits = mlp_forward(Tensor(data.train_x[idx]), eff)
-            loss = softmax_cross_entropy(logits, data.train_y[idx])
-            if config.reg_weight > 0.0:
-                loss = add(loss, scale(score_regularizer(leaves, config.regularizer), config.reg_weight))
-            backward(loss)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise FloatingPointError(f"score mining diverged: loss={value}")
-            grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
-            optimizer.step(scores, grads, config.lr)
-            for p in scores:
-                np.clip(p, 0.0, 1.0, out=p)
-            total_loss += value * idx.size
+        train_loss = run_epoch(
+            scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
+        )
+        for p in scores:
+            np.clip(p, 0.0, 1.0, out=p)
 
         if epoch % schedule.freeze_period == 0:
             freeze_step(layers, schedule)
@@ -139,7 +118,7 @@ def gem_mine(
             EpochRecord(
                 epoch=epoch,
                 sparsity=unfrozen_fraction(layers),
-                train_loss=total_loss / n,
+                train_loss=train_loss,
                 val_accuracy=val_acc,
                 extra={"mask_sparsity": mask_sparsity(extract_mask(layers))},
             )

@@ -8,7 +8,6 @@ keeps them and restarts only the learning-rate schedule (lr_rewind).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from ..data import DatasetSplit
 from ..masking import SCALED_NORMAL, STREAM_BATCHES, MaskedLayer, NetworkSpec, init_weights, stream_rng
 from ..optim import make_optimizer
 from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, evaluate, run_masked_epoch
+from ..trainer import EpochRecord, RunReport, TrainConfig, evaluate, lr_at, run_masked_epoch
 from .common import MinerConfig, MiningResult
 
 COLD = "cold"
@@ -65,10 +64,6 @@ def prune_by_magnitude(
     return out
 
 
-def _cosine_lr(base: float, epoch: int, total: int) -> float:
-    return base * 0.5 * (1.0 + math.cos(math.pi * epoch / max(total, 1)))
-
-
 def imp(
     data: DatasetSplit,
     spec: NetworkSpec,
@@ -105,14 +100,14 @@ def imp(
     warm_checkpoint: list[np.ndarray] | None = None
     magnitudes = [np.abs(w) for w in weights]
     round_masks: list[list[np.ndarray]] = []
+    round_cfg = TrainConfig(epochs=epochs_per_round, lr=config.lr)  # every round restarts the cosine schedule
 
     for round_idx in range(rounds):
         optimizer = make_optimizer(config.optimizer, weights)
         kept_fraction = sum(int(np.sum(m)) for m in mask) / total
         for epoch in range(epochs_per_round):
-            lr = _cosine_lr(config.lr, epoch, epochs_per_round)
             mean_loss = run_masked_epoch(
-                weights, mask, data.train_x, data.train_y, config.batch_size, optimizer, lr, rng
+                weights, mask, data.train_x, data.train_y, config.batch_size, optimizer, lr_at(round_cfg, epoch), rng
             )
             for w, m in zip(weights, mask):
                 w *= m

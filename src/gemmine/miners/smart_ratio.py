@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from ..autodiff import Tensor, backward, mul, softmax_cross_entropy
 from ..data import DatasetSplit
 from ..masking import (
     SCALED_NORMAL,
@@ -27,7 +26,7 @@ from ..masking import (
     MaskedLayer,
     NetworkSpec,
     init_weights,
-    mlp_forward,
+    loss_and_grads,
     stream_rng,
 )
 from ..sanity import layerwise_report
@@ -121,17 +120,9 @@ def tune_ratios(
     n = data.train_x.shape[0]
     for _ in range(steps):
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        mask_leaves = [
-            Tensor((rng.random(w.shape) < r).astype(np.float64), requires_grad=True)
-            for w, r in zip(weights, ratios)
-        ]
-        eff = [mul(Tensor(w), leaf) for w, leaf in zip(weights, mask_leaves)]
-        logits = mlp_forward(Tensor(data.train_x[idx]), eff)
-        loss = softmax_cross_entropy(logits, data.train_y[idx])
-        backward(loss)
-        grad = np.array(
-            [float(np.sum(leaf.grad)) if leaf.grad is not None else 0.0 for leaf in mask_leaves]
-        )
+        masks = [(rng.random(w.shape) < r).astype(np.float64) for w, r in zip(weights, ratios)]
+        _, d_eff = loss_and_grads(data.train_x[idx], data.train_y[idx], [w * m for w, m in zip(weights, masks)])
+        grad = np.array([float(np.sum(d * w)) for d, w in zip(d_eff, weights)])
         ratios = np.clip(ratios - lr * grad, MIN_RATIO, 1.0)
     return LayerRatios(tuple(ratios))
 

@@ -7,13 +7,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul, softmax_cross_entropy
 from .data import DatasetSplit
-from .masking import STREAM_BATCHES, mlp_forward, mlp_logits, mask_sparsity, stream_rng
+from .masking import STREAM_BATCHES, log_softmax, loss_and_grads, mask_sparsity, mlp_activations, stream_rng
 from .optim import OptimizerChoice, SgdMomentum, make_optimizer
 
 
@@ -120,9 +119,8 @@ def evaluate(
     if features.shape[0] == 0:
         return float("nan"), float("nan")
     eff = [w * m for w, m in zip(weights, mask)] if mask is not None else list(weights)
-    logits = mlp_logits(features, eff)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    logits = mlp_activations(features, eff)[-1]
+    log_probs = log_softmax(logits)
     n = features.shape[0]
     loss = float(-np.sum(log_probs[np.arange(n), labels]) / n)
     accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
@@ -133,6 +131,25 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
+
+
+def run_epoch(
+    params: list[np.ndarray], batch_loss_and_grads: Callable, features: np.ndarray, labels: np.ndarray,
+    batch_size: int, optimizer, lr: float, rng: np.random.Generator,
+) -> float:
+    """One epoch of minibatch descent on ``params``, in place. Returns mean loss.
+
+    ``batch_loss_and_grads(x, y)`` gives a batch's loss and the gradient for each of ``params``.
+    """
+    total_loss = 0.0
+    n = features.shape[0]
+    for idx in batch_indices(n, batch_size, rng):
+        value, grads = batch_loss_and_grads(features[idx], labels[idx])
+        if not math.isfinite(value):
+            raise FloatingPointError(f"training diverged: loss={value}")
+        optimizer.step(params, grads, lr)
+        total_loss += value * idx.size
+    return total_loss / n
 
 
 def run_masked_epoch(
@@ -150,21 +167,12 @@ def run_masked_epoch(
     Pruned entries receive zero gradient through the mask product, so they
     are never updated and stay exactly 0 once zeroed.
     """
-    total_loss = 0.0
-    n = features.shape[0]
-    for idx in batch_indices(n, batch_size, rng):
-        leaves = [Tensor(w, requires_grad=True) for w in weights]
-        eff = [mul(leaf, Tensor(m)) for leaf, m in zip(leaves, mask)]
-        logits = mlp_forward(Tensor(features[idx]), eff)
-        loss = softmax_cross_entropy(logits, labels[idx])
-        backward(loss)
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise FloatingPointError(f"training diverged: loss={value}")
-        grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
-        optimizer.step(weights, grads, lr)
-        total_loss += value * idx.size
-    return total_loss / n
+
+    def batch_loss_and_grads(x, y):
+        loss, d_eff = loss_and_grads(x, y, [w * m for w, m in zip(weights, mask)])
+        return loss, [d * m for d, m in zip(d_eff, mask)]
+
+    return run_epoch(weights, batch_loss_and_grads, features, labels, batch_size, optimizer, lr, rng)
 
 
 def finetune(

@@ -13,7 +13,7 @@ import pytest
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
-from gemmine.masking import MaskedLayer, NetworkSpec, mask_sparsity
+from gemmine.masking import MaskedLayer, NetworkSpec, loss_and_grads, mask_sparsity
 from gemmine.miners import (
     GLOBAL,
     LAYERWISE,
@@ -220,8 +220,11 @@ def test_criterion_7_gradient_correctness():
                 logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
                 return float(-np.mean(logp[np.arange(4), y]))
 
+            # the closed-form kernel the training loops use faces the same probe
+            _, (k1, k2) = loss_and_grads(x, y, [w1, w2])
+
             h = 1e-5
-            for arr, grad in ((w1, w1_t.grad), (w2, w2_t.grad)):
+            for arr, grads in ((w1, (w1_t.grad, k1)), (w2, (w2_t.grad, k2))):
                 flat = arr.reshape(-1)
                 numeric = np.zeros_like(flat)
                 for i in range(flat.size):
@@ -233,7 +236,8 @@ def test_criterion_7_gradient_correctness():
                     flat[i] = orig
                     numeric[i] = (up - down) / (2 * h)
                 denom = np.maximum(np.abs(numeric), 1e-6)
-                assert np.max(np.abs(grad.reshape(-1) - numeric) / denom) < 1e-4
+                for grad in grads:
+                    assert np.max(np.abs(grad.reshape(-1) - numeric) / denom) < 1e-4
 
         # straight-through score gradients equal w*q times the effective-weight
         # gradient, exactly, on scalar probes (both sides of the threshold)

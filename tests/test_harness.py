@@ -130,7 +130,9 @@ def test_run_experiment_isolates_seed_failures(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "mine_for_seed", flaky)
     run_dir = harness.run_experiment(cfg, tmp_path)
-    assert "boom" in (run_dir / "errors.log").read_text()
+    log = (run_dir / "errors.log").read_text()
+    assert "boom" in log
+    assert "Traceback" in log and "flaky" in log
     rows = harness.read_summary(run_dir / "summary.csv")
     assert {row["seed"] for row in rows} == {"2"}
 

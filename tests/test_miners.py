@@ -28,7 +28,6 @@ from gemmine.miners import (
     prune_by_magnitude,
     smart_ratio,
     smooth_ratios,
-    sparsity_envelope,
     topk_mask,
     tune_ratios,
 )
@@ -42,14 +41,14 @@ from tests.conftest import random_classification
 
 def test_envelope_boundaries():
     sched = SparsitySchedule(0.05, 30, 5)
-    assert sparsity_envelope(0, sched) == 1.0
-    assert sparsity_envelope(30, sched) == pytest.approx(0.05, rel=1e-12)
+    assert sched.envelope(0) == 1.0
+    assert sched.envelope(30) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_envelope_halfway_value():
     sched = SparsitySchedule(0.5, 100, 5)
-    assert sparsity_envelope(50, sched) == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert sparsity_envelope(50, sched) == pytest.approx(0.7071, abs=1e-4)
+    assert sched.envelope(50) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert sched.envelope(50) == pytest.approx(0.7071, abs=1e-4)
 
 
 def test_keep_factor_matches_root_of_target():
@@ -228,6 +227,12 @@ def test_gem_mine_huge_regularization_collapses_to_chance(blobs):
     res = gem_mine(blobs, spec, sched, MinerConfig(lr=0.1, reg_weight=1000.0, seed=1, batch_size=16))
     assert any("layer_collapse" in w for w in res.report.warnings)
     assert res.report.pre_finetune_accuracy <= 0.65  # chance is 0.5 on balanced blobs
+
+
+def test_gem_mine_rejects_labels_beyond_outputs(blobs):
+    # blobs has 2 classes; a 1-output net cannot score label 1
+    with pytest.raises(ValueError, match="label outside"):
+        gem_mine(blobs, NetworkSpec((2, 4, 1)), SparsitySchedule(0.5, 2, 1), MinerConfig(batch_size=16))
 
 
 def test_gem_mine_deterministic(blobs):
