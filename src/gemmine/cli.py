@@ -29,7 +29,7 @@ from .harness import (
 from .masking import extract_mask, mask_sparsity
 from .miners import MiningResult
 from .sanity import layerwise_report, write_layerwise_csv
-from .trainer import finetune
+from .trainer import RunReport, finetune
 
 
 def _load(args) -> ExperimentConfig:
@@ -101,7 +101,7 @@ def cmd_sanity(args) -> int:
     result = MiningResult(
         layers=layers,
         mask=mask,
-        report=None,  # type: ignore[arg-type] - transformations never touch it
+        report=RunReport(epochs=0),
         inversion_scores=[l.scores.copy() for l in layers],
     )
     run_dir = _run_dir(cfg, args)

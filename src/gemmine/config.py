@@ -40,6 +40,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse(key: str, text: str, kind):
+    """``kind(text)``, or a ConfigError naming ``key`` when that fails."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {text!r}") from exc
+
+
 def parse_key_values(text: str) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
     out: dict[str, str] = {}
@@ -117,12 +125,7 @@ class _Fields:
 
     def _convert(self, key: str, kind, default):
         raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return kind(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
+        return default if raw is None else _parse(key, raw, kind)
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         return self._convert(key, int, default)
@@ -151,29 +154,29 @@ class _Fields:
         return sorted(set(self.values) - self.used)
 
 
-def _parse_rewind(text: str) -> RewindSpec:
+def _parse_rewind(key: str, text: str) -> RewindSpec:
     head, _, arg = text.partition(":")
     head = head.strip().lower()
     if head == COLD:
         return RewindSpec(COLD)
     if head == WARM:
-        return RewindSpec(WARM, warm_epoch=int(arg) if arg else 1)
+        return RewindSpec(WARM, warm_epoch=_parse(key, arg, int) if arg else 1)
     if head in (LR_REWIND, "lr"):
         return RewindSpec(LR_REWIND)
-    raise ConfigError(f"unknown rewind {text!r}")
+    raise ConfigError(f"{key}: unknown rewind {text!r}")
 
 
-def _parse_schedule_choice(text: str):
+def _parse_schedule_choice(key: str, text: str):
     head, _, args = text.partition(":")
     head = head.strip().lower()
     if head == "cosine":
         return Cosine()
     if head == "multistep":
         milestones_text, _, gamma_text = args.partition(":")
-        milestones = tuple(int(m) for m in milestones_text.split(",") if m.strip())
-        gamma = float(gamma_text) if gamma_text else 0.1
+        milestones = tuple(_parse(key, m, int) for m in milestones_text.split(",") if m.strip())
+        gamma = _parse(key, gamma_text, float) if gamma_text else 0.1
         return MultiStep(milestones=milestones, gamma=gamma)
-    raise ConfigError(f"unknown lr schedule {text!r}")
+    raise ConfigError(f"{key}: unknown lr schedule {text!r}")
 
 
 def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Path | None = None) -> ExperimentConfig:
@@ -205,7 +208,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
     else:
         raise ConfigError(f"task.kind must be blobs, two_moons, or idx, got {kind!r}")
 
-    widths = [int(w) for w in fields.require("net.widths").split(",")]
+    widths = [_parse("net.widths", w, int) for w in fields.require("net.widths").split(",")]
     spec = NetworkSpec(tuple(widths))
 
     algorithm = fields.get("miner.algorithm", "gem").lower()
@@ -234,14 +237,14 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         batch_size=fields.get_int("finetune.batch_size", 32),
         optimizer=parse_optimizer(fields.get("finetune.optimizer", "sgd")),
         lr=fields.get_float("finetune.lr", 0.1),
-        schedule=_parse_schedule_choice(fields.get("finetune.schedule", "cosine")),
+        schedule=_parse_schedule_choice("finetune.schedule", fields.get("finetune.schedule", "cosine")),
     )
 
     sanity = []
     for entry in fields.get_list("sanity"):
         kind, _, extra = entry.partition(":")
-        sanity.append(SanityVariant(kind=kind.lower(), seed=int(extra) if extra else 0))
-    seeds = [int(s) for s in fields.get_list("seeds")] or [0]
+        sanity.append(SanityVariant(kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
+    seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
 
     init_scheme = fields.get("init.scheme")
     if init_scheme is not None and init_scheme not in INIT_SCHEMES:
@@ -253,7 +256,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
 
     def profile(key: str) -> LayerRatios | None:
         parts = fields.get_list(key)
-        return LayerRatios(tuple(float(p) for p in parts)) if parts else None
+        return LayerRatios(tuple(_parse(key, p, float) for p in parts)) if parts else None
 
     ep_scope = fields.get("ep.scope", LAYERWISE).lower()
     if ep_scope not in (LAYERWISE, GLOBAL):
@@ -275,7 +278,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         imp_rounds=fields.get_int("imp.rounds", 3),
         imp_prune_rate=fields.get_float("imp.prune_rate", 0.2),
         imp_epochs_per_round=fields.get_int("imp.epochs_per_round", 1),
-        imp_rewind=_parse_rewind(fields.get("imp.rewind", "cold")),
+        imp_rewind=_parse_rewind("imp.rewind", fields.get("imp.rewind", "cold")),
         sr_variant=sr_variant,
         sr_last_layer_keep=fields.get_float("sr.last_layer_keep", 0.3),
         sr_tune_steps=fields.get_int("sr.tune_steps", 50),

@@ -74,6 +74,29 @@ class MaskedLayer:
 Mask = list[np.ndarray]
 
 
+def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k smallest entries of a 1-D array.
+
+    Selects the same set as ``np.argsort(values, kind="stable")[:k]``
+    without a full sort: ``np.partition`` finds the k-th value, everything
+    below it is kept, and the places left go to the entries equal to it
+    with the lowest index. As in the sort, -0.0 ties with +0.0 and NaN
+    ranks above +inf, its ties broken by lowest index too.
+    """
+    n = values.size
+    if k <= 0 or k >= n:
+        return np.full(n, k > 0)
+    kth = np.partition(values, k - 1)[k - 1]
+    if kth != kth:  # NaN: every number is below it, every NaN ties with it
+        tied = np.isnan(values)
+        chosen = ~tied
+    else:
+        tied = values == kth
+        chosen = values < kth
+    chosen[np.flatnonzero(tied)[: k - int(np.count_nonzero(chosen))]] = True
+    return chosen
+
+
 def round_scores(scores: np.ndarray) -> np.ndarray:
     """Deterministic rounding: 1 exactly where score >= 0.5."""
     return (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.float64)

@@ -21,6 +21,7 @@ from ..masking import (
     NetworkSpec,
     init_scores,
     init_weights,
+    select_smallest,
     stream_rng,
 )
 from ..optim import make_optimizer
@@ -39,7 +40,11 @@ def _kept_count(k: float, size: int) -> int:
 
 
 def topk_mask(scores: Sequence[np.ndarray], keep_fraction: float, scope: str, warnings: list[str] | None = None) -> list[np.ndarray]:
-    """Binary mask keeping the highest-scoring fraction, per layer or globally."""
+    """Binary mask keeping the highest-scoring fraction, per layer or globally.
+
+    Equal scores are kept lowest index first; the global order runs through
+    the layers in turn, each by flat index.
+    """
     if not (0.0 < keep_fraction <= 1.0):
         raise ValueError(f"keep fraction must be in (0, 1], got {keep_fraction}")
     if scope == LAYERWISE:
@@ -50,16 +55,12 @@ def topk_mask(scores: Sequence[np.ndarray], keep_fraction: float, scope: str, wa
                 msg = f"layerwise top-k clamped to 1 weight in layer {i}"
                 if msg not in warnings:
                     warnings.append(msg)
-            flat = p.reshape(-1)
-            mask = np.zeros(p.size)
-            mask[np.argsort(-flat, kind="stable")[:kept]] = 1.0
-            masks.append(mask.reshape(p.shape))
+            masks.append(select_smallest(-p.reshape(-1), kept).astype(np.float64).reshape(p.shape))
         return masks
     if scope == GLOBAL:
         flat = np.concatenate([p.reshape(-1) for p in scores])
         kept = _kept_count(keep_fraction, flat.size)
-        mask_flat = np.zeros(flat.size)
-        mask_flat[np.argsort(-flat, kind="stable")[:kept]] = 1.0
+        mask_flat = select_smallest(-flat, kept).astype(np.float64)
         masks = []
         start = 0
         for p in scores:

@@ -23,6 +23,7 @@ from ..masking import (
     layer_mask,
     mask_sparsity,
     round_scores,
+    select_smallest,
     stream_rng,
     unfrozen_fraction,
 )
@@ -39,28 +40,27 @@ def freeze_step(layers: list[MaskedLayer], schedule: SparsitySchedule) -> int:
 
     The survivor count is floor(keep_factor * unfrozen), which keeps the
     unfrozen fraction at or below the envelope; each event can overshoot
-    the envelope downward by at most one weight. Frozen scores are zeroed
-    and never thaw. Returns the number of weights frozen.
+    the envelope downward by at most one weight. Equal scores are frozen
+    lowest index first, the global order running through the layers in
+    turn, each by flat index. Frozen scores are zeroed and never thaw.
+    Returns the number of weights frozen.
     """
-    unfrozen_per_layer = [layer.freeze.reshape(-1) != 0.0 for layer in layers]
-    total_unfrozen = int(sum(int(np.sum(u)) for u in unfrozen_per_layer))
+    unfrozen = [np.flatnonzero(layer.freeze.reshape(-1) != 0.0) for layer in layers]
+    total_unfrozen = sum(idx.size for idx in unfrozen)
     n_keep = math.floor(schedule.keep_factor * total_unfrozen)
     n_freeze = total_unfrozen - n_keep
     if n_freeze < 1:
         return 0
 
-    scores = np.concatenate([layer.scores.reshape(-1)[u] for layer, u in zip(layers, unfrozen_per_layer)])
-    positions = np.concatenate(
-        [
-            np.stack([np.full(int(np.sum(u)), i), np.flatnonzero(u)], axis=1)
-            for i, (layer, u) in enumerate(zip(layers, unfrozen_per_layer))
-        ]
+    chosen = select_smallest(
+        np.concatenate([layer.scores.reshape(-1)[idx] for layer, idx in zip(layers, unfrozen)]), n_freeze
     )
-    order = np.argsort(scores, kind="stable")[:n_freeze]
-    for layer_idx, flat_idx in positions[order]:
-        layer = layers[int(layer_idx)]
-        layer.freeze.reshape(-1)[int(flat_idx)] = 0.0
-        layer.scores.reshape(-1)[int(flat_idx)] = 0.0
+    start = 0
+    for layer, idx in zip(layers, unfrozen):
+        hit = idx[chosen[start : start + idx.size]]
+        start += idx.size
+        layer.freeze.reshape(-1)[hit] = 0.0
+        layer.scores.reshape(-1)[hit] = 0.0
     return n_freeze
 
 

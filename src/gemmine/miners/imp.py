@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import DatasetSplit
-from ..masking import SCALED_NORMAL, STREAM_BATCHES, MaskedLayer, NetworkSpec, init_weights, stream_rng
+from ..masking import (
+    SCALED_NORMAL,
+    STREAM_BATCHES,
+    MaskedLayer,
+    NetworkSpec,
+    init_weights,
+    select_smallest,
+    stream_rng,
+)
 from ..optim import make_optimizer
 from ..sanity import layerwise_report
 from ..trainer import EpochRecord, RunReport, TrainConfig, evaluate, lr_at, run_masked_epoch
@@ -41,7 +49,11 @@ class RewindSpec:
 def prune_by_magnitude(
     weights: list[np.ndarray], mask: list[np.ndarray], prune_rate: float, warnings: list[str]
 ) -> list[np.ndarray]:
-    """Zero out the smallest-magnitude fraction of currently kept weights, globally."""
+    """Zero out the smallest-magnitude fraction of currently kept weights, globally.
+
+    Equal magnitudes are pruned lowest index first; the global order runs
+    through the layers in turn, each by flat index.
+    """
     flat_w = np.concatenate([w.reshape(-1) for w in weights])
     flat_m = np.concatenate([m.reshape(-1) for m in mask])
     alive = np.flatnonzero(flat_m != 0.0)
@@ -53,9 +65,8 @@ def prune_by_magnitude(
             warnings.append(msg)
     if n_prune <= 0:
         return [m.copy() for m in mask]
-    order = np.argsort(np.abs(flat_w[alive]), kind="stable")[:n_prune]
     flat_m = flat_m.copy()
-    flat_m[alive[order]] = 0.0
+    flat_m[alive[select_smallest(np.abs(flat_w[alive]), n_prune)]] = 0.0
     out = []
     start = 0
     for m in mask:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masking import MaskedLayer, NetworkSpec, init_weights
+from .masking import MaskedLayer, NetworkSpec, init_weights, select_smallest
 
 SHUFFLE = "shuffle"
 REINIT = "reinit"
@@ -58,7 +58,8 @@ def invert_scores(
 ) -> tuple[list[np.ndarray], list[str]]:
     """Keep the lowest-scoring weights instead of the highest.
 
-    Per layer, exactly as many weights survive as in the reference mask.
+    Per layer, exactly as many weights survive as in the reference mask;
+    equal scores are kept lowest flat index first.
     Returns the inverted mask plus warnings for degenerate all-equal layers.
     """
     if len(scores) != len(reference_mask):
@@ -70,9 +71,7 @@ def invert_scores(
         flat = p.reshape(-1)
         if flat.size and np.ptp(flat) == 0.0:
             warnings.append(f"inversion degenerate: all scores equal in layer {i}")
-        inverted = np.zeros(flat.size)
-        inverted[np.argsort(flat, kind="stable")[:kept]] = 1.0
-        out.append(inverted.reshape(p.shape))
+        out.append(select_smallest(flat, kept).astype(np.float64).reshape(p.shape))
     return out, warnings
 
 

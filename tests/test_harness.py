@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import gemmine.harness as harness
@@ -74,6 +76,25 @@ seeds = 0
     cfg = build_experiment_config(text)
     assert cfg.imp_rewind.kind == WARM and cfg.imp_rewind.warm_epoch == 2
     assert cfg.finetune.schedule == MultiStep(milestones=(80, 120), gamma=0.2)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("seeds = 1,b", "seeds"),
+        ("net.widths = 2,a,2", "net.widths"),
+        ("sanity = shuffle:x", "sanity"),
+        ("imp.rewind = warm:z", "imp.rewind"),
+        ("finetune.schedule = multistep:3,x", "finetune.schedule"),
+        ("finetune.schedule = multistep:3:q", "finetune.schedule"),
+        ("sr.imp_profile = 0.5,q", "sr.imp_profile"),
+        ("sr.reference_profile = q", "sr.reference_profile"),
+    ],
+)
+def test_config_number_errors_name_the_key(line, key):
+    # a repeated key takes its last value
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: cannot parse"):
+        build_experiment_config(BASE_CFG + line + "\n")
 
 
 def test_config_missing_idx_path(tmp_path):
@@ -181,8 +202,13 @@ def test_cli_mine_finetune_sanity(tmp_path):
         )
         == 0
     )
+    kept = [int(m.sum()) for m in extract_mask(load_checkpoint(ckpt))]
     for kind in ("shuffle", "reinit", "invert"):
-        assert (out_dir / "tiny" / "masks" / f"seed3_none_{kind}.tfmc").exists()
+        variant = extract_mask(load_checkpoint(out_dir / "tiny" / "masks" / f"seed3_none_{kind}.tfmc"))
+        assert [int(m.sum()) for m in variant] == kept  # every variant keeps the per-layer counts
+        csv_lines = (out_dir / "tiny" / "reports" / f"seed3_none_{kind}_layerwise.csv").read_text().splitlines()
+        assert csv_lines[0] == "layer_index,params,kept,keep_fraction"
+        assert [line.split(",")[2] for line in csv_lines[1:]] == [str(k) for k in kept + [sum(kept)]]
     # rebuilding a summary tolerates ad-hoc finetune reports in the same dir
     assert cli_main(["report", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
 

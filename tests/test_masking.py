@@ -1,3 +1,6 @@
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from gemmine.masking import (
     mask_sparsity,
     project_unit_interval,
     round_scores,
+    select_smallest,
 )
 
 
@@ -171,3 +175,86 @@ def test_mask_consistency_and_support(seed):
         assert np.all(support <= (layer.freeze != 0.0))
         assert np.all(support <= (round_scores(layer.scores) != 0.0))
         assert np.all(support <= (m != 0.0))
+
+
+# ---------------------------------------------------------------------------
+# select_smallest: the one "k best" selection, against the stable-sort oracle
+# ---------------------------------------------------------------------------
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
+
+
+def _stable_sort_selection(values: np.ndarray, k: int) -> np.ndarray:
+    chosen = np.zeros(values.size, dtype=bool)
+    chosen[np.argsort(values, kind="stable")[: max(k, 0)]] = True
+    return chosen
+
+
+@st.composite
+def _values_and_k(draw, elements):
+    values = draw(hnp.arrays(np.float64, st.integers(min_value=0, max_value=40), elements=elements))
+    n = values.size
+    k = draw(st.one_of(st.sampled_from([0, 1, n - 1, n, n + 1, n + 7]), st.integers(min_value=-2, max_value=n + 2)))
+    return values, k
+
+
+# few distinct values: ties, mixed +0.0/-0.0, +-inf and NaN in every shape
+tie_heavy = _values_and_k(st.sampled_from(SPECIAL_VALUES))
+any_float = _values_and_k(st.floats(allow_nan=True, allow_infinity=True, width=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy)
+def test_select_smallest_matches_stable_sort_on_ties(case):
+    values, k = case
+    chosen = select_smallest(values, k)
+    assert chosen.dtype == bool and chosen.shape == values.shape
+    np.testing.assert_array_equal(chosen, _stable_sort_selection(values, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_float)
+def test_select_smallest_matches_stable_sort_on_any_floats(case):
+    values, k = case
+    np.testing.assert_array_equal(select_smallest(values, k), _stable_sort_selection(values, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy)
+def test_select_smallest_of_negated_scores_is_stable_top_k(case):
+    # topk_mask's form: the k largest scores, equal scores lowest index first
+    scores, k = case
+    expected = np.zeros(scores.size, dtype=bool)
+    expected[np.argsort(-scores, kind="stable")[: max(k, 0)]] = True
+    np.testing.assert_array_equal(select_smallest(-scores, k), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SPECIAL_VALUES), st.integers(min_value=1, max_value=30), st.data())
+def test_select_smallest_all_equal_takes_lowest_indices(value, n, data):
+    k = data.draw(st.integers(min_value=-1, max_value=n + 1))
+    chosen = select_smallest(np.full(n, value), k)
+    np.testing.assert_array_equal(np.flatnonzero(chosen), np.arange(min(max(k, 0), n)))
+
+
+def test_select_smallest_examples():
+    values = np.array([0.0, -0.0, np.nan, -np.inf, 0.0, np.inf, np.nan])
+    assert np.flatnonzero(select_smallest(values, 2)).tolist() == [0, 3]
+    assert np.flatnonzero(select_smallest(values, 4)).tolist() == [0, 1, 3, 4]
+    assert np.flatnonzero(select_smallest(values, 6)).tolist() == [0, 1, 2, 3, 4, 5]
+    assert not select_smallest(values, 0).any() and select_smallest(values, 99).all()
+    assert select_smallest(np.zeros(0), 3).shape == (0,)
+
+
+def test_no_full_sort_copy_in_the_package():
+    """Every "k best" selection goes through select_smallest; no module's code sorts to select."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        with open(path, "rb") as f:
+            # names only, so docstrings and comments may still mention a sort
+            names = [(t.string, t.start[0]) for t in tokenize.tokenize(f.readline) if t.type == tokenize.NAME]
+        for (prev, _), (name, line) in zip([("", 0)] + names, names):
+            if name in ("argsort", "lexsort") or (name == "sort" and prev in ("np", "numpy")):
+                offenders.append(f"{path.relative_to(package)}:{line}: {name}")
+    assert offenders == []

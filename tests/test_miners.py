@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -31,6 +33,7 @@ from gemmine.miners import (
     topk_mask,
     tune_ratios,
 )
+from gemmine.sanity import invert_scores
 from tests.conftest import random_classification
 
 
@@ -157,6 +160,21 @@ def test_freeze_step_is_global_across_layers():
     freeze_step([a, b], half)
     np.testing.assert_array_equal(a.freeze, [[1.0, 1.0]])
     np.testing.assert_array_equal(b.freeze, [[0.0, 0.0]])
+
+
+def test_freeze_step_breaks_ties_by_layer_then_flat_index():
+    # five unfrozen scores tie at 0.2 across both layers and four are frozen:
+    # layer a's three in row-major flat order, then the first of layer b's
+    a = MaskedLayer(weights=np.ones((2, 2)), scores=np.array([[0.7, 0.2], [0.2, 0.2]]), freeze=np.ones((2, 2)))
+    b = MaskedLayer(weights=np.ones((1, 4)), scores=np.array([[0.9, 0.2, 0.2, 0.8]]), freeze=np.ones((1, 4)))
+    b.freeze[0, 0] = 0.0  # an already-frozen entry is never a candidate
+    b.scores[0, 0] = 0.0
+    half = SparsitySchedule(0.5, 1, 1)
+    assert freeze_step([a, b], half) == 4  # 7 unfrozen, floor(3.5) = 3 survive
+    np.testing.assert_array_equal(a.freeze, [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(b.freeze, [[0.0, 0.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(a.scores, [[0.7, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(b.scores, [[0.0, 0.0, 0.2, 0.8]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -302,6 +320,13 @@ def test_topk_layerwise_keeps_at_least_one():
     mask = topk_mask([np.array([[0.4, 0.3, 0.2, 0.1]])], 0.01, LAYERWISE, warnings)
     assert int(np.sum(mask[0])) == 1
     assert any("clamped" in w for w in warnings)
+
+
+def test_topk_global_ties_go_to_the_earlier_layer():
+    scores = [np.array([[0.5, 0.1]]), np.array([[0.5, 0.5]])]
+    mask = topk_mask(scores, 0.5, GLOBAL)
+    np.testing.assert_array_equal(mask[0], [[1.0, 0.0]])
+    np.testing.assert_array_equal(mask[1], [[1.0, 0.0]])
 
 
 def test_edge_popup_never_updates_weights(blobs):
@@ -610,3 +635,52 @@ def test_tune_ratios_clamps_to_unit_interval():
     data, weights = _toy_one_useful_weight()
     tuned = tune_ratios(LayerRatios((0.9, 0.9)), weights, data, steps=40, lr=2.0, seed=0)
     assert all(1e-3 <= r <= 1.0 for r in tuned.ratios)
+
+
+# ---------------------------------------------------------------------------
+# every selection site against the stable-sort oracle, end to end
+# ---------------------------------------------------------------------------
+
+SELECTION_SITES = ("gemmine.miners.edge_popup", "gemmine.miners.gem", "gemmine.miners.imp", "gemmine.sanity")
+
+
+def _mine_with_every_selection(data):
+    """Run each caller of select_smallest on 784-16-10; return every array it produces, as bytes."""
+    spec = NetworkSpec((784, 16, 10))
+    cfg = MinerConfig(lr=0.1, seed=5, batch_size=100)
+    results = {
+        "ep_layerwise": edge_popup(data, spec, SparsitySchedule(0.05, 2, 1), cfg),
+        "ep_global_gradual": edge_popup(data, spec, SparsitySchedule(0.05, 4, 1), cfg, scope=GLOBAL, gradual=True),
+        "gem": gem_mine(data, spec, SparsitySchedule(0.1, 4, 2), MinerConfig(lr=0.5, reg_weight=1e-3, seed=5, batch_size=100)),
+        # signed-constant weights all share one magnitude, so pruning is mostly tie-breaking
+        "imp": imp(data, spec, 3, 0.3, RewindSpec("cold"), 1, cfg, init_scheme=SIGNED_CONSTANT),
+    }
+    unfrozen = [r.sparsity for r in results["gem"].report.records]
+    assert sum(b < a for a, b in zip(unfrozen, unfrozen[1:])) == 2  # two freeze events
+    out = {}
+    for name, res in results.items():
+        arrays = list(res.mask) + list(res.inversion_scores) + [a for l in res.layers for a in (l.scores, l.freeze)]
+        arrays += [m for round_mask in res.round_masks or [] for m in round_mask]
+        inverted, _ = invert_scores(res.inversion_scores, res.mask)
+        out[name] = [a.tobytes() for a in arrays + inverted]
+    return out
+
+
+def test_selection_sites_match_the_stable_sort_oracle(digits_1k, monkeypatch):
+    data = dataclasses.replace(digits_1k, train_x=digits_1k.train_x[:300], train_y=digits_1k.train_y[:300])
+    fast = _mine_with_every_selection(data)
+    calls = dict.fromkeys(SELECTION_SITES, 0)
+    for module in SELECTION_SITES:
+
+        def oracle(values, k, module=module):
+            calls[module] += 1
+            chosen = np.zeros(np.size(values), dtype=bool)
+            chosen[np.argsort(np.asarray(values).reshape(-1), kind="stable")[: max(k, 0)]] = True
+            return chosen
+
+        # import_module: gemmine.miners re-exports functions named like its submodules
+        monkeypatch.setattr(importlib.import_module(module), "select_smallest", oracle)
+    sorted_ = _mine_with_every_selection(data)
+    assert all(n > 0 for n in calls.values()), calls
+    for name in fast:
+        assert fast[name] == sorted_[name], name
