@@ -16,13 +16,10 @@ from .masking import (
     SIGNED_CONSTANT,
     MaskedLayer,
     NetworkSpec,
-    effective_weights,
     extract_mask,
-    global_sparsity,
     init_scores,
     init_weights,
     mask_sparsity,
-    project_unit_interval,
     round_scores,
 )
 from .miners import (
@@ -61,13 +58,10 @@ __all__ = [
     "SIGNED_CONSTANT",
     "MaskedLayer",
     "NetworkSpec",
-    "effective_weights",
     "extract_mask",
-    "global_sparsity",
     "init_scores",
     "init_weights",
     "mask_sparsity",
-    "project_unit_interval",
     "round_scores",
     "LayerRatios",
     "MinerConfig",

@@ -6,9 +6,13 @@ Layout (all integers little-endian):
     magic "TFMC" | format version u32 | layer count u32
     per layer:
         fan_out u32 | fan_in u32
-        scores   as float32, row-major
-        freeze   as packed bitset, row-major, LSB-first
+        scores   as float32, row-major (the mask itself when the layer has no scores)
+        mask     as packed bitset, row-major, LSB-first
         weights  as float32, row-major
+
+The reader's mask is ``round(float32 scores) * bitset``. A mask bit of 1
+implies a score >= 0.5, which float32 keeps >= 0.5, so a saved layer's
+mask reloads unchanged; older files holding a freeze bitset read the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masking import MaskedLayer
+from .masking import MaskedLayer, round_scores
 
 MAGIC = b"TFMC"
 FORMAT_VERSION = 1
@@ -34,8 +38,9 @@ def save_checkpoint(path: str | Path, layers: Sequence[MaskedLayer]) -> None:
     for layer in layers:
         fan_out, fan_in = layer.weights.shape
         blobs.append(struct.pack("<II", fan_out, fan_in))
-        blobs.append(np.ascontiguousarray(layer.scores, dtype="<f4").tobytes())
-        bits = (layer.freeze.reshape(-1) != 0.0).astype(np.uint8)
+        scores = layer.mask if layer.scores is None else layer.scores
+        blobs.append(np.ascontiguousarray(scores, dtype="<f4").tobytes())
+        bits = (layer.mask.reshape(-1) != 0.0).astype(np.uint8)
         blobs.append(np.packbits(bits, bitorder="little").tobytes())
         blobs.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(blobs))
@@ -66,12 +71,12 @@ def load_checkpoint(path: str | Path) -> list[MaskedLayer]:
         n = fan_out * fan_in
         raw, off = _take(buf, off, 4 * n, f"layer {idx} scores")
         scores = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
-        raw, off = _take(buf, off, (n + 7) // 8, f"layer {idx} freeze bitset")
+        raw, off = _take(buf, off, (n + 7) // 8, f"layer {idx} mask bitset")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-        freeze = bits.astype(np.float64).reshape(fan_out, fan_in)
+        mask = round_scores(scores) * bits.astype(np.float64).reshape(fan_out, fan_in)
         raw, off = _take(buf, off, 4 * n, f"layer {idx} weights")
         weights = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
-        layers.append(MaskedLayer(weights=weights, scores=scores, freeze=freeze))
+        layers.append(MaskedLayer(weights=weights, mask=mask, scores=scores))
     if off != len(buf):
         raise CheckpointError(f"{len(buf) - off} trailing bytes after layer {n_layers - 1}")
     return layers

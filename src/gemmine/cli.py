@@ -26,7 +26,7 @@ from .harness import (
     variant_network,
     write_summary,
 )
-from .masking import extract_mask, mask_sparsity
+from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners import MiningResult
 from .sanity import layerwise_report, write_layerwise_csv
 from .trainer import RunReport, finetune
@@ -97,10 +97,8 @@ def cmd_sanity(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     layers = load_checkpoint(args.checkpoint)
-    mask = extract_mask(layers)
     result = MiningResult(
         layers=layers,
-        mask=mask,
         report=RunReport(epochs=0),
         inversion_scores=[l.scores.copy() for l in layers],
     )
@@ -111,12 +109,8 @@ def cmd_sanity(args) -> int:
         return 1
     for variant in cfg.sanity:
         weights, new_mask = variant_network(cfg, result, variant.kind, seed + variant.seed)
-        out_layers = [
-            type(l)(weights=w, scores=m.copy(), freeze=m.copy())
-            for l, w, m in zip(layers, weights, new_mask)
-        ]
         ckpt = run_dir / "masks" / f"{stem}_{variant.kind}.tfmc"
-        save_checkpoint(ckpt, out_layers)
+        save_checkpoint(ckpt, [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, new_mask)])
         write_layerwise_csv(
             run_dir / "reports" / f"{stem}_{variant.kind}_layerwise.csv",
             layerwise_report(new_mask),

@@ -48,6 +48,14 @@ def _parse(key: str, text: str, kind):
         raise ConfigError(f"{key}: cannot parse {text!r}") from exc
 
 
+def _checked(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError re-raised as a ConfigError naming ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def parse_key_values(text: str) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
     out: dict[str, str] = {}
@@ -160,7 +168,7 @@ def _parse_rewind(key: str, text: str) -> RewindSpec:
     if head == COLD:
         return RewindSpec(COLD)
     if head == WARM:
-        return RewindSpec(WARM, warm_epoch=_parse(key, arg, int) if arg else 1)
+        return _checked(key, RewindSpec, WARM, warm_epoch=_parse(key, arg, int) if arg else 1)
     if head in (LR_REWIND, "lr"):
         return RewindSpec(LR_REWIND)
     raise ConfigError(f"{key}: unknown rewind {text!r}")
@@ -209,7 +217,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         raise ConfigError(f"task.kind must be blobs, two_moons, or idx, got {kind!r}")
 
     widths = [_parse("net.widths", w, int) for w in fields.require("net.widths").split(",")]
-    spec = NetworkSpec(tuple(widths))
+    spec = _checked("net.widths", NetworkSpec, tuple(widths))
 
     algorithm = fields.get("miner.algorithm", "gem").lower()
     if algorithm not in ALGORITHMS:
@@ -218,24 +226,30 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
     regularizer = (fields.get("miner.regularizer", L2) or L2).lower()
     if regularizer not in (L1, L2):
         raise ConfigError(f"miner.regularizer must be l1 or l2, got {regularizer!r}")
-    miner = MinerConfig(
+    miner = _checked(
+        "miner",
+        MinerConfig,
         lr=fields.get_float("miner.lr", 0.1),
         reg_weight=fields.get_float("miner.lambda", 0.0),
         regularizer=regularizer,
-        optimizer=parse_optimizer(fields.get("miner.optimizer", "sgd")),
+        optimizer=_checked("miner.optimizer", parse_optimizer, fields.get("miner.optimizer", "sgd")),
         batch_size=fields.get_int("miner.batch_size", 32),
     )
 
-    schedule = SparsitySchedule(
+    schedule = _checked(
+        "schedule",
+        SparsitySchedule,
         target_sparsity=fields.get_float("schedule.sparsity", 0.5),
         total_epochs=fields.get_int("schedule.epochs", 10),
         freeze_period=fields.get_int("schedule.freeze_period", fields.get_int("schedule.epochs", 10)),
     )
 
-    finetune = TrainConfig(
+    finetune = _checked(
+        "finetune",
+        TrainConfig,
         epochs=fields.get_int("finetune.epochs", 10),
         batch_size=fields.get_int("finetune.batch_size", 32),
-        optimizer=parse_optimizer(fields.get("finetune.optimizer", "sgd")),
+        optimizer=_checked("finetune.optimizer", parse_optimizer, fields.get("finetune.optimizer", "sgd")),
         lr=fields.get_float("finetune.lr", 0.1),
         schedule=_parse_schedule_choice("finetune.schedule", fields.get("finetune.schedule", "cosine")),
     )
@@ -243,7 +257,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
     sanity = []
     for entry in fields.get_list("sanity"):
         kind, _, extra = entry.partition(":")
-        sanity.append(SanityVariant(kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
+        sanity.append(_checked("sanity", SanityVariant, kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
     seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
 
     init_scheme = fields.get("init.scheme")
@@ -256,7 +270,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
 
     def profile(key: str) -> LayerRatios | None:
         parts = fields.get_list(key)
-        return LayerRatios(tuple(_parse(key, p, float) for p in parts)) if parts else None
+        return _checked(key, LayerRatios, tuple(_parse(key, p, float) for p in parts)) if parts else None
 
     ep_scope = fields.get("ep.scope", LAYERWISE).lower()
     if ep_scope not in (LAYERWISE, GLOBAL):

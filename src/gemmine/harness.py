@@ -147,11 +147,6 @@ def variant_network(
     raise ValueError(f"unknown sanity variant {variant!r}")
 
 
-def _checkpoint_layers(weights: list[np.ndarray], mask: list[np.ndarray]) -> list[MaskedLayer]:
-    # a transformed mask is stored directly: scores == freeze == mask
-    return [MaskedLayer(weights=w, scores=m.copy(), freeze=m.copy()) for w, m in zip(weights, mask)]
-
-
 def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
     run_dir = Path(out_root) / cfg.run_id
     masks_dir = run_dir / "masks"
@@ -177,7 +172,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
                 if variant == BASE_VARIANT:
                     ckpt_layers = result.layers
                 else:
-                    ckpt_layers = _checkpoint_layers(weights, mask)
+                    ckpt_layers = [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
                 ckpt_path = masks_dir / f"seed{seed}_{variant}.tfmc"
                 save_checkpoint(ckpt_path, ckpt_layers)
                 loaded = load_checkpoint(ckpt_path)

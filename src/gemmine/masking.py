@@ -1,8 +1,8 @@
 """Masked-network representation shared by every miner.
 
-A network is a list of :class:`MaskedLayer` values: fixed random weights,
-trainable scores in [0, 1], and a monotone freeze mask. The binary mask
-actually applied to the weights is ``round(scores) * freeze``.
+A network is a list of :class:`MaskedLayer` values: fixed weights and the
+binary mask applied to them. A Gem-Miner layer also keeps the [0, 1]
+scores its mask was rounded from.
 """
 
 from __future__ import annotations
@@ -57,18 +57,22 @@ class NetworkSpec:
 
 @dataclass
 class MaskedLayer:
-    """One layer: weights (fan_out, fan_in), scores in [0,1], freeze in {0,1}."""
+    """One layer: weights (fan_out, fan_in), a mask in {0,1}, optional scores.
+
+    A mask bit of 1 needs a score >= 0.5 where scores are given, so the
+    checkpoint reader's ``round(scores) * bitset`` gives the mask back.
+    """
 
     weights: np.ndarray
-    scores: np.ndarray
-    freeze: np.ndarray
+    mask: np.ndarray
+    scores: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.weights.shape == self.scores.shape == self.freeze.shape):
-            raise ValueError(
-                "MaskedLayer fields must share one shape, got "
-                f"{self.weights.shape}/{self.scores.shape}/{self.freeze.shape}"
-            )
+        shapes = [a.shape for a in (self.weights, self.mask, self.scores) if a is not None]
+        if len(set(shapes)) != 1:
+            raise ValueError(f"MaskedLayer fields must share one shape, got {'/'.join(map(str, shapes))}")
+        if self.scores is not None and np.any((self.mask != 0.0) & ~(self.scores >= 0.5)):
+            raise ValueError("MaskedLayer mask keeps a weight whose score is below 0.5")
 
 
 Mask = list[np.ndarray]
@@ -102,41 +106,14 @@ def round_scores(scores: np.ndarray) -> np.ndarray:
     return (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.float64)
 
 
-def project_unit_interval(scores: np.ndarray) -> np.ndarray:
-    return np.clip(scores, 0.0, 1.0)
-
-
-def layer_mask(layer: MaskedLayer) -> np.ndarray:
-    return round_scores(layer.scores) * layer.freeze
-
-
-def effective_weights(layer: MaskedLayer) -> np.ndarray:
-    """weights * freeze * round(scores); frozen entries are 0 regardless of score."""
-    return layer.weights * layer.freeze * round_scores(layer.scores)
-
-
 def extract_mask(layers: Sequence[MaskedLayer]) -> Mask:
-    return [layer_mask(layer) for layer in layers]
-
-
-def global_sparsity(layers: Sequence[MaskedLayer]) -> float:
-    """Fraction of weights kept by the current mask across the whole network."""
-    if len(layers) == 0:
-        raise ValueError("global_sparsity: empty network")
-    kept = sum(int(np.sum(layer_mask(layer))) for layer in layers)
-    total = sum(layer.weights.size for layer in layers)
-    return kept / total
+    return [layer.mask for layer in layers]
 
 
 def mask_sparsity(mask: Sequence[np.ndarray]) -> float:
     if len(mask) == 0:
         raise ValueError("mask_sparsity: empty mask")
     return sum(int(np.sum(m)) for m in mask) / sum(m.size for m in mask)
-
-
-def unfrozen_fraction(layers: Sequence[MaskedLayer]) -> float:
-    total = sum(layer.freeze.size for layer in layers)
-    return sum(int(np.sum(layer.freeze)) for layer in layers) / total
 
 
 def layer_stddev(fan_in: int) -> float:
@@ -168,15 +145,6 @@ def init_scores(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
     """Scores i.i.d. uniform on [0, 1], one tensor per layer."""
     rng = stream_rng(seed, STREAM_SCORES)
     return [rng.random(size=(fan_out, fan_in)) for fan_out, fan_in in spec.layer_shapes]
-
-
-def build_network(spec: NetworkSpec, scheme: str, seed: int) -> list[MaskedLayer]:
-    weights = init_weights(spec, scheme, seed)
-    scores = init_scores(spec, seed)
-    return [
-        MaskedLayer(weights=w, scores=p, freeze=np.ones_like(w))
-        for w, p in zip(weights, scores)
-    ]
 
 
 def mlp_forward(x: Tensor, layer_weights: Sequence[Tensor]) -> Tensor:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..masking import MaskedLayer, loss_and_grads
+from ..masking import MaskedLayer, extract_mask, loss_and_grads
 from ..optim import OptimizerChoice, SgdMomentum
 from ..trainer import RunReport
 
@@ -82,7 +82,7 @@ class MinerConfig:
 
 @dataclass
 class MiningResult:
-    """What a miner hands back: the network state, its mask, and a report.
+    """What a miner hands back: the masked layers and a report.
 
     ``inversion_scores`` carries the per-weight importances a score-inversion
     sanity check needs (final scores for score-based miners, weight
@@ -90,7 +90,6 @@ class MiningResult:
     """
 
     layers: list[MaskedLayer]
-    mask: list[np.ndarray]
     report: RunReport
     inversion_scores: list[np.ndarray] | None = None
     layer_ratios: "LayerRatios | None" = None
@@ -99,6 +98,10 @@ class MiningResult:
     @property
     def weights(self) -> list[np.ndarray]:
         return [layer.weights for layer in self.layers]
+
+    @property
+    def mask(self) -> list[np.ndarray]:
+        return extract_mask(self.layers)
 
 
 @dataclass(frozen=True)

@@ -125,17 +125,10 @@ def edge_popup(
     _, pre_acc = evaluate(eff_final, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
     report.layerwise = layerwise_report(final_mask)
-    # scores are rank-only here, so the stored layer encodes the final
-    # selection directly: round(mask) * mask reproduces it exactly
-    layers = [
-        MaskedLayer(weights=w, scores=m.copy(), freeze=m.copy())
-        for w, m in zip(weights, final_mask)
-    ]
     if any(not np.array_equal(w, w0) for w, w0 in zip(weights, initial_weights)):
         raise AssertionError("edge_popup must never update weights")
     return MiningResult(
-        layers=layers,
-        mask=final_mask,
+        layers=[MaskedLayer(weights=w, mask=m) for w, m in zip(weights, final_mask)],
         report=report,
         inversion_scores=[p.copy() for p in scores],
     )

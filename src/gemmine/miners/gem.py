@@ -18,14 +18,12 @@ from ..masking import (
     STREAM_BATCHES,
     MaskedLayer,
     NetworkSpec,
-    build_network,
-    extract_mask,
-    layer_mask,
+    init_scores,
+    init_weights,
     mask_sparsity,
     round_scores,
     select_smallest,
     stream_rng,
-    unfrozen_fraction,
 )
 from ..optim import make_optimizer
 from ..sanity import layerwise_report
@@ -35,9 +33,10 @@ from .common import MinerConfig, MiningResult, SparsitySchedule, score_loss_and_
 __all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
 
 
-def freeze_step(layers: list[MaskedLayer], schedule: SparsitySchedule) -> int:
+def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: SparsitySchedule) -> int:
     """Freeze the globally smallest unfrozen scores, in place.
 
+    ``freeze`` holds one {0, 1} array per layer of ``scores``, 1 where unfrozen.
     The survivor count is floor(keep_factor * unfrozen), which keeps the
     unfrozen fraction at or below the envelope; each event can overshoot
     the envelope downward by at most one weight. Equal scores are frozen
@@ -45,29 +44,27 @@ def freeze_step(layers: list[MaskedLayer], schedule: SparsitySchedule) -> int:
     turn, each by flat index. Frozen scores are zeroed and never thaw.
     Returns the number of weights frozen.
     """
-    unfrozen = [np.flatnonzero(layer.freeze.reshape(-1) != 0.0) for layer in layers]
+    unfrozen = [np.flatnonzero(f.reshape(-1) != 0.0) for f in freeze]
     total_unfrozen = sum(idx.size for idx in unfrozen)
     n_keep = math.floor(schedule.keep_factor * total_unfrozen)
     n_freeze = total_unfrozen - n_keep
     if n_freeze < 1:
         return 0
 
-    chosen = select_smallest(
-        np.concatenate([layer.scores.reshape(-1)[idx] for layer, idx in zip(layers, unfrozen)]), n_freeze
-    )
+    chosen = select_smallest(np.concatenate([p.reshape(-1)[idx] for p, idx in zip(scores, unfrozen)]), n_freeze)
     start = 0
-    for layer, idx in zip(layers, unfrozen):
+    for p, f, idx in zip(scores, freeze, unfrozen):
         hit = idx[chosen[start : start + idx.size]]
         start += idx.size
-        layer.freeze.reshape(-1)[hit] = 0.0
-        layer.scores.reshape(-1)[hit] = 0.0
+        f.reshape(-1)[hit] = 0.0
+        p.reshape(-1)[hit] = 0.0
     return n_freeze
 
 
-def check_layer_collapse(layers: list[MaskedLayer], warnings: list[str], when: str) -> None:
-    for i, layer in enumerate(layers):
+def check_layer_collapse(mask: list[np.ndarray], warnings: list[str], when: str) -> None:
+    for i, m in enumerate(mask):
         msg = f"layer_collapse: layer {i} mask is empty ({when})"
-        if int(np.sum(layer_mask(layer))) == 0 and msg not in warnings:
+        if int(np.sum(m)) == 0 and msg not in warnings:
             warnings.append(msg)
 
 
@@ -87,18 +84,22 @@ def gem_mine(
     """
     if data.train_x.shape[0] == 0:
         raise ValueError("gem_mine: empty training split")
-    layers = build_network(spec, init_scheme, config.seed)
-    scores = [layer.scores for layer in layers]
+    weights = init_weights(spec, init_scheme, config.seed)
+    scores = init_scores(spec, config.seed)
+    freeze = [np.ones_like(w) for w in weights]
     optimizer = make_optimizer(config.optimizer, scores)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     report = RunReport(epochs=schedule.total_epochs)
+
+    def current_mask():
+        return [round_scores(p) * f for p, f in zip(scores, freeze)]
 
     def batch_loss_and_grads(x, y):
         # each optimizer step is projected onto [0, 1]: here before the next
         # batch uses the scores, and after the epoch's last step below
         for p in scores:
             np.clip(p, 0.0, 1.0, out=p)
-        frozen_weights = [layer.weights * layer.freeze for layer in layers]
+        frozen_weights = [w * f for w, f in zip(weights, freeze)]
         return score_loss_and_grads(x, y, frozen_weights, [round_scores(p) for p in scores], scores, config)
 
     for epoch in range(1, schedule.total_epochs + 1):
@@ -109,30 +110,28 @@ def gem_mine(
             np.clip(p, 0.0, 1.0, out=p)
 
         if epoch % schedule.freeze_period == 0:
-            freeze_step(layers, schedule)
-            check_layer_collapse(layers, report.warnings, when=f"after freeze at epoch {epoch}")
+            freeze_step(scores, freeze, schedule)
+            check_layer_collapse(current_mask(), report.warnings, when=f"after freeze at epoch {epoch}")
 
-        eff_now = [layer.weights * layer_mask(layer) for layer in layers]
-        _, val_acc = evaluate(eff_now, data.val_x, data.val_y)
+        mask = current_mask()
+        _, val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
         report.records.append(
             EpochRecord(
                 epoch=epoch,
-                sparsity=unfrozen_fraction(layers),
+                sparsity=mask_sparsity(freeze),
                 train_loss=train_loss,
                 val_accuracy=val_acc,
-                extra={"mask_sparsity": mask_sparsity(extract_mask(layers))},
+                extra={"mask_sparsity": mask_sparsity(mask)},
             )
         )
 
-    check_layer_collapse(layers, report.warnings, when="final mask")
-    mask = extract_mask(layers)
-    eff_final = [layer.weights * m for layer, m in zip(layers, mask)]
-    _, pre_acc = evaluate(eff_final, data.test_x, data.test_y)
+    mask = current_mask()
+    check_layer_collapse(mask, report.warnings, when="final mask")
+    _, pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
     report.layerwise = layerwise_report(mask)
     return MiningResult(
-        layers=layers,
-        mask=mask,
+        layers=[MaskedLayer(weights=w, mask=m, scores=p) for w, m, p in zip(weights, mask, scores)],
         report=report,
-        inversion_scores=[layer.scores.copy() for layer in layers],
+        inversion_scores=[p.copy() for p in scores],
     )

@@ -149,10 +149,9 @@ def imp(
     _, pre_acc = evaluate(eff, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
     report.layerwise = layerwise_report(mask)
-    layers = [
-        MaskedLayer(weights=w, scores=m.copy(), freeze=m.copy())
-        for w, m in zip(weights, mask)
-    ]
     return MiningResult(
-        layers=layers, mask=mask, report=report, inversion_scores=magnitudes, round_masks=round_masks
+        layers=[MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)],
+        report=report,
+        inversion_scores=magnitudes,
+        round_masks=round_masks,
     )

@@ -192,8 +192,5 @@ def smart_ratio(
     if data is not None:
         _, pre_acc = evaluate(eff, data.test_x, data.test_y)
         report.pre_finetune_accuracy = pre_acc
-    layers = [
-        MaskedLayer(weights=w, scores=m.copy(), freeze=m.copy())
-        for w, m in zip(weights, mask)
-    ]
-    return MiningResult(layers=layers, mask=mask, report=report, inversion_scores=None, layer_ratios=ratios)
+    layers = [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
+    return MiningResult(layers=layers, report=report, inversion_scores=None, layer_ratios=ratios)

@@ -8,7 +8,7 @@ everything about a mask except its layerwise sparsity profile.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -45,12 +45,9 @@ def shuffle_mask(mask: Sequence[np.ndarray], seed: int) -> list[np.ndarray]:
 def reinit_weights(
     layers: Sequence[MaskedLayer], spec: NetworkSpec, scheme: str, seed: int
 ) -> list[MaskedLayer]:
-    """Fresh weights from the original distribution; scores and freeze untouched."""
+    """Fresh weights from the original distribution; mask and scores untouched."""
     fresh = init_weights(spec, scheme, seed)
-    return [
-        MaskedLayer(weights=w, scores=layer.scores.copy(), freeze=layer.freeze.copy())
-        for layer, w in zip(layers, fresh)
-    ]
+    return [replace(layer, weights=w) for layer, w in zip(layers, fresh)]
 
 
 def invert_scores(

@@ -13,7 +13,7 @@ import pytest
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
-from gemmine.masking import MaskedLayer, NetworkSpec, loss_and_grads, mask_sparsity
+from gemmine.masking import MaskedLayer, NetworkSpec, init_scores, init_weights, loss_and_grads, mask_sparsity, round_scores
 from gemmine.miners import (
     GLOBAL,
     LAYERWISE,
@@ -86,12 +86,12 @@ def test_criterion_2_freeze_arithmetic():
         # per-event survivor rule and land within one weight per event
         rng = np.random.default_rng(0)
         scores = rng.random((1, 10_000))
-        layers = [MaskedLayer(weights=np.ones_like(scores), scores=scores.copy(), freeze=np.ones_like(scores))]
+        scores, freeze = [scores.copy()], [np.ones_like(scores)]
         expected = 10_000
         for _ in range(30):
             expected = math.floor(sched.keep_factor * expected)
-            freeze_step(layers, sched)
-            assert int(np.sum(layers[0].freeze)) == expected
+            freeze_step(scores, freeze, sched)
+            assert int(np.sum(freeze[0])) == expected
         target_count = 0.014 * 10_000
         assert target_count - 30 <= expected <= target_count
 
@@ -258,13 +258,14 @@ def test_criterion_8_conservation_and_determinism(blobs, tmp_path):
             assert int(np.sum(before)) == int(np.sum(after))
 
         spec = NetworkSpec((2, 10, 2))
-        from gemmine.masking import build_network
-
-        layers = build_network(spec, "signed_constant", seed=0)
+        layers = [
+            MaskedLayer(weights=w, mask=round_scores(p), scores=p)
+            for w, p in zip(init_weights(spec, "signed_constant", seed=0), init_scores(spec, seed=0))
+        ]
         fresh = reinit_weights(layers, spec, "signed_constant", seed=1)
         for old, new in zip(layers, fresh):
             assert old.scores.tobytes() == new.scores.tobytes()
-            assert old.freeze.tobytes() == new.freeze.tobytes()
+            assert old.mask.tobytes() == new.mask.tobytes()
 
         scores = [rng.random((6, 8)), rng.random((4, 6))]
         inverted, _ = invert_scores(scores, mask)

@@ -97,6 +97,28 @@ def test_config_number_errors_name_the_key(line, key):
         build_experiment_config(BASE_CFG + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "line, key, message",
+    [
+        ("sanity = bogus", "sanity", "sanity variant must be one of"),
+        ("net.widths = 2", "net.widths", "at least one hidden layer"),
+        ("schedule.sparsity = 2", "schedule", "target sparsity must be in (0, 1]"),
+        ("schedule.freeze_period = 3\nschedule.epochs = 10", "schedule", "freeze period 3 must divide"),
+        ("miner.lr = 0", "miner", "learning rate must be positive"),
+        ("miner.batch_size = 0", "miner", "batch size must be positive"),
+        ("miner.optimizer = foo", "miner.optimizer", "unknown optimizer"),
+        ("miner.optimizer = sgd:abc", "miner.optimizer", "could not convert"),
+        ("imp.rewind = warm:0", "imp.rewind", "warm rewind epoch must be >= 1"),
+        ("finetune.epochs = -1", "finetune", "invalid TrainConfig"),
+        ("finetune.schedule = multistep:5,2", "finetune", "milestones must be strictly increasing"),
+        ("sr.imp_profile = 0.5,2", "sr.imp_profile", "keep ratios must be in (0, 1]"),
+    ],
+)
+def test_config_range_errors_name_the_key(line, key, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(message)}"):
+        build_experiment_config(BASE_CFG + line + "\n")
+
+
 def test_config_missing_idx_path(tmp_path):
     text = "task.kind = idx\ntask.path = missing_dir\nnet.widths = 2,4,2\nseeds = 0\n"
     with pytest.raises(ConfigError, match="does not exist"):
@@ -166,6 +188,30 @@ def test_checkpoint_save_load_save_in_harness_layout(tmp_path):
     resaved = tmp_path / "resaved.tfmc"
     save_checkpoint(resaved, loaded)
     assert ckpt.read_bytes() == resaved.read_bytes()
+
+
+def test_base_checkpoint_reloads_the_mined_mask(tmp_path, monkeypatch):
+    # at 0.6 some unfrozen weights end with scores below 0.5, so the mask is not the freeze set
+    cfg = build_experiment_config(BASE_CFG.replace("schedule.sparsity = 0.3", "schedule.sparsity = 0.6"))
+    mined = {}
+    real = harness.mine_for_seed
+
+    def recording(cfg_arg, data, seed):
+        result = real(cfg_arg, data, seed)
+        # float32 stores a score just below 0.5 as 0.5; the dropped weights' bits must stay 0
+        for layer in result.layers:
+            layer.scores[layer.mask == 0.0] = 0.5 - 2.0**-30
+        mined[seed] = result
+        return result
+
+    monkeypatch.setattr(harness, "mine_for_seed", recording)
+    run_dir = harness.run_experiment(cfg, tmp_path)
+    rows = {row["seed"]: row for row in harness.read_summary(run_dir / "summary.csv") if row["variant"] == "none"}
+    assert sorted(mined) == [1, 2]
+    for seed, result in mined.items():
+        reloaded = extract_mask(load_checkpoint(run_dir / "masks" / f"seed{seed}_none.tfmc"))
+        assert [m.tobytes() for m in reloaded] == [m.tobytes() for m in result.mask]
+        assert float(rows[str(seed)]["sparsity"]) == float(f"{mask_sparsity(result.mask):.12g}")
 
 
 def _write_cfg(tmp_path, text):

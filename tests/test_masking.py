@@ -1,3 +1,5 @@
+import dataclasses
+import struct
 import tokenize
 from pathlib import Path
 
@@ -7,20 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gemmine.checkpoint import MAGIC, load_checkpoint
 from gemmine.masking import (
     SCALED_NORMAL,
     SIGNED_CONSTANT,
     MaskedLayer,
     NetworkSpec,
-    build_network,
-    effective_weights,
     extract_mask,
-    global_sparsity,
     init_scores,
     init_weights,
     layer_stddev,
     mask_sparsity,
-    project_unit_interval,
     round_scores,
     select_smallest,
 )
@@ -38,53 +37,59 @@ def test_round_elementwise():
     assert round_scores(np.array([0.0, 1.0, 0.5, 0.49])).tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
-def _layer(w, p, q):
-    return MaskedLayer(weights=np.asarray(w, float), scores=np.asarray(p, float), freeze=np.asarray(q, float))
+def _reader_layer(tmp_path, w, p, q):
+    """The layer a TFMC v1 file with scores ``p`` and bitset ``q`` loads as."""
+    w, p, q = (np.asarray(a, dtype=float) for a in (w, p, q))
+    bits = np.packbits((q.reshape(-1) != 0.0).astype(np.uint8), bitorder="little").tobytes()
+    payload = struct.pack("<II", *w.shape) + p.astype("<f4").tobytes() + bits + w.astype("<f4").tobytes()
+    path = tmp_path / "layer.tfmc"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 1) + payload)
+    return load_checkpoint(path)[0]
 
 
-def test_effective_weights_elementwise():
-    layer = _layer([[2.0, -3.0]], [[0.7, 0.2]], [[1.0, 1.0]])
-    assert effective_weights(layer).tolist() == [[2.0, 0.0]]
+def _masked(m):
+    m = np.asarray(m, dtype=float)
+    return MaskedLayer(weights=np.ones_like(m), mask=m)
 
 
-def test_effective_weights_freeze_dominates():
-    layer = _layer([[2.0, -3.0]], [[0.9, 0.9]], [[0.0, 0.0]])
-    assert effective_weights(layer).tolist() == [[0.0, 0.0]]
+# effective weights are weights * mask; a checkpoint's mask is round(scores) * bitset
 
 
-def test_effective_weights_mixed():
-    layer = _layer([[1.0, 1.0]], [[0.9, 0.9]], [[1.0, 0.0]])
-    assert effective_weights(layer).tolist() == [[1.0, 0.0]]
+def test_effective_weights_elementwise(tmp_path):
+    layer = _reader_layer(tmp_path, [[2.0, -3.0]], [[0.7, 0.2]], [[1.0, 1.0]])
+    assert (layer.weights * layer.mask).tolist() == [[2.0, 0.0]]
 
 
-def test_projection_examples():
-    out = project_unit_interval(np.array([1.2, -0.3, 0.4]))
-    assert out.tolist() == [1.0, 0.0, 0.4]
+def test_effective_weights_freeze_dominates(tmp_path):
+    layer = _reader_layer(tmp_path, [[2.0, -3.0]], [[0.9, 0.9]], [[0.0, 0.0]])
+    assert (layer.weights * layer.mask).tolist() == [[0.0, 0.0]]
+
+
+def test_effective_weights_mixed(tmp_path):
+    layer = _reader_layer(tmp_path, [[1.0, 1.0]], [[0.9, 0.9]], [[1.0, 0.0]])
+    assert (layer.weights * layer.mask).tolist() == [[1.0, 0.0]]
 
 
 def test_global_sparsity_single_layer():
-    scores = np.zeros((1, 10))
-    scores[0, :3] = 1.0
-    layer = _layer(np.ones((1, 10)), scores, np.ones((1, 10)))
-    assert global_sparsity([layer]) == pytest.approx(0.3)
+    mask = np.zeros((1, 10))
+    mask[0, :3] = 1.0
+    assert mask_sparsity(extract_mask([_masked(mask)])) == pytest.approx(0.3)
 
 
 def test_global_sparsity_dense():
-    layer = _layer(np.ones((2, 5)), np.ones((2, 5)), np.ones((2, 5)))
-    assert global_sparsity([layer]) == 1.0
+    assert mask_sparsity(extract_mask([_masked(np.ones((2, 5)))])) == 1.0
 
 
 def test_global_sparsity_weighted_across_layers():
-    a = _layer(np.ones((1, 10)), np.concatenate([np.ones((1, 1)), np.zeros((1, 9))], axis=1), np.ones((1, 10)))
-    b_scores = np.zeros((9, 10))
-    b_scores.reshape(-1)[:9] = 1.0
-    b = _layer(np.ones((9, 10)), b_scores, np.ones((9, 10)))
-    assert global_sparsity([a, b]) == pytest.approx(0.1)
+    a = _masked(np.concatenate([np.ones((1, 1)), np.zeros((1, 9))], axis=1))
+    b_mask = np.zeros((9, 10))
+    b_mask.reshape(-1)[:9] = 1.0
+    assert mask_sparsity(extract_mask([a, _masked(b_mask)])) == pytest.approx(0.1)
 
 
 def test_global_sparsity_rejects_empty_network():
     with pytest.raises(ValueError):
-        global_sparsity([])
+        mask_sparsity(extract_mask([]))
 
 
 def test_network_spec_validation():
@@ -140,22 +145,9 @@ def test_unknown_init_scheme():
 
 def test_masked_layer_shape_validation():
     with pytest.raises(ValueError):
-        MaskedLayer(weights=np.ones((2, 2)), scores=np.ones((2, 3)), freeze=np.ones((2, 2)))
-
-
-score_arrays = hnp.arrays(
-    dtype=np.float64,
-    shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
-    elements=st.floats(min_value=-2.0, max_value=3.0),
-)
-
-
-@settings(max_examples=50)
-@given(score_arrays)
-def test_projection_idempotent_and_bounded(p):
-    out = project_unit_interval(p)
-    assert np.all(out >= 0.0) and np.all(out <= 1.0)
-    np.testing.assert_array_equal(project_unit_interval(out), out)
+        MaskedLayer(weights=np.ones((2, 2)), mask=np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        MaskedLayer(weights=np.ones((2, 2)), mask=np.ones((2, 2)), scores=np.ones((2, 3)))
 
 
 @settings(max_examples=50)
@@ -163,16 +155,17 @@ def test_projection_idempotent_and_bounded(p):
 def test_mask_consistency_and_support(seed):
     rng = np.random.default_rng(seed)
     spec = NetworkSpec((3, 5, 2))
-    layers = build_network(spec, SIGNED_CONSTANT, seed=seed)
-    for layer in layers:
-        layer.freeze[:] = (rng.random(layer.freeze.shape) < 0.7).astype(float)
+    weights = init_weights(spec, SIGNED_CONSTANT, seed=seed)
+    scores = init_scores(spec, seed=seed)
+    freeze = [(rng.random(p.shape) < 0.7).astype(float) for p in scores]
+    layers = [MaskedLayer(weights=w, mask=round_scores(p) * f, scores=p) for w, p, f in zip(weights, scores, freeze)]
     mask = extract_mask(layers)
-    # sparsity computed from the extracted mask equals the live network's
-    assert mask_sparsity(mask) == global_sparsity(layers)
-    for layer, m in zip(layers, mask):
-        eff = effective_weights(layer)
+    # sparsity computed from the extracted mask counts the kept weights of the network
+    assert mask_sparsity(mask) == sum(int(np.sum(l.mask)) for l in layers) / spec.total_params
+    for layer, f, m in zip(layers, freeze, mask):
+        eff = layer.weights * layer.mask
         support = eff != 0.0
-        assert np.all(support <= (layer.freeze != 0.0))
+        assert np.all(support <= (f != 0.0))
         assert np.all(support <= (round_scores(layer.scores) != 0.0))
         assert np.all(support <= (m != 0.0))
 
@@ -257,4 +250,19 @@ def test_no_full_sort_copy_in_the_package():
         for (prev, _), (name, line) in zip([("", 0)] + names, names):
             if name in ("argsort", "lexsort") or (name == "sort" and prev in ("np", "numpy")):
                 offenders.append(f"{path.relative_to(package)}:{line}: {name}")
+    assert offenders == []
+
+
+def test_freeze_state_stays_inside_gem_mine():
+    """A layer is weights + mask: only miners/gem.py handles a freeze array."""
+    assert "freeze" not in {f.name for f in dataclasses.fields(MaskedLayer)}
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package) == Path("miners", "gem.py"):
+            continue
+        with open(path, "rb") as f:
+            # whole NAME tokens only: docstrings, strings and freeze_period do not count
+            tokens = tokenize.tokenize(f.readline)
+            offenders += [f"{path.relative_to(package)}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "freeze"]
     assert offenders == []

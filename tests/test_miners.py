@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.masking import (
     SIGNED_CONSTANT,
-    MaskedLayer,
     NetworkSpec,
     init_weights,
     mask_sparsity,
-    unfrozen_fraction,
 )
 from gemmine.miners import (
     GLOBAL,
@@ -116,26 +114,25 @@ def test_schedule_validation():
 
 
 def _single_layer_network(scores):
+    """One layer's (scores, freeze) lists, nothing frozen yet."""
     scores = np.asarray(scores, dtype=float).reshape(1, -1)
-    return [
-        MaskedLayer(weights=np.ones_like(scores), scores=scores.copy(), freeze=np.ones_like(scores))
-    ]
+    return [scores.copy()], [np.ones_like(scores)]
 
 
 def test_freeze_step_bottom_half():
-    layers = _single_layer_network([0.9, 0.1, 0.8, 0.2])
+    scores, freeze = _single_layer_network([0.9, 0.1, 0.8, 0.2])
     half = SparsitySchedule(0.5, 1, 1)  # keep factor exactly 0.5
-    frozen = freeze_step(layers, half)
+    frozen = freeze_step(scores, freeze, half)
     assert frozen == 2
-    np.testing.assert_array_equal(layers[0].freeze, [[1.0, 0.0, 1.0, 0.0]])
-    np.testing.assert_array_equal(layers[0].scores, [[0.9, 0.0, 0.8, 0.0]])
+    np.testing.assert_array_equal(freeze[0], [[1.0, 0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(scores[0], [[0.9, 0.0, 0.8, 0.0]])
 
 
 def test_freeze_step_noop_when_target_is_dense():
-    layers = _single_layer_network([0.9, 0.1, 0.8, 0.2])
+    scores, freeze = _single_layer_network([0.9, 0.1, 0.8, 0.2])
     dense = SparsitySchedule(1.0, 10, 5)
-    assert freeze_step(layers, dense) == 0
-    np.testing.assert_array_equal(layers[0].freeze, np.ones((1, 4)))
+    assert freeze_step(scores, freeze, dense) == 0
+    np.testing.assert_array_equal(freeze[0], np.ones((1, 4)))
 
 
 def test_freeze_step_composition_on_synthetic_scores():
@@ -143,38 +140,38 @@ def test_freeze_step_composition_on_synthetic_scores():
     # survivor counts compose to 136, within 30 weights of s*d = 140
     sched = SparsitySchedule(0.014, 150, 5)
     rng = np.random.default_rng(0)
-    layers = _single_layer_network(rng.random(10_000))
+    scores, freeze = _single_layer_network(rng.random(10_000))
     expected_unfrozen = 10_000
     for _ in range(30):
         expected_unfrozen = math.floor(sched.keep_factor * expected_unfrozen)
-        freeze_step(layers, sched)
-        assert int(np.sum(layers[0].freeze)) == expected_unfrozen
+        freeze_step(scores, freeze, sched)
+        assert int(np.sum(freeze[0])) == expected_unfrozen
     assert expected_unfrozen == 136
     assert 140 - 30 <= expected_unfrozen <= 140
 
 
 def test_freeze_step_is_global_across_layers():
-    a = MaskedLayer(weights=np.ones((1, 2)), scores=np.array([[0.9, 0.8]]), freeze=np.ones((1, 2)))
-    b = MaskedLayer(weights=np.ones((1, 2)), scores=np.array([[0.1, 0.2]]), freeze=np.ones((1, 2)))
+    scores = [np.array([[0.9, 0.8]]), np.array([[0.1, 0.2]])]
+    freeze = [np.ones((1, 2)), np.ones((1, 2))]
     half = SparsitySchedule(0.5, 1, 1)
-    freeze_step([a, b], half)
-    np.testing.assert_array_equal(a.freeze, [[1.0, 1.0]])
-    np.testing.assert_array_equal(b.freeze, [[0.0, 0.0]])
+    freeze_step(scores, freeze, half)
+    np.testing.assert_array_equal(freeze[0], [[1.0, 1.0]])
+    np.testing.assert_array_equal(freeze[1], [[0.0, 0.0]])
 
 
 def test_freeze_step_breaks_ties_by_layer_then_flat_index():
     # five unfrozen scores tie at 0.2 across both layers and four are frozen:
     # layer a's three in row-major flat order, then the first of layer b's
-    a = MaskedLayer(weights=np.ones((2, 2)), scores=np.array([[0.7, 0.2], [0.2, 0.2]]), freeze=np.ones((2, 2)))
-    b = MaskedLayer(weights=np.ones((1, 4)), scores=np.array([[0.9, 0.2, 0.2, 0.8]]), freeze=np.ones((1, 4)))
-    b.freeze[0, 0] = 0.0  # an already-frozen entry is never a candidate
-    b.scores[0, 0] = 0.0
+    scores = [np.array([[0.7, 0.2], [0.2, 0.2]]), np.array([[0.9, 0.2, 0.2, 0.8]])]
+    freeze = [np.ones((2, 2)), np.ones((1, 4))]
+    freeze[1][0, 0] = 0.0  # an already-frozen entry is never a candidate
+    scores[1][0, 0] = 0.0
     half = SparsitySchedule(0.5, 1, 1)
-    assert freeze_step([a, b], half) == 4  # 7 unfrozen, floor(3.5) = 3 survive
-    np.testing.assert_array_equal(a.freeze, [[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(b.freeze, [[0.0, 0.0, 1.0, 1.0]])
-    np.testing.assert_array_equal(a.scores, [[0.7, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(b.scores, [[0.0, 0.0, 0.2, 0.8]])
+    assert freeze_step(scores, freeze, half) == 4  # 7 unfrozen, floor(3.5) = 3 survive
+    np.testing.assert_array_equal(freeze[0], [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(freeze[1], [[0.0, 0.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(scores[0], [[0.7, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(scores[1], [[0.0, 0.0, 0.2, 0.8]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,17 +179,17 @@ def test_freeze_step_breaks_ties_by_layer_then_flat_index():
 def test_freeze_monotone_and_envelope_compliant(seed):
     rng = np.random.default_rng(seed)
     sched = SparsitySchedule(0.1, 12, 3)
-    layers = _single_layer_network(rng.random(500))
+    scores, freeze = _single_layer_network(rng.random(500))
     d = 500
-    previous = layers[0].freeze.copy()
+    previous = freeze[0].copy()
     for event in range(1, sched.n_events + 1):
-        freeze_step(layers, sched)
-        now = layers[0].freeze
+        freeze_step(scores, freeze, sched)
+        now = freeze[0]
         # frozen set only grows
         assert np.all(now <= previous)
         previous = now.copy()
         epoch = event * sched.freeze_period
-        assert unfrozen_fraction(layers) <= sched.envelope(epoch) + 1.0 / d
+        assert mask_sparsity(freeze) <= sched.envelope(epoch) + 1.0 / d
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,8 @@ def test_gem_mine_without_target_never_freezes(blobs):
     spec = NetworkSpec((2, 16, 2))
     sched = SparsitySchedule(1.0, 6, 3)
     res = gem_mine(blobs, spec, sched, MinerConfig(lr=0.05, seed=1, batch_size=16))
-    assert all(np.all(layer.freeze == 1.0) for layer in res.layers)
+    # the sparsity column is the unfrozen fraction
+    assert all(record.sparsity == 1.0 for record in res.report.records)
     # density stays near the uniform-initialization half
     assert 0.3 < mask_sparsity(res.mask) < 0.7
 
@@ -220,8 +218,8 @@ def test_gem_mine_lands_at_target_on_10k_params():
     expected_unfrozen = spec.total_params
     for _ in range(sched.n_events):
         expected_unfrozen = math.floor(sched.keep_factor * expected_unfrozen)
-    frozen_left = sum(int(np.sum(l.freeze)) for l in res.layers)
-    assert frozen_left == expected_unfrozen
+    # the sparsity column is the unfrozen count over the parameter count
+    assert res.report.records[-1].sparsity == expected_unfrozen / spec.total_params
     achieved = mask_sparsity(res.mask)
     assert achieved <= 0.05
     assert achieved >= 0.05 - (sched.n_events + 10) / spec.total_params
@@ -267,7 +265,7 @@ def test_gem_mine_freeze_monotone_over_run(blobs):
     spec = NetworkSpec((2, 10, 2))
     sched = SparsitySchedule(0.2, 6, 2)
     res = gem_mine(blobs, spec, sched, MinerConfig(lr=0.1, seed=5, batch_size=16))
-    assert unfrozen_fraction(res.layers) <= 0.2 + 1e-12
+    assert res.report.records[-1].sparsity <= 0.2 + 1e-12
 
 
 def _first_step_score_gradients(weights, scale_layer=None, factor=1.0):
@@ -659,7 +657,8 @@ def _mine_with_every_selection(data):
     assert sum(b < a for a, b in zip(unfrozen, unfrozen[1:])) == 2  # two freeze events
     out = {}
     for name, res in results.items():
-        arrays = list(res.mask) + list(res.inversion_scores) + [a for l in res.layers for a in (l.scores, l.freeze)]
+        arrays = list(res.mask) + list(res.inversion_scores) + [l.scores for l in res.layers if l.scores is not None]
+        arrays.append(np.array([r.sparsity for r in res.report.records]))  # gem: the unfrozen fraction
         arrays += [m for round_mask in res.round_masks or [] for m in round_mask]
         inverted, _ = invert_scores(res.inversion_scores, res.mask)
         out[name] = [a.tobytes() for a in arrays + inverted]

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from gemmine.masking import (
     SIGNED_CONSTANT,
+    MaskedLayer,
     NetworkSpec,
-    build_network,
+    init_scores,
+    init_weights,
     layer_stddev,
     mask_sparsity,
+    round_scores,
 )
 from gemmine.sanity import (
     SanityVariant,
@@ -64,11 +67,14 @@ def test_shuffle_conserves_layer_and_global_sparsity(seed):
 
 def test_reinit_preserves_masks_and_redraws_weights():
     spec = NetworkSpec((4, 6, 3))
-    layers = build_network(spec, SIGNED_CONSTANT, seed=2)
+    layers = [
+        MaskedLayer(weights=w, mask=round_scores(p), scores=p)
+        for w, p in zip(init_weights(spec, SIGNED_CONSTANT, seed=2), init_scores(spec, seed=2))
+    ]
     fresh = reinit_weights(layers, spec, SIGNED_CONSTANT, seed=3)
     for old, new in zip(layers, fresh):
         assert old.scores.tobytes() == new.scores.tobytes()
-        assert old.freeze.tobytes() == new.freeze.tobytes()
+        assert old.mask.tobytes() == new.mask.tobytes()
         assert old.weights.tobytes() != new.weights.tobytes()
         # the scheme's per-layer magnitude is preserved exactly
         assert np.all(np.abs(new.weights) == layer_stddev(old.weights.shape[1]))
