@@ -127,17 +127,25 @@ def score_loss_and_grads(
     ``binary`` binarizes ``scores`` with an identity backward, so the score
     gradient is d(loss)/d(effective weight) * base, plus that of
     ``config.reg_weight`` times the scores' L1 or squared-L2 norm.
+    ``binary`` may be float {0, 1} or boolean arrays: ``b * True`` has the
+    bits of ``b * 1.0``. The returned gradients are the kernel's freshly
+    allocated arrays, scaled and penalized in place.
     """
-    loss, d_eff = loss_and_grads(x, y, [b * m for b, m in zip(base, binary)])
-    grads = [d * b for d, b in zip(d_eff, base)]
+    loss, grads = loss_and_grads(x, y, [b * m for b, m in zip(base, binary)])
+    for g, b in zip(grads, base):
+        g *= b
     lam = config.reg_weight
     if lam > 0.0:
         if config.regularizer == L1:
             penalty = sum(np.sum(np.abs(p)) for p in scores)
-            grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
+            for g, p in zip(grads, scores):
+                g += lam * np.sign(p)
         else:
-            # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
             penalty = sum(np.sum(p * p) for p in scores)
-            grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
+            for g, p in zip(grads, scores):
+                # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
+                t = lam * p
+                g += t
+                g += t
         loss = loss + penalty * lam
     return float(loss), grads

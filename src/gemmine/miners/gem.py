@@ -2,8 +2,10 @@
 
 Scores are trained by straight-through gradient descent on the task loss
 plus an optional score-norm penalty. Every ``freeze_period`` epochs the
-globally smallest unfrozen scores are zeroed and frozen so the unfrozen
-fraction tracks the exponential envelope and lands at the target.
+globally smallest unfrozen scores are frozen, and set to 0 at that event,
+so the unfrozen fraction tracks the exponential envelope and lands at the
+target. The optimizer still steps every score, so SGD momentum can move a
+frozen score afterwards; the mask ignores it, since its freeze bit is 0.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: Sp
     unfrozen fraction at or below the envelope; each event can overshoot
     the envelope downward by at most one weight. Equal scores are frozen
     lowest index first, the global order running through the layers in
-    turn, each by flat index. Frozen scores are zeroed and never thaw.
-    Returns the number of weights frozen.
+    turn, each by flat index. The scores frozen by this call are set to 0;
+    frozen weights never thaw. Returns the number of weights frozen.
     """
     unfrozen = [np.flatnonzero(f.reshape(-1) != 0.0) for f in freeze]
     total_unfrozen = sum(idx.size for idx in unfrozen)
@@ -94,13 +96,15 @@ def gem_mine(
     def current_mask():
         return [round_scores(p) * f for p, f in zip(scores, freeze)]
 
+    frozen_weights = [w * f for w, f in zip(weights, freeze)]
+
     def batch_loss_and_grads(x, y):
         # each optimizer step is projected onto [0, 1]: here before the next
         # batch uses the scores, and after the epoch's last step below
         for p in scores:
             np.clip(p, 0.0, 1.0, out=p)
-        frozen_weights = [w * f for w, f in zip(weights, freeze)]
-        return score_loss_and_grads(x, y, frozen_weights, [round_scores(p) for p in scores], scores, config)
+        # round_scores(p) without its float cast: base * True has the bits of base * 1.0
+        return score_loss_and_grads(x, y, frozen_weights, [p >= 0.5 for p in scores], scores, config)
 
     for epoch in range(1, schedule.total_epochs + 1):
         train_loss = run_epoch(
@@ -111,6 +115,8 @@ def gem_mine(
 
         if epoch % schedule.freeze_period == 0:
             freeze_step(scores, freeze, schedule)
+            # freezing is the only change to w * freeze, so rebuild it here, not per batch
+            frozen_weights = [w * f for w, f in zip(weights, freeze)]
             check_layer_collapse(current_mask(), report.warnings, when=f"after freeze at epoch {epoch}")
 
         mask = current_mask()
