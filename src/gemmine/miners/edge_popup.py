@@ -82,8 +82,10 @@ def edge_popup(
     """Mine a subnetwork by straight-through descent on top-k scores.
 
     ``schedule.target_sparsity`` is the keep fraction; with ``gradual`` the
-    effective fraction starts at 1 and steps down the envelope every
-    ``freeze_period`` epochs, reaching the target at the final epoch.
+    effective fraction steps down the envelope every ``freeze_period``
+    epochs, from 1 over the first period to ``envelope((n_events - 1) *
+    freeze_period)`` over the last, so no epoch trains at the target; only
+    the returned mask is cut to it (ROADMAP item 3a).
     Scores are unconstrained here (no unit-interval projection): top-k only
     consumes their ranking.
     """

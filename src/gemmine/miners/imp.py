@@ -24,7 +24,7 @@ from ..masking import (
 )
 from ..optim import make_optimizer
 from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, TrainConfig, evaluate, lr_at, run_masked_epoch
+from ..trainer import EpochRecord, RunReport, TrainConfig, evaluate, live_params, lr_at, run_masked_epoch
 from .common import MinerConfig, MiningResult
 
 COLD = "cold"
@@ -89,7 +89,10 @@ def imp(
 
     The kept fraction after round r is (1 - prune_rate)^r up to integer
     rounding; masks are nested across rounds. With zero epochs per round the
-    procedure reduces to magnitude sorts of the initialization.
+    procedure reduces to magnitude sorts of the initialization. Each rewind
+    multiplies the weights by the new mask, so they are 0 wherever the mask
+    is 0, as ``run_masked_epoch`` requires: only the kept weights are
+    trained, and the returned weights are the masked network itself.
     """
     if not (0.0 < prune_rate < 1.0):
         raise ValueError(f"prune rate must be in (0, 1), got {prune_rate}")
@@ -114,14 +117,12 @@ def imp(
     round_cfg = TrainConfig(epochs=epochs_per_round, lr=config.lr)  # every round restarts the cosine schedule
 
     for round_idx in range(rounds):
-        optimizer = make_optimizer(config.optimizer, weights)
+        optimizer = make_optimizer(config.optimizer, live_params(weights, mask))
         kept_fraction = sum(int(np.sum(m)) for m in mask) / total
         for epoch in range(epochs_per_round):
             mean_loss = run_masked_epoch(
                 weights, mask, data.train_x, data.train_y, config.batch_size, optimizer, lr_at(round_cfg, epoch), rng
             )
-            for w, m in zip(weights, mask):
-                w *= m
             if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
                 warm_checkpoint = [w.copy() for w in weights]
             _, val_acc = evaluate(weights, data.val_x, data.val_y)
@@ -145,8 +146,7 @@ def imp(
         else:
             weights = [w * m for w, m in zip(weights, mask)]
 
-    eff = [w * m for w, m in zip(weights, mask)]
-    _, pre_acc = evaluate(eff, data.test_x, data.test_y)
+    _, pre_acc = evaluate(weights, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
     report.layerwise = layerwise_report(mask)
     return MiningResult(

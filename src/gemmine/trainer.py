@@ -109,17 +109,11 @@ class RunReport:
                 writer.writerow([r.epoch, f"{r.sparsity:.12g}", f"{r.train_loss:.12g}", f"{r.val_accuracy:.12g}"])
 
 
-def evaluate(
-    weights: Sequence[np.ndarray],
-    features: np.ndarray,
-    labels: np.ndarray,
-    mask: Sequence[np.ndarray] | None = None,
-) -> tuple[float, float]:
-    """Mean cross-entropy and top-1 accuracy of the (masked) network."""
+def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy and top-1 accuracy of the network with these (effective) weights."""
     if features.shape[0] == 0:
         return float("nan"), float("nan")
-    eff = [w * m for w, m in zip(weights, mask)] if mask is not None else list(weights)
-    logits = mlp_activations(features, eff)[-1]
+    logits = mlp_activations(features, weights)[-1]
     log_probs = log_softmax(logits)
     n = features.shape[0]
     loss = float(-np.sum(log_probs[np.arange(n), labels]) / n)
@@ -152,6 +146,30 @@ def run_epoch(
     return total_loss / n
 
 
+def _live_indices(weights: Sequence[np.ndarray], mask: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Flat indices of each layer's kept weights, after checking the masked-training contract."""
+    live = []
+    for i, (w, m) in enumerate(zip(weights, mask)):
+        keep, drop = m == 1.0, m == 0.0
+        if not np.all(keep | drop):
+            raise ValueError(f"layer {i}: mask entries must be 0 or 1")
+        if np.any(np.where(drop, w, 0.0)):
+            raise ValueError(f"layer {i}: weights must be 0 where the mask is 0")
+        if not w.flags.c_contiguous:
+            raise ValueError(f"layer {i}: weights must be a C-contiguous array")
+        live.append(np.flatnonzero(keep))
+    return live
+
+
+def live_params(weights: Sequence[np.ndarray], mask: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each layer's kept weights as one compact 1-D vector, in flat-index order.
+
+    These are the parameters masked weight training steps: build its
+    optimizer over them.
+    """
+    return [np.take(w, i) for w, i in zip(weights, _live_indices(weights, mask))]
+
+
 def run_masked_epoch(
     weights: list[np.ndarray],
     mask: Sequence[np.ndarray],
@@ -164,15 +182,29 @@ def run_masked_epoch(
 ) -> float:
     """One epoch of masked SGD on the weights, in place. Returns mean loss.
 
-    Pruned entries receive zero gradient through the mask product, so they
-    are never updated and stay exactly 0 once zeroed.
+    The weights must be 0 wherever the mask is 0, and the mask 0 or 1;
+    otherwise ``ValueError`` names the layer. The weights are then the
+    masked network itself. Only the kept weights are stepped, as the
+    compact vectors of ``live_params(weights, mask)``, which ``optimizer``
+    must have been built over; the dense weights are written only where the
+    mask is 1, so pruned weights keep their zeros, signs included.
     """
+    live = _live_indices(weights, mask)
+    flat = [w.reshape(-1) for w in weights]
+    params = [f[i] for f, i in zip(flat, live)]
+
+    def scatter():
+        for f, i, p in zip(flat, live, params):
+            f[i] = p
 
     def batch_loss_and_grads(x, y):
-        loss, d_eff = loss_and_grads(x, y, [w * m for w, m in zip(weights, mask)])
-        return loss, [d * m for d, m in zip(d_eff, mask)]
+        scatter()
+        loss, d_eff = loss_and_grads(x, y, weights)
+        return loss, [np.take(d, i) for d, i in zip(d_eff, live)]
 
-    return run_epoch(weights, batch_loss_and_grads, features, labels, batch_size, optimizer, lr, rng)
+    mean_loss = run_epoch(params, batch_loss_and_grads, features, labels, batch_size, optimizer, lr, rng)
+    scatter()
+    return mean_loss
 
 
 def finetune(
@@ -183,8 +215,11 @@ def finetune(
 ) -> tuple[list[np.ndarray], RunReport]:
     """Train only the masked-in weights for ``cfg.epochs`` epochs.
 
-    Returns fresh weight arrays; the inputs are not modified. The report's
-    pre/post accuracies are measured on the test split.
+    Returns fresh weight arrays, ``weights * mask`` trained, so they are 0
+    wherever the mask is 0; the inputs are not modified. The mask must be 0
+    or 1 (``ValueError`` otherwise). The optimizer holds state for the kept
+    weights only. The report's pre/post accuracies are measured on the test
+    split.
     """
     kept = sum(int(np.sum(m)) for m in mask)
     if kept == 0:
@@ -195,7 +230,7 @@ def finetune(
     _, pre_acc = evaluate(trained, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
 
-    optimizer = make_optimizer(cfg.optimizer, trained)
+    optimizer = make_optimizer(cfg.optimizer, live_params(trained, mask))
     rng = stream_rng(cfg.seed, STREAM_BATCHES)
     for epoch in range(cfg.epochs):
         mean_loss = run_masked_epoch(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from gemmine.autodiff import Tensor, add, backward, mul, scale
-from gemmine.masking import NetworkSpec, init_weights
+from gemmine.masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_weights, loss_and_grads, mask_sparsity, stream_rng
+from gemmine.miners import COLD, LR_REWIND, WARM, MinerConfig, RewindSpec, imp, prune_by_magnitude
 from gemmine.optim import Adam, SgdMomentum, make_optimizer, parse_optimizer
+from gemmine.sanity import layerwise_report
 from gemmine.trainer import (
     Cosine,
     EpochRecord,
@@ -16,10 +19,11 @@ from gemmine.trainer import (
     batch_indices,
     evaluate,
     finetune,
+    live_params,
     lr_at,
+    run_epoch,
     run_masked_epoch,
 )
-from gemmine.masking import STREAM_BATCHES, stream_rng
 
 
 def test_lr_multistep_example():
@@ -208,7 +212,187 @@ def test_run_masked_epoch_reports_mean_loss(blobs):
     spec = NetworkSpec((2, 6, 2))
     weights = [w.copy() for w in init_weights(spec, "scaled_normal", seed=0)]
     mask = [np.ones_like(w) for w in weights]
-    opt = make_optimizer(SgdMomentum(), weights)
+    opt = make_optimizer(SgdMomentum(), live_params(weights, mask))
     rng = stream_rng(0, STREAM_BATCHES)
     loss = run_masked_epoch(weights, mask, blobs.train_x, blobs.train_y, 16, opt, 0.05, rng)
     assert math.isfinite(loss) and loss > 0.0
+
+
+def _break_contract(weights, mask, how):
+    if how == "weight_outside_mask":
+        assert weights[1][0, 0] != 0.0
+        mask[1][0, 0] = 0.0
+        return "layer 1: weights must be 0 where the mask is 0"
+    if how == "not_c_contiguous":
+        weights[1] = np.asfortranarray(weights[1])
+        return "layer 1: weights must be a C-contiguous array"
+    mask[0][1, 1] = how
+    return "layer 0: mask entries must be 0 or 1"
+
+
+@pytest.mark.parametrize("how", ["weight_outside_mask", "not_c_contiguous", 0.5, 2.0, -1.0, float("nan")])
+def test_run_masked_epoch_rejects_a_broken_contract(blobs, how):
+    weights = [w.copy() for w in init_weights(NetworkSpec((2, 6, 2)), SCALED_NORMAL, seed=0)]
+    mask = [np.ones_like(w) for w in weights]
+    opt = make_optimizer(SgdMomentum(), live_params(weights, mask))
+    message = _break_contract(weights, mask, how)
+    before = [w.copy() for w in weights]
+    with pytest.raises(ValueError, match=message):
+        run_masked_epoch(weights, mask, blobs.train_x, blobs.train_y, 16, opt, 0.05, stream_rng(0, STREAM_BATCHES))
+    for w, w0 in zip(weights, before):
+        assert w.tobytes() == w0.tobytes()
+
+
+def test_finetune_rejects_a_mask_entry_other_than_0_or_1(blobs):
+    weights = init_weights(NetworkSpec((2, 6, 2)), SCALED_NORMAL, seed=0)
+    mask = [np.ones_like(w) for w in weights]
+    mask[1][1, 2] = 0.5
+    with pytest.raises(ValueError, match="layer 1: mask entries must be 0 or 1"):
+        finetune(weights, mask, blobs, TrainConfig(epochs=1, batch_size=16))
+
+
+# ---------------------------------------------------------------------------
+# compact weight training against the dense per-batch loop
+# ---------------------------------------------------------------------------
+
+
+def _dense_masked_epoch(weights, mask, features, labels, batch_size, optimizer, lr, rng):
+    """Masked training stepping every weight: the kernel sees w * m, the optimizer gets d * m."""
+
+    def batch_loss_and_grads(x, y):
+        loss, d_eff = loss_and_grads(x, y, [w * m for w, m in zip(weights, mask)])
+        return loss, [d * m for d, m in zip(d_eff, mask)]
+
+    return run_epoch(weights, batch_loss_and_grads, features, labels, batch_size, optimizer, lr, rng)
+
+
+def _reference_finetune(weights, mask, data, cfg):
+    trained = [np.asarray(w, dtype=np.float64) * m for w, m in zip(weights, mask)]
+    _, pre_acc = evaluate(trained, data.test_x, data.test_y)
+    optimizer = make_optimizer(cfg.optimizer, trained)
+    rng = stream_rng(cfg.seed, STREAM_BATCHES)
+    rows = []
+    for epoch in range(cfg.epochs):
+        loss = _dense_masked_epoch(
+            trained, mask, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
+        )
+        _, val_acc = evaluate(trained, data.val_x, data.val_y)
+        rows.append((epoch, mask_sparsity(list(mask)), loss, val_acc))
+    _, post_acc = evaluate(trained, data.test_x, data.test_y)
+    return trained, rows, pre_acc, post_acc
+
+
+def _reference_imp(data, spec, rounds, prune_rate, rewind, epochs_per_round, config):
+    initial = init_weights(spec, SCALED_NORMAL, config.seed)
+    weights = [w.copy() for w in initial]
+    mask = [np.ones_like(w) for w in initial]
+    total = sum(w.size for w in initial)
+    rng = stream_rng(config.seed, STREAM_BATCHES)
+    warm_checkpoint = None
+    round_masks, rows, warnings = [], [], []
+    round_cfg = TrainConfig(epochs=epochs_per_round, lr=config.lr)
+    for round_idx in range(rounds):
+        optimizer = make_optimizer(config.optimizer, weights)
+        kept_fraction = sum(int(np.sum(m)) for m in mask) / total
+        for epoch in range(epochs_per_round):
+            loss = _dense_masked_epoch(
+                weights, mask, data.train_x, data.train_y, config.batch_size, optimizer, lr_at(round_cfg, epoch), rng
+            )
+            for w, m in zip(weights, mask):
+                w *= m
+            if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
+                warm_checkpoint = [w.copy() for w in weights]
+            _, val_acc = evaluate(weights, data.val_x, data.val_y)
+            rows.append((round_idx * epochs_per_round + epoch, kept_fraction, loss, val_acc))
+        magnitudes = [np.abs(w) for w in weights]
+        mask = prune_by_magnitude(weights, mask, prune_rate, warnings)
+        round_masks.append([m.copy() for m in mask])
+        if rewind.kind == COLD:
+            weights = [w0 * m for w0, m in zip(initial, mask)]
+        elif rewind.kind == WARM:
+            weights = [w0 * m for w0, m in zip(warm_checkpoint, mask)]
+        else:
+            weights = [w * m for w, m in zip(weights, mask)]
+    eff = [w * m for w, m in zip(weights, mask)]
+    _, pre_acc = evaluate(eff, data.test_x, data.test_y)
+    return weights, mask, round_masks, magnitudes, rows, pre_acc, layerwise_report(mask), warnings
+
+
+def _record_rows(report):
+    return [(r.epoch, r.sparsity, r.train_loss, r.val_accuracy) for r in report.records]
+
+
+def _assert_arrays_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# per layer of 784-16-10: the kept fraction, or "one" for exactly one kept weight
+MASK_DENSITIES = {
+    "dense": (1.0, 1.0),
+    "half": (0.5, 0.5),
+    "sparse": (0.05, 0.05),
+    "one_kept": (0.5, "one"),
+    "none_kept": (0.5, 0.0),
+}
+OPTIMIZERS = pytest.mark.parametrize(
+    "optimizer, lr", [(SgdMomentum(), 0.1), (Adam(), 0.01)], ids=["sgd", "adam"]
+)
+
+
+@OPTIMIZERS
+@pytest.mark.parametrize("case", sorted(MASK_DENSITIES))
+def test_finetune_matches_the_dense_reference_loop(digits_1k, case, optimizer, lr):
+    data = dataclasses.replace(digits_1k, train_x=digits_1k.train_x[:300], train_y=digits_1k.train_y[:300])
+    weights = init_weights(NetworkSpec((784, 16, 10)), SCALED_NORMAL, seed=4)
+    rng = np.random.default_rng(11)
+    mask = []
+    for w, density in zip(weights, MASK_DENSITIES[case]):
+        if density == "one":
+            m = np.zeros_like(w)
+            m.flat[rng.integers(m.size)] = 1.0
+        else:
+            m = (rng.random(w.shape) < density).astype(np.float64)
+        mask.append(m)
+    cfg = TrainConfig(epochs=3, batch_size=32, optimizer=optimizer, lr=lr, seed=6)
+
+    trained, report = finetune(weights, mask, data, cfg)
+    want, rows, pre_acc, post_acc = _reference_finetune(weights, mask, data, cfg)
+
+    _assert_arrays_identical(trained, want)
+    # an output layer with no kept weight leaves no path to train: the weights must not move at all
+    moved = any(not np.array_equal(t, w * m) for t, w, m in zip(trained, weights, mask))
+    assert moved == (case != "none_kept")
+    if case != "dense":  # some pruned weights are -0.0, so the byte check covers zero signs
+        assert any(np.signbit(w[m == 0.0]).any() for w, m in zip(trained, mask))
+    assert np.array(_record_rows(report)).tobytes() == np.array(rows).tobytes()
+    assert np.array([report.pre_finetune_accuracy, report.post_finetune_accuracy]).tobytes() == (
+        np.array([pre_acc, post_acc]).tobytes()
+    )
+
+
+@OPTIMIZERS
+@pytest.mark.parametrize("kind", [COLD, WARM, LR_REWIND])
+def test_imp_matches_the_dense_reference_loop(digits_1k, kind, optimizer, lr):
+    data = dataclasses.replace(digits_1k, train_x=digits_1k.train_x[:300], train_y=digits_1k.train_y[:300])
+    spec = NetworkSpec((784, 16, 10))
+    rewind = RewindSpec(kind=kind, warm_epoch=1)
+    config = MinerConfig(lr=lr, optimizer=optimizer, seed=3, batch_size=32)
+
+    res = imp(data, spec, 5, 0.5, rewind, 2, config)
+    weights, mask, round_masks, magnitudes, rows, pre_acc, layerwise, warnings = _reference_imp(
+        data, spec, 5, 0.5, rewind, 2, config
+    )
+
+    assert [row[1] for row in rows[::2]] == [1.0, 0.5, 0.25, 0.125, 0.0625]  # kept fraction trained each round
+    _assert_arrays_identical(res.weights, weights)
+    _assert_arrays_identical(res.mask, mask)
+    for got, want in zip(res.round_masks, round_masks, strict=True):
+        _assert_arrays_identical(got, want)
+    _assert_arrays_identical(res.inversion_scores, magnitudes)
+    assert np.array(_record_rows(res.report)).tobytes() == np.array(rows).tobytes()
+    assert np.array(res.report.pre_finetune_accuracy).tobytes() == np.array(pre_acc).tobytes()
+    assert res.report.layerwise == layerwise
+    assert res.report.warnings == warnings
