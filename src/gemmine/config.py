@@ -27,7 +27,7 @@ from pathlib import Path
 from .masking import INIT_SCHEMES, NetworkSpec
 from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
-from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec
+from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
 from .miners.smart_ratio import VARIANTS
 from .optim import parse_optimizer
 from .sanity import SanityVariant
@@ -301,6 +301,8 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         sr_imp_profile=profile("sr.imp_profile"),
         raw_text=text,
     )
+    if algorithm == "imp":
+        _checked("imp", check_imp_settings, cfg.imp_rounds, cfg.imp_prune_rate, cfg.imp_rewind, cfg.imp_epochs_per_round)
     unknown = fields.unknown()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -1,4 +1,4 @@
-"""Shared miner configuration types, the mining result record and the score step."""
+"""Shared miner configuration types, the mining result record and its builder, and the score step."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..data import DatasetSplit
 from ..masking import MaskedLayer, extract_mask, loss_and_grads
 from ..optim import OptimizerChoice, SgdMomentum
-from ..trainer import RunReport
+from ..sanity import layerwise_report
+from ..trainer import RunReport, evaluate
 
 L2 = "l2"
 L1 = "l1"
@@ -102,6 +104,30 @@ class MiningResult:
     @property
     def mask(self) -> list[np.ndarray]:
         return extract_mask(self.layers)
+
+
+def mining_result(
+    weights: Sequence[np.ndarray],
+    mask: Sequence[np.ndarray],
+    report: RunReport,
+    data: DatasetSplit | None,
+    scores: Sequence[np.ndarray] | None = None,
+    **fields,
+) -> MiningResult:
+    """A miner's result: its network ``weights * mask`` as layers, and ``report`` finished.
+
+    The report gets the network's test accuracy as ``pre_finetune_accuracy``
+    (left ``None`` without ``data``) and the mask's layerwise rows. Each layer
+    keeps its entry of ``scores``, if given; ``fields`` are the other
+    ``MiningResult`` fields.
+    """
+    if data is not None:
+        _, report.pre_finetune_accuracy = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
+    report.layerwise = layerwise_report(mask)
+    if scores is None:
+        scores = [None] * len(mask)
+    layers = [MaskedLayer(weights=w, mask=m, scores=p) for w, m, p in zip(weights, mask, scores)]
+    return MiningResult(layers=layers, report=report, **fields)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from ..data import DatasetSplit
 from ..masking import (
     SIGNED_CONSTANT,
     STREAM_BATCHES,
-    MaskedLayer,
     NetworkSpec,
     init_scores,
     init_weights,
@@ -25,9 +24,8 @@ from ..masking import (
     stream_rng,
 )
 from ..optim import make_optimizer
-from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, evaluate, run_epoch
-from .common import MinerConfig, MiningResult, SparsitySchedule, score_loss_and_grads
+from ..trainer import RunReport, record_epoch, run_epoch
+from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_loss_and_grads
 
 LAYERWISE = "layerwise"
 GLOBAL = "global"
@@ -116,21 +114,9 @@ def edge_popup(
         )
 
         mask_epoch = topk_mask(scores, current_k, scope, report.warnings)
-        eff_now = [w * m for w, m in zip(weights, mask_epoch)]
-        _, val_acc = evaluate(eff_now, data.val_x, data.val_y)
-        report.records.append(
-            EpochRecord(epoch=epoch, sparsity=current_k, train_loss=train_loss, val_accuracy=val_acc)
-        )
+        record_epoch(report, data, [w * m for w, m in zip(weights, mask_epoch)], epoch, current_k, train_loss)
 
     final_mask = topk_mask(scores, target_k, scope, report.warnings)
-    eff_final = [w * m for w, m in zip(weights, final_mask)]
-    _, pre_acc = evaluate(eff_final, data.test_x, data.test_y)
-    report.pre_finetune_accuracy = pre_acc
-    report.layerwise = layerwise_report(final_mask)
     if any(not np.array_equal(w, w0) for w, w0 in zip(weights, initial_weights)):
         raise AssertionError("edge_popup must never update weights")
-    return MiningResult(
-        layers=[MaskedLayer(weights=w, mask=m) for w, m in zip(weights, final_mask)],
-        report=report,
-        inversion_scores=[p.copy() for p in scores],
-    )
+    return mining_result(weights, final_mask, report, data, inversion_scores=[p.copy() for p in scores])

@@ -18,7 +18,6 @@ from ..data import DatasetSplit
 from ..masking import (
     SIGNED_CONSTANT,
     STREAM_BATCHES,
-    MaskedLayer,
     NetworkSpec,
     init_scores,
     init_weights,
@@ -28,9 +27,8 @@ from ..masking import (
     stream_rng,
 )
 from ..optim import make_optimizer
-from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, evaluate, run_epoch
-from .common import MinerConfig, MiningResult, SparsitySchedule, score_loss_and_grads
+from ..trainer import RunReport, record_epoch, run_epoch
+from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_loss_and_grads
 
 __all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
 
@@ -120,24 +118,11 @@ def gem_mine(
             check_layer_collapse(current_mask(), report.warnings, when=f"after freeze at epoch {epoch}")
 
         mask = current_mask()
-        _, val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
-        report.records.append(
-            EpochRecord(
-                epoch=epoch,
-                sparsity=mask_sparsity(freeze),
-                train_loss=train_loss,
-                val_accuracy=val_acc,
-                extra={"mask_sparsity": mask_sparsity(mask)},
-            )
+        record_epoch(
+            report, data, [w * m for w, m in zip(weights, mask)], epoch, mask_sparsity(freeze), train_loss,
+            mask_sparsity=mask_sparsity(mask),
         )
 
     mask = current_mask()
     check_layer_collapse(mask, report.warnings, when="final mask")
-    _, pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
-    report.pre_finetune_accuracy = pre_acc
-    report.layerwise = layerwise_report(mask)
-    return MiningResult(
-        layers=[MaskedLayer(weights=w, mask=m, scores=p) for w, m, p in zip(weights, mask, scores)],
-        report=report,
-        inversion_scores=[p.copy() for p in scores],
-    )
+    return mining_result(weights, mask, report, data, scores=scores, inversion_scores=[p.copy() for p in scores])

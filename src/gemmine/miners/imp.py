@@ -16,22 +16,20 @@ from ..data import DatasetSplit
 from ..masking import (
     SCALED_NORMAL,
     STREAM_BATCHES,
-    MaskedLayer,
     NetworkSpec,
     init_weights,
     select_smallest,
     stream_rng,
 )
 from ..optim import make_optimizer
-from ..sanity import layerwise_report
-from ..trainer import EpochRecord, RunReport, TrainConfig, evaluate, live_params, lr_at, run_masked_epoch
-from .common import MinerConfig, MiningResult
+from ..trainer import RunReport, TrainConfig, live_params, lr_at, record_epoch, run_masked_epoch
+from .common import MinerConfig, MiningResult, mining_result
 
 COLD = "cold"
 WARM = "warm"
 LR_REWIND = "lr_rewind"
 
-__all__ = ["imp", "RewindSpec", "COLD", "WARM", "LR_REWIND", "prune_by_magnitude"]
+__all__ = ["imp", "check_imp_settings", "RewindSpec", "COLD", "WARM", "LR_REWIND", "prune_by_magnitude"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +42,22 @@ class RewindSpec:
             raise ValueError(f"rewind kind must be one of ({COLD!r}, {WARM!r}, {LR_REWIND!r}), got {self.kind!r}")
         if self.kind == WARM and self.warm_epoch < 1:
             raise ValueError(f"warm rewind epoch must be >= 1, got {self.warm_epoch}")
+
+
+def check_imp_settings(rounds: int, prune_rate: float, rewind: RewindSpec, epochs_per_round: int) -> None:
+    """Raise ``ValueError`` unless ``imp`` can run with these settings.
+
+    Warm rewinding restores an epoch of round one before its last, so it
+    needs ``1 <= rewind.warm_epoch < epochs_per_round``.
+    """
+    if not (0.0 < prune_rate < 1.0):
+        raise ValueError(f"prune rate must be in (0, 1), got {prune_rate}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if epochs_per_round < 0:
+        raise ValueError(f"epochs_per_round must be >= 0, got {epochs_per_round}")
+    if rewind.kind == WARM and rewind.warm_epoch >= max(epochs_per_round, 1):
+        raise ValueError(f"warm rewind epoch {rewind.warm_epoch} must be < epochs per round {epochs_per_round}")
 
 
 def prune_by_magnitude(
@@ -94,17 +108,7 @@ def imp(
     is 0, as ``run_masked_epoch`` requires: only the kept weights are
     trained, and the returned weights are the masked network itself.
     """
-    if not (0.0 < prune_rate < 1.0):
-        raise ValueError(f"prune rate must be in (0, 1), got {prune_rate}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if epochs_per_round < 0:
-        raise ValueError(f"epochs_per_round must be >= 0, got {epochs_per_round}")
-    if rewind.kind == WARM and rewind.warm_epoch >= max(epochs_per_round, 1):
-        raise ValueError(
-            f"warm rewind epoch {rewind.warm_epoch} must be < epochs per round {epochs_per_round}"
-        )
-
+    check_imp_settings(rounds, prune_rate, rewind, epochs_per_round)
     initial = init_weights(spec, init_scheme, config.seed)
     weights = [w.copy() for w in initial]
     mask = [np.ones_like(w) for w in initial]
@@ -112,7 +116,6 @@ def imp(
     report = RunReport(epochs=rounds * epochs_per_round)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     warm_checkpoint: list[np.ndarray] | None = None
-    magnitudes = [np.abs(w) for w in weights]
     round_masks: list[list[np.ndarray]] = []
     round_cfg = TrainConfig(epochs=epochs_per_round, lr=config.lr)  # every round restarts the cosine schedule
 
@@ -125,15 +128,7 @@ def imp(
             )
             if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
                 warm_checkpoint = [w.copy() for w in weights]
-            _, val_acc = evaluate(weights, data.val_x, data.val_y)
-            report.records.append(
-                EpochRecord(
-                    epoch=round_idx * epochs_per_round + epoch,
-                    sparsity=kept_fraction,
-                    train_loss=mean_loss,
-                    val_accuracy=val_acc,
-                )
-            )
+            record_epoch(report, data, weights, round_idx * epochs_per_round + epoch, kept_fraction, mean_loss)
 
         magnitudes = [np.abs(w) for w in weights]
         mask = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
@@ -141,17 +136,9 @@ def imp(
         if rewind.kind == COLD:
             weights = [w0 * m for w0, m in zip(initial, mask)]
         elif rewind.kind == WARM:
-            source = warm_checkpoint if warm_checkpoint is not None else initial
-            weights = [w0 * m for w0, m in zip(source, mask)]
+            # set in round one: check_imp_settings holds warm_epoch below epochs_per_round
+            weights = [w0 * m for w0, m in zip(warm_checkpoint, mask)]
         else:
             weights = [w * m for w, m in zip(weights, mask)]
 
-    _, pre_acc = evaluate(weights, data.test_x, data.test_y)
-    report.pre_finetune_accuracy = pre_acc
-    report.layerwise = layerwise_report(mask)
-    return MiningResult(
-        layers=[MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)],
-        report=report,
-        inversion_scores=magnitudes,
-        round_masks=round_masks,
-    )
+    return mining_result(weights, mask, report, data, inversion_scores=magnitudes, round_masks=round_masks)

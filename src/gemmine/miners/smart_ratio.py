@@ -23,15 +23,13 @@ from ..data import DatasetSplit
 from ..masking import (
     SCALED_NORMAL,
     STREAM_SAMPLING,
-    MaskedLayer,
     NetworkSpec,
     init_weights,
     loss_and_grads,
     stream_rng,
 )
-from ..sanity import layerwise_report
-from ..trainer import RunReport, evaluate
-from .common import LayerRatios, MiningResult
+from ..trainer import RunReport
+from .common import LayerRatios, MiningResult, mining_result
 
 VARIANTS = ("v1", "v2", "v3", "v4", "v5", "v6")
 MIN_RATIO = 1e-3
@@ -187,10 +185,4 @@ def smart_ratio(
 
     report = RunReport(epochs=0)
     mask = sample_ratio_mask(spec, ratios, seed, report.warnings)
-    report.layerwise = layerwise_report(mask)
-    eff = [w * m for w, m in zip(weights, mask)]
-    if data is not None:
-        _, pre_acc = evaluate(eff, data.test_x, data.test_y)
-        report.pre_finetune_accuracy = pre_acc
-    layers = [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
-    return MiningResult(layers=layers, report=report, inversion_scores=None, layer_ratios=ratios)
+    return mining_result(weights, mask, report, data, layer_ratios=ratios)

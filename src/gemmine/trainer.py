@@ -121,6 +121,18 @@ def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.nda
     return loss, accuracy
 
 
+def record_epoch(
+    report: RunReport, data: DatasetSplit, weights: Sequence[np.ndarray], epoch: int, sparsity: float,
+    train_loss: float, **extra,
+) -> None:
+    """Append an epoch's record to ``report``, with the validation accuracy of these (effective) weights.
+
+    ``extra`` becomes the record's trailing columns, in the order given.
+    """
+    _, val_acc = evaluate(weights, data.val_x, data.val_y)
+    report.records.append(EpochRecord(epoch=epoch, sparsity=sparsity, train_loss=train_loss, val_accuracy=val_acc, extra=extra))
+
+
 def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -236,8 +248,7 @@ def finetune(
         mean_loss = run_masked_epoch(
             trained, mask, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
         )
-        _, val_acc = evaluate(trained, data.val_x, data.val_y)
-        report.records.append(EpochRecord(epoch=epoch, sparsity=sparsity, train_loss=mean_loss, val_accuracy=val_acc))
+        record_epoch(report, data, trained, epoch, sparsity, mean_loss)
     _, post_acc = evaluate(trained, data.test_x, data.test_y)
     report.post_finetune_accuracy = post_acc
     return trained, report

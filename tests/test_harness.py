@@ -109,6 +109,14 @@ def test_config_number_errors_name_the_key(line, key):
         ("miner.optimizer = foo", "miner.optimizer", "unknown optimizer"),
         ("miner.optimizer = sgd:abc", "miner.optimizer", "could not convert"),
         ("imp.rewind = warm:0", "imp.rewind", "warm rewind epoch must be >= 1"),
+        ("miner.algorithm = imp\nimp.rounds = 0", "imp", "rounds must be >= 1, got 0"),
+        ("miner.algorithm = imp\nimp.prune_rate = 1.5", "imp", "prune rate must be in (0, 1), got 1.5"),
+        ("miner.algorithm = imp\nimp.epochs_per_round = -1", "imp", "epochs_per_round must be >= 0, got -1"),
+        (
+            "miner.algorithm = imp\nimp.rewind = warm:3\nimp.epochs_per_round = 1",
+            "imp",
+            "warm rewind epoch 3 must be < epochs per round 1",
+        ),
         ("finetune.epochs = -1", "finetune", "invalid TrainConfig"),
         ("finetune.schedule = multistep:5,2", "finetune", "milestones must be strictly increasing"),
         ("sr.imp_profile = 0.5,2", "sr.imp_profile", "keep ratios must be in (0, 1]"),

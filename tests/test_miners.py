@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import math
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,6 +671,53 @@ def test_sr_deterministic(blobs):
     b = smart_ratio(spec, 0.35, "v1", seed=17, data=blobs)
     for ma, mb in zip(a.mask, b.mask):
         assert ma.tobytes() == mb.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# miner reports
+# ---------------------------------------------------------------------------
+
+
+def _accuracy(result, features, labels) -> float:
+    return evaluate([w * m for w, m in zip(result.weights, result.mask)], features, labels)[1]
+
+
+def test_edge_popup_and_smart_ratio_reports_describe_the_returned_network(digits_1k):
+    spec = NetworkSpec((784, 16, 16, 10))
+    sched = SparsitySchedule(0.2, 4, 2)
+    cfg = MinerConfig(lr=0.1, seed=5, batch_size=64)
+    layerwise = edge_popup(digits_1k, spec, sched, cfg)
+    gradual = edge_popup(digits_1k, spec, sched, cfg, scope=GLOBAL, gradual=True)
+    v1 = smart_ratio(spec, 0.2, "v1", seed=5, data=digits_1k)
+    v6 = smart_ratio(spec, 0.2, "v6", seed=5, data=digits_1k, imp_profile=LayerRatios((0.1, 0.4, 0.8)), tune_steps=5)
+    for result in (layerwise, gradual, v1, v6):
+        pre = _accuracy(result, digits_1k.test_x, digits_1k.test_y)
+        assert np.float64(result.report.pre_finetune_accuracy).tobytes() == np.float64(pre).tobytes()
+        assert result.report.layerwise == layerwise_report(result.mask)
+    # without the gradual staircase the last epoch's mask is the returned one
+    val = _accuracy(layerwise, digits_1k.val_x, digits_1k.val_y)
+    assert np.float64(layerwise.report.records[-1].val_accuracy).tobytes() == np.float64(val).tobytes()
+    assert [r.sparsity for r in gradual.report.records] == [1.0, 1.0, sched.envelope(2), sched.envelope(2)]
+
+    no_data = smart_ratio(spec, 0.2, "v1", seed=5)
+    assert no_data.report.pre_finetune_accuracy is None
+    assert no_data.report.layerwise == layerwise_report(no_data.mask)
+    assert [m.tobytes() for m in no_data.mask] == [m.tobytes() for m in v1.mask]
+
+
+def test_report_building_stays_in_miners_common():
+    """Miners hand their epochs to trainer.record_epoch and their tails to common.mining_result."""
+    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
+    banned = {"EpochRecord", "evaluate", "layerwise_report", "MaskedLayer"}
+    offenders = []
+    for path in sorted(miners.glob("*.py")):
+        if path.name == "common.py":
+            continue
+        with open(path, "rb") as f:
+            # whole NAME tokens only: docstrings and comments may still mention them
+            tokens = tokenize.tokenize(f.readline)
+            offenders += [f"{path.name}:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------
