@@ -28,7 +28,7 @@ from .masking import INIT_SCHEMES, NetworkSpec
 from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
 from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
-from .miners.smart_ratio import VARIANTS
+from .miners.smart_ratio import VARIANTS, check_smart_ratio_settings
 from .optim import parse_optimizer
 from .sanity import SanityVariant
 from .trainer import Cosine, MultiStep, TrainConfig
@@ -259,6 +259,10 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         kind, _, extra = entry.partition(":")
         sanity.append(_checked("sanity", SanityVariant, kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
     seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
+    # a repeated seed or kind would write its cell's files twice, and summary.csv would disagree with them
+    for key, values in (("sanity", [v.kind for v in sanity]), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{key}: each entry must be distinct, got {', '.join(map(str, values))}")
 
     init_scheme = fields.get("init.scheme")
     if init_scheme is not None and init_scheme not in INIT_SCHEMES:
@@ -303,6 +307,9 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
     )
     if algorithm == "imp":
         _checked("imp", check_imp_settings, cfg.imp_rounds, cfg.imp_prune_rate, cfg.imp_rewind, cfg.imp_epochs_per_round)
+    if algorithm == "sr":
+        sr_settings = (cfg.sr_reference_profile, cfg.sr_imp_profile, cfg.sr_last_layer_keep, cfg.sr_tune_steps)
+        _checked("sr", check_smart_ratio_settings, spec, sr_variant, *sr_settings)
     unknown = fields.unknown()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -1,44 +1,40 @@
 """Experiment orchestration: mine, apply sanity variants, finetune the
 whole matrix, and emit checkpoints, reports, and a summary table.
 
-Output layout under ``<out_root>/<run_id>/``::
+``run_experiment`` and the CLI subcommands build the run directory from the
+same three stages: ``mine_seed``, ``write_variant`` and
+``finetune_checkpoint``. This module is the one writer of the layout under
+``<out_root>/<run_id>/``::
 
-    config.snapshot          verbatim copy of the config text
-    masks/seed<K>_<variant>.tfmc
-    reports/seed<K>_<variant>.json / .csv / _layerwise.csv
-    summary.csv              algorithm,variant,seed,sparsity,pre_acc,post_acc
-    errors.log               only when a per-seed stage failed
+    config.snapshot                  verbatim copy of the config text (run, mine)
+    masks/seed<K>_<variant>.tfmc     mined network (variant none) and its sanity variants
+    reports/seed<K>_<variant>.json / .csv / _layerwise.csv   finetune reports (run)
+    reports/seed<K>_none_mining.json / .csv                  mining reports (run, mine)
+    masks/<ckpt>_<kind>.tfmc         sanity variants of checkpoint <ckpt>.tfmc (sanity)
+    reports/<ckpt>_<kind>_layerwise.csv                      (sanity)
+    reports/<ckpt>_finetune_seed<K>.json / .csv / _layerwise.csv   (finetune)
+    summary.csv                      algorithm,variant,seed,sparsity,pre_acc,post_acc (run, report)
+    errors.log                       only when a per-seed stage failed (run)
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, TaskConfig
 from .data import DatasetSplit, gen_synthetic, load_idx
-from .masking import (
-    SCALED_NORMAL,
-    SIGNED_CONSTANT,
-    MaskedLayer,
-    extract_mask,
-    init_weights,
-    mask_sparsity,
-)
-from .miners import (
-    MiningResult,
-    edge_popup,
-    gem_mine,
-    imp,
-    smart_ratio,
-)
+from .masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, mask_sparsity
+from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
 from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask, write_layerwise_csv
-from .trainer import TrainConfig, finetune
+from .trainer import RunReport, finetune
 
 BASE_VARIANT = "none"
 _REINIT_SEED_OFFSET = 7919
@@ -94,28 +90,14 @@ def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> Minin
         )
     if cfg.algorithm == "imp":
         return imp(
-            data,
-            cfg.spec,
-            rounds=cfg.imp_rounds,
-            prune_rate=cfg.imp_prune_rate,
-            rewind=cfg.imp_rewind,
-            epochs_per_round=cfg.imp_epochs_per_round,
-            config=miner,
-            init_scheme=scheme,
+            data, cfg.spec, rounds=cfg.imp_rounds, prune_rate=cfg.imp_prune_rate, rewind=cfg.imp_rewind,
+            epochs_per_round=cfg.imp_epochs_per_round, config=miner, init_scheme=scheme,
         )
     if cfg.algorithm == "sr":
         return smart_ratio(
-            cfg.spec,
-            cfg.schedule.target_sparsity,
-            cfg.sr_variant,
-            seed,
-            data=data,
-            weights=init_weights(cfg.spec, scheme, seed),
-            reference_profile=cfg.sr_reference_profile,
-            imp_profile=cfg.sr_imp_profile,
-            last_layer_keep=cfg.sr_last_layer_keep,
-            tune_steps=cfg.sr_tune_steps,
-            tune_lr=cfg.sr_tune_lr,
+            cfg.spec, cfg.schedule.target_sparsity, cfg.sr_variant, seed, data=data,
+            reference_profile=cfg.sr_reference_profile, imp_profile=cfg.sr_imp_profile,
+            last_layer_keep=cfg.sr_last_layer_keep, tune_steps=cfg.sr_tune_steps, tune_lr=cfg.sr_tune_lr,
             init_scheme=scheme,
         )
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
@@ -131,8 +113,6 @@ def variant_network(
     """
     weights = result.weights
     mask = result.mask
-    if variant == BASE_VARIANT:
-        return weights, mask
     if variant == SHUFFLE:
         return weights, shuffle_mask(mask, seed + _SHUFFLE_SEED_OFFSET)
     if variant == REINIT:
@@ -147,63 +127,83 @@ def variant_network(
     raise ValueError(f"unknown sanity variant {variant!r}")
 
 
-def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
-    run_dir = Path(out_root) / cfg.run_id
-    masks_dir = run_dir / "masks"
-    reports_dir = run_dir / "reports"
-    masks_dir.mkdir(parents=True, exist_ok=True)
-    reports_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.snapshot").write_text(cfg.raw_text)
+def seed_stem(seed: int, variant: str) -> str:
+    return f"seed{seed}_{variant}"
 
+
+def parse_seed_stem(stem: str) -> tuple[int, str]:
+    """``(seed, variant)`` of a ``seed_stem`` name."""
+    seed_text, _, variant = stem.partition("_")
+    return int(seed_text.removeprefix("seed")), variant
+
+
+def open_run_dir(cfg: ExperimentConfig, out_root: str | Path, snapshot: bool = False) -> Path:
+    """``<out_root>/<run_id>`` with its ``masks/`` and ``reports/``, and the config snapshot if asked."""
+    run_dir = Path(out_root) / cfg.run_id
+    for sub in ("masks", "reports"):
+        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    if snapshot:
+        (run_dir / "config.snapshot").write_text(cfg.raw_text)
+    return run_dir
+
+
+def mine_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int, run_dir: Path) -> tuple[MiningResult, Path]:
+    """Mine ``seed``; write its base checkpoint and mining reports and return the checkpoint's path."""
+    result = mine_for_seed(cfg, data, seed)
+    stem = seed_stem(seed, BASE_VARIANT)
+    checkpoint = run_dir / "masks" / f"{stem}.tfmc"
+    save_checkpoint(checkpoint, result.layers)
+    result.report.save_json(run_dir / "reports" / f"{stem}_mining.json")
+    result.report.save_metrics_csv(run_dir / "reports" / f"{stem}_mining.csv")
+    return result, checkpoint
+
+
+def write_variant(cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int, path: Path) -> list[np.ndarray]:
+    """Write the checkpoint of one sanity variant of ``result`` to ``path``; return its mask."""
+    weights, mask = variant_network(cfg, result, variant, seed)
+    save_checkpoint(path, [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)])
+    return mask
+
+
+def finetune_checkpoint(
+    cfg: ExperimentConfig, data: DatasetSplit, seed: int, checkpoint: Path, stem: Path, variant: str, warnings: Sequence[str] = ()
+) -> SummaryRow:
+    """Finetune the network read back from ``checkpoint``; write ``<stem>.json``, ``.csv`` and ``_layerwise.csv``.
+
+    The checkpoint stores float32 weights, so finetuning what it reads back,
+    not the network in memory, gives every path the same numbers.
+    ``warnings`` go first in the report.
+    """
+    layers = load_checkpoint(checkpoint)
+    mask = extract_mask(layers)
+    _, report = finetune([layer.weights for layer in layers], mask, data, replace(cfg.finetune, seed=seed))
+    report.warnings[:0] = warnings
+    report.save_json(f"{stem}.json")
+    report.save_metrics_csv(f"{stem}.csv")
+    write_layerwise_csv(f"{stem}_layerwise.csv", report.layerwise)
+    return SummaryRow(cfg.algorithm, variant, seed, mask_sparsity(mask), report.pre_finetune_accuracy, report.post_finetune_accuracy)
+
+
+def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
+    run_dir = open_run_dir(cfg, out_root, snapshot=True)
     data = build_dataset(cfg.task)
     rows: list[SummaryRow] = []
     errors: list[str] = []
 
     for seed in cfg.seeds:
         try:
-            result = mine_for_seed(cfg, data, seed)
+            result, _ = mine_seed(cfg, data, seed, run_dir)
         except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
             errors.append(f"seed {seed}: mining failed: {exc}\n{traceback.format_exc()}")
             continue
-        variants = [(BASE_VARIANT, 0)] + [(v.kind, v.seed) for v in cfg.sanity]
-        for variant, variant_seed in variants:
+        for variant, variant_seed in [(BASE_VARIANT, 0)] + [(v.kind, v.seed) for v in cfg.sanity]:
+            stem = seed_stem(seed, variant)
+            checkpoint = run_dir / "masks" / f"{stem}.tfmc"
             try:
-                weights, mask = variant_network(cfg, result, variant, seed + variant_seed)
-                if variant == BASE_VARIANT:
-                    ckpt_layers = result.layers
-                else:
-                    ckpt_layers = [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
-                ckpt_path = masks_dir / f"seed{seed}_{variant}.tfmc"
-                save_checkpoint(ckpt_path, ckpt_layers)
-                loaded = load_checkpoint(ckpt_path)
-                loaded_mask = extract_mask(loaded)
-                sparsity = mask_sparsity(loaded_mask)
-
-                ft_cfg: TrainConfig = replace(cfg.finetune, seed=seed)
-                loaded_weights = [layer.weights for layer in loaded]
-                _, report = finetune(loaded_weights, loaded_mask, data, ft_cfg)
-                report.layerwise = layerwise_report(loaded_mask)
-                if variant == BASE_VARIANT:
-                    report.warnings = list(result.report.warnings) + report.warnings
-
-                stem = f"seed{seed}_{variant}"
-                report.save_json(reports_dir / f"{stem}.json")
-                report.save_metrics_csv(reports_dir / f"{stem}.csv")
-                write_layerwise_csv(reports_dir / f"{stem}_layerwise.csv", report.layerwise)
-                if variant == BASE_VARIANT:
-                    result.report.save_json(reports_dir / f"{stem}_mining.json")
-                    result.report.save_metrics_csv(reports_dir / f"{stem}_mining.csv")
-
-                rows.append(
-                    SummaryRow(
-                        algorithm=cfg.algorithm,
-                        variant=variant,
-                        seed=seed,
-                        sparsity=sparsity,
-                        pre_acc=report.pre_finetune_accuracy,
-                        post_acc=report.post_finetune_accuracy,
-                    )
-                )
+                if variant != BASE_VARIANT:
+                    write_variant(cfg, result, variant, seed + variant_seed, checkpoint)
+                warnings = result.report.warnings if variant == BASE_VARIANT else []
+                rows.append(finetune_checkpoint(cfg, data, seed, checkpoint, run_dir / "reports" / stem, variant, warnings))
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
 
@@ -211,6 +211,69 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
     if errors:
         (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
     return run_dir
+
+
+def finetune_file(cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_root: str | Path) -> tuple[SummaryRow, Path]:
+    """Finetune a checkpoint file into ``reports/<ckpt>_finetune_seed<K>.*``; the row and the reports' stem."""
+    checkpoint = Path(checkpoint)
+    stem = open_run_dir(cfg, out_root) / "reports" / f"{checkpoint.stem}_finetune_seed{seed}"
+    row = finetune_checkpoint(cfg, build_dataset(cfg.task), seed, checkpoint, stem, checkpoint.stem)
+    return row, stem
+
+
+def sanity_file(
+    cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_root: str | Path
+) -> Iterator[tuple[str, Path, float | Exception]]:
+    """Write each configured sanity variant of a checkpoint file as ``masks/<ckpt>_<kind>.tfmc``
+    with its ``reports/<ckpt>_<kind>_layerwise.csv``.
+
+    Yields ``(kind, checkpoint path, sparsity)``, the error in place of the
+    sparsity for a variant that failed; the other variants are still written.
+    Only Gem-Miner's checkpoints hold scores, so ``invert`` fails for the others.
+    """
+    checkpoint = Path(checkpoint)
+    layers = load_checkpoint(checkpoint)
+    scores = [layer.scores for layer in layers] if cfg.algorithm == "gem" else None
+    result = MiningResult(layers=layers, report=RunReport(epochs=0), inversion_scores=scores)
+    run_dir = open_run_dir(cfg, out_root)
+    for variant in cfg.sanity:
+        stem = f"{checkpoint.stem}_{variant.kind}"
+        path = run_dir / "masks" / f"{stem}.tfmc"
+        try:
+            mask = write_variant(cfg, result, variant.kind, seed + variant.seed, path)
+        except Exception as exc:  # noqa: BLE001 - variant isolation is the contract
+            yield variant.kind, path, exc
+            continue
+        write_layerwise_csv(run_dir / "reports" / f"{stem}_layerwise.csv", layerwise_report(mask))
+        yield variant.kind, path, mask_sparsity(mask)
+
+
+def rebuild_summary(cfg: ExperimentConfig, out_root: str | Path) -> tuple[Path, int]:
+    """Rewrite ``summary.csv`` from the finetune reports of a run directory; its path and row count.
+
+    Reports without a ``seed<K>_<variant>.tfmc`` checkpoint of the same name
+    (mining reports, ``finetune_file`` output) are not matrix cells and are
+    skipped. Raises ``FileNotFoundError`` when the run has no reports.
+    """
+    run_dir = Path(out_root) / cfg.run_id
+    reports_dir = run_dir / "reports"
+    if not reports_dir.is_dir():
+        raise FileNotFoundError(f"no reports directory at {reports_dir}")
+    rows: list[SummaryRow] = []
+    for path in sorted(reports_dir.glob("seed*_*.json")):
+        checkpoint = run_dir / "masks" / f"{path.stem}.tfmc"
+        if path.stem.endswith("_mining") or not checkpoint.exists():
+            continue
+        seed, variant = parse_seed_stem(path.stem)
+        payload = json.loads(path.read_text())
+        sparsity = mask_sparsity(extract_mask(load_checkpoint(checkpoint)))
+        rows.append(SummaryRow(cfg.algorithm, variant, seed, sparsity, payload["pre_finetune_accuracy"], payload["post_finetune_accuracy"]))
+    # matrix order: config seeds first, each base variant then the configured sanity kinds
+    variant_order = {BASE_VARIANT: 0, **{v.kind: i for i, v in enumerate(cfg.sanity, start=1)}}
+    seed_order = {seed: i for i, seed in enumerate(cfg.seeds)}
+    rows.sort(key=lambda r: (seed_order.get(r.seed, len(seed_order)), r.seed, variant_order.get(r.variant, 99), r.variant))
+    write_summary(run_dir / "summary.csv", rows)
+    return run_dir / "summary.csv", len(rows)
 
 
 def write_summary(path: str | Path, rows: list[SummaryRow]) -> None:

@@ -34,7 +34,28 @@ from .common import LayerRatios, MiningResult, mining_result
 VARIANTS = ("v1", "v2", "v3", "v4", "v5", "v6")
 MIN_RATIO = 1e-3
 
-__all__ = ["smart_ratio", "smooth_ratios", "tune_ratios", "sample_ratio_mask", "VARIANTS"]
+__all__ = ["smart_ratio", "check_smart_ratio_settings", "smooth_ratios", "tune_ratios", "sample_ratio_mask", "VARIANTS"]
+
+
+def check_smart_ratio_settings(
+    spec: NetworkSpec, variant: str, reference_profile: LayerRatios | None, imp_profile: LayerRatios | None, last_layer_keep: float, tune_steps: int
+) -> None:
+    """Raise ``ValueError`` unless ``smart_ratio`` can run with these settings.
+
+    A missing magnitude-pruning profile is not checked here: it may come from
+    an IMP run made after the settings are read, and ``smart_ratio`` checks
+    that it is given. A given one used by v4/v6 needs one ratio per layer.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if not (0.0 < last_layer_keep <= 1.0):
+        raise ValueError(f"last layer keep must be in (0, 1], got {last_layer_keep}")
+    if variant in ("v2", "v5") and reference_profile is None:
+        raise ValueError(f"{variant} needs a reference mining profile")
+    if variant in ("v4", "v6") and imp_profile is not None and len(imp_profile) != spec.n_layers:
+        raise ValueError(f"{variant} needs a magnitude-pruning profile of {spec.n_layers} ratios, got {len(imp_profile)}")
+    if variant in ("v5", "v6") and tune_steps < 1:
+        raise ValueError(f"{variant} tunes its ratios: tune steps must be >= 1, got {tune_steps}")
 
 
 def _fill_to_budget(weights_per_layer: list[int], raw: list[float], budget: float) -> list[float]:
@@ -146,12 +167,9 @@ def smart_ratio(
     global sparsity follows the ratios, which only v1 (and v4's rescaling)
     tie to the requested target.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    check_smart_ratio_settings(spec, variant, reference_profile, imp_profile, last_layer_keep, tune_steps)
     if not (0.0 < target_sparsity <= 1.0):
         raise ValueError(f"target sparsity must be in (0, 1], got {target_sparsity}")
-    if variant in ("v2", "v5") and reference_profile is None:
-        raise ValueError(f"{variant} needs a reference mining profile")
     if variant in ("v4", "v6") and imp_profile is None:
         raise ValueError(f"{variant} needs a magnitude-pruning profile")
     if variant in ("v5", "v6") and data is None:

@@ -14,6 +14,7 @@ import numpy as np
 from .data import DatasetSplit
 from .masking import STREAM_BATCHES, log_softmax, loss_and_grads, mask_sparsity, mlp_activations, stream_rng
 from .optim import OptimizerChoice, SgdMomentum, make_optimizer
+from .sanity import layerwise_report
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,14 @@ def finetune(
     wherever the mask is 0; the inputs are not modified. The mask must be 0
     or 1 (``ValueError`` otherwise). The optimizer holds state for the kept
     weights only. The report's pre/post accuracies are measured on the test
-    split.
+    split, and its layerwise rows describe ``mask``.
     """
     kept = sum(int(np.sum(m)) for m in mask)
     if kept == 0:
         raise ValueError("finetune: mask keeps no weights")
     trained = [np.asarray(w, dtype=np.float64) * m for w, m in zip(weights, mask)]
     sparsity = mask_sparsity(list(mask))
-    report = RunReport(epochs=cfg.epochs)
+    report = RunReport(epochs=cfg.epochs, layerwise=layerwise_report(mask))
     _, pre_acc = evaluate(trained, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
 

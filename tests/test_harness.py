@@ -1,4 +1,8 @@
+import json
 import re
+import tokenize
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from gemmine.config import ConfigError, build_experiment_config, parse_key_value
 from gemmine.masking import extract_mask, mask_sparsity
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
-from gemmine.trainer import MultiStep
+from gemmine.trainer import MultiStep, finetune
 
 BASE_CFG = """
 # tiny end-to-end experiment
@@ -120,11 +124,54 @@ def test_config_number_errors_name_the_key(line, key):
         ("finetune.epochs = -1", "finetune", "invalid TrainConfig"),
         ("finetune.schedule = multistep:5,2", "finetune", "milestones must be strictly increasing"),
         ("sr.imp_profile = 0.5,2", "sr.imp_profile", "keep ratios must be in (0, 1]"),
+        ("miner.algorithm = sr\nsr.variant = v2", "sr", "v2 needs a reference mining profile"),
+        ("miner.algorithm = sr\nsr.variant = v5", "sr", "v5 needs a reference mining profile"),
+        (
+            "miner.algorithm = sr\nsr.variant = v4\nsr.imp_profile = 0.5,0.5,0.5",
+            "sr",
+            "v4 needs a magnitude-pruning profile of 2 ratios, got 3",
+        ),
+        (
+            "miner.algorithm = sr\nsr.variant = v6\nsr.imp_profile = 0.5\nsr.tune_steps = 3",
+            "sr",
+            "v6 needs a magnitude-pruning profile of 2 ratios, got 1",
+        ),
+        (
+            "miner.algorithm = sr\nsr.variant = v5\nsr.reference_profile = 0.5,0.5\nsr.tune_steps = 0",
+            "sr",
+            "tune steps must be >= 1, got 0",
+        ),
+        (
+            "miner.algorithm = sr\nsr.variant = v6\nsr.imp_profile = 0.5,0.5\nsr.tune_steps = 0",
+            "sr",
+            "tune steps must be >= 1, got 0",
+        ),
+        ("miner.algorithm = sr\nsr.last_layer_keep = 0", "sr", "last layer keep must be in (0, 1], got 0.0"),
+        ("seeds = 1,1", "seeds", "each entry must be distinct, got 1, 1"),
+        ("sanity = shuffle,shuffle:5", "sanity", "each entry must be distinct, got shuffle, shuffle"),
     ],
 )
 def test_config_range_errors_name_the_key(line, key, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(message)}"):
         build_experiment_config(BASE_CFG + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # unused settings: v1 reads no magnitude-pruning profile, v4 no tune steps
+        "miner.algorithm = sr\nsr.imp_profile = 0.5,0.5,0.5\nsr.tune_steps = 0",
+        "miner.algorithm = sr\nsr.variant = v4\nsr.imp_profile = 0.5,0.5\nsr.tune_steps = 0",
+        # v2 and v5 read only the first and last entries of the reference profile
+        "miner.algorithm = sr\nsr.variant = v2\nsr.reference_profile = 0.5",
+        # the profile may come from an IMP run made after the config is read
+        "miner.algorithm = sr\nsr.variant = v6",
+        # smart-ratio settings are not checked for the other miners
+        "sr.last_layer_keep = 0",
+    ],
+)
+def test_config_accepts_smart_ratio_settings_that_run(line):
+    build_experiment_config(BASE_CFG + line + "\n")
 
 
 def test_config_missing_idx_path(tmp_path):
@@ -222,6 +269,19 @@ def test_base_checkpoint_reloads_the_mined_mask(tmp_path, monkeypatch):
         assert float(rows[str(seed)]["sparsity"]) == float(f"{mask_sparsity(result.mask):.12g}")
 
 
+def test_run_finetunes_the_network_its_checkpoint_reads_back(tmp_path):
+    # the checkpoint stores float32 weights; finetuning the mined float64 network gives other records
+    cfg = build_experiment_config(BASE_CFG)
+    run_dir = harness.run_experiment(cfg, tmp_path)
+    data = harness.build_dataset(cfg.task)
+    for variant in ("none", "shuffle", "reinit", "invert"):
+        layers = load_checkpoint(run_dir / "masks" / f"seed1_{variant}.tfmc")
+        _, report = finetune([layer.weights for layer in layers], extract_mask(layers), data, replace(cfg.finetune, seed=1))
+        written = json.loads((run_dir / "reports" / f"seed1_{variant}.json").read_text())
+        assert written["records"] == [r.as_dict() for r in report.records]
+        assert written["post_finetune_accuracy"] == report.post_finetune_accuracy
+
+
 def _write_cfg(tmp_path, text):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
@@ -241,21 +301,12 @@ def test_cli_run_and_report(tmp_path, capsys):
 def test_cli_mine_finetune_sanity(tmp_path):
     cfg_path = _write_cfg(tmp_path, BASE_CFG)
     out_dir = tmp_path / "out"
-    assert cli_main(["mine", "--config", str(cfg_path), "--seed", "3", "--out-dir", str(out_dir)]) == 0
+    common = ["--config", str(cfg_path), "--seed", "3", "--out-dir", str(out_dir)]
+    assert cli_main(["mine", *common]) == 0
     ckpt = out_dir / "tiny" / "masks" / "seed3_none.tfmc"
     assert ckpt.exists()
-    assert (
-        cli_main(
-            ["finetune", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out-dir", str(out_dir)]
-        )
-        == 0
-    )
-    assert (
-        cli_main(
-            ["sanity", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out-dir", str(out_dir)]
-        )
-        == 0
-    )
+    assert cli_main(["finetune", *common, "--checkpoint", str(ckpt)]) == 0
+    assert cli_main(["sanity", *common, "--checkpoint", str(ckpt)]) == 0
     kept = [int(m.sum()) for m in extract_mask(load_checkpoint(ckpt))]
     for kind in ("shuffle", "reinit", "invert"):
         variant = extract_mask(load_checkpoint(out_dir / "tiny" / "masks" / f"seed3_none_{kind}.tfmc"))
@@ -265,6 +316,62 @@ def test_cli_mine_finetune_sanity(tmp_path):
         assert [line.split(",")[2] for line in csv_lines[1:]] == [str(k) for k in kept + [sum(kept)]]
     # rebuilding a summary tolerates ad-hoc finetune reports in the same dir
     assert cli_main(["report", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+
+    # the subcommands write what `run` writes for the same seed
+    run_out = tmp_path / "run"
+    assert cli_main(["run", "--config", str(cfg_path), "--seed", "3", "--out-dir", str(run_out)]) == 0
+    cli_dir, run_dir = out_dir / "tiny", run_out / "tiny"
+    assert ckpt.read_bytes() == (run_dir / "masks" / "seed3_none.tfmc").read_bytes()
+    mining = "reports/seed3_none_mining.json"
+    assert (cli_dir / mining).read_bytes() == (run_dir / mining).read_bytes()
+    for kind in ("shuffle", "reinit", "invert"):
+        cli_variant = (cli_dir / "masks" / f"seed3_none_{kind}.tfmc").read_bytes()
+        assert cli_variant == (run_dir / "masks" / f"seed3_{kind}.tfmc").read_bytes()
+    cli_ft = json.loads((cli_dir / "reports" / "seed3_none_finetune_seed3.json").read_text())
+    run_ft = json.loads((run_dir / "reports" / "seed3_none.json").read_text())
+    for key in ("records", "pre_finetune_accuracy", "post_finetune_accuracy", "layerwise"):
+        assert cli_ft[key] == run_ft[key]
+    layerwise = "_layerwise.csv"
+    assert (cli_dir / "reports" / f"seed3_none_finetune_seed3{layerwise}").read_bytes() == (
+        run_dir / "reports" / f"seed3_none{layerwise}"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("miner", ["miner.algorithm = ep\nep.scope = global", "miner.algorithm = imp"])
+def test_cli_sanity_inverts_only_scored_checkpoints(tmp_path, capsys, miner):
+    # only Gem-Miner checkpoints hold scores; the others' stored mask is no score to invert
+    cfg_path = _write_cfg(tmp_path, BASE_CFG + miner + "\n")
+    out_dir = tmp_path / "out"
+    common = ["--config", str(cfg_path), "--seed", "3", "--out-dir", str(out_dir)]
+    assert cli_main(["mine", *common]) == 0
+    ckpt = out_dir / "tiny" / "masks" / "seed3_none.tfmc"
+    capsys.readouterr()
+    assert cli_main(["sanity", *common, "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "variant invert failed" in err and "score inversion undefined" in err
+    masks = out_dir / "tiny" / "masks"
+    assert (masks / "seed3_none_shuffle.tfmc").exists() and (masks / "seed3_none_reinit.tfmc").exists()
+    assert not (masks / "seed3_none_invert.tfmc").exists()
+
+
+def test_cli_leaves_the_run_directory_to_the_harness():
+    """cli.py parses, prints and sets exit codes; the harness stages write every file."""
+    cli = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "cli.py"
+    banned = {
+        "save_checkpoint",
+        "finetune",
+        "mine_for_seed",
+        "variant_network",
+        "write_layerwise_csv",
+        "save_json",
+        "save_metrics_csv",
+        "MaskedLayer",
+    }
+    with open(cli, "rb") as f:
+        # whole NAME tokens only: docstrings, comments and the "finetune" subcommand string may mention them
+        tokens = tokenize.tokenize(f.readline)
+        offenders = [f"cli.py:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
+    assert offenders == []
 
 
 def test_cli_seed_override_runs_single_seed(tmp_path):

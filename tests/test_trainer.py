@@ -118,10 +118,11 @@ def test_finetune_masked_weights_stay_zero(blobs):
     rng = np.random.default_rng(0)
     mask = [(rng.random(w.shape) < 0.5).astype(float) for w in weights]
     cfg = TrainConfig(epochs=4, batch_size=16, lr=0.2, seed=2)
-    trained, _ = finetune(weights, mask, blobs, cfg)
+    trained, report = finetune(weights, mask, blobs, cfg)
     for w, m in zip(trained, mask):
         assert np.all(w[m == 0.0] == 0.0)
         assert np.count_nonzero(w * (1.0 - m)) == 0
+    assert report.layerwise == layerwise_report(mask)
 
 
 def test_finetune_adam_respects_mask(blobs):
