@@ -6,7 +6,6 @@ engineered-ratio random masks (``smart_ratio``). Mined masks feed the
 shuffle / reinit / inversion sanity suite and a masked finetuning trainer.
 """
 
-from .autodiff import Tensor, backward, ste_round
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, build_experiment_config, load_experiment_config
 from .data import DatasetSplit, gen_synthetic, load_idx, make_digit_archive
@@ -40,9 +39,6 @@ from .sanity import SanityVariant, invert_scores, layerwise_report, reinit_weigh
 from .trainer import Cosine, MultiStep, RunReport, TrainConfig, evaluate, finetune, lr_at
 
 __all__ = [
-    "Tensor",
-    "backward",
-    "ste_round",
     "load_checkpoint",
     "save_checkpoint",
     "ExperimentConfig",

@@ -60,7 +60,9 @@ def cmd_sanity(args) -> int:
         print("no sanity variants configured", file=sys.stderr)
         return 1
     status = 0
-    for kind, checkpoint, outcome in sanity_file(cfg, args.checkpoint, seed, args.out_dir):
+    for kind, checkpoint, outcome, warnings in sanity_file(cfg, args.checkpoint, seed, args.out_dir):
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         if isinstance(outcome, Exception):
             print(f"variant {kind} failed: {outcome}", file=sys.stderr)
             status = 1

@@ -36,6 +36,8 @@ class DatasetSplit:
     n_classes: int
 
     def __post_init__(self):
+        if self.train_x.shape[0] == 0:
+            raise ValueError("train: no rows")
         for name in ("train", "val", "test"):
             x = getattr(self, f"{name}_x")
             y = getattr(self, f"{name}_y")
@@ -134,7 +136,8 @@ def load_idx(
             )
 
     def flatten(images: np.ndarray) -> np.ndarray:
-        return images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+        # rows * cols, not -1: an empty split has no size to infer it from
+        return images.reshape(images.shape[0], images.shape[1] * images.shape[2]).astype(np.float64) / 255.0
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(train_images.shape[0])

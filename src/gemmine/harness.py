@@ -104,12 +104,13 @@ def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> Minin
 
 
 def variant_network(
-    cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int
+    cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int, warnings: list[str]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Weights and mask for one sanity variant of a mining result.
 
     ``seed`` combines the run seed with the variant's own seed so that a
     pinned variant seed shifts the transformation deterministically.
+    The variant's warnings (a degenerate inversion) are appended to ``warnings``.
     """
     weights = result.weights
     mask = result.mask
@@ -122,7 +123,8 @@ def variant_network(
     if variant == INVERT:
         if result.inversion_scores is None:
             raise ValueError(f"{cfg.algorithm} produces no scores; score inversion undefined")
-        inverted, _ = invert_scores(result.inversion_scores, mask)
+        inverted, inversion_warnings = invert_scores(result.inversion_scores, mask)
+        warnings.extend(inversion_warnings)
         return weights, inverted
     raise ValueError(f"unknown sanity variant {variant!r}")
 
@@ -158,9 +160,11 @@ def mine_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int, run_dir: Pat
     return result, checkpoint
 
 
-def write_variant(cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int, path: Path) -> list[np.ndarray]:
-    """Write the checkpoint of one sanity variant of ``result`` to ``path``; return its mask."""
-    weights, mask = variant_network(cfg, result, variant, seed)
+def write_variant(
+    cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int, path: Path, warnings: list[str]
+) -> list[np.ndarray]:
+    """Write the checkpoint of one sanity variant of ``result`` to ``path``, add its warnings to ``warnings``; return its mask."""
+    weights, mask = variant_network(cfg, result, variant, seed, warnings)
     save_checkpoint(path, [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)])
     return mask
 
@@ -199,10 +203,10 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
         for variant, variant_seed in [(BASE_VARIANT, 0)] + [(v.kind, v.seed) for v in cfg.sanity]:
             stem = seed_stem(seed, variant)
             checkpoint = run_dir / "masks" / f"{stem}.tfmc"
+            warnings = result.report.warnings if variant == BASE_VARIANT else []
             try:
                 if variant != BASE_VARIANT:
-                    write_variant(cfg, result, variant, seed + variant_seed, checkpoint)
-                warnings = result.report.warnings if variant == BASE_VARIANT else []
+                    write_variant(cfg, result, variant, seed + variant_seed, checkpoint, warnings)
                 rows.append(finetune_checkpoint(cfg, data, seed, checkpoint, run_dir / "reports" / stem, variant, warnings))
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
@@ -223,12 +227,12 @@ def finetune_file(cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_
 
 def sanity_file(
     cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_root: str | Path
-) -> Iterator[tuple[str, Path, float | Exception]]:
+) -> Iterator[tuple[str, Path, float | Exception, list[str]]]:
     """Write each configured sanity variant of a checkpoint file as ``masks/<ckpt>_<kind>.tfmc``
     with its ``reports/<ckpt>_<kind>_layerwise.csv``.
 
-    Yields ``(kind, checkpoint path, sparsity)``, the error in place of the
-    sparsity for a variant that failed; the other variants are still written.
+    Yields ``(kind, checkpoint path, sparsity, warnings)``, the error in place
+    of the sparsity for a variant that failed; the other variants are still written.
     Only Gem-Miner's checkpoints hold scores, so ``invert`` fails for the others.
     """
     checkpoint = Path(checkpoint)
@@ -239,13 +243,14 @@ def sanity_file(
     for variant in cfg.sanity:
         stem = f"{checkpoint.stem}_{variant.kind}"
         path = run_dir / "masks" / f"{stem}.tfmc"
+        warnings: list[str] = []
         try:
-            mask = write_variant(cfg, result, variant.kind, seed + variant.seed, path)
+            mask = write_variant(cfg, result, variant.kind, seed + variant.seed, path, warnings)
         except Exception as exc:  # noqa: BLE001 - variant isolation is the contract
-            yield variant.kind, path, exc
+            yield variant.kind, path, exc, warnings
             continue
         write_layerwise_csv(run_dir / "reports" / f"{stem}_layerwise.csv", layerwise_report(mask))
-        yield variant.kind, path, mask_sparsity(mask)
+        yield variant.kind, path, mask_sparsity(mask), warnings
 
 
 def rebuild_summary(cfg: ExperimentConfig, out_root: str | Path) -> tuple[Path, int]:

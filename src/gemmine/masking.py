@@ -101,6 +101,20 @@ def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
+def select_smallest_across(values: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
+    """Boolean masks, one per array of ``values`` and of its shape, of the k smallest entries of them all.
+
+    This is the one statement of the cross-layer tie order: the arrays are
+    ranked as one, equal values chosen from the earlier array first, then
+    by lower flat index (``select_smallest`` on their concatenation).
+    Callers exclude entries by passing them as +inf, which no finite value
+    ties with, so while k is at most the number of finite entries none is chosen.
+    """
+    chosen = select_smallest(np.concatenate([v.reshape(-1) for v in values]), k)
+    bounds = np.cumsum([v.size for v in values])[:-1]
+    return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
+
+
 def round_scores(scores: np.ndarray) -> np.ndarray:
     """Deterministic rounding: 1 exactly where score >= 0.5."""
     return (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.float64)

@@ -21,6 +21,7 @@ from ..masking import (
     init_scores,
     init_weights,
     select_smallest,
+    select_smallest_across,
     stream_rng,
 )
 from ..optim import make_optimizer
@@ -40,8 +41,8 @@ def _kept_count(k: float, size: int) -> int:
 def topk_mask(scores: Sequence[np.ndarray], keep_fraction: float, scope: str, warnings: list[str] | None = None) -> list[np.ndarray]:
     """Binary mask keeping the highest-scoring fraction, per layer or globally.
 
-    Equal scores are kept lowest index first; the global order runs through
-    the layers in turn, each by flat index.
+    Equal scores are kept lowest flat index first; globally, in
+    ``select_smallest_across``'s order.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise ValueError(f"keep fraction must be in (0, 1], got {keep_fraction}")
@@ -56,15 +57,8 @@ def topk_mask(scores: Sequence[np.ndarray], keep_fraction: float, scope: str, wa
             masks.append(select_smallest(-p.reshape(-1), kept).astype(np.float64).reshape(p.shape))
         return masks
     if scope == GLOBAL:
-        flat = np.concatenate([p.reshape(-1) for p in scores])
-        kept = _kept_count(keep_fraction, flat.size)
-        mask_flat = select_smallest(-flat, kept).astype(np.float64)
-        masks = []
-        start = 0
-        for p in scores:
-            masks.append(mask_flat[start : start + p.size].reshape(p.shape))
-            start += p.size
-        return masks
+        kept = _kept_count(keep_fraction, sum(p.size for p in scores))
+        return [hit.astype(np.float64) for hit in select_smallest_across([-p for p in scores], kept)]
     raise ValueError(f"scope must be {LAYERWISE!r} or {GLOBAL!r}, got {scope!r}")
 
 
@@ -87,8 +81,6 @@ def edge_popup(
     Scores are unconstrained here (no unit-interval projection): top-k only
     consumes their ranking.
     """
-    if data.train_x.shape[0] == 0:
-        raise ValueError("edge_popup: empty training split")
     weights = init_weights(spec, init_scheme, config.seed)
     initial_weights = [w.copy() for w in weights]
     scores = init_scores(spec, config.seed)

@@ -23,7 +23,7 @@ from ..masking import (
     init_weights,
     mask_sparsity,
     round_scores,
-    select_smallest,
+    select_smallest_across,
     stream_rng,
 )
 from ..optim import make_optimizer
@@ -39,25 +39,19 @@ def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: Sp
     ``freeze`` holds one {0, 1} array per layer of ``scores``, 1 where unfrozen.
     The survivor count is floor(keep_factor * unfrozen), which keeps the
     unfrozen fraction at or below the envelope; each event can overshoot
-    the envelope downward by at most one weight. Equal scores are frozen
-    lowest index first, the global order running through the layers in
-    turn, each by flat index. The scores frozen by this call are set to 0;
-    frozen weights never thaw. Returns the number of weights frozen.
+    the envelope downward by at most one weight. Equal scores are frozen in
+    ``select_smallest_across``'s order. The scores frozen by this call are
+    set to 0; frozen weights never thaw. Returns the number of weights frozen.
     """
-    unfrozen = [np.flatnonzero(f.reshape(-1) != 0.0) for f in freeze]
-    total_unfrozen = sum(idx.size for idx in unfrozen)
-    n_keep = math.floor(schedule.keep_factor * total_unfrozen)
-    n_freeze = total_unfrozen - n_keep
+    total_unfrozen = sum(int(np.count_nonzero(f)) for f in freeze)
+    n_freeze = total_unfrozen - math.floor(schedule.keep_factor * total_unfrozen)
     if n_freeze < 1:
         return 0
-
-    chosen = select_smallest(np.concatenate([p.reshape(-1)[idx] for p, idx in zip(scores, unfrozen)]), n_freeze)
-    start = 0
-    for p, f, idx in zip(scores, freeze, unfrozen):
-        hit = idx[chosen[start : start + idx.size]]
-        start += idx.size
-        f.reshape(-1)[hit] = 0.0
-        p.reshape(-1)[hit] = 0.0
+    # n_freeze <= unfrozen, so the frozen scores, passed as +inf, are never chosen
+    candidates = [np.where(f != 0.0, p, np.inf) for p, f in zip(scores, freeze)]
+    for p, f, hit in zip(scores, freeze, select_smallest_across(candidates, n_freeze)):
+        f[hit] = 0.0
+        p[hit] = 0.0
     return n_freeze
 
 
@@ -82,8 +76,6 @@ def gem_mine(
     (the controlled, monotone quantity) and the current mask density under
     ``mask_sparsity``.
     """
-    if data.train_x.shape[0] == 0:
-        raise ValueError("gem_mine: empty training split")
     weights = init_weights(spec, init_scheme, config.seed)
     scores = init_scores(spec, config.seed)
     freeze = [np.ones_like(w) for w in weights]

@@ -18,7 +18,7 @@ from ..masking import (
     STREAM_BATCHES,
     NetworkSpec,
     init_weights,
-    select_smallest,
+    select_smallest_across,
     stream_rng,
 )
 from ..optim import make_optimizer
@@ -65,28 +65,18 @@ def prune_by_magnitude(
 ) -> list[np.ndarray]:
     """Zero out the smallest-magnitude fraction of currently kept weights, globally.
 
-    Equal magnitudes are pruned lowest index first; the global order runs
-    through the layers in turn, each by flat index.
+    Equal magnitudes are pruned in ``select_smallest_across``'s order.
     """
-    flat_w = np.concatenate([w.reshape(-1) for w in weights])
-    flat_m = np.concatenate([m.reshape(-1) for m in mask])
-    alive = np.flatnonzero(flat_m != 0.0)
-    n_prune = int(prune_rate * alive.size + 0.5)
-    if alive.size - n_prune < 1:
-        n_prune = alive.size - 1
+    alive = sum(int(np.count_nonzero(m)) for m in mask)
+    n_prune = int(prune_rate * alive + 0.5)
+    if alive - n_prune < 1:
+        n_prune = alive - 1
         msg = "magnitude pruning clamped to keep 1 weight"
         if msg not in warnings:
             warnings.append(msg)
-    if n_prune <= 0:
-        return [m.copy() for m in mask]
-    flat_m = flat_m.copy()
-    flat_m[alive[select_smallest(np.abs(flat_w[alive]), n_prune)]] = 0.0
-    out = []
-    start = 0
-    for m in mask:
-        out.append(flat_m[start : start + m.size].reshape(m.shape))
-        start += m.size
-    return out
+    # n_prune < alive, so the pruned weights, passed as +inf, are never chosen again
+    candidates = [np.where(m != 0.0, np.abs(w), np.inf) for w, m in zip(weights, mask)]
+    return [np.where(hit, 0.0, m) for m, hit in zip(mask, select_smallest_across(candidates, n_prune))]
 
 
 def imp(

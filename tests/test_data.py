@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gemmine.data import (
+    DatasetSplit,
     IdxFormatError,
     gen_digit_images,
     gen_synthetic,
@@ -79,6 +80,40 @@ def test_load_idx_train_limit_exact(tmp_path):
     assert split.train_x.shape[0] == 17
     with pytest.raises(ValueError, match="train_limit"):
         load_idx(directory, train_limit=1000, val_fraction=0.25)
+    # the split is checked when it is built, not by each miner on first use
+    with pytest.raises(ValueError, match="train: no rows"):
+        load_idx(directory, train_limit=0, val_fraction=0.25)
+
+
+def _split(n_train=4, **overrides) -> DatasetSplit:
+    x = np.arange(24, dtype=np.float64).reshape(12, 2)
+    y = np.arange(12) % 2
+    fields = dict(train_x=x[:n_train], train_y=y[:n_train], val_x=x[8:10], val_y=y[8:10], test_x=x[10:], test_y=y[10:], n_classes=2)
+    return DatasetSplit(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_train": 0}, "train: no rows"),
+        ({"train_y": np.zeros(3, dtype=np.int64)}, "train: 4 feature rows but 3 labels"),
+        ({"val_x": np.full((2, 2), np.nan)}, "val: non-finite feature values"),
+        ({"test_y": np.array([0, 2])}, r"test: label outside \[0, 2\)"),
+    ],
+)
+def test_dataset_split_rejects_malformed_splits(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _split(**overrides)
+
+
+def test_dataset_split_allows_empty_val_and_test():
+    split = _split(val_x=np.zeros((0, 2)), val_y=np.zeros(0, dtype=np.int64), test_x=np.zeros((0, 2)), test_y=np.zeros(0, dtype=np.int64))
+    assert split.n_features == 2
+
+
+def test_load_idx_without_validation_rows(tmp_path):
+    split = load_idx(_archive(tmp_path), val_fraction=0.0, seed=0)
+    assert split.val_x.shape == (0, 20) and split.train_x.shape == (40, 20)
 
 
 def test_load_idx_label_out_of_range(tmp_path):

@@ -4,13 +4,14 @@ import tokenize
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gemmine.harness as harness
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
-from gemmine.masking import extract_mask, mask_sparsity
+from gemmine.masking import MaskedLayer, extract_mask, mask_sparsity
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
 from gemmine.trainer import MultiStep, finetune
@@ -269,6 +270,25 @@ def test_base_checkpoint_reloads_the_mined_mask(tmp_path, monkeypatch):
         assert float(rows[str(seed)]["sparsity"]) == float(f"{mask_sparsity(result.mask):.12g}")
 
 
+DEGENERATE = ["inversion degenerate: all scores equal in layer 0", "inversion degenerate: all scores equal in layer 1"]
+
+
+def test_run_reports_a_degenerate_inversion(tmp_path, monkeypatch):
+    cfg = build_experiment_config(BASE_CFG.replace("seeds = 1,2", "seeds = 1"))
+    real = harness.mine_for_seed
+
+    def constant_scores(cfg_arg, data, seed):
+        return replace(real(cfg_arg, data, seed), inversion_scores=[np.full((10, 2), 0.25), np.full((2, 10), 0.25)])
+
+    monkeypatch.setattr(harness, "mine_for_seed", constant_scores)
+    run_dir = harness.run_experiment(cfg, tmp_path)
+    invert = json.loads((run_dir / "reports" / "seed1_invert.json").read_text())
+    assert invert["warnings"][:2] == DEGENERATE
+    for variant in ("none", "shuffle", "reinit"):
+        warnings = json.loads((run_dir / "reports" / f"seed1_{variant}.json").read_text())["warnings"]
+        assert not any(w.startswith("inversion degenerate") for w in warnings), variant
+
+
 def test_run_finetunes_the_network_its_checkpoint_reads_back(tmp_path):
     # the checkpoint stores float32 weights; finetuning the mined float64 network gives other records
     cfg = build_experiment_config(BASE_CFG)
@@ -335,6 +355,21 @@ def test_cli_mine_finetune_sanity(tmp_path):
     assert (cli_dir / "reports" / f"seed3_none_finetune_seed3{layerwise}").read_bytes() == (
         run_dir / "reports" / f"seed3_none{layerwise}"
     ).read_bytes()
+
+
+def test_cli_sanity_prints_a_degenerate_inversion(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    out_dir = tmp_path / "out"
+    common = ["--config", str(cfg_path), "--seed", "3", "--out-dir", str(out_dir)]
+    assert cli_main(["mine", *common]) == 0
+    ckpt = out_dir / "tiny" / "masks" / "seed3_none.tfmc"
+    # every score 1.0: the mask is unchanged and the inversion has nothing to rank
+    layers = [MaskedLayer(l.weights, l.mask, np.ones_like(l.scores)) for l in load_checkpoint(ckpt)]
+    save_checkpoint(ckpt, layers)
+    capsys.readouterr()
+    assert cli_main(["sanity", *common, "--checkpoint", str(ckpt)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {w}" for w in DEGENERATE]
 
 
 @pytest.mark.parametrize("miner", ["miner.algorithm = ep\nep.scope = global", "miner.algorithm = imp"])

@@ -22,6 +22,7 @@ from gemmine.masking import (
     mask_sparsity,
     round_scores,
     select_smallest,
+    select_smallest_across,
 )
 
 
@@ -237,6 +238,49 @@ def test_select_smallest_examples():
     assert np.flatnonzero(select_smallest(values, 6)).tolist() == [0, 1, 2, 3, 4, 5]
     assert not select_smallest(values, 0).any() and select_smallest(values, 99).all()
     assert select_smallest(np.zeros(0), 3).shape == (0,)
+
+
+@st.composite
+def _layers_and_k(draw):
+    shapes = st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
+    elements = st.sampled_from(SPECIAL_VALUES)
+    layers = draw(st.lists(hnp.arrays(np.float64, shapes, elements=elements), min_size=1, max_size=4))
+    n = sum(layer.size for layer in layers)
+    return layers, draw(st.integers(min_value=-1, max_value=n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layers_and_k())
+def test_select_smallest_across_is_the_stable_sort_of_the_concatenation(case):
+    layers, k = case
+    chosen = select_smallest_across(layers, k)
+    expected = _stable_sort_selection(np.concatenate([layer.reshape(-1) for layer in layers]), k)
+    bounds = np.cumsum([layer.size for layer in layers])[:-1]
+    assert len(chosen) == len(layers)
+    for got, want, layer in zip(chosen, np.split(expected, bounds), layers):
+        assert got.dtype == bool and got.shape == layer.shape
+        np.testing.assert_array_equal(got.reshape(-1), want)
+
+
+def test_select_smallest_across_never_chooses_inf_within_the_finite_count():
+    layers = [np.array([[np.inf, 3.0], [1.0, np.inf]]), np.array([np.inf, 1.0, 2.0]), np.full((2, 2), np.inf)]
+    for k in range(5):
+        chosen = select_smallest_across(layers, k)
+        assert sum(int(c.sum()) for c in chosen) == k
+        assert not any(np.any(c & np.isinf(layer)) for c, layer in zip(chosen, layers))
+    # equal values: the earlier layer first
+    assert [c.tolist() for c in select_smallest_across(layers, 1)[:2]] == [[[False, False], [True, False]], [False, False, False]]
+
+
+def test_no_miner_concatenates_layers():
+    """Cross-layer selection goes through select_smallest_across; no miner flattens the layers itself."""
+    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
+    offenders = []
+    for path in sorted(miners.rglob("*.py")):
+        with open(path, "rb") as f:
+            tokens = tokenize.tokenize(f.readline)
+            offenders += [f"{path.name}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "concatenate"]
+    assert offenders == []
 
 
 def test_no_full_sort_copy_in_the_package():

@@ -816,7 +816,9 @@ def test_tune_ratios_clamps_to_unit_interval():
 # every selection site against the stable-sort oracle, end to end
 # ---------------------------------------------------------------------------
 
-SELECTION_SITES = ("gemmine.miners.edge_popup", "gemmine.miners.gem", "gemmine.miners.imp", "gemmine.sanity")
+# the modules whose global select_smallest is called: masking's, through
+# select_smallest_across, serves freeze_step, prune_by_magnitude and global top-k
+SELECTION_SITES = ("gemmine.masking", "gemmine.miners.edge_popup", "gemmine.sanity")
 
 
 def _mine_with_every_selection(data):

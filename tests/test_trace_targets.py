@@ -8,6 +8,7 @@ when run on their own. This reads that list without changing it.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,3 +37,21 @@ def test_every_traced_optimizer_class_has_step(spans):
     optim = importlib.import_module("gemmine.optim")
     for cls_name in spans.OPTIMIZER_CLASSES:
         assert callable(getattr(getattr(optim, cls_name, None), "step", None)), f"gemmine.optim.{cls_name}.step is gone"
+
+
+def test_every_counter_hook_fits_the_function_it_traces(spans):
+    """The hooks read a call's arguments by position and its result by type;
+    a reordered signature would skew the counters without any error."""
+    for span, module, attr, hook in spans.TARGETS:
+        fn = getattr(importlib.import_module(module), attr)
+        params = list(inspect.signature(fn).parameters)
+        if hook == "generator":
+            assert inspect.isgeneratorfunction(fn), f"{span}: stepped with next(), so it must be a generator function"
+        elif hook == "_count_topk":
+            assert params[:3] == ["scores", "keep_fraction", "scope"], f"{span}: {params}"
+        elif hook == "_count_bytes":
+            assert params[:1] == ["path"], f"{span}: {params}"
+        elif hook == "_count_frozen":
+            assert inspect.signature(fn).return_annotation in ("int", int), f"{span}: counts the result as an int"
+        else:
+            assert hook is None, f"{span}: no check for hook {hook!r}"
