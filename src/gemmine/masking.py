@@ -115,6 +115,68 @@ def select_smallest_across(values: Sequence[np.ndarray], k: int) -> list[np.ndar
     return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
 
 
+class SmallestSelector:
+    """``select_smallest_across`` for values that move little from one call to the next.
+
+    It keeps a window [lo, hi] of values around the last call's k-th
+    smallest, about ``MARGIN`` ranks to each side. Two counts show exactly
+    whether this call's k-th smallest lies in it: fewer than k entries are
+    below lo, and at least k are at most hi. Then every entry below lo is
+    chosen, and ``select_smallest`` picks the rest among the entries inside
+    the window, taken in (array, flat index) order, so ties fall as in
+    ``select_smallest_across``; otherwise that full partition runs. NaN is
+    inside no window and -0.0 compares equal to +0.0 on both sides, so the
+    chosen set is the same for any values and any k. ``window_calls`` and
+    ``fallback_calls`` count the two paths.
+    """
+
+    MARGIN = 256
+
+    def __init__(self):
+        self.window: tuple[float, float] | None = None
+        self.window_calls = 0
+        self.fallback_calls = 0
+
+    def __call__(self, values: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
+        n = sum(v.size for v in values)
+        if self.window is not None and 0 < k < n:
+            lo, hi = self.window
+            below = [v < lo for v in values]
+            n_below = sum(int(np.count_nonzero(b)) for b in below)
+            upto = [v <= hi for v in values]
+            if n_below < k <= sum(int(np.count_nonzero(u)) for u in upto):
+                # lo <= hi, so the entries below lo are among those at most hi
+                inside = [np.flatnonzero(np.logical_xor(u, b, out=u)) for u, b in zip(upto, below)]
+                candidates = np.concatenate([v.reshape(-1)[i] for v, i in zip(values, inside)])
+                rest = k - n_below
+                chosen = select_smallest(candidates, rest)
+                start = 0
+                for b, i in zip(below, inside):
+                    b.reshape(-1)[i[chosen[start : start + i.size]]] = True
+                    start += i.size
+                self._recentre(candidates, rest)
+                self.window_calls += 1
+                return below
+        self.fallback_calls += 1
+        chosen = select_smallest_across(values, k)
+        self.window = None  # the new window keeps no bound of the old one
+        if 0 < k < n:
+            self._recentre(np.concatenate([v.reshape(-1) for v in values]), k)
+        return chosen
+
+    def _recentre(self, values: np.ndarray, k: int) -> None:
+        """Window ``values``' k-th smallest and ``MARGIN`` ranks to each side; a side with fewer keeps its old bound."""
+        lo_rank, hi_rank = k - 1 - self.MARGIN, k - 1 + self.MARGIN
+        ranks = [max(lo_rank, 0), min(hi_rank, values.size - 1)]
+        lo, hi = np.partition(values, ranks)[ranks]
+        if self.window is not None:
+            lo = lo if lo_rank >= 0 else self.window[0]
+            hi = hi if hi_rank < values.size else self.window[1]
+        if hi != hi:  # NaN: the window runs to the largest number
+            hi = np.inf
+        self.window = (lo, hi) if lo == lo else None
+
+
 def round_scores(scores: np.ndarray) -> np.ndarray:
     """Deterministic rounding: 1 exactly where score >= 0.5."""
     return (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.float64)

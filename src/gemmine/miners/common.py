@@ -145,32 +145,52 @@ class LayerRatios:
         return len(self.ratios)
 
 
-def score_loss_and_grads(
-    x: np.ndarray, y: np.ndarray, base: Sequence[np.ndarray], binary: Sequence[np.ndarray], scores: Sequence[np.ndarray], config: MinerConfig
-) -> tuple[float, list[np.ndarray]]:
-    """Batch loss and straight-through score gradients for effective weights ``base * binary``.
+def patch_flips(
+    effective: Sequence[np.ndarray], base: Sequence[np.ndarray], bits: Sequence[np.ndarray], now: Sequence[np.ndarray]
+) -> None:
+    """Turn ``effective``, holding ``base * bits``, into ``base * now`` in place; ``bits`` becomes ``now`` too.
 
-    ``binary`` binarizes ``scores`` with an identity backward, so the score
-    gradient is d(loss)/d(effective weight) * base, plus that of
-    ``config.reg_weight`` times the scores' L1 or squared-L2 norm.
-    ``binary`` may be float {0, 1} or boolean arrays: ``b * True`` has the
-    bits of ``b * 1.0``. The returned gradients are the kernel's freshly
-    allocated arrays, scaled and penalized in place.
+    ``bits`` and ``now`` are boolean arrays. Only the entries whose bit
+    flips are written, each as the product ``base[i] * now[i]`` a full
+    rebuild gives (``b * True`` has the bits of ``b * 1.0``), zero signs included.
     """
-    loss, grads = loss_and_grads(x, y, [b * m for b, m in zip(base, binary)])
+    for e, b, old, new in zip(effective, base, bits, now):
+        new = new.reshape(-1)
+        flips = np.flatnonzero(old.reshape(-1) != new)
+        if flips.size:
+            e.reshape(-1)[flips] = b.reshape(-1)[flips] * new[flips]
+            old.reshape(-1)[flips] = new[flips]
+
+
+def score_loss_and_grads(
+    x: np.ndarray, y: np.ndarray, effective: Sequence[np.ndarray], base: Sequence[np.ndarray],
+    scores: Sequence[np.ndarray], config: MinerConfig, scratch: Sequence[np.ndarray],
+) -> tuple[float, list[np.ndarray]]:
+    """Batch loss and straight-through score gradients for ``effective`` weights, ``base`` times the binarized ``scores``.
+
+    The binarization has an identity backward, so the score gradient is
+    d(loss)/d(effective weight) * base, plus that of ``config.reg_weight``
+    times the scores' L1 or squared-L2 norm. ``scratch``, one array per
+    layer of ``scores``, is overwritten with the penalty's terms. The
+    returned gradients are the kernel's freshly allocated arrays, scaled
+    and penalized in place.
+    """
+    loss, grads = loss_and_grads(x, y, effective)
     for g, b in zip(grads, base):
         g *= b
     lam = config.reg_weight
     if lam > 0.0:
-        if config.regularizer == L1:
-            penalty = sum(np.sum(np.abs(p)) for p in scores)
-            for g, p in zip(grads, scores):
-                g += lam * np.sign(p)
-        else:
-            penalty = sum(np.sum(p * p) for p in scores)
-            for g, p in zip(grads, scores):
+        penalty = 0.0
+        for g, p, t in zip(grads, scores, scratch):
+            if config.regularizer == L1:
+                penalty += np.sum(np.abs(p, out=t))
+                np.sign(p, out=t)
+                t *= lam
+                g += t
+            else:
+                penalty += np.sum(np.square(p, out=t))
                 # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
-                t = lam * p
+                np.multiply(p, lam, out=t)
                 g += t
                 g += t
         loss = loss + penalty * lam

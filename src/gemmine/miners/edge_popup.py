@@ -4,6 +4,11 @@ Three ablation axes on the vanilla layerwise form: global top-k across the
 whole network, a gradual keep-fraction schedule that follows the same
 exponential envelope as the freezing miner, and an optional squared-norm
 penalty on the scores (via ``config.reg_weight``).
+
+A step moves few scores across the top-k threshold, so the miner keeps the
+effective weights ``weights * mask`` across batches and rewrites only the
+entries whose mask bit flips; the top-k itself is found through a window
+around the last threshold (``masking.SmallestSelector``).
 """
 
 from __future__ import annotations
@@ -18,15 +23,14 @@ from ..masking import (
     SIGNED_CONSTANT,
     STREAM_BATCHES,
     NetworkSpec,
+    SmallestSelector,
     init_scores,
     init_weights,
-    select_smallest,
-    select_smallest_across,
     stream_rng,
 )
 from ..optim import make_optimizer
 from ..trainer import RunReport, record_epoch, run_epoch
-from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_loss_and_grads
+from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, patch_flips, score_loss_and_grads
 
 LAYERWISE = "layerwise"
 GLOBAL = "global"
@@ -38,15 +42,23 @@ def _kept_count(k: float, size: int) -> int:
     return max(1, int(math.floor(k * size)))
 
 
-def topk_mask(scores: Sequence[np.ndarray], keep_fraction: float, scope: str, warnings: list[str] | None = None) -> list[np.ndarray]:
-    """Binary mask keeping the highest-scoring fraction, per layer or globally.
+def topk_mask(
+    scores: Sequence[np.ndarray], keep_fraction: float, scope: str, warnings: list[str] | None = None,
+    *, selectors: Sequence[SmallestSelector] | None = None,
+) -> list[np.ndarray]:
+    """Boolean masks keeping the highest-scoring fraction, per layer or globally.
 
     Equal scores are kept lowest flat index first; globally, in
-    ``select_smallest_across``'s order.
+    ``select_smallest_across``'s order. ``selectors``, one
+    ``SmallestSelector`` per layer (or one for the global scope), carry a
+    run's previous thresholds from call to call; while the scores move
+    little, only the scores near the last threshold are partitioned. Without
+    them, fresh ones make the full selection.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise ValueError(f"keep fraction must be in (0, 1], got {keep_fraction}")
     if scope == LAYERWISE:
+        selectors = selectors or [SmallestSelector() for _ in scores]
         masks = []
         for i, p in enumerate(scores):
             kept = _kept_count(keep_fraction, p.size)
@@ -54,11 +66,12 @@ def topk_mask(scores: Sequence[np.ndarray], keep_fraction: float, scope: str, wa
                 msg = f"layerwise top-k clamped to 1 weight in layer {i}"
                 if msg not in warnings:
                     warnings.append(msg)
-            masks.append(select_smallest(-p.reshape(-1), kept).astype(np.float64).reshape(p.shape))
+            masks += selectors[i]([-p], kept)
         return masks
     if scope == GLOBAL:
         kept = _kept_count(keep_fraction, sum(p.size for p in scores))
-        return [hit.astype(np.float64) for hit in select_smallest_across([-p for p in scores], kept)]
+        (select,) = selectors or [SmallestSelector()]
+        return select([-p for p in scores], kept)
     raise ValueError(f"scope must be {LAYERWISE!r} or {GLOBAL!r}, got {scope!r}")
 
 
@@ -87,6 +100,18 @@ def edge_popup(
     optimizer = make_optimizer(config.optimizer, scores)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     report = RunReport(epochs=schedule.total_epochs)
+    selectors = [SmallestSelector() for _ in range(len(scores) if scope == LAYERWISE else 1)]
+    bits = [np.zeros(w.shape, dtype=bool) for w in weights]
+    effective = [w * m for w, m in zip(weights, bits)]
+    scratch = [np.empty_like(p) for p in scores]
+
+    def apply_topk():
+        # weights * mask is kept across batches: a new mask rewrites only the entries it flips
+        patch_flips(effective, weights, bits, topk_mask(scores, current_k, scope, report.warnings, selectors=selectors))
+
+    def batch_loss_and_grads(x, y):
+        apply_topk()
+        return score_loss_and_grads(x, y, effective, weights, scores, config, scratch)
 
     target_k = schedule.target_sparsity
     for epoch in range(1, schedule.total_epochs + 1):
@@ -97,18 +122,13 @@ def edge_popup(
         else:
             current_k = target_k
 
-        def batch_loss_and_grads(x, y):
-            mask_now = topk_mask(scores, current_k, scope, report.warnings)
-            return score_loss_and_grads(x, y, weights, mask_now, scores, config)
-
         train_loss = run_epoch(
             scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
         )
+        apply_topk()
+        record_epoch(report, data, effective, epoch, current_k, train_loss)
 
-        mask_epoch = topk_mask(scores, current_k, scope, report.warnings)
-        record_epoch(report, data, [w * m for w, m in zip(weights, mask_epoch)], epoch, current_k, train_loss)
-
-    final_mask = topk_mask(scores, target_k, scope, report.warnings)
+    final_mask = [m.astype(np.float64) for m in topk_mask(scores, target_k, scope, report.warnings)]
     if any(not np.array_equal(w, w0) for w, w0 in zip(weights, initial_weights)):
         raise AssertionError("edge_popup must never update weights")
     return mining_result(weights, final_mask, report, data, inversion_scores=[p.copy() for p in scores])

@@ -6,6 +6,10 @@ globally smallest unfrozen scores are frozen, and set to 0 at that event,
 so the unfrozen fraction tracks the exponential envelope and lands at the
 target. The optimizer still steps every score, so SGD momentum can move a
 frozen score afterwards; the mask ignores it, since its freeze bit is 0.
+
+The kernel's effective weights ``(w * freeze) * (score >= 0.5)`` are kept
+across batches. A step flips few mask bits, so each batch rewrites only
+the entries whose bit flipped; a freeze event rebuilds them whole.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from ..masking import (
 )
 from ..optim import make_optimizer
 from ..trainer import RunReport, record_epoch, run_epoch
-from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_loss_and_grads
+from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, patch_flips, score_loss_and_grads
 
 __all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
 
@@ -86,15 +90,22 @@ def gem_mine(
     def current_mask():
         return [round_scores(p) * f for p, f in zip(scores, freeze)]
 
-    frozen_weights = [w * f for w, f in zip(weights, freeze)]
+    def effective_weights():
+        # the kernel's weights (w * freeze) * (p >= 0.5): base * True has the bits of base * 1.0
+        base = [w * f for w, f in zip(weights, freeze)]
+        bits = [p >= 0.5 for p in scores]
+        return base, bits, [b * m for b, m in zip(base, bits)]
+
+    base, bits, effective = effective_weights()
+    scratch = [np.empty_like(p) for p in scores]
 
     def batch_loss_and_grads(x, y):
         # each optimizer step is projected onto [0, 1]: here before the next
         # batch uses the scores, and after the epoch's last step below
         for p in scores:
             np.clip(p, 0.0, 1.0, out=p)
-        # round_scores(p) without its float cast: base * True has the bits of base * 1.0
-        return score_loss_and_grads(x, y, frozen_weights, [p >= 0.5 for p in scores], scores, config)
+        patch_flips(effective, base, bits, [p >= 0.5 for p in scores])
+        return score_loss_and_grads(x, y, effective, base, scores, config, scratch)
 
     for epoch in range(1, schedule.total_epochs + 1):
         train_loss = run_epoch(
@@ -105,8 +116,8 @@ def gem_mine(
 
         if epoch % schedule.freeze_period == 0:
             freeze_step(scores, freeze, schedule)
-            # freezing is the only change to w * freeze, so rebuild it here, not per batch
-            frozen_weights = [w * f for w, f in zip(weights, freeze)]
+            # freezing is the only change to w * freeze, so the kept arrays are rebuilt here, not per batch
+            base, bits, effective = effective_weights()
             check_layer_collapse(current_mask(), report.warnings, when=f"after freeze at epoch {epoch}")
 
         mask = current_mask()

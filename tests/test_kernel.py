@@ -106,7 +106,8 @@ def test_kernel_matches_graph_bitwise(depth, form, penalty):
         backward(graph_loss)
 
         config = MinerConfig(reg_weight=0.0 if penalty is None else PENALTY_WEIGHT, regularizer=penalty or L2)
-        loss, grads = score_loss_and_grads(x, y, base, binary, values, config)
+        effective = [b * m for b, m in zip(base, binary)]
+        loss, grads = score_loss_and_grads(x, y, effective, base, values, config, [np.empty_like(v) for v in values])
 
         assert np.float64(loss).tobytes() == graph_loss.data.tobytes()
         for grad, leaf in zip(grads, leaves):

@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from gemmine.masking import (
     SIGNED_CONSTANT,
     MaskedLayer,
     NetworkSpec,
+    SmallestSelector,
     extract_mask,
     init_scores,
     init_weights,
@@ -270,6 +272,63 @@ def test_select_smallest_across_never_chooses_inf_within_the_finite_count():
         assert not any(np.any(c & np.isinf(layer)) for c, layer in zip(chosen, layers))
     # equal values: the earlier layer first
     assert [c.tolist() for c in select_smallest_across(layers, 1)[:2]] == [[[False, False], [True, False]], [False, False, False]]
+
+
+@st.composite
+def _selection_runs(draw):
+    """1-3 arrays, a window margin, and the steps of a run: a perturbation scale, a k and a noise seed each."""
+    shapes = st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+    tie_heavy = draw(st.booleans())
+    elements = st.sampled_from(SPECIAL_VALUES) if tie_heavy else st.floats(-1.0, 1.0)
+    layers = draw(st.lists(hnp.arrays(np.float64, shapes, elements=elements), min_size=1, max_size=3))
+    n = sum(layer.size for layer in layers)
+    ks = st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(min_value=0, max_value=n))
+    # 0 keeps the values, 10 moves them by more than their spread
+    scales = st.sampled_from([0.0, 1e-3, 0.05, 10.0])
+    steps = draw(st.lists(st.tuples(scales, ks, st.integers(0, 2**32 - 1)), min_size=1, max_size=8))
+    return layers, tie_heavy, draw(st.sampled_from([1, 2, 8, SmallestSelector.MARGIN])), steps
+
+
+def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
+    paths = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_selection_runs())
+    def check(run):
+        layers, tie_heavy, margin, steps = run
+        selector = SmallestSelector()
+        selector.MARGIN = margin
+        for scale, k, seed in steps:
+            noise = np.random.default_rng(seed)
+            layers = [layer + scale * noise.standard_normal(layer.shape) for layer in layers]
+            if tie_heavy:
+                layers = [np.round(layer * 4.0) / 4.0 for layer in layers]  # moved values still tie
+            chosen = selector(layers, k)
+            want = select_smallest_across(layers, k)
+            if len(layers) == 1:
+                assert want[0].tobytes() == select_smallest(layers[0].reshape(-1), k).tobytes()
+            for got, expected, layer in zip(chosen, want, layers):
+                assert got.dtype == bool and got.shape == layer.shape
+                np.testing.assert_array_equal(got, expected)
+        paths["window"] += selector.window_calls
+        paths["fallback"] += selector.fallback_calls
+        assert selector.window_calls + selector.fallback_calls == len(steps)
+
+    check()
+    assert paths["window"] > 0 and paths["fallback"] > 0, paths
+
+
+def test_smallest_selector_takes_the_window_while_values_move_little():
+    rng = np.random.default_rng(3)
+    layers = [rng.random((40, 30)), rng.random(200)]
+    selector = SmallestSelector()
+    for _ in range(6):
+        layers = [layer + 1e-4 * rng.standard_normal(layer.shape) for layer in layers]
+        for got, want in zip(selector(layers, 70), select_smallest_across(layers, 70)):
+            assert got.tobytes() == want.tobytes()
+    assert (selector.fallback_calls, selector.window_calls) == (1, 5)
+    selector(layers, 700)  # the k-th smallest moves far out of the window
+    assert selector.fallback_calls == 2
 
 
 def test_no_miner_concatenates_layers():

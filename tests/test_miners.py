@@ -38,7 +38,7 @@ from gemmine.miners import (
     topk_mask,
     tune_ratios,
 )
-from gemmine.miners.common import L1, L2
+from gemmine.miners.common import L1, L2, patch_flips
 from gemmine.miners.gem import check_layer_collapse
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import invert_scores, layerwise_report
@@ -447,6 +447,103 @@ def test_topk_global_ties_go_to_the_earlier_layer():
     np.testing.assert_array_equal(mask[1], [[1.0, 0.0]])
 
 
+def _reference_edge_popup(data, spec, schedule, config, scope, gradual):
+    """edge_popup written with per-batch formulas: topk_mask and w * mask rebuilt every batch."""
+    weights = init_weights(spec, SIGNED_CONSTANT, config.seed)
+    scores = init_scores(spec, config.seed)
+    optimizer = make_optimizer(config.optimizer, scores)
+    rng = stream_rng(config.seed, STREAM_BATCHES)
+    lam = config.reg_weight
+    warnings = []
+
+    def batch_loss_and_grads(x, y):
+        mask = topk_mask(scores, keep, scope, warnings)
+        loss, d_eff = loss_and_grads(x, y, [w * m for w, m in zip(weights, mask)])
+        grads = [d * w for d, w in zip(d_eff, weights)]
+        if lam > 0.0:
+            if config.regularizer == L1:
+                penalty = sum(np.sum(np.abs(p)) for p in scores)
+                grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
+            else:
+                penalty = sum(np.sum(p * p) for p in scores)
+                grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
+            loss = loss + penalty * lam
+        return float(loss), grads
+
+    columns = {"epoch": [], "sparsity": [], "train_loss": [], "val_accuracy": []}
+    for epoch in range(1, schedule.total_epochs + 1):
+        keep = schedule.target_sparsity
+        if gradual:
+            keep = schedule.envelope((epoch - 1) // schedule.freeze_period * schedule.freeze_period)
+        train_loss = run_epoch(
+            scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
+        )
+        mask = topk_mask(scores, keep, scope, warnings)
+        _, val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
+        for name, value in zip(columns, (epoch, keep, train_loss, val_acc)):
+            columns[name].append(value)
+    mask = [np.asarray(m, dtype=np.float64) for m in topk_mask(scores, schedule.target_sparsity, scope, warnings)]
+    _, pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
+    return mask, scores, columns, pre_acc, layerwise_report(mask), warnings
+
+
+EDGE_POPUP_CASES = [
+    pytest.param(scope, gradual, penalty, optimizer, 0.1, id=f"{scope}-{'gradual' if gradual else 'fixed'}-{penalty}-{name}")
+    for scope in (LAYERWISE, GLOBAL)
+    for gradual in (False, True)
+    for penalty in (L2, L1)
+    for name, optimizer in (("sgd", SgdMomentum()), ("adam", Adam()))
+] + [pytest.param(LAYERWISE, False, None, SgdMomentum(), 0.005, id="layerwise-clamped")]
+
+
+@pytest.mark.parametrize("scope,gradual,penalty,optimizer,keep", EDGE_POPUP_CASES)
+def test_edge_popup_matches_the_per_batch_reference_loop(digits_1k, scope, gradual, penalty, optimizer, keep):
+    data = dataclasses.replace(digits_1k, train_x=digits_1k.train_x[:200], train_y=digits_1k.train_y[:200])
+    spec = NetworkSpec((784, 16, 10))
+    sched = SparsitySchedule(keep, 6, 2)
+    config = MinerConfig(
+        lr=0.1 if isinstance(optimizer, SgdMomentum) else 0.01,
+        reg_weight=0.0 if penalty is None else 1e-3,
+        regularizer=penalty or L2,
+        optimizer=optimizer,
+        seed=5,
+        batch_size=32,
+    )
+    res = edge_popup(data, spec, sched, config, scope=scope, gradual=gradual)
+    mask, scores, columns, pre_acc, layerwise, warnings = _reference_edge_popup(data, spec, sched, config, scope, gradual)
+
+    if keep < 1 / 160:
+        assert warnings == ["layerwise top-k clamped to 1 weight in layer 1"]
+    for got, want in zip(res.mask, mask):
+        assert got.tobytes() == want.tobytes()
+    for inverted, want in zip(res.inversion_scores, scores):
+        assert inverted.tobytes() == want.tobytes()
+    rows = [r.as_dict() for r in res.report.records]
+    assert all(list(row) == list(columns) for row in rows)
+    for name, want in columns.items():
+        assert np.array([row[name] for row in rows]).tobytes() == np.array(want).tobytes(), name
+    assert np.float64(res.report.pre_finetune_accuracy).tobytes() == np.float64(pre_acc).tobytes()
+    assert res.report.layerwise == layerwise
+    assert res.report.warnings == warnings
+
+
+def test_patch_flips_keeps_the_zero_signs_of_frozen_weights():
+    weights = np.array([[-0.5, 0.5, -0.25, 0.75, -2.0]])
+    freeze = np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
+    base = weights * freeze  # frozen entries of negative weights hold -0.0
+    assert np.signbit(base[0, [0, 4]]).all()
+    # frozen scores 0 and 4 drift across 0.5 and back, as SGD momentum can move them
+    runs = [[0.7, 0.2, 0.6, 0.1, 0.5], [0.3, 0.9, 0.4, 0.8, 0.49], [0.7, 0.2, 0.6, 0.1, 0.5]]
+    bits = np.array(runs[0]) >= 0.5
+    effective = base * bits
+    for p in runs[1:]:
+        now = np.array(p) >= 0.5
+        patch_flips([effective], [base], [bits], [now])
+        assert effective.tobytes() == (base * now).tobytes()
+        assert bits.tobytes() == now.tobytes()
+        assert np.signbit(effective[0, [0, 4]]).all()
+
+
 def test_edge_popup_never_updates_weights(blobs):
     spec = NetworkSpec((2, 12, 2))
     sched = SparsitySchedule(0.25, 4, 2)
@@ -817,8 +914,9 @@ def test_tune_ratios_clamps_to_unit_interval():
 # ---------------------------------------------------------------------------
 
 # the modules whose global select_smallest is called: masking's, through
-# select_smallest_across, serves freeze_step, prune_by_magnitude and global top-k
-SELECTION_SITES = ("gemmine.masking", "gemmine.miners.edge_popup", "gemmine.sanity")
+# select_smallest_across and SmallestSelector, serves freeze_step,
+# prune_by_magnitude and both scopes of top-k
+SELECTION_SITES = ("gemmine.masking", "gemmine.sanity")
 
 
 def _mine_with_every_selection(data):
