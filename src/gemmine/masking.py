@@ -126,8 +126,9 @@ class SmallestSelector:
     the window, taken in (array, flat index) order, so ties fall as in
     ``select_smallest_across``; otherwise that full partition runs. NaN is
     inside no window and -0.0 compares equal to +0.0 on both sides, so the
-    chosen set is the same for any values and any k. ``window_calls`` and
-    ``fallback_calls`` count the two paths.
+    chosen set is the same for any values and any k. A k of at most 0 or at
+    least the entry count chooses none or all without a partition.
+    ``window_calls`` counts the window path, ``fallback_calls`` the others.
     """
 
     MARGIN = 256
@@ -139,7 +140,11 @@ class SmallestSelector:
 
     def __call__(self, values: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
         n = sum(v.size for v in values)
-        if self.window is not None and 0 < k < n:
+        if not 0 < k < n:
+            self.fallback_calls += 1
+            self.window = None
+            return [np.full(v.shape, k > 0) for v in values]
+        if self.window is not None:
             lo, hi = self.window
             below = [v < lo for v in values]
             n_below = sum(int(np.count_nonzero(b)) for b in below)
@@ -160,8 +165,7 @@ class SmallestSelector:
         self.fallback_calls += 1
         chosen = select_smallest_across(values, k)
         self.window = None  # the new window keeps no bound of the old one
-        if 0 < k < n:
-            self._recentre(np.concatenate([v.reshape(-1) for v in values]), k)
+        self._recentre(np.concatenate([v.reshape(-1) for v in values]), k)
         return chosen
 
     def _recentre(self, values: np.ndarray, k: int) -> None:

@@ -1,18 +1,18 @@
-"""Shared miner configuration types, the mining result record and its builder, and the score step."""
+"""Shared miner configuration types, the mining result record and its builder, and the score-descent loop."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..data import DatasetSplit
-from ..masking import MaskedLayer, extract_mask, loss_and_grads
-from ..optim import OptimizerChoice, SgdMomentum
+from ..masking import STREAM_BATCHES, MaskedLayer, NetworkSpec, extract_mask, init_scores, init_weights, loss_and_grads, stream_rng
+from ..optim import OptimizerChoice, SgdMomentum, make_optimizer
 from ..sanity import layerwise_report
-from ..trainer import RunReport, evaluate
+from ..trainer import RunReport, evaluate, record_epoch, run_epoch
 
 L2 = "l2"
 L1 = "l1"
@@ -195,3 +195,56 @@ def score_loss_and_grads(
                 g += t
         loss = loss + penalty * lam
     return float(loss), grads
+
+
+def score_descent(
+    data: DatasetSplit, spec: NetworkSpec, schedule: SparsitySchedule, config: MinerConfig, init_scheme: str,
+    take_bits: Callable, end_epoch: Callable,
+) -> tuple[list[np.ndarray], list[np.ndarray], RunReport]:
+    """Straight-through score descent over fixed random weights; a miner supplies only its mask rule.
+
+    ``take_bits(scores, epoch, warnings)`` turns the scores into one boolean
+    mask per layer; it runs before each batch and after each epoch's last
+    step, and may project the scores in place first. ``end_epoch(weights,
+    scores, epoch, warnings)`` then returns ``(base, sparsity, extra)``:
+    ``base`` is ``None`` or the new fixed factor of the effective weights
+    (they start as ``weights``), and ``sparsity`` and ``extra`` are the
+    epoch's report columns (see ``trainer.record_epoch``).
+
+    The kernel's effective weights ``base * bits`` are kept across batches.
+    A step flips few mask bits, so each batch rewrites only the entries whose
+    bit flipped (``patch_flips``); a new ``base`` rebuilds them whole. The
+    epoch is recorded on them. Returns the weights, which never move, the
+    trained scores and the report.
+    """
+    weights = init_weights(spec, init_scheme, config.seed)
+    initial_weights = [w.copy() for w in weights]
+    scores = init_scores(spec, config.seed)
+    optimizer = make_optimizer(config.optimizer, scores)
+    rng = stream_rng(config.seed, STREAM_BATCHES)
+    report = RunReport(epochs=schedule.total_epochs)
+    scratch = [np.empty_like(p) for p in scores]
+    base = weights
+    # all bits off: the first batch writes every kept entry
+    bits = [np.zeros(w.shape, dtype=bool) for w in weights]
+    effective = [w * m for w, m in zip(weights, bits)]
+
+    def batch_loss_and_grads(x, y):
+        patch_flips(effective, base, bits, take_bits(scores, epoch, report.warnings))
+        return score_loss_and_grads(x, y, effective, base, scores, config, scratch)
+
+    for epoch in range(1, schedule.total_epochs + 1):
+        train_loss = run_epoch(
+            scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
+        )
+        patch_flips(effective, base, bits, take_bits(scores, epoch, report.warnings))
+        new_base, sparsity, extra = end_epoch(weights, scores, epoch, report.warnings)
+        if new_base is not None:
+            base = new_base
+            bits = take_bits(scores, epoch, report.warnings)
+            effective = [b * m for b, m in zip(base, bits)]
+        record_epoch(report, data, effective, epoch, sparsity, train_loss, **extra)
+
+    if any(not np.array_equal(w, w0) for w, w0 in zip(weights, initial_weights)):
+        raise AssertionError("score descent must never update weights")
+    return weights, scores, report

@@ -1,14 +1,13 @@
-"""Top-k score miner: weights never move, the mask is the current top-k.
+"""edge-popup: score descent whose mask is the current top-k of the scores.
 
-Three ablation axes on the vanilla layerwise form: global top-k across the
-whole network, a gradual keep-fraction schedule that follows the same
-exponential envelope as the freezing miner, and an optional squared-norm
-penalty on the scores (via ``config.reg_weight``).
-
-A step moves few scores across the top-k threshold, so the miner keeps the
-effective weights ``weights * mask`` across batches and rewrites only the
-entries whose mask bit flips; the top-k itself is found through a window
-around the last threshold (``masking.SmallestSelector``).
+Its rule on ``common.score_descent``: the mask keeps the highest-scoring
+fraction of the weights, found through a window around the last threshold
+(``masking.SmallestSelector``), and the fixed factor of the effective
+weights is the weights themselves. Three ablation axes on the vanilla
+layerwise form: global top-k across the whole network, a gradual
+keep-fraction schedule that follows the same exponential envelope as the
+freezing miner, and an optional squared-norm penalty on the scores (via
+``config.reg_weight``).
 """
 
 from __future__ import annotations
@@ -19,18 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from ..data import DatasetSplit
-from ..masking import (
-    SIGNED_CONSTANT,
-    STREAM_BATCHES,
-    NetworkSpec,
-    SmallestSelector,
-    init_scores,
-    init_weights,
-    stream_rng,
-)
-from ..optim import make_optimizer
-from ..trainer import RunReport, record_epoch, run_epoch
-from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, patch_flips, score_loss_and_grads
+from ..masking import SIGNED_CONSTANT, NetworkSpec, SmallestSelector
+from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_descent
 
 LAYERWISE = "layerwise"
 GLOBAL = "global"
@@ -90,45 +79,25 @@ def edge_popup(
     effective fraction steps down the envelope every ``freeze_period``
     epochs, from 1 over the first period to ``envelope((n_events - 1) *
     freeze_period)`` over the last, so no epoch trains at the target; only
-    the returned mask is cut to it (ROADMAP item 3a).
+    the returned mask is cut to it (see
+    ``test_edge_popup_gradual_trains_its_last_period_at_the_target``).
     Scores are unconstrained here (no unit-interval projection): top-k only
     consumes their ranking.
     """
-    weights = init_weights(spec, init_scheme, config.seed)
-    initial_weights = [w.copy() for w in weights]
-    scores = init_scores(spec, config.seed)
-    optimizer = make_optimizer(config.optimizer, scores)
-    rng = stream_rng(config.seed, STREAM_BATCHES)
-    report = RunReport(epochs=schedule.total_epochs)
-    selectors = [SmallestSelector() for _ in range(len(scores) if scope == LAYERWISE else 1)]
-    bits = [np.zeros(w.shape, dtype=bool) for w in weights]
-    effective = [w * m for w, m in zip(weights, bits)]
-    scratch = [np.empty_like(p) for p in scores]
+    selectors = [SmallestSelector() for _ in range(len(spec.layer_shapes) if scope == LAYERWISE else 1)]
 
-    def apply_topk():
-        # weights * mask is kept across batches: a new mask rewrites only the entries it flips
-        patch_flips(effective, weights, bits, topk_mask(scores, current_k, scope, report.warnings, selectors=selectors))
+    def keep_fraction(epoch):
+        if not gradual:
+            return schedule.target_sparsity
+        # staircase along the envelope, updated once per freeze period
+        return schedule.envelope((epoch - 1) // schedule.freeze_period * schedule.freeze_period)
 
-    def batch_loss_and_grads(x, y):
-        apply_topk()
-        return score_loss_and_grads(x, y, effective, weights, scores, config, scratch)
+    def take_bits(scores, epoch, warnings):
+        return topk_mask(scores, keep_fraction(epoch), scope, warnings, selectors=selectors)
 
-    target_k = schedule.target_sparsity
-    for epoch in range(1, schedule.total_epochs + 1):
-        if gradual:
-            # staircase along the envelope, updated once per freeze period
-            steps_done = (epoch - 1) // schedule.freeze_period
-            current_k = schedule.envelope(steps_done * schedule.freeze_period)
-        else:
-            current_k = target_k
+    def end_epoch(weights, scores, epoch, warnings):
+        return None, keep_fraction(epoch), {}
 
-        train_loss = run_epoch(
-            scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
-        )
-        apply_topk()
-        record_epoch(report, data, effective, epoch, current_k, train_loss)
-
-    final_mask = [m.astype(np.float64) for m in topk_mask(scores, target_k, scope, report.warnings)]
-    if any(not np.array_equal(w, w0) for w, w0 in zip(weights, initial_weights)):
-        raise AssertionError("edge_popup must never update weights")
+    weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
+    final_mask = [m.astype(np.float64) for m in topk_mask(scores, schedule.target_sparsity, scope, report.warnings)]
     return mining_result(weights, final_mask, report, data, inversion_scores=[p.copy() for p in scores])

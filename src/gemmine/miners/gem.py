@@ -1,15 +1,13 @@
-"""Score-descent miner with regularization and periodic iterative freezing.
+"""Gem-Miner: score descent whose mask is the rounded scores of the unfrozen weights.
 
-Scores are trained by straight-through gradient descent on the task loss
-plus an optional score-norm penalty. Every ``freeze_period`` epochs the
-globally smallest unfrozen scores are frozen, and set to 0 at that event,
-so the unfrozen fraction tracks the exponential envelope and lands at the
-target. The optimizer still steps every score, so SGD momentum can move a
-frozen score afterwards; the mask ignores it, since its freeze bit is 0.
-
-The kernel's effective weights ``(w * freeze) * (score >= 0.5)`` are kept
-across batches. A step flips few mask bits, so each batch rewrites only
-the entries whose bit flipped; a freeze event rebuilds them whole.
+Its rule on ``common.score_descent``: the scores are clipped to [0, 1]
+after every step and a weight is kept where its score is at least 0.5 and
+it is not frozen. Every ``freeze_period`` epochs the globally smallest
+unfrozen scores are frozen, and set to 0 at that event, so the unfrozen
+fraction tracks the exponential envelope and lands at the target; the
+fixed factor of the effective weights becomes ``w * freeze``. The
+optimizer still steps every score, so SGD momentum can move a frozen score
+afterwards; the mask ignores it, since its freeze bit is 0.
 """
 
 from __future__ import annotations
@@ -19,20 +17,8 @@ import math
 import numpy as np
 
 from ..data import DatasetSplit
-from ..masking import (
-    SIGNED_CONSTANT,
-    STREAM_BATCHES,
-    NetworkSpec,
-    init_scores,
-    init_weights,
-    mask_sparsity,
-    round_scores,
-    select_smallest_across,
-    stream_rng,
-)
-from ..optim import make_optimizer
-from ..trainer import RunReport, record_epoch, run_epoch
-from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, patch_flips, score_loss_and_grads
+from ..masking import SIGNED_CONSTANT, NetworkSpec, mask_sparsity, round_scores, select_smallest_across
+from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_descent
 
 __all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
 
@@ -80,52 +66,26 @@ def gem_mine(
     (the controlled, monotone quantity) and the current mask density under
     ``mask_sparsity``.
     """
-    weights = init_weights(spec, init_scheme, config.seed)
-    scores = init_scores(spec, config.seed)
-    freeze = [np.ones_like(w) for w in weights]
-    optimizer = make_optimizer(config.optimizer, scores)
-    rng = stream_rng(config.seed, STREAM_BATCHES)
-    report = RunReport(epochs=schedule.total_epochs)
+    freeze = [np.ones(shape) for shape in spec.layer_shapes]
 
-    def current_mask():
+    def current_mask(scores):
         return [round_scores(p) * f for p, f in zip(scores, freeze)]
 
-    def effective_weights():
-        # the kernel's weights (w * freeze) * (p >= 0.5): base * True has the bits of base * 1.0
-        base = [w * f for w, f in zip(weights, freeze)]
-        bits = [p >= 0.5 for p in scores]
-        return base, bits, [b * m for b, m in zip(base, bits)]
-
-    base, bits, effective = effective_weights()
-    scratch = [np.empty_like(p) for p in scores]
-
-    def batch_loss_and_grads(x, y):
-        # each optimizer step is projected onto [0, 1]: here before the next
-        # batch uses the scores, and after the epoch's last step below
+    def take_bits(scores, epoch, warnings):
+        # each optimizer step is projected onto [0, 1] before the scores are used
         for p in scores:
             np.clip(p, 0.0, 1.0, out=p)
-        patch_flips(effective, base, bits, [p >= 0.5 for p in scores])
-        return score_loss_and_grads(x, y, effective, base, scores, config, scratch)
+        return [p >= 0.5 for p in scores]
 
-    for epoch in range(1, schedule.total_epochs + 1):
-        train_loss = run_epoch(
-            scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
-        )
-        for p in scores:
-            np.clip(p, 0.0, 1.0, out=p)
-
+    def end_epoch(weights, scores, epoch, warnings):
+        base = None
         if epoch % schedule.freeze_period == 0:
             freeze_step(scores, freeze, schedule)
-            # freezing is the only change to w * freeze, so the kept arrays are rebuilt here, not per batch
-            base, bits, effective = effective_weights()
-            check_layer_collapse(current_mask(), report.warnings, when=f"after freeze at epoch {epoch}")
+            base = [w * f for w, f in zip(weights, freeze)]
+            check_layer_collapse(current_mask(scores), warnings, when=f"after freeze at epoch {epoch}")
+        return base, mask_sparsity(freeze), {"mask_sparsity": mask_sparsity(current_mask(scores))}
 
-        mask = current_mask()
-        record_epoch(
-            report, data, [w * m for w, m in zip(weights, mask)], epoch, mask_sparsity(freeze), train_loss,
-            mask_sparsity=mask_sparsity(mask),
-        )
-
-    mask = current_mask()
+    weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
+    mask = current_mask(scores)
     check_layer_collapse(mask, report.warnings, when="final mask")
     return mining_result(weights, mask, report, data, scores=scores, inversion_scores=[p.copy() for p in scores])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gemmine import masking
 from gemmine.checkpoint import MAGIC, load_checkpoint
 from gemmine.masking import (
     SCALED_NORMAL,
@@ -329,6 +330,20 @@ def test_smallest_selector_takes_the_window_while_values_move_little():
     assert (selector.fallback_calls, selector.window_calls) == (1, 5)
     selector(layers, 700)  # the k-th smallest moves far out of the window
     assert selector.fallback_calls == 2
+
+
+def test_smallest_selector_chooses_none_or_all_without_a_partition(monkeypatch):
+    def no_partition(values, k):
+        raise AssertionError(f"select_smallest_across called with k={k}")
+
+    monkeypatch.setattr(masking, "select_smallest_across", no_partition)
+    layers = [np.arange(6.0).reshape(2, 3), np.array([0.5, -1.0])]
+    selector = SmallestSelector()
+    for k, want in ((0, False), (8, True), (-1, False), (9, True)):
+        chosen = selector(layers, k)
+        assert [(c.dtype, c.shape) for c in chosen] == [(np.dtype(bool), (2, 3)), (np.dtype(bool), (2,))]
+        assert all(np.all(c == want) for c in chosen), k
+    assert (selector.fallback_calls, selector.window_calls) == (4, 0)
 
 
 def test_no_miner_concatenates_layers():
