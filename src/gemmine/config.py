@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import check_split_settings
 from .masking import INIT_SCHEMES, NetworkSpec
 from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
@@ -206,6 +207,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
             val_fraction=fields.get_float("task.val_fraction", 0.1),
             classes=fields.get_int("task.classes", None),
         )
+        _checked("task", check_split_settings, task.train_limit, task.val_fraction)
     elif kind in ("blobs", "two_moons", "two-moons"):
         task = TaskConfig(
             kind="two_moons" if kind.startswith("two") else "blobs",

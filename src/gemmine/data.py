@@ -103,6 +103,14 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
         f.write(labels.tobytes())
 
 
+def check_split_settings(train_limit: int | None, val_fraction: float) -> None:
+    """Raise ``ValueError`` unless ``load_idx`` can carve a split with these settings."""
+    if train_limit is not None and train_limit < 0:
+        raise ValueError(f"train_limit must be >= 0, got {train_limit}")
+    if not (0.0 <= val_fraction < 1.0):
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+
+
 def load_idx(
     directory: str | Path,
     train_limit: int | None = None,
@@ -115,6 +123,7 @@ def load_idx(
     Pixels are scaled to [0, 1] and flattened; a validation split is carved
     off the shuffled training set before ``train_limit`` applies.
     """
+    check_split_settings(train_limit, val_fraction)
     directory = Path(directory)
     for name in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS):
         if not (directory / name).exists():

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import DatasetSplit
-from ..masking import (
-    SCALED_NORMAL,
-    STREAM_BATCHES,
-    NetworkSpec,
-    init_weights,
-    select_smallest_across,
-    stream_rng,
-)
-from ..optim import make_optimizer
-from ..trainer import RunReport, TrainConfig, live_params, lr_at, record_epoch, run_masked_epoch
+from ..masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_weights, mask_sparsity, select_smallest_across, stream_rng
+from ..trainer import RunReport, TrainConfig, record_epoch, train_masked
 from .common import MinerConfig, MiningResult, mining_result
 
 COLD = "cold"
@@ -93,29 +85,27 @@ def imp(
 
     The kept fraction after round r is (1 - prune_rate)^r up to integer
     rounding; masks are nested across rounds. With zero epochs per round the
-    procedure reduces to magnitude sorts of the initialization. Each rewind
-    multiplies the weights by the new mask, so they are 0 wherever the mask
-    is 0, as ``run_masked_epoch`` requires: only the kept weights are
-    trained, and the returned weights are the masked network itself.
+    procedure reduces to magnitude sorts of the initialization. Each round
+    trains with ``trainer.train_masked`` (whose docstring gives the mask
+    rules and the training scheme) on one batch stream shared by all rounds.
+    Each rewind multiplies the weights by the new mask, so they are 0
+    wherever the mask is 0, as ``train_masked`` requires, and the returned
+    weights are the masked network itself.
     """
     check_imp_settings(rounds, prune_rate, rewind, epochs_per_round)
     initial = init_weights(spec, init_scheme, config.seed)
     weights = [w.copy() for w in initial]
     mask = [np.ones_like(w) for w in initial]
-    total = sum(w.size for w in initial)
     report = RunReport(epochs=rounds * epochs_per_round)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     warm_checkpoint: list[np.ndarray] | None = None
     round_masks: list[list[np.ndarray]] = []
-    round_cfg = TrainConfig(epochs=epochs_per_round, lr=config.lr)  # every round restarts the cosine schedule
+    # every round restarts the cosine schedule
+    round_cfg = TrainConfig(epochs=epochs_per_round, batch_size=config.batch_size, optimizer=config.optimizer, lr=config.lr)
 
     for round_idx in range(rounds):
-        optimizer = make_optimizer(config.optimizer, live_params(weights, mask))
-        kept_fraction = sum(int(np.sum(m)) for m in mask) / total
-        for epoch in range(epochs_per_round):
-            mean_loss = run_masked_epoch(
-                weights, mask, data.train_x, data.train_y, config.batch_size, optimizer, lr_at(round_cfg, epoch), rng
-            )
+        kept_fraction = mask_sparsity(mask)
+        for epoch, mean_loss in train_masked(weights, mask, data, round_cfg, rng):
             if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
                 warm_checkpoint = [w.copy() for w in weights]
             record_epoch(report, data, weights, round_idx * epochs_per_round + epoch, kept_fraction, mean_loss)

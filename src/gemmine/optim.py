@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -12,12 +12,22 @@ import numpy as np
 class SgdMomentum:
     momentum: float = 0.9
 
+    def __post_init__(self):
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError(f"sgd momentum must be in [0, 1), got {self.momentum}")
+
 
 @dataclass(frozen=True)
 class Adam:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"adam betas must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not self.eps > 0.0:
+            raise ValueError(f"adam eps must be > 0, got {self.eps}")
 
 
 OptimizerChoice = Union[SgdMomentum, Adam]
@@ -64,19 +74,20 @@ def make_optimizer(choice: OptimizerChoice, params: Sequence[np.ndarray]):
 
 
 def parse_optimizer(text: str) -> OptimizerChoice:
-    """Parse config strings like ``sgd``, ``sgd:0.9``, ``adam:0.9,0.999,1e-8``."""
+    """Parse config strings like ``sgd``, ``sgd:0.9``, ``adam:0.9,0.999,1e-8``.
+
+    The arguments fill the optimizer's fields in order; the rest keep their defaults.
+    """
     head, _, args = text.strip().partition(":")
     head = head.lower()
     if head in ("sgd", "sgd_momentum"):
-        return SgdMomentum(momentum=float(args)) if args else SgdMomentum()
-    if head == "adam":
-        if not args:
-            return Adam()
-        parts = [float(x) for x in args.split(",")]
-        defaults = Adam()
-        return Adam(
-            beta1=parts[0] if len(parts) > 0 else defaults.beta1,
-            beta2=parts[1] if len(parts) > 1 else defaults.beta2,
-            eps=parts[2] if len(parts) > 2 else defaults.eps,
-        )
-    raise ValueError(f"unknown optimizer {text!r}")
+        kind = SgdMomentum
+    elif head == "adam":
+        kind = Adam
+    else:
+        raise ValueError(f"unknown optimizer {text!r}")
+    values = [float(x) for x in args.split(",")] if args else []
+    names = [f.name for f in fields(kind)]
+    if len(values) > len(names):
+        raise ValueError(f"{head} takes only {', '.join(names)}, got {len(values)} values")
+    return kind(**dict(zip(names, values)))

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class TrainConfig:
             raise ValueError(f"invalid TrainConfig: epochs={self.epochs}, batch_size={self.batch_size}, lr={self.lr}")
         if isinstance(self.schedule, MultiStep):
             ms = self.schedule.milestones
-            if any(b <= a for a, b in zip(ms, ms[1:])) or any(m >= self.epochs for m in ms):
-                raise ValueError(f"milestones must be strictly increasing and < epochs, got {ms}")
+            if any(b <= a for a, b in zip(ms, ms[1:])) or any(m < 0 or m >= self.epochs for m in ms):
+                raise ValueError(f"milestones must be strictly increasing and in [0, epochs), got {ms}")
+            if not self.schedule.gamma > 0.0:
+                raise ValueError(f"multistep gamma must be > 0, got {self.schedule.gamma}")
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -159,33 +161,9 @@ def run_epoch(
     return total_loss / n
 
 
-def _live_indices(weights: Sequence[np.ndarray], mask: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Flat indices of each layer's kept weights, after checking the masked-training contract."""
-    live = []
-    for i, (w, m) in enumerate(zip(weights, mask)):
-        keep, drop = m == 1.0, m == 0.0
-        if not np.all(keep | drop):
-            raise ValueError(f"layer {i}: mask entries must be 0 or 1")
-        if np.any(np.where(drop, w, 0.0)):
-            raise ValueError(f"layer {i}: weights must be 0 where the mask is 0")
-        if not w.flags.c_contiguous:
-            raise ValueError(f"layer {i}: weights must be a C-contiguous array")
-        live.append(np.flatnonzero(keep))
-    return live
-
-
-def live_params(weights: Sequence[np.ndarray], mask: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each layer's kept weights as one compact 1-D vector, in flat-index order.
-
-    These are the parameters masked weight training steps: build its
-    optimizer over them.
-    """
-    return [np.take(w, i) for w, i in zip(weights, _live_indices(weights, mask))]
-
-
 def run_masked_epoch(
     weights: list[np.ndarray],
-    mask: Sequence[np.ndarray],
+    live: Sequence[np.ndarray],
     features: np.ndarray,
     labels: np.ndarray,
     batch_size: int,
@@ -193,16 +171,7 @@ def run_masked_epoch(
     lr: float,
     rng: np.random.Generator,
 ) -> float:
-    """One epoch of masked SGD on the weights, in place. Returns mean loss.
-
-    The weights must be 0 wherever the mask is 0, and the mask 0 or 1;
-    otherwise ``ValueError`` names the layer. The weights are then the
-    masked network itself. Only the kept weights are stepped, as the
-    compact vectors of ``live_params(weights, mask)``, which ``optimizer``
-    must have been built over; the dense weights are written only where the
-    mask is 1, so pruned weights keep their zeros, signs included.
-    """
-    live = _live_indices(weights, mask)
+    """One epoch of ``train_masked``, in place: steps each layer's weights at flat indices ``live``. Returns mean loss."""
     flat = [w.reshape(-1) for w in weights]
     params = [f[i] for f, i in zip(flat, live)]
 
@@ -220,6 +189,39 @@ def run_masked_epoch(
     return mean_loss
 
 
+def train_masked(
+    weights: list[np.ndarray], mask: Sequence[np.ndarray], data: DatasetSplit, cfg: TrainConfig, rng: np.random.Generator
+) -> Iterator[tuple[int, float]]:
+    """Train the kept weights of a masked network in place, yielding ``(epoch, mean_loss)`` after each epoch.
+
+    The mask must be 0 or 1, and the weights C-contiguous arrays that are 0
+    wherever the mask is 0, so that they are the masked network itself;
+    otherwise ``ValueError`` names the layer before any step, and the weights
+    are left untouched. Only the kept weights are stepped: each layer's, in
+    flat-index order, form one compact vector, and ``cfg.optimizer`` holds
+    state for these vectors only. Epoch ``e`` runs at ``lr_at(cfg, e)`` on
+    batches of ``data``'s training split drawn from ``rng``. The kernel's
+    gradient is gathered at the kept indices, and the dense weights are
+    written only there, so pruned weights keep their zeros, signs included.
+    At each yield the dense weights are up to date.
+    """
+    live = []
+    for i, (w, m) in enumerate(zip(weights, mask)):
+        keep, drop = m == 1.0, m == 0.0
+        if not np.all(keep | drop):
+            raise ValueError(f"layer {i}: mask entries must be 0 or 1")
+        if np.any(np.where(drop, w, 0.0)):
+            raise ValueError(f"layer {i}: weights must be 0 where the mask is 0")
+        if not w.flags.c_contiguous:
+            raise ValueError(f"layer {i}: weights must be a C-contiguous array")
+        live.append(np.flatnonzero(keep))
+    optimizer = make_optimizer(cfg.optimizer, [np.take(w, i) for w, i in zip(weights, live)])
+    for epoch in range(cfg.epochs):
+        yield epoch, run_masked_epoch(
+            weights, live, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
+        )
+
+
 def finetune(
     weights: Sequence[np.ndarray],
     mask: Sequence[np.ndarray],
@@ -228,27 +230,21 @@ def finetune(
 ) -> tuple[list[np.ndarray], RunReport]:
     """Train only the masked-in weights for ``cfg.epochs`` epochs.
 
-    Returns fresh weight arrays, ``weights * mask`` trained, so they are 0
-    wherever the mask is 0; the inputs are not modified. The mask must be 0
-    or 1 (``ValueError`` otherwise). The optimizer holds state for the kept
-    weights only. The report's pre/post accuracies are measured on the test
+    Returns fresh weight arrays, ``weights * mask`` trained by
+    ``train_masked`` (whose docstring gives the mask rules and the training
+    scheme), so they are 0 wherever the mask is 0; the inputs are not
+    modified. The report's pre/post accuracies are measured on the test
     split, and its layerwise rows describe ``mask``.
     """
-    kept = sum(int(np.sum(m)) for m in mask)
-    if kept == 0:
+    sparsity = mask_sparsity(list(mask))
+    if sparsity == 0.0:
         raise ValueError("finetune: mask keeps no weights")
     trained = [np.asarray(w, dtype=np.float64) * m for w, m in zip(weights, mask)]
-    sparsity = mask_sparsity(list(mask))
     report = RunReport(epochs=cfg.epochs, layerwise=layerwise_report(mask))
     _, pre_acc = evaluate(trained, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc
 
-    optimizer = make_optimizer(cfg.optimizer, live_params(trained, mask))
-    rng = stream_rng(cfg.seed, STREAM_BATCHES)
-    for epoch in range(cfg.epochs):
-        mean_loss = run_masked_epoch(
-            trained, mask, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
-        )
+    for epoch, mean_loss in train_masked(trained, mask, data, cfg, stream_rng(cfg.seed, STREAM_BATCHES)):
         record_epoch(report, data, trained, epoch, sparsity, mean_loss)
     _, post_acc = evaluate(trained, data.test_x, data.test_y)
     report.post_finetune_accuracy = post_acc

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -83,6 +84,20 @@ def test_load_idx_train_limit_exact(tmp_path):
     # the split is checked when it is built, not by each miner on first use
     with pytest.raises(ValueError, match="train: no rows"):
         load_idx(directory, train_limit=0, val_fraction=0.25)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"train_limit": -5}, "train_limit must be >= 0, got -5"),
+        ({"val_fraction": -0.5}, "val_fraction must be in [0, 1), got -0.5"),
+        ({"val_fraction": 1.0}, "val_fraction must be in [0, 1), got 1.0"),
+        ({"val_fraction": float("nan")}, "val_fraction must be in [0, 1), got nan"),
+    ],
+)
+def test_load_idx_rejects_a_bad_split(tmp_path, settings, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_idx(_archive(tmp_path), **settings)
 
 
 def _split(n_train=4, **overrides) -> DatasetSplit:

@@ -11,6 +11,7 @@ import gemmine.harness as harness
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
+from gemmine.data import make_digit_archive
 from gemmine.masking import MaskedLayer, extract_mask, mask_sparsity
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
@@ -124,6 +125,16 @@ def test_config_number_errors_name_the_key(line, key):
         ),
         ("finetune.epochs = -1", "finetune", "invalid TrainConfig"),
         ("finetune.schedule = multistep:5,2", "finetune", "milestones must be strictly increasing"),
+        ("finetune.schedule = multistep:-1,2", "finetune", "milestones must be strictly increasing and in [0, epochs), got (-1, 2)"),
+        ("finetune.schedule = multistep:2:-1", "finetune", "multistep gamma must be > 0, got -1.0"),
+        ("finetune.schedule = multistep:2:0", "finetune", "multistep gamma must be > 0, got 0.0"),
+        ("miner.optimizer = sgd:-3", "miner.optimizer", "sgd momentum must be in [0, 1), got -3.0"),
+        ("finetune.optimizer = sgd:1", "finetune.optimizer", "sgd momentum must be in [0, 1), got 1.0"),
+        ("miner.optimizer = adam:1.5,0.999", "miner.optimizer", "adam betas must be in [0, 1), got 1.5, 0.999"),
+        ("finetune.optimizer = adam:0.9,-0.1", "finetune.optimizer", "adam betas must be in [0, 1), got 0.9, -0.1"),
+        ("finetune.optimizer = adam:0.9,0.999,0", "finetune.optimizer", "adam eps must be > 0, got 0.0"),
+        ("miner.optimizer = adam:0.9,0.999,1e-8,7", "miner.optimizer", "adam takes only beta1, beta2, eps, got 4 values"),
+        ("finetune.optimizer = sgd:0.9,0.5", "finetune.optimizer", "sgd takes only momentum, got 2 values"),
         ("sr.imp_profile = 0.5,2", "sr.imp_profile", "keep ratios must be in (0, 1]"),
         ("miner.algorithm = sr\nsr.variant = v2", "sr", "v2 needs a reference mining profile"),
         ("miner.algorithm = sr\nsr.variant = v5", "sr", "v5 needs a reference mining profile"),
@@ -173,6 +184,21 @@ def test_config_range_errors_name_the_key(line, key, message):
 )
 def test_config_accepts_smart_ratio_settings_that_run(line):
     build_experiment_config(BASE_CFG + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("task.train_limit = -5", "train_limit must be >= 0, got -5"),
+        ("task.val_fraction = -0.5", "val_fraction must be in [0, 1), got -0.5"),
+        ("task.val_fraction = 1", "val_fraction must be in [0, 1), got 1.0"),
+    ],
+)
+def test_config_rejects_a_bad_idx_split(tmp_path, line, message):
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    text = f"task.kind = idx\ntask.path = digits\nnet.widths = 784,4,10\nseeds = 0\n{line}\n"
+    with pytest.raises(ConfigError, match=f"^task: {re.escape(message)}"):
+        build_experiment_config(text, base_dir=tmp_path)
 
 
 def test_config_missing_idx_path(tmp_path):

@@ -804,33 +804,33 @@ def test_edge_popup_and_smart_ratio_reports_describe_the_returned_network(digits
     assert [m.tobytes() for m in no_data.mask] == [m.tobytes() for m in v1.mask]
 
 
-def test_report_building_stays_in_miners_common():
-    """Miners hand their epochs to trainer.record_epoch and their tails to common.mining_result."""
-    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
-    banned = {"EpochRecord", "evaluate", "layerwise_report", "MaskedLayer"}
+def _miner_names(banned, skip=("common.py",)):
+    """``file:line: name`` for each NAME token in ``banned`` in the miner modules, except those named in ``skip``."""
     offenders = []
-    for path in sorted(miners.glob("*.py")):
-        if path.name == "common.py":
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners").glob("*.py")):
+        if path.name in skip:
             continue
         with open(path, "rb") as f:
             # whole NAME tokens only: docstrings and comments may still mention them
             tokens = tokenize.tokenize(f.readline)
             offenders += [f"{path.name}:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
-    assert offenders == []
+    return offenders
+
+
+def test_report_building_stays_in_miners_common():
+    """Miners hand their epochs to trainer.record_epoch and their tails to common.mining_result."""
+    assert _miner_names({"EpochRecord", "evaluate", "layerwise_report", "MaskedLayer"}) == []
 
 
 def test_score_descent_loop_stays_in_miners_common():
     """Gem-Miner and edge-popup hand their mask rules to common.score_descent; no miner runs its own loop."""
-    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
-    banned = {"run_epoch", "patch_flips", "score_loss_and_grads", "init_scores"}
-    offenders = []
-    for path in sorted(miners.glob("*.py")):
-        if path.name == "common.py":
-            continue
-        with open(path, "rb") as f:
-            tokens = tokenize.tokenize(f.readline)
-            offenders += [f"{path.name}:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
-    assert offenders == []
+    assert _miner_names({"run_epoch", "patch_flips", "score_loss_and_grads", "init_scores"}) == []
+
+
+def test_masked_weight_training_stays_in_the_trainer():
+    """IMP trains through trainer.train_masked, and only common.score_descent builds an optimizer."""
+    assert _miner_names({"run_masked_epoch", "lr_at", "live_params"}, skip=()) == []
+    assert _miner_names({"make_optimizer"}) == []
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ from gemmine.trainer import (
     batch_indices,
     evaluate,
     finetune,
-    live_params,
     lr_at,
     run_epoch,
-    run_masked_epoch,
+    train_masked,
 )
 
 
@@ -210,12 +209,13 @@ def test_sparsity_constant_during_finetune(blobs):
 
 
 def test_run_masked_epoch_reports_mean_loss(blobs):
+    """Through train_masked, which runs one run_masked_epoch per epoch."""
     spec = NetworkSpec((2, 6, 2))
     weights = [w.copy() for w in init_weights(spec, "scaled_normal", seed=0)]
     mask = [np.ones_like(w) for w in weights]
-    opt = make_optimizer(SgdMomentum(), live_params(weights, mask))
+    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.05)
     rng = stream_rng(0, STREAM_BATCHES)
-    loss = run_masked_epoch(weights, mask, blobs.train_x, blobs.train_y, 16, opt, 0.05, rng)
+    [(_, loss)] = train_masked(weights, mask, blobs, cfg, rng)
     assert math.isfinite(loss) and loss > 0.0
 
 
@@ -233,13 +233,14 @@ def _break_contract(weights, mask, how):
 
 @pytest.mark.parametrize("how", ["weight_outside_mask", "not_c_contiguous", 0.5, 2.0, -1.0, float("nan")])
 def test_run_masked_epoch_rejects_a_broken_contract(blobs, how):
+    """train_masked checks the contract before its first run_masked_epoch."""
     weights = [w.copy() for w in init_weights(NetworkSpec((2, 6, 2)), SCALED_NORMAL, seed=0)]
     mask = [np.ones_like(w) for w in weights]
-    opt = make_optimizer(SgdMomentum(), live_params(weights, mask))
+    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.05)
     message = _break_contract(weights, mask, how)
     before = [w.copy() for w in weights]
     with pytest.raises(ValueError, match=message):
-        run_masked_epoch(weights, mask, blobs.train_x, blobs.train_y, 16, opt, 0.05, stream_rng(0, STREAM_BATCHES))
+        next(train_masked(weights, mask, blobs, cfg, stream_rng(0, STREAM_BATCHES)))
     for w, w0 in zip(weights, before):
         assert w.tobytes() == w0.tobytes()
 
