@@ -88,7 +88,9 @@ class MiningResult:
 
     ``inversion_scores`` carries the per-weight importances a score-inversion
     sanity check needs (final scores for score-based miners, weight
-    magnitudes at prune time for magnitude-based ones).
+    magnitudes at prune time for magnitude-based ones). ``round_masks`` (IMP
+    only) holds the mask after each round's prune as boolean arrays, 1 byte
+    per weight per round; ``mask`` and every other array are float64.
     """
 
     layers: list[MaskedLayer]

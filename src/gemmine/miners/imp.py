@@ -112,7 +112,7 @@ def imp(
 
         magnitudes = [np.abs(w) for w in weights]
         mask = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
-        round_masks.append([m.copy() for m in mask])
+        round_masks.append([m != 0.0 for m in mask])
         if rewind.kind == COLD:
             weights = [w0 * m for w0, m in zip(initial, mask)]
         elif rewind.kind == WARM:

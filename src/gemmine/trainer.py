@@ -239,7 +239,7 @@ def finetune(
     sparsity = mask_sparsity(list(mask))
     if sparsity == 0.0:
         raise ValueError("finetune: mask keeps no weights")
-    trained = [np.asarray(w, dtype=np.float64) * m for w, m in zip(weights, mask)]
+    trained = [np.multiply(np.asarray(w, dtype=np.float64), m, order="C") for w, m in zip(weights, mask)]
     report = RunReport(epochs=cfg.epochs, layerwise=layerwise_report(mask))
     _, pre_acc = evaluate(trained, data.test_x, data.test_y)
     report.pre_finetune_accuracy = pre_acc

@@ -1,5 +1,7 @@
+import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +109,13 @@ def _split(n_train=4, **overrides) -> DatasetSplit:
     return DatasetSplit(**{**fields, **overrides})
 
 
+def _poisoned(rows: int, value: float) -> np.ndarray:
+    """Finite features with one entry set to ``value``, so only one of min and max can show it."""
+    x = np.arange(rows * 2, dtype=np.float64).reshape(rows, 2)
+    x[rows // 2, 0] = value
+    return x
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -114,6 +123,9 @@ def _split(n_train=4, **overrides) -> DatasetSplit:
         ({"train_y": np.zeros(3, dtype=np.int64)}, "train: 4 feature rows but 3 labels"),
         ({"val_x": np.full((2, 2), np.nan)}, "val: non-finite feature values"),
         ({"test_y": np.array([0, 2])}, r"test: label outside \[0, 2\)"),
+        ({"train_x": _poisoned(4, np.inf)}, "train: non-finite feature values"),
+        ({"test_x": _poisoned(2, -np.inf)}, "test: non-finite feature values"),
+        ({"train_x": _poisoned(4, np.nan)}, "train: non-finite feature values"),
     ],
 )
 def test_dataset_split_rejects_malformed_splits(overrides, message):
@@ -198,3 +210,28 @@ def test_digit_archive_loadable(tmp_path):
     assert split.n_classes == 10
     again, _ = gen_digit_images(60, seed=0)
     assert read_idx_images(tmp_path / "train-images-idx3-ubyte").tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, noise, digest",
+    [
+        (0, 1.0, "32e1516547eeb6d711410634e84844c52b7c30ba95b791c14f9a3ed2f57c08d7"),
+        (7, 0.25, "5ac492fa6f72204e72b604adeb544c1faef34b83ab2d5889f1ef9a928c54ef32"),
+    ],
+)
+def test_digit_generator_bytes_are_pinned(seed, noise, digest):
+    images, labels = gen_digit_images(300, seed=seed, noise=noise)
+    assert hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest() == digest
+
+
+def test_digit_generator_builds_the_images_in_one_float64_buffer():
+    n = 2000
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gen_digit_images(n, seed=0, noise=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * n * 28 * 28 * 8

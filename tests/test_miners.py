@@ -671,6 +671,17 @@ def test_imp_masks_nest_across_rounds():
         seen.append(mask[0].copy())
 
 
+def test_imp_round_masks_are_boolean(blobs):
+    spec = NetworkSpec((2, 8, 2))
+    cfg = MinerConfig(lr=0.05, seed=2, batch_size=16)
+    res = imp(blobs, spec, rounds=3, prune_rate=0.3, rewind=RewindSpec("cold"), epochs_per_round=1, config=cfg)
+    assert len(res.round_masks) == 3
+    assert all(m.dtype == np.bool_ for round_mask in res.round_masks for m in round_mask)
+    for last, m in zip(res.round_masks[-1], res.mask, strict=True):
+        assert np.array_equal(last, m != 0.0)
+    assert all(m.dtype == np.float64 for m in res.mask)
+
+
 def test_imp_deterministic(blobs):
     spec = NetworkSpec((2, 8, 2))
     cfg = MinerConfig(lr=0.05, seed=13, batch_size=16)

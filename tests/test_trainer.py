@@ -152,6 +152,17 @@ def test_finetune_deterministic(blobs):
         assert x.tobytes() == y.tobytes()
 
 
+def test_finetune_accepts_fortran_ordered_inputs(blobs):
+    weights = init_weights(NetworkSpec((2, 6, 2)), "scaled_normal", seed=8)
+    mask = [np.ones_like(w) for w in weights]
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=3)
+    want, want_report = finetune(weights, mask, blobs, cfg)
+    got, got_report = finetune([np.asfortranarray(w) for w in weights], [np.asfortranarray(m) for m in mask], blobs, cfg)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+    assert np.array(_record_rows(got_report)).tobytes() == np.array(_record_rows(want_report)).tobytes()
+
+
 def test_final_loss_not_worse_than_initial_across_seeds(blobs):
     spec = NetworkSpec((2, 10, 2))
     for seed in (0, 1, 2):
@@ -308,7 +319,7 @@ def _reference_imp(data, spec, rounds, prune_rate, rewind, epochs_per_round, con
             rows.append((round_idx * epochs_per_round + epoch, kept_fraction, loss, val_acc))
         magnitudes = [np.abs(w) for w in weights]
         mask = prune_by_magnitude(weights, mask, prune_rate, warnings)
-        round_masks.append([m.copy() for m in mask])
+        round_masks.append([m != 0.0 for m in mask])
         if rewind.kind == COLD:
             weights = [w0 * m for w0, m in zip(initial, mask)]
         elif rewind.kind == WARM:
