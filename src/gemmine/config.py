@@ -21,11 +21,11 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import check_split_settings
-from .masking import INIT_SCHEMES, NetworkSpec
+from .masking import INIT_SCHEMES, SCALED_NORMAL, SIGNED_CONSTANT, NetworkSpec
 from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
 from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
@@ -35,6 +35,8 @@ from .sanity import SanityVariant
 from .trainer import Cosine, MultiStep, TrainConfig
 
 ALGORITHMS = ("gem", "ep", "imp", "sr")
+TASK_KINDS = ("blobs", "two_moons", "idx")
+TRUE_WORDS, FALSE_WORDS = ("true", "1", "yes"), ("false", "0", "no")
 
 
 class ConfigError(ValueError):
@@ -97,24 +99,27 @@ class ExperimentConfig:
     finetune: TrainConfig
     sanity: list[SanityVariant]
     seeds: list[int]
-    init_scheme: str | None = None
-    ep_scope: str = LAYERWISE
-    ep_gradual: bool = False
-    imp_rounds: int = 3
-    imp_prune_rate: float = 0.2
-    imp_epochs_per_round: int = 1
-    imp_rewind: RewindSpec = field(default_factory=RewindSpec)
-    sr_variant: str = "v1"
-    sr_last_layer_keep: float = 0.3
-    sr_tune_steps: int = 50
-    sr_tune_lr: float = 0.01
-    sr_reference_profile: LayerRatios | None = None
-    sr_imp_profile: LayerRatios | None = None
-    raw_text: str = ""
+    init_scheme: str
+    ep_scope: str
+    ep_gradual: bool
+    imp_rounds: int
+    imp_prune_rate: float
+    imp_epochs_per_round: int
+    imp_rewind: RewindSpec
+    sr_variant: str
+    sr_last_layer_keep: float
+    sr_tune_steps: int
+    sr_tune_lr: float
+    sr_reference_profile: LayerRatios | None
+    sr_imp_profile: LayerRatios | None
+    raw_text: str
 
 
 class _Fields:
-    """Typed accessors over the flat key space, tracking unknown keys."""
+    """Checked readers over the flat key space, tracking unknown keys.
+
+    Every error about one key starts with ``<key>: ``.
+    """
 
     def __init__(self, values: dict[str, str]):
         self.values = dict(values)
@@ -129,29 +134,21 @@ class _Fields:
     def require(self, key: str) -> str:
         value = self.get(key)
         if value is None:
-            raise ConfigError(f"missing required key {key!r}")
+            raise ConfigError(f"{key}: missing required key")
         return value
 
-    def _convert(self, key: str, kind, default):
+    def number(self, key: str, kind, default):
+        """``kind(value)``, or ``default`` when the key is absent."""
         raw = self.get(key)
         return default if raw is None else _parse(key, raw, kind)
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        return self._convert(key, int, default)
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        return self._convert(key, float, default)
-
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    def choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
+        """The lower-cased value, which must be one of ``choices``; required when ``default`` is None."""
+        raw = self.require(key) if default is None else self.get(key, default)
+        value = raw.lower()
+        if value not in choices:
+            raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {raw!r}")
+        return value
 
     def get_list(self, key: str) -> list[str]:
         raw = self.get(key)
@@ -170,7 +167,7 @@ def _parse_rewind(key: str, text: str) -> RewindSpec:
         return RewindSpec(COLD)
     if head == WARM:
         return _checked(key, RewindSpec, WARM, warm_epoch=_parse(key, arg, int) if arg else 1)
-    if head in (LR_REWIND, "lr"):
+    if head == LR_REWIND:
         return RewindSpec(LR_REWIND)
     raise ConfigError(f"{key}: unknown rewind {text!r}")
 
@@ -191,68 +188,60 @@ def _parse_schedule_choice(key: str, text: str):
 def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Path | None = None) -> ExperimentConfig:
     fields = _Fields(parse_key_values(text))
 
-    kind = fields.require("task.kind").lower()
-    if kind in ("idx", "idx_dataset"):
-        path_text = fields.require("task.path")
-        path = Path(path_text)
+    kind = fields.choice("task.kind", TASK_KINDS)
+    if kind == "idx":
+        path = Path(fields.require("task.path"))
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         if not path.exists():
-            raise ConfigError(f"task.path does not exist: {path}")
+            raise ConfigError(f"task.path: does not exist: {path}")
         task = TaskConfig(
-            kind="idx",
-            seed=fields.get_int("task.seed", 0),
+            kind=kind,
+            seed=fields.number("task.seed", int, 0),
             path=str(path),
-            train_limit=fields.get_int("task.train_limit", None),
-            val_fraction=fields.get_float("task.val_fraction", 0.1),
-            classes=fields.get_int("task.classes", None),
+            train_limit=fields.number("task.train_limit", int, None),
+            val_fraction=fields.number("task.val_fraction", float, 0.1),
+            classes=fields.number("task.classes", int, None),
         )
         _checked("task", check_split_settings, task.train_limit, task.val_fraction)
-    elif kind in ("blobs", "two_moons", "two-moons"):
-        task = TaskConfig(
-            kind="two_moons" if kind.startswith("two") else "blobs",
-            n=fields.get_int("task.n", 400),
-            noise=fields.get_float("task.noise", 0.1),
-            seed=fields.get_int("task.seed", 0),
-        )
     else:
-        raise ConfigError(f"task.kind must be blobs, two_moons, or idx, got {kind!r}")
+        task = TaskConfig(
+            kind=kind,
+            n=fields.number("task.n", int, 400),
+            noise=fields.number("task.noise", float, 0.1),
+            seed=fields.number("task.seed", int, 0),
+        )
 
     widths = [_parse("net.widths", w, int) for w in fields.require("net.widths").split(",")]
     spec = _checked("net.widths", NetworkSpec, tuple(widths))
 
-    algorithm = fields.get("miner.algorithm", "gem").lower()
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"miner.algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-
-    regularizer = (fields.get("miner.regularizer", L2) or L2).lower()
-    if regularizer not in (L1, L2):
-        raise ConfigError(f"miner.regularizer must be l1 or l2, got {regularizer!r}")
+    algorithm = fields.choice("miner.algorithm", ALGORITHMS, "gem")
     miner = _checked(
         "miner",
         MinerConfig,
-        lr=fields.get_float("miner.lr", 0.1),
-        reg_weight=fields.get_float("miner.lambda", 0.0),
-        regularizer=regularizer,
+        lr=fields.number("miner.lr", float, 0.1),
+        reg_weight=fields.number("miner.lambda", float, 0.0),
+        regularizer=fields.choice("miner.regularizer", (L1, L2), L2),
         optimizer=_checked("miner.optimizer", parse_optimizer, fields.get("miner.optimizer", "sgd")),
-        batch_size=fields.get_int("miner.batch_size", 32),
+        batch_size=fields.number("miner.batch_size", int, 32),
     )
 
+    epochs = fields.number("schedule.epochs", int, 10)
     schedule = _checked(
         "schedule",
         SparsitySchedule,
-        target_sparsity=fields.get_float("schedule.sparsity", 0.5),
-        total_epochs=fields.get_int("schedule.epochs", 10),
-        freeze_period=fields.get_int("schedule.freeze_period", fields.get_int("schedule.epochs", 10)),
+        target_sparsity=fields.number("schedule.sparsity", float, 0.5),
+        total_epochs=epochs,
+        freeze_period=fields.number("schedule.freeze_period", int, epochs),
     )
 
     finetune = _checked(
         "finetune",
         TrainConfig,
-        epochs=fields.get_int("finetune.epochs", 10),
-        batch_size=fields.get_int("finetune.batch_size", 32),
+        epochs=fields.number("finetune.epochs", int, 10),
+        batch_size=fields.number("finetune.batch_size", int, 32),
         optimizer=_checked("finetune.optimizer", parse_optimizer, fields.get("finetune.optimizer", "sgd")),
-        lr=fields.get_float("finetune.lr", 0.1),
+        lr=fields.number("finetune.lr", float, 0.1),
         schedule=_parse_schedule_choice("finetune.schedule", fields.get("finetune.schedule", "cosine")),
     )
 
@@ -266,22 +255,12 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         if len(set(values)) < len(values):
             raise ConfigError(f"{key}: each entry must be distinct, got {', '.join(map(str, values))}")
 
-    init_scheme = fields.get("init.scheme")
-    if init_scheme is not None and init_scheme not in INIT_SCHEMES:
-        raise ConfigError(f"init.scheme must be one of {INIT_SCHEMES}, got {init_scheme!r}")
-
-    sr_variant = fields.get("sr.variant", "v1").lower()
-    if sr_variant not in VARIANTS:
-        raise ConfigError(f"sr.variant must be one of {VARIANTS}, got {sr_variant!r}")
-
     def profile(key: str) -> LayerRatios | None:
         parts = fields.get_list(key)
         return _checked(key, LayerRatios, tuple(_parse(key, p, float) for p in parts)) if parts else None
 
-    ep_scope = fields.get("ep.scope", LAYERWISE).lower()
-    if ep_scope not in (LAYERWISE, GLOBAL):
-        raise ConfigError(f"ep.scope must be layerwise or global, got {ep_scope!r}")
-
+    # score miners operate on fixed-magnitude weights; weight trainers draw normals
+    default_scheme = SIGNED_CONSTANT if algorithm in ("gem", "ep") else SCALED_NORMAL
     cfg = ExperimentConfig(
         run_id=fields.get("run.id", default_run_id),
         task=task,
@@ -292,17 +271,17 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         finetune=finetune,
         sanity=sanity,
         seeds=seeds,
-        init_scheme=init_scheme,
-        ep_scope=ep_scope,
-        ep_gradual=fields.get_bool("ep.gradual", False),
-        imp_rounds=fields.get_int("imp.rounds", 3),
-        imp_prune_rate=fields.get_float("imp.prune_rate", 0.2),
-        imp_epochs_per_round=fields.get_int("imp.epochs_per_round", 1),
-        imp_rewind=_parse_rewind("imp.rewind", fields.get("imp.rewind", "cold")),
-        sr_variant=sr_variant,
-        sr_last_layer_keep=fields.get_float("sr.last_layer_keep", 0.3),
-        sr_tune_steps=fields.get_int("sr.tune_steps", 50),
-        sr_tune_lr=fields.get_float("sr.tune_lr", 0.01),
+        init_scheme=fields.choice("init.scheme", INIT_SCHEMES, default_scheme),
+        ep_scope=fields.choice("ep.scope", (LAYERWISE, GLOBAL), LAYERWISE),
+        ep_gradual=fields.choice("ep.gradual", TRUE_WORDS + FALSE_WORDS, "false") in TRUE_WORDS,
+        imp_rounds=fields.number("imp.rounds", int, 3),
+        imp_prune_rate=fields.number("imp.prune_rate", float, 0.2),
+        imp_epochs_per_round=fields.number("imp.epochs_per_round", int, 1),
+        imp_rewind=_parse_rewind("imp.rewind", fields.get("imp.rewind", COLD)),
+        sr_variant=fields.choice("sr.variant", VARIANTS, "v1"),
+        sr_last_layer_keep=fields.number("sr.last_layer_keep", float, 0.3),
+        sr_tune_steps=fields.number("sr.tune_steps", int, 50),
+        sr_tune_lr=fields.number("sr.tune_lr", float, 0.01),
         sr_reference_profile=profile("sr.reference_profile"),
         sr_imp_profile=profile("sr.imp_profile"),
         raw_text=text,
@@ -311,7 +290,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         _checked("imp", check_imp_settings, cfg.imp_rounds, cfg.imp_prune_rate, cfg.imp_rewind, cfg.imp_epochs_per_round)
     if algorithm == "sr":
         sr_settings = (cfg.sr_reference_profile, cfg.sr_imp_profile, cfg.sr_last_layer_keep, cfg.sr_tune_steps)
-        _checked("sr", check_smart_ratio_settings, spec, sr_variant, *sr_settings)
+        _checked("sr", check_smart_ratio_settings, spec, cfg.sr_variant, *sr_settings)
     unknown = fields.unknown()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -203,7 +203,7 @@ def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> DatasetSplit:
         center = np.array([1.5, 1.5])
         x0 = -center + noise * rng.standard_normal((n0, 2))
         x1 = center + noise * rng.standard_normal((n1, 2))
-    elif kind in ("two_moons", "two-moons"):
+    elif kind == "two_moons":
         t0 = rng.random(n0) * np.pi
         t1 = rng.random(n1) * np.pi
         x0 = np.stack([np.cos(t0), np.sin(t0)], axis=1)

@@ -31,7 +31,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, TaskConfig
 from .data import DatasetSplit, gen_synthetic, load_idx
-from .masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, mask_sparsity
+from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
 from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask, write_layerwise_csv
 from .trainer import RunReport, finetune
@@ -74,31 +74,25 @@ def build_dataset(task: TaskConfig) -> DatasetSplit:
     return gen_synthetic(task.kind, task.n, task.noise, task.seed)
 
 
-def default_init_scheme(algorithm: str) -> str:
-    # score miners operate on fixed-magnitude weights; weight trainers draw normals
-    return SIGNED_CONSTANT if algorithm in ("gem", "ep") else SCALED_NORMAL
-
-
 def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> MiningResult:
-    scheme = cfg.init_scheme or default_init_scheme(cfg.algorithm)
     miner = replace(cfg.miner, seed=seed)
     if cfg.algorithm == "gem":
-        return gem_mine(data, cfg.spec, cfg.schedule, miner, init_scheme=scheme)
+        return gem_mine(data, cfg.spec, cfg.schedule, miner, init_scheme=cfg.init_scheme)
     if cfg.algorithm == "ep":
         return edge_popup(
-            data, cfg.spec, cfg.schedule, miner, scope=cfg.ep_scope, gradual=cfg.ep_gradual, init_scheme=scheme
+            data, cfg.spec, cfg.schedule, miner, scope=cfg.ep_scope, gradual=cfg.ep_gradual, init_scheme=cfg.init_scheme
         )
     if cfg.algorithm == "imp":
         return imp(
             data, cfg.spec, rounds=cfg.imp_rounds, prune_rate=cfg.imp_prune_rate, rewind=cfg.imp_rewind,
-            epochs_per_round=cfg.imp_epochs_per_round, config=miner, init_scheme=scheme,
+            epochs_per_round=cfg.imp_epochs_per_round, config=miner, init_scheme=cfg.init_scheme,
         )
     if cfg.algorithm == "sr":
         return smart_ratio(
             cfg.spec, cfg.schedule.target_sparsity, cfg.sr_variant, seed, data=data,
             reference_profile=cfg.sr_reference_profile, imp_profile=cfg.sr_imp_profile,
             last_layer_keep=cfg.sr_last_layer_keep, tune_steps=cfg.sr_tune_steps, tune_lr=cfg.sr_tune_lr,
-            init_scheme=scheme,
+            init_scheme=cfg.init_scheme,
         )
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
@@ -117,8 +111,7 @@ def variant_network(
     if variant == SHUFFLE:
         return weights, shuffle_mask(mask, seed + _SHUFFLE_SEED_OFFSET)
     if variant == REINIT:
-        scheme = cfg.init_scheme or default_init_scheme(cfg.algorithm)
-        fresh = reinit_weights(result.layers, cfg.spec, scheme, seed + _REINIT_SEED_OFFSET)
+        fresh = reinit_weights(result.layers, cfg.spec, cfg.init_scheme, seed + _REINIT_SEED_OFFSET)
         return [layer.weights for layer in fresh], mask
     if variant == INVERT:
         if result.inversion_scores is None:

@@ -71,6 +71,8 @@ class MaskedLayer:
         shapes = [a.shape for a in (self.weights, self.mask, self.scores) if a is not None]
         if len(set(shapes)) != 1:
             raise ValueError(f"MaskedLayer fields must share one shape, got {'/'.join(map(str, shapes))}")
+        if not np.all((self.mask == 0) | (self.mask == 1)):
+            raise ValueError("MaskedLayer mask entries must be 0 or 1")
         if self.scores is not None and np.any((self.mask != 0.0) & ~(self.scores >= 0.5)):
             raise ValueError("MaskedLayer mask keeps a weight whose score is below 0.5")
 

@@ -33,6 +33,7 @@ from .common import LayerRatios, MiningResult, mining_result
 
 VARIANTS = ("v1", "v2", "v3", "v4", "v5", "v6")
 MIN_RATIO = 1e-3
+TUNE_BATCH_SIZE = 64
 
 __all__ = ["smart_ratio", "check_smart_ratio_settings", "smooth_ratios", "tune_ratios", "sample_ratio_mask", "VARIANTS"]
 
@@ -123,14 +124,14 @@ def tune_ratios(
     steps: int,
     lr: float,
     seed: int = 0,
-    batch_size: int = 64,
 ) -> LayerRatios:
     """Stochastic descent on the expected loss of Bernoulli-sampled masks.
 
-    Each step samples per-layer masks with the current keep probabilities,
-    takes the gradient of the batch loss with respect to the sampled mask
-    entries, sums it per layer, and moves the keep probabilities downhill.
-    Results are clamped to (1e-3, 1].
+    Each step draws a batch of ``TUNE_BATCH_SIZE`` training rows (all of
+    them when there are fewer), samples per-layer masks with the current
+    keep probabilities, takes the gradient of the batch loss with respect
+    to the sampled mask entries, sums it per layer, and moves the keep
+    probabilities downhill. Results are clamped to (1e-3, 1].
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -138,7 +139,7 @@ def tune_ratios(
     rng = stream_rng(seed, STREAM_SAMPLING)
     n = data.train_x.shape[0]
     for _ in range(steps):
-        idx = rng.choice(n, size=min(batch_size, n), replace=False)
+        idx = rng.choice(n, size=min(TUNE_BATCH_SIZE, n), replace=False)
         masks = [(rng.random(w.shape) < r).astype(np.float64) for w, r in zip(weights, ratios)]
         _, d_eff = loss_and_grads(data.train_x[idx], data.train_y[idx], [w * m for w, m in zip(weights, masks)])
         grad = np.array([float(np.sum(d * w)) for d, w in zip(d_eff, weights)])

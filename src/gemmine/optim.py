@@ -80,7 +80,7 @@ def parse_optimizer(text: str) -> OptimizerChoice:
     """
     head, _, args = text.strip().partition(":")
     head = head.lower()
-    if head in ("sgd", "sgd_momentum"):
+    if head == "sgd":
         kind = SgdMomentum
     elif head == "adam":
         kind = Adam

@@ -163,3 +163,16 @@ def test_masked_layer_rejects_a_kept_weight_scored_below_half():
         _layer(np.ones((1, 2)), [[1.0, 1.0]], [[0.9, BELOW_HALF]])
     with pytest.raises(ValueError, match="below 0.5"):
         _layer(np.ones((1, 1)), [[1.0]], [[np.nan]])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+def test_masked_layer_rejects_a_mask_entry_other_than_0_or_1(bad):
+    # such a mask would reload rounded to 0/1, or be counted by its value
+    with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+        _layer(np.ones((1, 3)), [[0.0, 1.0, bad]])
+
+
+def test_masked_layer_accepts_a_boolean_mask(tmp_path):
+    mask = np.array([[True, False, True]])
+    layer = MaskedLayer(weights=np.ones((1, 3)), mask=mask)
+    assert _reloaded_mask(tmp_path / "a.tfmc", [layer])[0].tolist() == [[1.0, 0.0, 1.0]]

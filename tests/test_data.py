@@ -186,6 +186,11 @@ def test_synthetic_minimum_size():
         gen_synthetic("spirals", 50, 0.1, seed=0)
 
 
+def test_synthetic_kind_has_one_spelling():
+    with pytest.raises(ValueError, match="unknown synthetic kind 'two-moons'"):
+        gen_synthetic("two-moons", 50, 0.1, seed=0)
+
+
 def test_noiseless_blobs_trainable_to_perfect_accuracy():
     data = gen_synthetic("blobs", 60, noise=0.0, seed=2)
     spec = NetworkSpec((2, 8, 2))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tokenize
 from dataclasses import replace
@@ -12,7 +13,8 @@ from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
 from gemmine.data import make_digit_archive
-from gemmine.masking import MaskedLayer, extract_mask, mask_sparsity
+from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, mask_sparsity
+from gemmine.miners import smooth_ratios
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
 from gemmine.trainer import MultiStep, finetune
@@ -207,6 +209,87 @@ def test_config_missing_idx_path(tmp_path):
         build_experiment_config(text, base_dir=tmp_path)
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("task.kind = spirals", "task.kind"),
+        ("miner.algorithm = sgd", "miner.algorithm"),
+        ("miner.regularizer = l3", "miner.regularizer"),
+        ("init.scheme = uniform", "init.scheme"),
+        ("sr.variant = v7", "sr.variant"),
+        ("ep.scope = everywhere", "ep.scope"),
+        ("ep.gradual = maybe", "ep.gradual"),
+    ],
+)
+def test_config_choice_errors_name_the_key(line, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be one of"):
+        build_experiment_config(BASE_CFG + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, key, message",
+    [
+        # each value has one spelling, the one README documents
+        ("task.kind = two-moons", "task.kind", "must be one of blobs, two_moons, idx, got 'two-moons'"),
+        ("task.kind = idx_dataset", "task.kind", "must be one of blobs, two_moons, idx, got 'idx_dataset'"),
+        ("imp.rewind = lr", "imp.rewind", "unknown rewind 'lr'"),
+        ("miner.optimizer = sgd_momentum", "miner.optimizer", "unknown optimizer 'sgd_momentum'"),
+        ("finetune.optimizer = sgd_momentum:0.9", "finetune.optimizer", "unknown optimizer 'sgd_momentum:0.9'"),
+        ("miner.regularizer =", "miner.regularizer", "must be one of l1, l2, got ''"),
+    ],
+)
+def test_config_rejects_removed_spellings(line, key, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {re.escape(message)}$"):
+        build_experiment_config(BASE_CFG + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("net.widths = 2,4,2\n", "task.kind"),
+        ("task.kind = blobs\n", "net.widths"),
+        ("task.kind = idx\nnet.widths = 2,4,2\n", "task.path"),
+    ],
+)
+def test_config_missing_key_errors_name_the_key(text, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: missing required key$"):
+        build_experiment_config(text)
+
+
+def test_config_missing_idx_path_names_the_key(tmp_path):
+    text = "task.kind = idx\ntask.path = missing_dir\nnet.widths = 2,4,2\nseeds = 0\n"
+    missing = re.escape(str(tmp_path / "missing_dir"))
+    with pytest.raises(ConfigError, match=f"^task.path: does not exist: {missing}$"):
+        build_experiment_config(text, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "algorithm, scheme",
+    [("gem", SIGNED_CONSTANT), ("ep", SIGNED_CONSTANT), ("imp", SCALED_NORMAL), ("sr", SCALED_NORMAL)],
+)
+def test_config_resolves_the_init_scheme(algorithm, scheme):
+    assert build_experiment_config(BASE_CFG + f"miner.algorithm = {algorithm}\n").init_scheme == scheme
+    other = SCALED_NORMAL if scheme == SIGNED_CONSTANT else SIGNED_CONSTANT
+    text = BASE_CFG + f"miner.algorithm = {algorithm}\ninit.scheme = {other}\n"
+    assert build_experiment_config(text).init_scheme == other
+
+
+def test_config_choice_values_ignore_case():
+    text = BASE_CFG + (
+        "task.kind = Two_Moons\nminer.algorithm = EP\nminer.regularizer = L1\n"
+        "init.scheme = Scaled_Normal\nsr.variant = V3\nep.scope = GLOBAL\nep.gradual = Yes\n"
+    )
+    cfg = build_experiment_config(text)
+    values = (cfg.task.kind, cfg.algorithm, cfg.miner.regularizer, cfg.init_scheme, cfg.sr_variant, cfg.ep_scope)
+    assert values == ("two_moons", "ep", "l1", SCALED_NORMAL, "v3", "global")
+    assert cfg.ep_gradual is True
+
+
+@pytest.mark.parametrize("word, value", [("true", True), ("1", True), ("yes", True), ("false", False), ("0", False), ("no", False)])
+def test_config_ep_gradual_spellings(word, value):
+    assert build_experiment_config(BASE_CFG + f"ep.gradual = {word}\n").ep_gradual is value
+
+
 def test_run_experiment_matrix(tmp_path):
     cfg = build_experiment_config(BASE_CFG)
     run_dir = harness.run_experiment(cfg, tmp_path)
@@ -224,6 +307,27 @@ def test_run_experiment_matrix(tmp_path):
         assert abs(mask_sparsity(extract_mask(loaded)) - float(row["sparsity"])) <= 1e-12
         report = run_dir / "reports" / f"seed{row['seed']}_{row['variant']}.json"
         assert report.exists()
+
+
+def test_run_experiment_smart_ratio_on_a_digit_archive(tmp_path):
+    make_digit_archive(tmp_path / "digits", n_train=60, n_test=20, seed=0)
+    text = (
+        "task.kind = idx\ntask.path = digits\ntask.train_limit = 40\nnet.widths = 784,8,10\n"
+        "miner.algorithm = sr\nsr.variant = v1\nschedule.sparsity = 0.1\n"
+        "finetune.epochs = 1\nfinetune.batch_size = 16\nsanity = shuffle,reinit\nseeds = 3\n"
+    )
+    cfg = build_experiment_config(text, default_run_id="sr_idx", base_dir=tmp_path)
+    run_dir = harness.run_experiment(cfg, tmp_path / "out")
+    assert not (run_dir / "errors.log").exists()
+    rows = harness.read_summary(run_dir / "summary.csv")
+    assert [(r["algorithm"], r["variant"], r["seed"]) for r in rows] == [("sr", v, "3") for v in ("none", "shuffle", "reinit")]
+    ratios = smooth_ratios(cfg.spec, cfg.schedule.target_sparsity, cfg.sr_last_layer_keep).ratios
+    want = [max(1, math.floor(r * o * i)) for r, (o, i) in zip(ratios, cfg.spec.layer_shapes, strict=True)]
+    for row in rows:
+        mask = extract_mask(load_checkpoint(run_dir / "masks" / f"seed3_{row['variant']}.tfmc"))
+        assert [int(np.count_nonzero(m)) for m in mask] == want
+        assert abs(float(row["sparsity"]) - sum(want) / cfg.spec.total_params) <= 1e-12
+        assert 0.0 <= float(row["pre_acc"]) <= 1.0 and 0.0 <= float(row["post_acc"]) <= 1.0
 
 
 def test_run_experiment_rerun_is_identical(tmp_path):

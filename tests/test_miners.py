@@ -671,6 +671,17 @@ def test_imp_masks_nest_across_rounds():
         seen.append(mask[0].copy())
 
 
+def test_prune_by_magnitude_keeps_one_weight_and_warns_once():
+    weights = [np.array([[0.5, -2.0, 3.0]])]
+    mask = [np.array([[1.0, 1.0, 0.0]])]
+    warnings: list[str] = []
+    for _ in range(2):
+        # two alive at rate 0.9 would round to pruning both
+        pruned = prune_by_magnitude(weights, mask, 0.9, warnings)
+        assert pruned[0].tolist() == [[0.0, 1.0, 0.0]]
+    assert warnings == ["magnitude pruning clamped to keep 1 weight"]
+
+
 def test_imp_round_masks_are_boolean(blobs):
     spec = NetworkSpec((2, 8, 2))
     cfg = MinerConfig(lr=0.05, seed=2, batch_size=16)

@@ -59,6 +59,11 @@ def test_single_weight_hand_update():
     assert w[0] == pytest.approx(0.6, abs=0.0)
 
 
+def test_parse_optimizer_has_one_sgd_spelling():
+    with pytest.raises(ValueError, match="unknown optimizer 'sgd_momentum:0.9'"):
+        parse_optimizer("sgd_momentum:0.9")
+
+
 def test_parse_optimizer_forms():
     assert parse_optimizer("sgd") == SgdMomentum()
     assert parse_optimizer("sgd:0.8") == SgdMomentum(momentum=0.8)
