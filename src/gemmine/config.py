@@ -21,10 +21,11 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import check_split_settings
+from .data import check_split_settings, check_synthetic_settings
 from .masking import INIT_SCHEMES, SCALED_NORMAL, SIGNED_CONSTANT, NetworkSpec
 from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
@@ -44,11 +45,14 @@ class ConfigError(ValueError):
 
 
 def _parse(key: str, text: str, kind):
-    """``kind(text)``, or a ConfigError naming ``key`` when that fails."""
+    """``kind(text)``, or a ConfigError naming ``key`` when that fails or gives a float that is NaN or infinite."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {text!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number, got {text!r}")
+    return value
 
 
 def _checked(key: str, make, *args, **kwargs):
@@ -211,6 +215,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
             noise=fields.number("task.noise", float, 0.1),
             seed=fields.number("task.seed", int, 0),
         )
+        _checked("task.n", check_synthetic_settings, task.n)
 
     widths = [_parse("net.widths", w, int) for w in fields.require("net.widths").split(",")]
     spec = _checked("net.widths", NetworkSpec, tuple(widths))

@@ -25,7 +25,12 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/val/test features with integer labels in [0, n_classes)."""
+    """Disjoint train/val/test features with integer labels in [0, n_classes).
+
+    Features are of one of two kinds: float rows, used as they are, or
+    uint8 pixel rows (``load_idx``), scaled to [0, 1] by ``float_features``
+    only where a batch or a split is read.
+    """
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -51,6 +56,15 @@ class DatasetSplit:
     @property
     def n_features(self) -> int:
         return self.train_x.shape[1]
+
+
+def float_features(x: np.ndarray) -> np.ndarray:
+    """Feature rows as floats: uint8 pixels scaled to [0, 1] as ``x / 255.0``, float rows as they are, uncopied.
+
+    This is the one place pixels are scaled; ``x / 255.0`` has the bits of
+    ``x.astype(np.float64) / 255.0``.
+    """
+    return x / 255.0 if x.dtype == np.uint8 else x
 
 
 def _read_u32be(buf: bytes, offset: int, path: Path, what: str) -> int:
@@ -120,8 +134,12 @@ def load_idx(
 ) -> DatasetSplit:
     """Load an IDX archive directory (conventional train/t10k file names).
 
-    Pixels are scaled to [0, 1] and flattened; a validation split is carved
-    off the shuffled training set before ``train_limit`` applies.
+    Each split's features are its flattened images as one C-contiguous
+    uint8 array of shape (n, rows * cols), 1 byte per pixel; they are
+    scaled to [0, 1] by ``float_features`` per batch and per evaluation.
+    Only the selected rows are copied out of the files, whose buffers are
+    then freed. A validation split is carved off the shuffled training set
+    before ``train_limit`` applies.
     """
     check_split_settings(train_limit, val_fraction)
     directory = Path(directory)
@@ -144,9 +162,10 @@ def load_idx(
                 f"{directory}: {which} label {int(labels.max())} out of range [0, {n_classes})"
             )
 
-    def flatten(images: np.ndarray) -> np.ndarray:
-        # rows * cols, not -1: an empty split has no size to infer it from
-        return images.reshape(images.shape[0], images.shape[1] * images.shape[2]).astype(np.float64) / 255.0
+    def pixel_rows(images: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # rows * cols, not -1: an empty split has no size to infer it from;
+        # indexing by an array copies the rows, so the split holds no view of the file buffer
+        return images.reshape(images.shape[0], images.shape[1] * images.shape[2])[idx]
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(train_images.shape[0])
@@ -158,11 +177,11 @@ def load_idx(
         train_idx = train_idx[:train_limit]
 
     return DatasetSplit(
-        train_x=flatten(train_images[train_idx]),
+        train_x=pixel_rows(train_images, train_idx),
         train_y=train_labels[train_idx].astype(np.int64),
-        val_x=flatten(train_images[val_idx]),
+        val_x=pixel_rows(train_images, val_idx),
         val_y=train_labels[val_idx].astype(np.int64),
-        test_x=flatten(test_images),
+        test_x=pixel_rows(test_images, np.arange(test_images.shape[0])),
         test_y=test_labels.astype(np.int64),
         n_classes=n_classes,
     )
@@ -192,10 +211,15 @@ def _stratified_split(x: np.ndarray, y: np.ndarray, seed: int) -> DatasetSplit:
     )
 
 
-def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> DatasetSplit:
-    """Reproducible 2-class planar datasets: ``blobs`` or ``two_moons``."""
+def check_synthetic_settings(n: int) -> None:
+    """Raise ``ValueError`` unless ``gen_synthetic`` can build a split of ``n`` rows."""
     if n < 10:
         raise ValueError(f"gen_synthetic needs n >= 10, got {n}")
+
+
+def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> DatasetSplit:
+    """Reproducible 2-class planar datasets: ``blobs`` or ``two_moons``."""
+    check_synthetic_settings(n)
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0
@@ -226,6 +250,7 @@ def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> DatasetSplit:
 _TEMPLATE_SEED = 988561
 _IMG = 28
 _N_DIGIT_CLASSES = 10
+DIGIT_BLOCK_ROWS = 256
 
 
 def _digit_templates() -> np.ndarray:
@@ -249,21 +274,28 @@ def gen_digit_images(n: int, seed: int, noise: float = 0.25) -> tuple[np.ndarray
 
     Each pixel is ``round(255 * clip(template + noise * z, 0, 1))`` with
     ``z`` standard normal. The images are built in place in one float64
-    buffer, so the peak is that buffer (``n * 784 * 8`` bytes) plus one
-    class's rows and the uint8 result, about 1.1x the buffer.
+    buffer of ``DIGIT_BLOCK_ROWS`` images, a block at a time, which draws the
+    same normals in the same order as one draw of all ``n``. So beyond the
+    uint8 result, the peak is that buffer (``DIGIT_BLOCK_ROWS * 784 * 8``
+    bytes) and one class's rows of it, whatever ``n`` is.
     """
     templates = _digit_templates()
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % _N_DIGIT_CLASSES
     labels = labels[rng.permutation(n)]
-    images = rng.standard_normal((n, _IMG, _IMG))
-    images *= noise
-    for cls in range(_N_DIGIT_CLASSES):
-        images[labels == cls] += templates[cls]
-    np.clip(images, 0.0, 1.0, out=images)
-    images *= 255.0
-    np.round(images, out=images)
-    return images.astype(np.uint8), labels.astype(np.uint8)
+    out = np.empty((n, _IMG, _IMG), dtype=np.uint8)
+    buffer = np.empty((min(n, DIGIT_BLOCK_ROWS), _IMG, _IMG))
+    for start in range(0, n, DIGIT_BLOCK_ROWS):
+        stop = min(start + DIGIT_BLOCK_ROWS, n)
+        block = rng.standard_normal(out=buffer[: stop - start])
+        block *= noise
+        for cls in range(_N_DIGIT_CLASSES):
+            block[labels[start:stop] == cls] += templates[cls]
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        np.round(block, out=block)
+        out[start:stop] = block
+    return out, labels.astype(np.uint8)
 
 
 def make_digit_archive(directory: str | Path, n_train: int, n_test: int, seed: int = 0, noise: float = 0.25) -> Path:

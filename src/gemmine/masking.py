@@ -241,7 +241,14 @@ def mlp_forward(x: Tensor, layer_weights: Sequence[Tensor]) -> Tensor:
 
 
 def mlp_activations(features: np.ndarray, layer_weights: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Graph-free forward pass: the input, each hidden ReLU output, then the logits."""
+    """Graph-free forward pass: the input, each hidden ReLU output, then the logits.
+
+    ``features`` must be floating point: integer (uint8 pixel) rows raise
+    ``ValueError``, so they are scaled by ``data.float_features`` first.
+    """
+    features = np.asarray(features)
+    if features.dtype.kind != "f":
+        raise ValueError(f"mlp_activations: features must be floating point, got {features.dtype}")
     acts = [np.asarray(features, dtype=np.float64)]
     last = len(layer_weights) - 1
     for i, w in enumerate(layer_weights):

@@ -72,10 +72,10 @@ class MinerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.reg_weight < 0:
-            raise ValueError(f"regularization weight must be >= 0, got {self.reg_weight}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.reg_weight) and self.reg_weight >= 0):
+            raise ValueError(f"regularization weight must be >= 0 and finite, got {self.reg_weight}")
         if self.regularizer not in (L1, L2):
             raise ValueError(f"regularizer must be one of ({L1!r}, {L2!r}), got {self.regularizer!r}")
         if self.batch_size < 1:

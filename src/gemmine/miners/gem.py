@@ -26,7 +26,7 @@ __all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
 def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: SparsitySchedule) -> int:
     """Freeze the globally smallest unfrozen scores, in place.
 
-    ``freeze`` holds one {0, 1} array per layer of ``scores``, 1 where unfrozen.
+    ``freeze`` holds one boolean array per layer of ``scores``, True where unfrozen.
     The survivor count is floor(keep_factor * unfrozen), which keeps the
     unfrozen fraction at or below the envelope; each event can overshoot
     the envelope downward by at most one weight. Equal scores are frozen in
@@ -38,9 +38,9 @@ def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: Sp
     if n_freeze < 1:
         return 0
     # n_freeze <= unfrozen, so the frozen scores, passed as +inf, are never chosen
-    candidates = [np.where(f != 0.0, p, np.inf) for p, f in zip(scores, freeze)]
+    candidates = [np.where(f, p, np.inf) for p, f in zip(scores, freeze)]
     for p, f, hit in zip(scores, freeze, select_smallest_across(candidates, n_freeze)):
-        f[hit] = 0.0
+        f[hit] = False
         p[hit] = 0.0
     return n_freeze
 
@@ -66,7 +66,8 @@ def gem_mine(
     (the controlled, monotone quantity) and the current mask density under
     ``mask_sparsity``.
     """
-    freeze = [np.ones(shape) for shape in spec.layer_shapes]
+    # 1 byte per weight; a float times True has the bits of it times 1.0
+    freeze = [np.ones(shape, dtype=bool) for shape in spec.layer_shapes]
 
     def current_mask(scores):
         return [round_scores(p) * f for p, f in zip(scores, freeze)]

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..data import DatasetSplit
+from ..data import DatasetSplit, float_features
 from ..masking import (
     SCALED_NORMAL,
     STREAM_SAMPLING,
@@ -135,13 +135,15 @@ def tune_ratios(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(lr):
+        raise ValueError(f"tune learning rate must be finite, got {lr}")
     ratios = np.array(p0.ratios, dtype=np.float64)
     rng = stream_rng(seed, STREAM_SAMPLING)
     n = data.train_x.shape[0]
     for _ in range(steps):
         idx = rng.choice(n, size=min(TUNE_BATCH_SIZE, n), replace=False)
         masks = [(rng.random(w.shape) < r).astype(np.float64) for w, r in zip(weights, ratios)]
-        _, d_eff = loss_and_grads(data.train_x[idx], data.train_y[idx], [w * m for w, m in zip(weights, masks)])
+        _, d_eff = loss_and_grads(float_features(data.train_x[idx]), data.train_y[idx], [w * m for w, m in zip(weights, masks)])
         grad = np.array([float(np.sum(d * w)) for d, w in zip(d_eff, weights)])
         ratios = np.clip(ratios - lr * grad, MIN_RATIO, 1.0)
     return LayerRatios(tuple(ratios))

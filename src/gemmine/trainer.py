@@ -11,7 +11,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .data import DatasetSplit
+from .data import DatasetSplit, float_features
 from .masking import STREAM_BATCHES, log_softmax, loss_and_grads, mask_sparsity, mlp_activations, stream_rng
 from .optim import OptimizerChoice, SgdMomentum, make_optimizer
 from .sanity import layerwise_report
@@ -41,7 +41,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
+        if self.epochs < 0 or self.batch_size < 1 or not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"invalid TrainConfig: epochs={self.epochs}, batch_size={self.batch_size}, lr={self.lr}")
         if isinstance(self.schedule, MultiStep):
             ms = self.schedule.milestones
@@ -116,7 +116,7 @@ def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.nda
     """Mean cross-entropy and top-1 accuracy of the network with these (effective) weights."""
     if features.shape[0] == 0:
         return float("nan"), float("nan")
-    logits = mlp_activations(features, weights)[-1]
+    logits = mlp_activations(float_features(features), weights)[-1]
     log_probs = log_softmax(logits)
     n = features.shape[0]
     loss = float(-np.sum(log_probs[np.arange(n), labels]) / n)
@@ -148,12 +148,14 @@ def run_epoch(
 ) -> float:
     """One epoch of minibatch descent on ``params``, in place. Returns mean loss.
 
-    ``batch_loss_and_grads(x, y)`` gives a batch's loss and the gradient for each of ``params``.
+    ``batch_loss_and_grads(x, y)`` gives a batch's loss and the gradient for
+    each of ``params``; ``x`` is the batch's rows of ``features`` as floats
+    (``data.float_features``).
     """
     total_loss = 0.0
     n = features.shape[0]
     for idx in batch_indices(n, batch_size, rng):
-        value, grads = batch_loss_and_grads(features[idx], labels[idx])
+        value, grads = batch_loss_and_grads(float_features(features[idx]), labels[idx])
         if not math.isfinite(value):
             raise FloatingPointError(f"training diverged: loss={value}")
         optimizer.step(params, grads, lr)

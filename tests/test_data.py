@@ -1,14 +1,18 @@
+import ast
 import hashlib
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gemmine.data import (
+    DIGIT_BLOCK_ROWS,
     DatasetSplit,
     IdxFormatError,
+    float_features,
     gen_digit_images,
     gen_synthetic,
     load_idx,
@@ -19,6 +23,7 @@ from gemmine.data import (
     write_idx_labels,
 )
 from gemmine.masking import NetworkSpec, init_weights
+from gemmine.miners import LayerRatios, MinerConfig, SparsitySchedule, gem_mine, smart_ratio
 from gemmine.trainer import TrainConfig, evaluate, finetune
 
 
@@ -74,7 +79,66 @@ def test_load_idx_flattens_and_scales(tmp_path):
     assert split.n_features == 20
     assert split.train_x.shape[0] == 30 and split.val_x.shape[0] == 10
     assert split.test_x.shape[0] == 10
-    assert 0.0 <= split.train_x.min() and split.train_x.max() <= 1.0
+    # stored as the file's uint8 pixels, one flattened image per row
+    train_pixels = read_idx_images(directory / "train-images-idx3-ubyte").reshape(40, 20)
+    test_pixels = read_idx_images(directory / "t10k-images-idx3-ubyte").reshape(10, 20)
+    rows = {r.tobytes() for r in train_pixels}
+    for x in (split.train_x, split.val_x, split.test_x):
+        assert x.dtype == np.uint8 and x.flags.c_contiguous
+        assert x.base is None  # a copy of its rows, not a view of the file buffer
+    assert all(r.tobytes() in rows for r in np.concatenate([split.train_x, split.val_x]))
+    assert split.test_x.tobytes() == test_pixels.tobytes()
+    # and scaled to [0, 1] where they are read
+    for x in (split.train_x, split.val_x, split.test_x):
+        scaled = float_features(x)
+        assert scaled.dtype == np.float64 and 0.0 <= scaled.min() and scaled.max() <= 1.0
+
+
+def test_load_idx_stores_one_byte_per_pixel(digits_dir):
+    split = load_idx(digits_dir, val_fraction=0.1, seed=0)
+    for x in (split.train_x, split.val_x, split.test_x):
+        assert x.dtype == np.uint8 and x.nbytes == x.shape[0] * 784
+    assert split.train_x.shape[0] + split.val_x.shape[0] == 1250 and split.test_x.shape[0] == 400
+
+
+def test_float_features_scales_pixels_and_passes_floats_through():
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    assert float_features(pixels).tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
+    floats = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    assert float_features(floats) is floats
+
+
+def _scaled_up_front(split: DatasetSplit) -> DatasetSplit:
+    """``split`` with its uint8 features scaled to float64 once, as ``load_idx`` used to store them."""
+    scaled = {f"{name}_x": getattr(split, f"{name}_x").astype(np.float64) / 255.0 for name in ("train", "val", "test")}
+    labels = {f"{name}_y": getattr(split, f"{name}_y") for name in ("train", "val", "test")}
+    return DatasetSplit(**scaled, **labels, n_classes=split.n_classes)
+
+
+def test_uint8_features_train_like_features_scaled_up_front(tmp_path):
+    pixels = load_idx(make_digit_archive(tmp_path, n_train=200, n_test=60, seed=2, noise=1.0), val_fraction=0.1, seed=0)
+    floats = _scaled_up_front(pixels)
+    spec = NetworkSpec((784, 12, 10))
+    schedule = SparsitySchedule(target_sparsity=0.3, total_epochs=4, freeze_period=2)
+    config = MinerConfig(lr=0.1, reg_weight=1e-4, batch_size=16, seed=1)
+    runs = []
+    for data in (pixels, floats):
+        mined = gem_mine(data, spec, schedule, config)
+        trained, report = finetune(mined.weights, mined.mask, data, TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1))
+        tuned = smart_ratio(
+            spec, 0.3, "v5", seed=1, data=data, reference_profile=LayerRatios((0.4, 0.6)), tune_steps=3, tune_lr=0.01
+        )
+        runs.append((mined, trained, report, tuned))
+    (mined_a, trained_a, report_a, tuned_a), (mined_b, trained_b, report_b, tuned_b) = runs
+    for a, b in zip(mined_a.layers, mined_b.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert a.scores.tobytes() == b.scores.tobytes()
+    assert mined_a.report.as_dict() == mined_b.report.as_dict()
+    assert [w.tobytes() for w in trained_a] == [w.tobytes() for w in trained_b]
+    assert report_a.as_dict() == report_b.as_dict()
+    assert tuned_a.layer_ratios == tuned_b.layer_ratios
+    assert [m.tobytes() for m in tuned_a.mask] == [m.tobytes() for m in tuned_b.mask]
 
 
 def test_load_idx_train_limit_exact(tmp_path):
@@ -229,8 +293,16 @@ def test_digit_generator_bytes_are_pinned(seed, noise, digest):
     assert hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest() == digest
 
 
-def test_digit_generator_builds_the_images_in_one_float64_buffer():
-    n = 2000
+def test_digit_generator_bytes_are_pinned_across_blocks():
+    n = 1000
+    assert n % DIGIT_BLOCK_ROWS and n > 2 * DIGIT_BLOCK_ROWS  # full blocks, then a partial one
+    images, labels = gen_digit_images(n, seed=3, noise=0.5)
+    digest = hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest()
+    assert digest == "c9740f1b5066363dca0589f010aabb71ded192c0cdb8253bc29495af8d4ff2aa"
+
+
+@pytest.mark.parametrize("n", [2000, 6000])
+def test_digit_generator_builds_the_images_in_fixed_blocks(n):
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -239,4 +311,36 @@ def test_digit_generator_builds_the_images_in_one_float64_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < 1.5 * n * 28 * 28 * 8
+    # beyond the uint8 images and the labels, one float64 block, a class's rows of it and the
+    # templates: about 1.2 blocks for any n, where one buffer of all n images was 1.1 * n / 256 blocks
+    float_block = DIGIT_BLOCK_ROWS * 28 * 28 * 8
+    assert peak - before - n * (28 * 28 + 3 * 8) < 1.5 * float_block
+
+
+def _pixel_scalings(path: Path) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each division by 255 in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(divisor, ast.Constant) and divisor.value == 255:
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_pixels_are_scaled_only_by_float_features():
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    allowed = (Path("data.py"), "float_features")
+    scalings = [
+        (path.relative_to(package), line, function)
+        for path in sorted(package.rglob("*.py"))
+        for line, function in _pixel_scalings(path)
+    ]
+    assert [(path, function) for path, _, function in scalings] == [allowed], scalings

@@ -109,6 +109,18 @@ def test_config_number_errors_name_the_key(line, key):
     "line, key, message",
     [
         ("sanity = bogus", "sanity", "sanity variant must be one of"),
+        # NaN passes every "x <= 0" style range check, and Gem-Miner then mines an all-zero mask
+        ("miner.lr = nan", "miner.lr", "must be a finite number, got 'nan'"),
+        ("miner.lr = inf", "miner.lr", "must be a finite number, got 'inf'"),
+        ("miner.lambda = nan", "miner.lambda", "must be a finite number, got 'nan'"),
+        ("finetune.lr = nan", "finetune.lr", "must be a finite number, got 'nan'"),
+        ("sr.tune_lr = nan", "sr.tune_lr", "must be a finite number, got 'nan'"),
+        ("miner.algorithm = sr\nsr.tune_lr = -inf", "sr.tune_lr", "must be a finite number, got '-inf'"),
+        ("task.noise = nan", "task.noise", "must be a finite number, got 'nan'"),
+        ("finetune.schedule = multistep:2:nan", "finetune.schedule", "must be a finite number, got 'nan'"),
+        # caught when the config is read, not by run_experiment outside its per-seed isolation
+        ("task.n = 5", "task.n", "gen_synthetic needs n >= 10, got 5"),
+        ("task.n = -3", "task.n", "gen_synthetic needs n >= 10, got -3"),
         ("net.widths = 2", "net.widths", "at least one hidden layer"),
         ("schedule.sparsity = 2", "schedule", "target sparsity must be in (0, 1]"),
         ("schedule.freeze_period = 3\nschedule.epochs = 10", "schedule", "freeze period 3 must divide"),

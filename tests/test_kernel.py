@@ -153,6 +153,17 @@ def test_kernel_rejects_label_count_mismatch():
         loss_and_grads(np.ones((2, 2)), np.array([0, 1, 2]), weights)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_kernel_rejects_integer_features(dtype):
+    # unscaled pixels would train silently on values up to 255
+    weights = [np.ones((4, 2)), np.ones((3, 4))]
+    features = np.ones((2, 2), dtype=dtype)
+    with pytest.raises(ValueError, match="features must be floating point"):
+        mlp_activations(features, weights)
+    with pytest.raises(ValueError, match="features must be floating point"):
+        loss_and_grads(features, np.array([0, 1]), weights)
+
+
 def test_training_loops_build_no_graph(blobs, monkeypatch):
     def no_graph(self, *args, **kwargs):
         raise AssertionError("a training loop built an autodiff graph node")

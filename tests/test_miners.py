@@ -97,6 +97,11 @@ def test_miner_config_validation():
         MinerConfig(regularizer="l3")
     with pytest.raises(ValueError):
         MinerConfig(batch_size=0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            MinerConfig(lr=value)
+        with pytest.raises(ValueError, match="regularization weight must be >= 0 and finite"):
+            MinerConfig(reg_weight=value)
 
 
 def test_long_schedule_is_scale_invariant():
@@ -888,6 +893,13 @@ def test_tune_ratios_zero_weight_layer_unmoved():
     after = tune_ratios(before, weights, data, steps=5, lr=0.5, seed=1)
     # a layer of zero weights contributes no gradient to its keep ratio
     assert after.ratios[0] == pytest.approx(0.5, abs=0.0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_tune_ratios_rejects_a_non_finite_learning_rate(lr):
+    data, weights = _toy_one_useful_weight()
+    with pytest.raises(ValueError, match="tune learning rate must be finite"):
+        tune_ratios(LayerRatios((0.5, 0.9)), weights, data, steps=5, lr=lr, seed=1)
 
 
 def test_tune_ratios_dense_matches_dense_loss():

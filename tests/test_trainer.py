@@ -47,6 +47,12 @@ def test_milestones_must_increase_within_range():
         TrainConfig(epochs=100, schedule=MultiStep(milestones=(50, 120)))
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.1])
+def test_train_config_needs_a_positive_finite_learning_rate(lr):
+    with pytest.raises(ValueError, match="invalid TrainConfig"):
+        TrainConfig(epochs=1, lr=lr)
+
+
 def test_single_weight_hand_update():
     # 0.5 * (w*x - y)^2 with w=1, x=2, y=0 and lr=0.1: one step gives w=0.6
     w = np.array([1.0])
