@@ -6,13 +6,13 @@ Layout (all integers little-endian):
     magic "TFMC" | format version u32 | layer count u32
     per layer:
         fan_out u32 | fan_in u32
-        scores   as float32, row-major (the mask itself when the layer has no scores)
+        scores   as float32, row-major (the mask as 0/1 when the layer has no scores)
         mask     as packed bitset, row-major, LSB-first
         weights  as float32, row-major
 
-The reader's mask is ``round(float32 scores) * bitset``. A mask bit of 1
-implies a score >= 0.5, which float32 keeps >= 0.5, so a saved layer's
-mask reloads unchanged; older files holding a freeze bitset read the same way.
+The reader's boolean mask is ``round_scores(float32 scores) & bitset``. A
+kept weight implies a score >= 0.5, which float32 keeps >= 0.5, so a saved
+layer's mask reloads unchanged; older files holding a freeze bitset read the same way.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ def save_checkpoint(path: str | Path, layers: Sequence[MaskedLayer]) -> None:
         blobs.append(struct.pack("<II", fan_out, fan_in))
         scores = layer.mask if layer.scores is None else layer.scores
         blobs.append(np.ascontiguousarray(scores, dtype="<f4").tobytes())
-        bits = (layer.mask.reshape(-1) != 0.0).astype(np.uint8)
-        blobs.append(np.packbits(bits, bitorder="little").tobytes())
+        blobs.append(np.packbits(layer.mask.reshape(-1), bitorder="little").tobytes())
         blobs.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(blobs))
 
@@ -73,7 +72,7 @@ def load_checkpoint(path: str | Path) -> list[MaskedLayer]:
         scores = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
         raw, off = _take(buf, off, (n + 7) // 8, f"layer {idx} mask bitset")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-        mask = round_scores(scores) * bits.astype(np.float64).reshape(fan_out, fan_in)
+        mask = round_scores(scores) & bits.astype(bool).reshape(fan_out, fan_in)
         raw, off = _take(buf, off, 4 * n, f"layer {idx} weights")
         weights = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
         layers.append(MaskedLayer(weights=weights, mask=mask, scores=scores))

@@ -207,7 +207,8 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
             val_fraction=fields.number("task.val_fraction", float, 0.1),
             classes=fields.number("task.classes", int, None),
         )
-        _checked("task", check_split_settings, task.train_limit, task.val_fraction)
+        _checked("task.train_limit", check_split_settings, train_limit=task.train_limit)
+        _checked("task.val_fraction", check_split_settings, val_fraction=task.val_fraction)
     else:
         task = TaskConfig(
             kind=kind,
@@ -291,6 +292,15 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         sr_imp_profile=profile("sr.imp_profile"),
         raw_text=text,
     )
+    if algorithm == "gem":
+        unfrozen = spec.total_params
+        for _ in range(schedule.n_events):
+            unfrozen = schedule.survivors(unfrozen)
+        if unfrozen < 1:
+            raise ConfigError(
+                f"schedule.sparsity: {schedule.target_sparsity:g} leaves none of {spec.total_params} weights "
+                f"unfrozen after {schedule.n_events} freeze events"
+            )
     if algorithm == "imp":
         _checked("imp", check_imp_settings, cfg.imp_rounds, cfg.imp_prune_rate, cfg.imp_rewind, cfg.imp_epochs_per_round)
     if algorithm == "sr":

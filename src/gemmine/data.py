@@ -117,10 +117,10 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
         f.write(labels.tobytes())
 
 
-def check_split_settings(train_limit: int | None, val_fraction: float) -> None:
+def check_split_settings(train_limit: int | None = None, val_fraction: float = 0.0) -> None:
     """Raise ``ValueError`` unless ``load_idx`` can carve a split with these settings."""
-    if train_limit is not None and train_limit < 0:
-        raise ValueError(f"train_limit must be >= 0, got {train_limit}")
+    if train_limit is not None and train_limit < 1:
+        raise ValueError(f"train_limit must be >= 1, got {train_limit}")
     if not (0.0 <= val_fraction < 1.0):
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
 

@@ -1,7 +1,7 @@
 """Masked-network representation shared by every miner.
 
 A network is a list of :class:`MaskedLayer` values: fixed weights and the
-binary mask applied to them. A Gem-Miner layer also keeps the [0, 1]
+boolean mask applied to them. A Gem-Miner layer also keeps the [0, 1]
 scores its mask was rounded from.
 """
 
@@ -55,12 +55,20 @@ class NetworkSpec:
         return sum(o * i for o, i in self.layer_shapes)
 
 
+def as_mask(m) -> np.ndarray:
+    """``m`` as a boolean mask: booleans pass through, 0/1 numbers convert, anything else raises ``ValueError``."""
+    m = np.asarray(m)
+    if m.dtype != bool and not np.all((m == 0) | (m == 1)):
+        raise ValueError("mask entries must be 0 or 1")
+    return m.astype(bool, copy=False)
+
+
 @dataclass
 class MaskedLayer:
-    """One layer: weights (fan_out, fan_in), a mask in {0,1}, optional scores.
+    """One layer: weights (fan_out, fan_in), a boolean mask (``as_mask``), optional scores.
 
-    A mask bit of 1 needs a score >= 0.5 where scores are given, so the
-    checkpoint reader's ``round(scores) * bitset`` gives the mask back.
+    A kept weight needs a score >= 0.5 where scores are given, so the
+    checkpoint reader's ``round_scores(scores) & bitset`` gives the mask back.
     """
 
     weights: np.ndarray
@@ -68,16 +76,12 @@ class MaskedLayer:
     scores: np.ndarray | None = None
 
     def __post_init__(self):
+        self.mask = as_mask(self.mask)
         shapes = [a.shape for a in (self.weights, self.mask, self.scores) if a is not None]
         if len(set(shapes)) != 1:
             raise ValueError(f"MaskedLayer fields must share one shape, got {'/'.join(map(str, shapes))}")
-        if not np.all((self.mask == 0) | (self.mask == 1)):
-            raise ValueError("MaskedLayer mask entries must be 0 or 1")
-        if self.scores is not None and np.any((self.mask != 0.0) & ~(self.scores >= 0.5)):
+        if self.scores is not None and np.any(self.mask & ~(self.scores >= 0.5)):
             raise ValueError("MaskedLayer mask keeps a weight whose score is below 0.5")
-
-
-Mask = list[np.ndarray]
 
 
 def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
@@ -184,18 +188,18 @@ class SmallestSelector:
 
 
 def round_scores(scores: np.ndarray) -> np.ndarray:
-    """Deterministic rounding: 1 exactly where score >= 0.5."""
-    return (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.float64)
+    """Deterministic rounding: the boolean mask that is True exactly where score >= 0.5."""
+    return np.asarray(scores) >= 0.5
 
 
-def extract_mask(layers: Sequence[MaskedLayer]) -> Mask:
+def extract_mask(layers: Sequence[MaskedLayer]) -> list[np.ndarray]:
     return [layer.mask for layer in layers]
 
 
 def mask_sparsity(mask: Sequence[np.ndarray]) -> float:
     if len(mask) == 0:
         raise ValueError("mask_sparsity: empty mask")
-    return sum(int(np.sum(m)) for m in mask) / sum(m.size for m in mask)
+    return sum(int(np.count_nonzero(m)) for m in mask) / sum(m.size for m in mask)
 
 
 def layer_stddev(fan_in: int) -> float:

@@ -50,6 +50,10 @@ class SparsitySchedule:
         """Fraction of unfrozen weights surviving one freeze event."""
         return math.exp(-self.decay_rate * self.freeze_period)
 
+    def survivors(self, unfrozen: int) -> int:
+        """Weights left unfrozen by one freeze event of ``unfrozen``: floor(keep_factor * unfrozen)."""
+        return math.floor(self.keep_factor * unfrozen)
+
     @property
     def n_events(self) -> int:
         return self.total_epochs // self.freeze_period
@@ -89,8 +93,8 @@ class MiningResult:
     ``inversion_scores`` carries the per-weight importances a score-inversion
     sanity check needs (final scores for score-based miners, weight
     magnitudes at prune time for magnitude-based ones). ``round_masks`` (IMP
-    only) holds the mask after each round's prune as boolean arrays, 1 byte
-    per weight per round; ``mask`` and every other array are float64.
+    only) holds the mask after each round's prune. Every mask is boolean, 1
+    byte per weight; the weights, scores and importances are float64.
     """
 
     layers: list[MaskedLayer]
@@ -124,7 +128,7 @@ def mining_result(
     ``MiningResult`` fields.
     """
     if data is not None:
-        _, report.pre_finetune_accuracy = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
+        report.pre_finetune_accuracy = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
     report.layerwise = layerwise_report(mask)
     if scores is None:
         scores = [None] * len(mask)

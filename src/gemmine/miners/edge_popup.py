@@ -99,5 +99,5 @@ def edge_popup(
         return None, keep_fraction(epoch), {}
 
     weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
-    final_mask = [m.astype(np.float64) for m in topk_mask(scores, schedule.target_sparsity, scope, report.warnings)]
-    return mining_result(weights, final_mask, report, data, inversion_scores=[p.copy() for p in scores])
+    final_mask = topk_mask(scores, schedule.target_sparsity, scope, report.warnings)
+    return mining_result(weights, final_mask, report, data, inversion_scores=scores)

@@ -12,8 +12,6 @@ afterwards; the mask ignores it, since its freeze bit is 0.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..data import DatasetSplit
@@ -27,14 +25,14 @@ def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: Sp
     """Freeze the globally smallest unfrozen scores, in place.
 
     ``freeze`` holds one boolean array per layer of ``scores``, True where unfrozen.
-    The survivor count is floor(keep_factor * unfrozen), which keeps the
+    The survivor count is ``schedule.survivors(unfrozen)``, which keeps the
     unfrozen fraction at or below the envelope; each event can overshoot
     the envelope downward by at most one weight. Equal scores are frozen in
     ``select_smallest_across``'s order. The scores frozen by this call are
     set to 0; frozen weights never thaw. Returns the number of weights frozen.
     """
     total_unfrozen = sum(int(np.count_nonzero(f)) for f in freeze)
-    n_freeze = total_unfrozen - math.floor(schedule.keep_factor * total_unfrozen)
+    n_freeze = total_unfrozen - schedule.survivors(total_unfrozen)
     if n_freeze < 1:
         return 0
     # n_freeze <= unfrozen, so the frozen scores, passed as +inf, are never chosen
@@ -70,7 +68,7 @@ def gem_mine(
     freeze = [np.ones(shape, dtype=bool) for shape in spec.layer_shapes]
 
     def current_mask(scores):
-        return [round_scores(p) * f for p, f in zip(scores, freeze)]
+        return [round_scores(p) & f for p, f in zip(scores, freeze)]
 
     def take_bits(scores, epoch, warnings):
         # each optimizer step is projected onto [0, 1] before the scores are used
@@ -89,4 +87,4 @@ def gem_mine(
     weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
     mask = current_mask(scores)
     check_layer_collapse(mask, report.warnings, when="final mask")
-    return mining_result(weights, mask, report, data, scores=scores, inversion_scores=[p.copy() for p in scores])
+    return mining_result(weights, mask, report, data, scores=scores, inversion_scores=scores)

@@ -67,8 +67,8 @@ def prune_by_magnitude(
         if msg not in warnings:
             warnings.append(msg)
     # n_prune < alive, so the pruned weights, passed as +inf, are never chosen again
-    candidates = [np.where(m != 0.0, np.abs(w), np.inf) for w, m in zip(weights, mask)]
-    return [np.where(hit, 0.0, m) for m, hit in zip(mask, select_smallest_across(candidates, n_prune))]
+    candidates = [np.where(m, np.abs(w), np.inf) for w, m in zip(weights, mask)]
+    return [m & ~hit for m, hit in zip(mask, select_smallest_across(candidates, n_prune))]
 
 
 def imp(
@@ -95,7 +95,7 @@ def imp(
     check_imp_settings(rounds, prune_rate, rewind, epochs_per_round)
     initial = init_weights(spec, init_scheme, config.seed)
     weights = [w.copy() for w in initial]
-    mask = [np.ones_like(w) for w in initial]
+    mask = [np.ones(w.shape, dtype=bool) for w in initial]
     report = RunReport(epochs=rounds * epochs_per_round)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     warm_checkpoint: list[np.ndarray] | None = None
@@ -112,7 +112,7 @@ def imp(
 
         magnitudes = [np.abs(w) for w in weights]
         mask = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
-        round_masks.append([m != 0.0 for m in mask])
+        round_masks.append([m.copy() for m in mask])
         if rewind.kind == COLD:
             weights = [w0 * m for w0, m in zip(initial, mask)]
         elif rewind.kind == WARM:

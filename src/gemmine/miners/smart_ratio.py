@@ -111,8 +111,8 @@ def sample_ratio_mask(spec: NetworkSpec, ratios: LayerRatios, seed: int, warning
             msg = f"ratio {ratio:.3g} keeps no weights in layer {i}, clamped to 1"
             if msg not in warnings:
                 warnings.append(msg)
-        flat = np.zeros(size)
-        flat[rng.choice(size, size=kept, replace=False)] = 1.0
+        flat = np.zeros(size, dtype=bool)
+        flat[rng.choice(size, size=kept, replace=False)] = True
         mask.append(flat.reshape(fan_out, fan_in))
     return mask
 
@@ -142,7 +142,7 @@ def tune_ratios(
     n = data.train_x.shape[0]
     for _ in range(steps):
         idx = rng.choice(n, size=min(TUNE_BATCH_SIZE, n), replace=False)
-        masks = [(rng.random(w.shape) < r).astype(np.float64) for w, r in zip(weights, ratios)]
+        masks = [rng.random(w.shape) < r for w, r in zip(weights, ratios)]
         _, d_eff = loss_and_grads(float_features(data.train_x[idx]), data.train_y[idx], [w * m for w, m in zip(weights, masks)])
         grad = np.array([float(np.sum(d * w)) for d, w in zip(d_eff, weights)])
         ratios = np.clip(ratios - lr * grad, MIN_RATIO, 1.0)

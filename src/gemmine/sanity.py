@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masking import MaskedLayer, NetworkSpec, init_weights, select_smallest
+from .masking import MaskedLayer, NetworkSpec, as_mask, init_weights, select_smallest
 
 SHUFFLE = "shuffle"
 REINIT = "reinit"
@@ -33,12 +33,12 @@ class SanityVariant:
 
 
 def shuffle_mask(mask: Sequence[np.ndarray], seed: int) -> list[np.ndarray]:
-    """Permute each layer's mask entries uniformly; kept counts are untouched."""
+    """Permute each layer's mask entries uniformly (``as_mask`` first); kept counts are untouched."""
     rng = np.random.default_rng(seed)
     out = []
     for m in mask:
-        flat = m.reshape(-1)
-        out.append(flat[rng.permutation(flat.size)].reshape(m.shape))
+        flat = as_mask(m).reshape(-1)
+        out.append(flat[rng.permutation(flat.size)].reshape(np.shape(m)))
     return out
 
 
@@ -68,7 +68,7 @@ def invert_scores(
         flat = p.reshape(-1)
         if flat.size and np.ptp(flat) == 0.0:
             warnings.append(f"inversion degenerate: all scores equal in layer {i}")
-        out.append(select_smallest(flat, kept).astype(np.float64).reshape(p.shape))
+        out.append(select_smallest(flat, kept).reshape(p.shape))
     return out, warnings
 
 
@@ -78,7 +78,7 @@ def layerwise_report(mask: Sequence[np.ndarray]) -> list[dict]:
     total_params = 0
     total_kept = 0
     for i, m in enumerate(mask):
-        kept = int(np.sum(m))
+        kept = int(np.count_nonzero(m))
         rows.append(
             {
                 "layer_index": i,

@@ -12,7 +12,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .data import DatasetSplit, float_features
-from .masking import STREAM_BATCHES, log_softmax, loss_and_grads, mask_sparsity, mlp_activations, stream_rng
+from .masking import STREAM_BATCHES, as_mask, loss_and_grads, mask_sparsity, mlp_activations, stream_rng
 from .optim import OptimizerChoice, SgdMomentum, make_optimizer
 from .sanity import layerwise_report
 
@@ -112,16 +112,12 @@ class RunReport:
                 writer.writerow([r.epoch, f"{r.sparsity:.12g}", f"{r.train_loss:.12g}", f"{r.val_accuracy:.12g}"])
 
 
-def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean cross-entropy and top-1 accuracy of the network with these (effective) weights."""
+def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy of the network with these (effective) weights; NaN on an empty split."""
     if features.shape[0] == 0:
-        return float("nan"), float("nan")
+        return float("nan")
     logits = mlp_activations(float_features(features), weights)[-1]
-    log_probs = log_softmax(logits)
-    n = features.shape[0]
-    loss = float(-np.sum(log_probs[np.arange(n), labels]) / n)
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
-    return loss, accuracy
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def record_epoch(
@@ -132,7 +128,7 @@ def record_epoch(
 
     ``extra`` becomes the record's trailing columns, in the order given.
     """
-    _, val_acc = evaluate(weights, data.val_x, data.val_y)
+    val_acc = evaluate(weights, data.val_x, data.val_y)
     report.records.append(EpochRecord(epoch=epoch, sparsity=sparsity, train_loss=train_loss, val_accuracy=val_acc, extra=extra))
 
 
@@ -196,27 +192,29 @@ def train_masked(
 ) -> Iterator[tuple[int, float]]:
     """Train the kept weights of a masked network in place, yielding ``(epoch, mean_loss)`` after each epoch.
 
-    The mask must be 0 or 1, and the weights C-contiguous arrays that are 0
-    wherever the mask is 0, so that they are the masked network itself;
-    otherwise ``ValueError`` names the layer before any step, and the weights
-    are left untouched. Only the kept weights are stepped: each layer's, in
-    flat-index order, form one compact vector, and ``cfg.optimizer`` holds
-    state for these vectors only. Epoch ``e`` runs at ``lr_at(cfg, e)`` on
-    batches of ``data``'s training split drawn from ``rng``. The kernel's
-    gradient is gathered at the kept indices, and the dense weights are
-    written only there, so pruned weights keep their zeros, signs included.
-    At each yield the dense weights are up to date.
+    Each mask goes through ``masking.as_mask``, and the weights must be
+    C-contiguous arrays that are 0 wherever the mask is False, so that they
+    are the masked network itself; otherwise ``ValueError`` names the layer
+    before any step, and the weights are left untouched. Only the kept
+    weights are stepped: each layer's, in flat-index order, form one compact
+    vector, and ``cfg.optimizer`` holds state for these vectors only. Epoch
+    ``e`` runs at ``lr_at(cfg, e)`` on batches of ``data``'s training split
+    drawn from ``rng``. The kernel's gradient is gathered at the kept
+    indices, and the dense weights are written only there, so pruned weights
+    keep their zeros, signs included. At each yield the dense weights are up
+    to date.
     """
     live = []
     for i, (w, m) in enumerate(zip(weights, mask)):
-        keep, drop = m == 1.0, m == 0.0
-        if not np.all(keep | drop):
-            raise ValueError(f"layer {i}: mask entries must be 0 or 1")
-        if np.any(np.where(drop, w, 0.0)):
+        try:
+            m = as_mask(m)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
+        if np.any(np.where(m, 0.0, w)):
             raise ValueError(f"layer {i}: weights must be 0 where the mask is 0")
         if not w.flags.c_contiguous:
             raise ValueError(f"layer {i}: weights must be a C-contiguous array")
-        live.append(np.flatnonzero(keep))
+        live.append(np.flatnonzero(m))
     optimizer = make_optimizer(cfg.optimizer, [np.take(w, i) for w, i in zip(weights, live)])
     for epoch in range(cfg.epochs):
         yield epoch, run_masked_epoch(
@@ -234,7 +232,7 @@ def finetune(
 
     Returns fresh weight arrays, ``weights * mask`` trained by
     ``train_masked`` (whose docstring gives the mask rules and the training
-    scheme), so they are 0 wherever the mask is 0; the inputs are not
+    scheme), so they are 0 wherever the mask is False; the inputs are not
     modified. The report's pre/post accuracies are measured on the test
     split, and its layerwise rows describe ``mask``.
     """
@@ -243,11 +241,9 @@ def finetune(
         raise ValueError("finetune: mask keeps no weights")
     trained = [np.multiply(np.asarray(w, dtype=np.float64), m, order="C") for w, m in zip(weights, mask)]
     report = RunReport(epochs=cfg.epochs, layerwise=layerwise_report(mask))
-    _, pre_acc = evaluate(trained, data.test_x, data.test_y)
-    report.pre_finetune_accuracy = pre_acc
+    report.pre_finetune_accuracy = evaluate(trained, data.test_x, data.test_y)
 
     for epoch, mean_loss in train_masked(trained, mask, data, cfg, stream_rng(cfg.seed, STREAM_BATCHES)):
         record_epoch(report, data, trained, epoch, sparsity, mean_loss)
-    _, post_acc = evaluate(trained, data.test_x, data.test_y)
-    report.post_finetune_accuracy = post_acc
+    report.post_finetune_accuracy = evaluate(trained, data.test_x, data.test_y)
     return trained, report

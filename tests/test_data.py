@@ -149,16 +149,17 @@ def test_load_idx_train_limit_exact(tmp_path):
         load_idx(directory, train_limit=1000, val_fraction=0.25)
     # the split is checked when it is built, not by each miner on first use
     with pytest.raises(ValueError, match="train: no rows"):
-        load_idx(directory, train_limit=0, val_fraction=0.25)
+        load_idx(directory, val_fraction=0.99)
 
 
 @pytest.mark.parametrize(
     "settings, message",
     [
-        ({"train_limit": -5}, "train_limit must be >= 0, got -5"),
+        ({"train_limit": -5}, "train_limit must be >= 1, got -5"),
         ({"val_fraction": -0.5}, "val_fraction must be in [0, 1), got -0.5"),
         ({"val_fraction": 1.0}, "val_fraction must be in [0, 1), got 1.0"),
         ({"val_fraction": float("nan")}, "val_fraction must be in [0, 1), got nan"),
+        ({"train_limit": 0}, "train_limit must be >= 1, got 0"),
     ],
 )
 def test_load_idx_rejects_a_bad_split(tmp_path, settings, message):
@@ -261,7 +262,7 @@ def test_noiseless_blobs_trainable_to_perfect_accuracy():
     weights = init_weights(spec, "scaled_normal", seed=0)
     mask = [np.ones_like(w) for w in weights]
     trained, _ = finetune(weights, mask, data, TrainConfig(epochs=10, batch_size=8, lr=0.1, seed=0))
-    _, acc = evaluate(trained, data.train_x, data.train_y)
+    acc = evaluate(trained, data.train_x, data.train_y)
     assert acc == 1.0
 
 

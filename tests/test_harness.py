@@ -175,6 +175,8 @@ def test_config_number_errors_name_the_key(line, key):
         ("miner.algorithm = sr\nsr.last_layer_keep = 0", "sr", "last layer keep must be in (0, 1], got 0.0"),
         ("seeds = 1,1", "seeds", "each entry must be distinct, got 1, 1"),
         ("sanity = shuffle,shuffle:5", "sanity", "each entry must be distinct, got shuffle, shuffle"),
+        # every seed would fail with "finetune: mask keeps no weights"
+        ("schedule.sparsity = 1e-9", "schedule.sparsity", "1e-09 leaves none of 40 weights unfrozen after 2 freeze events"),
     ],
 )
 def test_config_range_errors_name_the_key(line, key, message):
@@ -203,7 +205,9 @@ def test_config_accepts_smart_ratio_settings_that_run(line):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("task.train_limit = -5", "train_limit must be >= 0, got -5"),
+        ("task.train_limit = -5", "train_limit must be >= 1, got -5"),
+        # an empty training split would stop the run in build_dataset, before any seed
+        ("task.train_limit = 0", "train_limit must be >= 1, got 0"),
         ("task.val_fraction = -0.5", "val_fraction must be in [0, 1), got -0.5"),
         ("task.val_fraction = 1", "val_fraction must be in [0, 1), got 1.0"),
     ],
@@ -211,8 +215,25 @@ def test_config_accepts_smart_ratio_settings_that_run(line):
 def test_config_rejects_a_bad_idx_split(tmp_path, line, message):
     make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
     text = f"task.kind = idx\ntask.path = digits\nnet.widths = 784,4,10\nseeds = 0\n{line}\n"
-    with pytest.raises(ConfigError, match=f"^task: {re.escape(message)}"):
+    key = line.partition(" =")[0]
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {re.escape(message)}"):
         build_experiment_config(text, base_dir=tmp_path)
+
+
+GEM_2_4_2 = "task.kind = blobs\nnet.widths = 2,4,2\nschedule.epochs = 2\nschedule.freeze_period = 1\nseeds = 1\n"
+
+
+def test_gem_config_checks_the_freeze_arithmetic_freeze_step_runs():
+    # 16 -> 3 -> 0 unfrozen weights
+    with pytest.raises(ConfigError, match=r"^schedule\.sparsity: 0\.06 leaves none of 16 weights unfrozen"):
+        build_experiment_config(GEM_2_4_2 + "schedule.sparsity = 0.06\n")
+    # edge-popup clamps its top-k to one weight per layer, so such a target runs
+    build_experiment_config(GEM_2_4_2 + "schedule.sparsity = 1e-9\nminer.algorithm = ep\n")
+    # 16 -> 4 -> 1 unfrozen: accepted, and the run freezes exactly so
+    cfg = build_experiment_config(GEM_2_4_2 + "schedule.sparsity = 0.07\n")
+    data = harness.build_dataset(cfg.task)
+    result = harness.mine_for_seed(cfg, data, 1)
+    assert [r.sparsity for r in result.report.records] == [4 / 16, 1 / 16]
 
 
 def test_config_missing_idx_path(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import struct
 import tokenize
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gemmine import masking
-from gemmine.checkpoint import MAGIC, load_checkpoint
+from gemmine.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from gemmine.masking import (
     SCALED_NORMAL,
     SIGNED_CONSTANT,
     MaskedLayer,
     NetworkSpec,
     SmallestSelector,
+    as_mask,
     extract_mask,
     init_scores,
     init_weights,
@@ -27,6 +29,8 @@ from gemmine.masking import (
     select_smallest,
     select_smallest_across,
 )
+from gemmine.miners import GLOBAL, LAYERWISE, MinerConfig, RewindSpec, SparsitySchedule, edge_popup, gem_mine, imp, smart_ratio
+from gemmine.sanity import invert_scores, shuffle_mask
 
 
 def test_round_boundary_is_kept():
@@ -152,6 +156,61 @@ def test_masked_layer_shape_validation():
         MaskedLayer(weights=np.ones((2, 2)), mask=np.ones((2, 3)))
     with pytest.raises(ValueError):
         MaskedLayer(weights=np.ones((2, 2)), mask=np.ones((2, 2)), scores=np.ones((2, 3)))
+
+
+def test_as_mask_passes_booleans_through_and_converts_0_1_numbers():
+    bits = np.array([[True, False], [False, True]])
+    assert as_mask(bits) is bits
+    for numbers in (np.array([[1, 0], [0, 1]]), np.array([[1.0, -0.0], [0.0, 1.0]]), [[1, 0], [0, 1]]):
+        m = as_mask(numbers)
+        assert m.dtype == np.bool_ and m.tobytes() == bits.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.5, 2, np.nan])
+def test_as_mask_rejects_an_entry_other_than_0_or_1(bad):
+    with pytest.raises(ValueError, match="^mask entries must be 0 or 1$"):
+        as_mask(np.array([0.0, 1.0, bad]))
+
+
+def _mined(data, how):
+    spec = NetworkSpec((2, 8, 2))
+    cfg = MinerConfig(lr=0.1, seed=3, batch_size=16)
+    if how == "gem":
+        return gem_mine(data, spec, SparsitySchedule(0.3, 2, 1), cfg)
+    if how.startswith("ep_"):
+        return edge_popup(data, spec, SparsitySchedule(0.3, 2, 1), cfg, scope=how[3:])
+    if how == "imp":
+        return imp(data, spec, rounds=2, prune_rate=0.3, rewind=RewindSpec("cold"), epochs_per_round=1, config=cfg)
+    return smart_ratio(spec, 0.3, "v1", seed=3, data=data)
+
+
+MASK_PRODUCERS = {
+    "gem_mine": lambda data, tmp: _mined(data, "gem").mask,
+    "edge_popup_layerwise": lambda data, tmp: _mined(data, f"ep_{LAYERWISE}").mask,
+    "edge_popup_global": lambda data, tmp: _mined(data, f"ep_{GLOBAL}").mask,
+    "imp_mask": lambda data, tmp: _mined(data, "imp").mask,
+    "imp_round_masks": lambda data, tmp: [m for masks in _mined(data, "imp").round_masks for m in masks],
+    "smart_ratio": lambda data, tmp: _mined(data, "sr").mask,
+    "shuffle_mask": lambda data, tmp: shuffle_mask(_mined(data, "gem").mask, seed=1),
+    "invert_scores": lambda data, tmp: _inverted(_mined(data, "gem")),
+    "load_checkpoint_scored": lambda data, tmp: _reloaded(tmp, _mined(data, "gem").layers),
+    "load_checkpoint_scoreless": lambda data, tmp: _reloaded(tmp, _mined(data, "imp").layers),
+}
+
+
+def _inverted(result):
+    return invert_scores(result.inversion_scores, result.mask)[0]
+
+
+def _reloaded(tmp, layers):
+    save_checkpoint(tmp / "a.tfmc", layers)
+    return extract_mask(load_checkpoint(tmp / "a.tfmc"))
+
+
+@pytest.mark.parametrize("producer", sorted(MASK_PRODUCERS))
+def test_every_public_mask_producer_returns_boolean_masks(blobs, tmp_path, producer):
+    masks = MASK_PRODUCERS[producer](blobs, tmp_path)
+    assert masks and [m.dtype for m in masks] == [np.dtype(bool)] * len(masks)
 
 
 @settings(max_examples=50)
@@ -384,3 +443,62 @@ def test_freeze_state_stays_inside_gem_mine():
             tokens = tokenize.tokenize(f.readline)
             offenders += [f"{path.relative_to(package)}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "freeze"]
     assert offenders == []
+
+
+# the float conversions under src/gemmine that build no mask: (module, enclosing function) -> count
+FLOAT_CASTS_ALLOWED = {
+    (Path("data.py"), "gen_synthetic"): 1,  # the planar features
+    (Path("masking.py"), "init_weights"): 1,  # the +/-1 signs of signed-constant weights
+    (Path("checkpoint.py"), "load_checkpoint"): 2,  # the file's float32 scores and weights
+    (Path("autodiff.py"), "ste_round"): 1,  # the oracle graph's float64 node value
+}
+
+
+def _is_float_dtype(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "float"
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy") and np.dtype(getattr(np, node.attr)).kind == "f"
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return np.dtype(node.value).kind == "f"
+    return False
+
+
+def _float_casts(path: Path) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each ``.astype(<float dtype>)`` in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            dtypes = node.args[:1] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(_is_float_dtype(d) for d in dtypes):
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_float_casts_under_src_build_no_mask():
+    """Masks are boolean end to end: only the listed non-mask arrays are cast to a float dtype."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    casts = [
+        (path.relative_to(package), line, function)
+        for path in sorted(package.rglob("*.py"))
+        for line, function in _float_casts(path)
+    ]
+    # exactly the listed ones: a new cast fails, and so does a stale entry
+    assert Counter((path, function) for path, _, function in casts) == Counter(FLOAT_CASTS_ALLOWED), casts
+
+
+def test_float_cast_guard_sees_every_spelling(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "def f(m):\n"
+        "    a = m.astype(np.float64)\n    b = m.astype(float)\n    c = m.astype('<f4')\n"
+        "    d = m.astype(dtype=numpy.float32)\n    e = m.astype(bool)\n    g = m.astype(np.int64)\n"
+    )
+    assert _float_casts(source) == [(2, "f"), (3, "f"), (4, "f"), (5, "f")]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
+from gemmine.data import float_features
 from gemmine.masking import (
     SIGNED_CONSTANT,
     STREAM_BATCHES,
@@ -323,12 +324,12 @@ def _reference_gem_mine(data, spec, schedule, config):
         mask = [round_scores(p) * f for p, f in zip(scores, freeze)]
         if epoch % schedule.freeze_period == 0:
             check_layer_collapse(mask, warnings, f"after freeze at epoch {epoch}")
-        _, val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
+        val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
         for name, value in zip(columns, (epoch, mask_sparsity(freeze), train_loss, val_acc, mask_sparsity(mask))):
             columns[name].append(value)
     mask = [round_scores(p) * f for p, f in zip(scores, freeze)]
     check_layer_collapse(mask, warnings, "final mask")
-    _, pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
+    pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
     return mask, scores, columns, pre_acc, layerwise_report(mask), warnings
 
 
@@ -361,8 +362,8 @@ def test_gem_mine_matches_the_per_batch_reference_loop(digits_1k, penalty, optim
 
     unfrozen = columns["sparsity"]
     assert sum(b < a for a, b in zip(unfrozen, unfrozen[1:])) == 3  # freeze events at epochs 2, 4 and 6
-    for got, want in zip(res.mask, mask):
-        assert got.tobytes() == want.tobytes()
+    for got, want in zip(res.mask, mask):  # the reference holds float 0/1 masks
+        assert got.dtype == np.bool_ and got.tobytes() == (want != 0).tobytes()
     for layer, inverted, want in zip(res.layers, res.inversion_scores, scores):
         assert layer.scores.tobytes() == want.tobytes()
         assert inverted.tobytes() == want.tobytes()
@@ -485,11 +486,11 @@ def _reference_edge_popup(data, spec, schedule, config, scope, gradual):
             scores, batch_loss_and_grads, data.train_x, data.train_y, config.batch_size, optimizer, config.lr, rng
         )
         mask = topk_mask(scores, keep, scope, warnings)
-        _, val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
+        val_acc = evaluate([w * m for w, m in zip(weights, mask)], data.val_x, data.val_y)
         for name, value in zip(columns, (epoch, keep, train_loss, val_acc)):
             columns[name].append(value)
     mask = [np.asarray(m, dtype=np.float64) for m in topk_mask(scores, schedule.target_sparsity, scope, warnings)]
-    _, pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
+    pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
     return mask, scores, columns, pre_acc, layerwise_report(mask), warnings
 
 
@@ -520,8 +521,8 @@ def test_edge_popup_matches_the_per_batch_reference_loop(digits_1k, scope, gradu
 
     if keep < 1 / 160:
         assert warnings == ["layerwise top-k clamped to 1 weight in layer 1"]
-    for got, want in zip(res.mask, mask):
-        assert got.tobytes() == want.tobytes()
+    for got, want in zip(res.mask, mask):  # the reference holds float 0/1 masks
+        assert got.dtype == np.bool_ and got.tobytes() == (want != 0).tobytes()
     for inverted, want in zip(res.inversion_scores, scores):
         assert inverted.tobytes() == want.tobytes()
     rows = [r.as_dict() for r in res.report.records]
@@ -667,7 +668,7 @@ def test_imp_warm_epoch_must_fit_round():
 def test_imp_masks_nest_across_rounds():
     rng = np.random.default_rng(0)
     weights = [rng.standard_normal((4, 6))]
-    mask = [np.ones((4, 6))]
+    mask = [np.ones((4, 6), dtype=bool)]
     warnings: list[str] = []
     seen = [mask[0].copy()]
     for _ in range(4):
@@ -678,12 +679,12 @@ def test_imp_masks_nest_across_rounds():
 
 def test_prune_by_magnitude_keeps_one_weight_and_warns_once():
     weights = [np.array([[0.5, -2.0, 3.0]])]
-    mask = [np.array([[1.0, 1.0, 0.0]])]
+    mask = [np.array([[True, True, False]])]
     warnings: list[str] = []
     for _ in range(2):
         # two alive at rate 0.9 would round to pruning both
         pruned = prune_by_magnitude(weights, mask, 0.9, warnings)
-        assert pruned[0].tolist() == [[0.0, 1.0, 0.0]]
+        assert pruned[0].tolist() == [[False, True, False]]
     assert warnings == ["magnitude pruning clamped to keep 1 weight"]
 
 
@@ -694,8 +695,7 @@ def test_imp_round_masks_are_boolean(blobs):
     assert len(res.round_masks) == 3
     assert all(m.dtype == np.bool_ for round_mask in res.round_masks for m in round_mask)
     for last, m in zip(res.round_masks[-1], res.mask, strict=True):
-        assert np.array_equal(last, m != 0.0)
-    assert all(m.dtype == np.float64 for m in res.mask)
+        assert last.dtype == m.dtype == np.bool_ and np.array_equal(last, m)
 
 
 def test_imp_deterministic(blobs):
@@ -805,7 +805,7 @@ def test_sr_deterministic(blobs):
 
 
 def _accuracy(result, features, labels) -> float:
-    return evaluate([w * m for w, m in zip(result.weights, result.mask)], features, labels)[1]
+    return evaluate([w * m for w, m in zip(result.weights, result.mask)], features, labels)
 
 
 def test_edge_popup_and_smart_ratio_reports_describe_the_returned_network(digits_1k):
@@ -904,18 +904,14 @@ def test_tune_ratios_rejects_a_non_finite_learning_rate(lr):
 
 def test_tune_ratios_dense_matches_dense_loss():
     data, weights = _toy_one_useful_weight()
-    from gemmine.trainer import evaluate
-
-    dense_loss, _ = evaluate(weights, data.train_x, data.train_y)
+    dense_loss = loss_and_grads(float_features(data.train_x), data.train_y, weights)[0]
     ones = [np.ones_like(w) for w in weights]
-    masked_loss, _ = evaluate([w * m for w, m in zip(weights, ones)], data.train_x, data.train_y)
+    masked_loss = loss_and_grads(float_features(data.train_x), data.train_y, [w * m for w, m in zip(weights, ones)])[0]
     assert masked_loss == dense_loss
 
 
 def _enumerated_expected_loss(weights, ratios, data) -> float:
     """Exact expectation of the loss over all Bernoulli mask assignments."""
-    from gemmine.trainer import evaluate
-
     sizes = [w.size for w in weights]
     total = sum(sizes)
     expected = 0.0
@@ -933,7 +929,7 @@ def _enumerated_expected_loss(weights, ratios, data) -> float:
             masks.append(m.reshape(w.shape))
         if prob == 0.0:
             continue
-        loss, _ = evaluate([w * m for w, m in zip(weights, masks)], data.train_x, data.train_y)
+        loss = loss_and_grads(float_features(data.train_x), data.train_y, [w * m for w, m in zip(weights, masks)])[0]
         expected += prob * loss
     return expected
 

@@ -84,16 +84,18 @@ def test_evaluate_perfect_and_chance_and_zero():
     weights = [np.eye(3), np.eye(3)]
     x = np.eye(3)
     y = np.array([0, 1, 2])
-    _, acc = evaluate(weights, x, y)
-    assert acc == 1.0
+    acc = evaluate(weights, x, y)
+    assert type(acc) is float and acc == 1.0
+    empty = evaluate(weights, x[:0], y[:0])
+    assert type(empty) is float and math.isnan(empty)
 
     # all-zero network: uniform logits, loss ln(k), argmax picks class 0
     k = 4
     zero_net = [np.zeros((5, 3)), np.zeros((k, 5))]
     xs = np.random.default_rng(0).standard_normal((8, 3))
     ys = np.array([0, 1, 2, 3] * 2)
-    loss, acc = evaluate(zero_net, xs, ys)
-    assert loss == pytest.approx(math.log(k), rel=1e-12)
+    acc = evaluate(zero_net, xs, ys)
+    assert loss_and_grads(xs, ys, zero_net)[0] == pytest.approx(math.log(k), rel=1e-12)
     assert acc == pytest.approx(1 / k)
 
 
@@ -275,6 +277,15 @@ def test_finetune_rejects_a_mask_entry_other_than_0_or_1(blobs):
         finetune(weights, mask, blobs, TrainConfig(epochs=1, batch_size=16))
 
 
+def test_finetune_names_the_layer_of_a_nan_mask_entry(blobs):
+    # the mask's kept counts come before its check, and must not trip over the NaN first
+    weights = init_weights(NetworkSpec((2, 6, 2)), SCALED_NORMAL, seed=0)
+    mask = [np.ones_like(w) for w in weights]
+    mask[1][0, 0] = np.nan
+    with pytest.raises(ValueError, match="^layer 1: mask entries must be 0 or 1$"):
+        finetune(weights, mask, blobs, TrainConfig(epochs=1, batch_size=16))
+
+
 # ---------------------------------------------------------------------------
 # compact weight training against the dense per-batch loop
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def _dense_masked_epoch(weights, mask, features, labels, batch_size, optimizer, 
 
 def _reference_finetune(weights, mask, data, cfg):
     trained = [np.asarray(w, dtype=np.float64) * m for w, m in zip(weights, mask)]
-    _, pre_acc = evaluate(trained, data.test_x, data.test_y)
+    pre_acc = evaluate(trained, data.test_x, data.test_y)
     optimizer = make_optimizer(cfg.optimizer, trained)
     rng = stream_rng(cfg.seed, STREAM_BATCHES)
     rows = []
@@ -300,9 +311,9 @@ def _reference_finetune(weights, mask, data, cfg):
         loss = _dense_masked_epoch(
             trained, mask, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
         )
-        _, val_acc = evaluate(trained, data.val_x, data.val_y)
+        val_acc = evaluate(trained, data.val_x, data.val_y)
         rows.append((epoch, mask_sparsity(list(mask)), loss, val_acc))
-    _, post_acc = evaluate(trained, data.test_x, data.test_y)
+    post_acc = evaluate(trained, data.test_x, data.test_y)
     return trained, rows, pre_acc, post_acc
 
 
@@ -326,10 +337,11 @@ def _reference_imp(data, spec, rounds, prune_rate, rewind, epochs_per_round, con
                 w *= m
             if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
                 warm_checkpoint = [w.copy() for w in weights]
-            _, val_acc = evaluate(weights, data.val_x, data.val_y)
+            val_acc = evaluate(weights, data.val_x, data.val_y)
             rows.append((round_idx * epochs_per_round + epoch, kept_fraction, loss, val_acc))
         magnitudes = [np.abs(w) for w in weights]
-        mask = prune_by_magnitude(weights, mask, prune_rate, warnings)
+        # the reference holds float 0/1 masks; prune_by_magnitude takes boolean ones
+        mask = [np.where(m, 1.0, 0.0) for m in prune_by_magnitude(weights, [m != 0.0 for m in mask], prune_rate, warnings)]
         round_masks.append([m != 0.0 for m in mask])
         if rewind.kind == COLD:
             weights = [w0 * m for w0, m in zip(initial, mask)]
@@ -338,7 +350,7 @@ def _reference_imp(data, spec, rounds, prune_rate, rewind, epochs_per_round, con
         else:
             weights = [w * m for w, m in zip(weights, mask)]
     eff = [w * m for w, m in zip(weights, mask)]
-    _, pre_acc = evaluate(eff, data.test_x, data.test_y)
+    pre_acc = evaluate(eff, data.test_x, data.test_y)
     return weights, mask, round_masks, magnitudes, rows, pre_acc, layerwise_report(mask), warnings
 
 
@@ -412,7 +424,7 @@ def test_imp_matches_the_dense_reference_loop(digits_1k, kind, optimizer, lr):
 
     assert [row[1] for row in rows[::2]] == [1.0, 0.5, 0.25, 0.125, 0.0625]  # kept fraction trained each round
     _assert_arrays_identical(res.weights, weights)
-    _assert_arrays_identical(res.mask, mask)
+    _assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
     for got, want in zip(res.round_masks, round_masks, strict=True):
         _assert_arrays_identical(got, want)
     _assert_arrays_identical(res.inversion_scores, magnitudes)
