@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .config import load_experiment_config
-from .harness import build_dataset, finetune_file, mine_seed, open_run_dir, rebuild_summary, run_experiment, sanity_file
+from .harness import finetune_file, load_dataset, mine_seed, open_run_dir, rebuild_summary, run_experiment, sanity_file
 from .masking import mask_sparsity
 
 
@@ -38,7 +38,7 @@ def cmd_mine(args) -> int:
     cfg = load_experiment_config(args.config)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     run_dir = open_run_dir(cfg, args.out_dir, snapshot=True)
-    data = build_dataset(cfg.task)
+    data = load_dataset(cfg)
     for seed in seeds:
         result, checkpoint = mine_seed(cfg, data, seed, run_dir)
         print(f"seed {seed}: sparsity {mask_sparsity(result.mask):.6f}, checkpoint {checkpoint}")

@@ -256,6 +256,9 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         kind, _, extra = entry.partition(":")
         sanity.append(_checked("sanity", SanityVariant, kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
     seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
+    for key, seed in [("task.seed", task.seed)] + [("seeds", s) for s in seeds]:
+        if seed < 0:
+            raise ConfigError(f"{key}: a seed must be >= 0, got {seed}")
     # a repeated seed or kind would write its cell's files twice, and summary.csv would disagree with them
     for key, values in (("sanity", [v.kind for v in sanity]), ("seeds", seeds)):
         if len(set(values)) < len(values):

@@ -130,7 +130,6 @@ def load_idx(
     train_limit: int | None = None,
     val_fraction: float = 0.1,
     seed: int = 0,
-    expected_classes: int | None = None,
 ) -> DatasetSplit:
     """Load an IDX archive directory (conventional train/t10k file names).
 
@@ -155,12 +154,12 @@ def load_idx(
             f"{directory}: {train_images.shape[0]} train images but {train_labels.shape[0]} labels"
         )
 
-    n_classes = expected_classes if expected_classes is not None else int(train_labels.max()) + 1
-    for which, labels in (("train", train_labels), ("test", test_labels)):
-        if labels.size and int(labels.max()) >= n_classes:
-            raise IdxFormatError(
-                f"{directory}: {which} label {int(labels.max())} out of range [0, {n_classes})"
-            )
+    # the training labels give the class count; a test label must be below it
+    if train_labels.size == 0:
+        raise IdxFormatError(f"{directory}: no training images")
+    n_classes = int(train_labels.max()) + 1
+    if test_labels.size and int(test_labels.max()) >= n_classes:
+        raise IdxFormatError(f"{directory}: test label {int(test_labels.max())} out of range [0, {n_classes})")
 
     def pixel_rows(images: np.ndarray, idx: np.ndarray) -> np.ndarray:
         # rows * cols, not -1: an empty split has no size to infer it from;

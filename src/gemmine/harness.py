@@ -4,7 +4,10 @@ whole matrix, and emit checkpoints, reports, and a summary table.
 ``run_experiment`` and the CLI subcommands build the run directory from the
 same three stages: ``mine_seed``, ``write_variant`` and
 ``finetune_checkpoint``. This module is the one writer of the layout under
-``<out_root>/<run_id>/``::
+``<out_root>/<run_id>/``, and the only module that knows a report file's
+bytes: ``write_report`` writes a ``RunReport`` as ``<stem>.json`` and its
+per-epoch ``<stem>.csv``, and ``write_table`` writes every CSV, the
+layerwise tables (``write_layerwise``) and ``summary.csv`` included::
 
     config.snapshot                  verbatim copy of the config text (run, mine)
     masks/seed<K>_<variant>.tfmc     mined network (variant none) and its sanity variants
@@ -22,18 +25,18 @@ from __future__ import annotations
 import csv
 import json
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, TaskConfig
-from .data import DatasetSplit, gen_synthetic, load_idx
+from .config import ConfigError, ExperimentConfig, TaskConfig
+from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
-from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask, write_layerwise_csv
+from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask
 from .trainer import RunReport, finetune
 
 BASE_VARIANT = "none"
@@ -50,28 +53,62 @@ class SummaryRow:
     pre_acc: float
     post_acc: float
 
-    def as_list(self) -> list:
-        return [
-            self.algorithm,
-            self.variant,
-            self.seed,
-            f"{self.sparsity:.12g}",
-            f"{self.pre_acc:.12g}",
-            f"{self.post_acc:.12g}",
-        ]
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV of ``header`` and ``rows``: each float as ``f"{v:.12g}"``, any other value as ``csv`` writes it."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_report(stem: str | Path, report: RunReport) -> None:
+    """Write ``report`` whole as ``<stem>.json`` and its per-epoch columns as ``<stem>.csv``."""
+    Path(f"{stem}.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+    epochs = ([r.epoch, r.sparsity, r.train_loss, r.val_accuracy] for r in report.records)
+    write_table(f"{stem}.csv", ["epoch", "sparsity", "train_loss", "val_accuracy"], epochs)
+
+
+def write_layerwise(path: str | Path, rows: Sequence[dict]) -> None:
+    """Write ``sanity.layerwise_report`` rows, all but their ``collapsed`` flag."""
+    header = ["layer_index", "params", "kept", "keep_fraction"]
+    write_table(path, header, ([row[key] for key in header] for row in rows))
 
 
 def build_dataset(task: TaskConfig) -> DatasetSplit:
     if task.kind == "idx":
         assert task.path is not None
-        return load_idx(
-            task.path,
-            train_limit=task.train_limit,
-            val_fraction=task.val_fraction,
-            seed=task.seed,
-            expected_classes=task.classes,
-        )
+        return load_idx(task.path, train_limit=task.train_limit, val_fraction=task.val_fraction, seed=task.seed)
     return gen_synthetic(task.kind, task.n, task.noise, task.seed)
+
+
+def load_dataset(cfg: ExperimentConfig) -> DatasetSplit:
+    """``build_dataset(cfg.task)``, checked against the rest of ``cfg`` once, before any seed runs.
+
+    A config that does not fit its data raises a ``ConfigError`` that starts with the key to change:
+    - ``task.path``: the directory lacks an IDX file, or one is malformed;
+    - ``task.val_fraction`` (``task.train_limit`` when it is set): the archive leaves no training row;
+    - ``task.classes``: a train, validation or test label is not below it;
+    - ``net.widths``: the input width is not the feature count, or the output
+      width is not the class count (``task.classes`` when it is set, the data's otherwise).
+    """
+    try:
+        data = build_dataset(cfg.task)
+    except (FileNotFoundError, IdxFormatError) as exc:
+        raise ConfigError(f"task.path: {exc}") from exc
+    except ValueError as exc:  # the split settings passed the config, so the archive is too small for them
+        key = "task.val_fraction" if cfg.task.train_limit is None else "task.train_limit"
+        raise ConfigError(f"{key}: too large for the archive's training images ({exc})") from exc
+    classes = data.n_classes if cfg.task.classes is None else cfg.task.classes
+    for split, labels in (("train", data.train_y), ("val", data.val_y), ("test", data.test_y)):
+        if labels.size and labels.max() >= classes:
+            raise ConfigError(f"task.classes: {split} label {labels.max()} is not below {classes}")
+    widths = cfg.spec.widths
+    if widths[0] != data.n_features:
+        raise ConfigError(f"net.widths: input width {widths[0]} is not the {data.n_features} features of the data")
+    if widths[-1] != classes:
+        raise ConfigError(f"net.widths: output width {widths[-1]} is not the {classes} classes of the data")
+    return data
 
 
 def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> MiningResult:
@@ -148,8 +185,7 @@ def mine_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int, run_dir: Pat
     stem = seed_stem(seed, BASE_VARIANT)
     checkpoint = run_dir / "masks" / f"{stem}.tfmc"
     save_checkpoint(checkpoint, result.layers)
-    result.report.save_json(run_dir / "reports" / f"{stem}_mining.json")
-    result.report.save_metrics_csv(run_dir / "reports" / f"{stem}_mining.csv")
+    write_report(run_dir / "reports" / f"{stem}_mining", result.report)
     return result, checkpoint
 
 
@@ -175,15 +211,14 @@ def finetune_checkpoint(
     mask = extract_mask(layers)
     _, report = finetune([layer.weights for layer in layers], mask, data, replace(cfg.finetune, seed=seed))
     report.warnings[:0] = warnings
-    report.save_json(f"{stem}.json")
-    report.save_metrics_csv(f"{stem}.csv")
-    write_layerwise_csv(f"{stem}_layerwise.csv", report.layerwise)
+    write_report(stem, report)
+    write_layerwise(f"{stem}_layerwise.csv", report.layerwise)
     return SummaryRow(cfg.algorithm, variant, seed, mask_sparsity(mask), report.pre_finetune_accuracy, report.post_finetune_accuracy)
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
     run_dir = open_run_dir(cfg, out_root, snapshot=True)
-    data = build_dataset(cfg.task)
+    data = load_dataset(cfg)
     rows: list[SummaryRow] = []
     errors: list[str] = []
 
@@ -214,7 +249,7 @@ def finetune_file(cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_
     """Finetune a checkpoint file into ``reports/<ckpt>_finetune_seed<K>.*``; the row and the reports' stem."""
     checkpoint = Path(checkpoint)
     stem = open_run_dir(cfg, out_root) / "reports" / f"{checkpoint.stem}_finetune_seed{seed}"
-    row = finetune_checkpoint(cfg, build_dataset(cfg.task), seed, checkpoint, stem, checkpoint.stem)
+    row = finetune_checkpoint(cfg, load_dataset(cfg), seed, checkpoint, stem, checkpoint.stem)
     return row, stem
 
 
@@ -242,7 +277,7 @@ def sanity_file(
         except Exception as exc:  # noqa: BLE001 - variant isolation is the contract
             yield variant.kind, path, exc, warnings
             continue
-        write_layerwise_csv(run_dir / "reports" / f"{stem}_layerwise.csv", layerwise_report(mask))
+        write_layerwise(run_dir / "reports" / f"{stem}_layerwise.csv", layerwise_report(mask))
         yield variant.kind, path, mask_sparsity(mask), warnings
 
 
@@ -275,11 +310,7 @@ def rebuild_summary(cfg: ExperimentConfig, out_root: str | Path) -> tuple[Path, 
 
 
 def write_summary(path: str | Path, rows: list[SummaryRow]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["algorithm", "variant", "seed", "sparsity", "pre_acc", "post_acc"])
-        for row in rows:
-            writer.writerow(row.as_list())
+    write_table(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
 
 
 def read_summary(path: str | Path) -> list[dict]:

@@ -1,4 +1,4 @@
-"""Mask sanity transformations and layerwise mask analytics.
+"""Mask sanity transformations and layerwise mask analytics, computed in memory.
 
 A mined mask passes the suite when its finetuned accuracy beats each
 transformed variant by a configured margin: the transformations destroy
@@ -7,9 +7,7 @@ everything about a mask except its layerwise sparsity profile.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -100,11 +98,3 @@ def layerwise_report(mask: Sequence[np.ndarray]) -> list[dict]:
         }
     )
     return rows
-
-
-def write_layerwise_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["layer_index", "params", "kept", "keep_fraction"])
-        for row in rows:
-            writer.writerow([row["layer_index"], row["params"], row["kept"], f"{row['keep_fraction']:.12g}"])

@@ -1,12 +1,9 @@
-"""Weight training of masked subnetworks, evaluation, and run reports."""
+"""Weight training of masked subnetworks, evaluation, and the run report record (``harness.write_report`` writes it)."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -100,16 +97,6 @@ class RunReport:
             "layerwise": self.layerwise,
             "warnings": self.warnings,
         }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-
-    def save_metrics_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "sparsity", "train_loss", "val_accuracy"])
-            for r in self.records:
-                writer.writerow([r.epoch, f"{r.sparsity:.12g}", f"{r.train_loss:.12g}", f"{r.val_accuracy:.12g}"])
 
 
 def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.ndarray) -> float:

@@ -210,9 +210,14 @@ def test_load_idx_without_validation_rows(tmp_path):
 
 def test_load_idx_label_out_of_range(tmp_path):
     directory = _archive(tmp_path)
-    write_idx_labels(directory / "train-labels-idx1-ubyte", np.array([200] * 40, dtype=np.uint8))
-    with pytest.raises(IdxFormatError, match="out of range"):
-        load_idx(directory, expected_classes=10)
+    write_idx_labels(directory / "t10k-labels-idx1-ubyte", np.array([200] * 10, dtype=np.uint8))
+    with pytest.raises(IdxFormatError, match=r"test label 200 out of range \[0, 10\)"):
+        load_idx(directory)
+
+
+def test_load_idx_rejects_an_archive_without_training_images(tmp_path):
+    with pytest.raises(IdxFormatError, match="no training images"):
+        load_idx(_archive(tmp_path, n_train=0))
 
 
 def test_load_idx_missing_file(tmp_path):

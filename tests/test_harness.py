@@ -1,12 +1,16 @@
+import ast
 import json
 import math
 import re
+import tempfile
 import tokenize
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gemmine.harness as harness
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
@@ -234,6 +238,38 @@ def test_gem_config_checks_the_freeze_arithmetic_freeze_step_runs():
     data = harness.build_dataset(cfg.task)
     result = harness.mine_for_seed(cfg, data, 1)
     assert [r.sparsity for r in result.report.records] == [4 / 16, 1 / 16]
+
+
+DIGITS_784_4_10 = "task.kind = idx\ntask.path = digits\nnet.widths = 784,4,10\nschedule.epochs = 2\nfinetune.epochs = 1\nseeds = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # labels 0-9 against 3 classes: the archive's labels, not the network, are out of range
+        (DIGITS_784_4_10 + "net.widths = 784,4,3\ntask.classes = 3\n", "task.classes: train label 9 is not below 3"),
+        (GEM_2_4_2 + "net.widths = 3,4,2\n", "net.widths: input width 3 is not the 2 features of the data"),
+        (GEM_2_4_2 + "net.widths = 2,4,5\n", "net.widths: output width 5 is not the 2 classes of the data"),
+        (DIGITS_784_4_10 + "task.val_fraction = 0.98\n", "task.val_fraction: too large for the archive's training images (train: no rows)"),
+        (DIGITS_784_4_10 + "task.path = .\n", "task.path: missing IDX file"),
+    ],
+)
+def test_run_checks_the_config_against_its_data_before_any_seed(tmp_path, text, message):
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    cfg = build_experiment_config(text, base_dir=tmp_path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        harness.run_experiment(cfg, tmp_path / "out")
+    assert list((tmp_path / "out" / cfg.run_id / "masks").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["mine", "finetune"])
+def test_cli_checks_the_config_against_its_data(tmp_path, command):
+    cfg_path = _write_cfg(tmp_path, GEM_2_4_2 + "net.widths = 3,4,2\n")
+    argv = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tmp_path / "never_read.tfmc")]
+    with pytest.raises(ConfigError, match="^net.widths: input width 3 "):
+        cli_main(argv)
 
 
 def test_config_missing_idx_path(tmp_path):
@@ -560,9 +596,10 @@ def test_cli_leaves_the_run_directory_to_the_harness():
         "finetune",
         "mine_for_seed",
         "variant_network",
-        "write_layerwise_csv",
-        "save_json",
-        "save_metrics_csv",
+        "write_layerwise",
+        "write_report",
+        "write_table",
+        "write_summary",
         "MaskedLayer",
     }
     with open(cli, "rb") as f:
@@ -572,9 +609,154 @@ def test_cli_leaves_the_run_directory_to_the_harness():
     assert offenders == []
 
 
+# the modules that write files: the run directory, the checkpoint format and IDX archives
+FILE_WRITERS = {"harness.py", "checkpoint.py", "data.py"}
+
+
+def _file_writes(source: str) -> list[str]:
+    """``line: what`` for each use of csv or json, ``.write_text(``, ``.write_bytes(`` and write-mode ``open(`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name in ("csv", "json")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            found.append(f"{node.lineno}: from {node.module}")
+        elif isinstance(node, ast.Name) and node.id in ("csv", "json"):
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("write_text", "write_bytes"):
+            found.append(f"{node.lineno}: .{node.func.attr}(")
+        elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open"):
+            # open(path, mode) or path.open(mode); a mode that is not a literal may write
+            args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), args[0] if args else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")):
+                found.append(f"{node.lineno}: open(")
+    return sorted(found)
+
+
+def test_only_the_file_writing_modules_write_files():
+    """trainer, sanity and the other modules compute; harness writes the run directory's files."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if str(path.relative_to(package)) not in FILE_WRITERS:
+            offenders += [f"{path.relative_to(package)}:{hit}" for hit in _file_writes(path.read_text())]
+    assert offenders == []
+
+
+def test_the_file_write_guard_sees_each_spelling():
+    source = """
+import csv
+from json import dumps
+p.write_text(json.dumps(x))
+p.write_bytes(b)
+open(p, "w")
+open(p, mode="ab")
+p.open("r+")
+open(p, m)
+open(p)
+open(p, "rb")
+p.open()
+"""
+    assert _file_writes(source) == sorted(
+        ["2: import csv", "3: from json", "4: .write_text(", "4: json", "5: .write_bytes(", "6: open(", "7: open(", "8: open(", "9: open("]
+    )
+
+
 def test_cli_seed_override_runs_single_seed(tmp_path):
     cfg_path = _write_cfg(tmp_path, BASE_CFG)
     out_dir = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--seed", "5", "--out-dir", str(out_dir)]) == 0
     rows = harness.read_summary(out_dir / "tiny" / "summary.csv")
     assert {row["seed"] for row in rows} == {"5"}
+
+
+# ---------------------------------------------------------------------------
+# every config either runs or fails on its key
+# ---------------------------------------------------------------------------
+
+PROPERTY_BASES = {
+    "blobs": "task.kind = blobs\ntask.n = 40\nnet.widths = 2,4,2\nschedule.epochs = 2\nfinetune.epochs = 1\nseeds = 1\n",
+    "digits": "task.kind = idx\ntask.path = digits\nnet.widths = 784,4,10\nschedule.epochs = 2\nfinetune.epochs = 1\nseeds = 1\n",
+}
+# README's keys, each with values that are valid on its own; "base" stands for the base config's own value
+VALID_VALUES = {
+    "run.id": ("prop",),
+    "task.kind": ("base",),
+    "task.seed": ("3",),
+    "net.widths": ("base",),
+    "miner.algorithm": ("gem", "ep", "imp", "sr"),
+    "miner.lr": ("0.2",),
+    "miner.lambda": ("1e-4",),
+    "miner.regularizer": ("l1", "l2"),
+    "miner.optimizer": ("sgd:0.5", "adam"),
+    "miner.batch_size": ("8",),
+    "schedule.sparsity": ("0.3",),
+    "schedule.epochs": ("4",),
+    "schedule.freeze_period": ("2",),
+    "finetune.epochs": ("2",),
+    "finetune.batch_size": ("8",),
+    "finetune.optimizer": ("adam",),
+    "finetune.lr": ("0.05",),
+    "finetune.schedule": ("cosine", "multistep:0:0.5"),
+    "sanity": ("shuffle,reinit", "invert", "shuffle:3"),
+    "seeds": ("1,2", "4"),
+    "init.scheme": ("signed_constant", "scaled_normal"),
+    "ep.scope": ("layerwise", "global"),
+    "ep.gradual": ("true", "no"),
+    "imp.rounds": ("2",),
+    "imp.prune_rate": ("0.3",),
+    "imp.epochs_per_round": ("1",),
+    "imp.rewind": ("cold", "warm:1", "lr_rewind"),
+    "sr.variant": ("v1", "v3", "v4"),
+    "sr.last_layer_keep": ("0.5",),
+    "sr.tune_steps": ("3",),
+    "sr.tune_lr": ("0.01",),
+    "sr.reference_profile": ("0.5,0.4",),
+    "sr.imp_profile": ("0.5,0.4",),
+}
+TASK_KEYS = {
+    "blobs": {"task.n": ("40",), "task.noise": ("0.3",)},
+    "digits": {"task.path": ("digits",), "task.train_limit": ("30",), "task.val_fraction": ("0.2",), "task.classes": ("10",)},
+}
+HUGE = "1000000000"
+BAD_VALUES = ("0", "-1", "nan", "inf", "1e-9", HUGE, "", "bogus")
+# a huge count of rows, epochs, rounds or steps is a long run, not a config error
+WORK_COUNTS = {"task.n", "schedule.epochs", "finetune.epochs", "imp.rounds", "imp.epochs_per_round", "sr.tune_steps"}
+SECTIONS = {"miner", "schedule", "finetune", "imp", "sr"}
+
+
+@st.composite
+def _config_texts(draw):
+    base = draw(st.sampled_from(sorted(PROPERTY_BASES)))
+    values = {**VALID_VALUES, **TASK_KEYS[base]}
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=4)):
+        bad = [v for v in BAD_VALUES if not (v == HUGE and key in WORK_COUNTS)]
+        value = draw(st.sampled_from(values[key] + tuple(bad)))
+        lines.append(f"{key} = {value}" if value != "base" else "")
+    return base, PROPERTY_BASES[base] + "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def property_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("property")
+    make_digit_archive(root / "digits", n_train=60, n_test=20, seed=0)
+    return root
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_config_texts())
+def test_every_config_runs_or_fails_on_its_key(property_root, case):
+    """Either the config or its check against the data raises a ConfigError that starts with a key or
+    section, or the run returns with summary.csv written."""
+    base, text = case
+    out = Path(tempfile.mkdtemp(dir=property_root))
+    try:
+        cfg = build_experiment_config(text, base_dir=property_root)
+        run_dir = harness.run_experiment(cfg, out)
+    except ConfigError as exc:
+        keys = set(VALID_VALUES) | set(TASK_KEYS[base]) | SECTIONS
+        assert str(exc).partition(": ")[0] in keys, str(exc)
+        return
+    assert (run_dir / "summary.csv").is_file()

@@ -39,7 +39,7 @@ from gemmine.miners import (
     topk_mask,
     tune_ratios,
 )
-from gemmine.miners.common import L1, L2, patch_flips
+from gemmine.miners.common import L1, L2, patch_flips, score_descent
 from gemmine.miners.gem import check_layer_collapse
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import invert_scores, layerwise_report
@@ -852,6 +852,26 @@ def test_report_building_stays_in_miners_common():
 def test_score_descent_loop_stays_in_miners_common():
     """Gem-Miner and edge-popup hand their mask rules to common.score_descent; no miner runs its own loop."""
     assert _miner_names({"run_epoch", "patch_flips", "score_loss_and_grads", "init_scores"}) == []
+
+
+def test_score_descent_fails_a_write_into_the_fixed_weights_where_it_happens(blobs):
+    def take_bits(scores, epoch, warnings):
+        return [round_scores(p) for p in scores]
+
+    def end_epoch(weights, scores, epoch, warnings):
+        weights[0][0, 0] = 1.0
+        return None, 0.5, {}
+
+    with pytest.raises(ValueError, match="read-only"):
+        score_descent(blobs, NetworkSpec((2, 4, 2)), SparsitySchedule(0.5, 2, 2), MinerConfig(), SIGNED_CONSTANT, take_bits, end_epoch)
+
+
+def test_score_descent_hands_back_writable_weights(blobs):
+    weights, _, _ = score_descent(
+        blobs, NetworkSpec((2, 4, 2)), SparsitySchedule(0.5, 2, 2), MinerConfig(), SIGNED_CONSTANT,
+        lambda scores, epoch, warnings: [round_scores(p) for p in scores], lambda weights, scores, epoch, warnings: (None, 0.5, {}),
+    )
+    assert all(w.flags.writeable for w in weights)
 
 
 def test_masked_weight_training_stays_in_the_trainer():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemmine.harness import write_layerwise
 from gemmine.masking import (
     SIGNED_CONSTANT,
     MaskedLayer,
@@ -19,7 +20,6 @@ from gemmine.sanity import (
     layerwise_report,
     reinit_weights,
     shuffle_mask,
-    write_layerwise_csv,
 )
 
 
@@ -139,7 +139,7 @@ def test_layerwise_report_dense():
 
 def test_layerwise_csv_format(tmp_path):
     path = tmp_path / "layers.csv"
-    write_layerwise_csv(path, layerwise_report([np.array([[1.0, 0.0]])]))
+    write_layerwise(path, layerwise_report([np.array([[1.0, 0.0]])]))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "layer_index,params,kept,keep_fraction"
     assert lines[1] == "0,2,1,0.5"

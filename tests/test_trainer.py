@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gemmine.autodiff import Tensor, add, backward, mul, scale
+from gemmine.harness import write_report
 from gemmine.masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_weights, loss_and_grads, mask_sparsity, stream_rng
 from gemmine.miners import COLD, LR_REWIND, WARM, MinerConfig, RewindSpec, imp, prune_by_magnitude
 from gemmine.optim import Adam, SgdMomentum, make_optimizer, parse_optimizer
@@ -193,9 +194,8 @@ def test_run_report_json_field_names(tmp_path):
     report.post_finetune_accuracy = 0.9
     report.layerwise = [{"layer_index": 0, "params": 4, "kept": 2, "keep_fraction": 0.5}]
     report.warnings = ["example"]
-    path = tmp_path / "report.json"
-    report.save_json(path)
-    payload = json.loads(path.read_text())
+    write_report(tmp_path / "report", report)
+    payload = json.loads((tmp_path / "report.json").read_text())
     assert set(payload) == {
         "epochs",
         "records",
@@ -215,9 +215,8 @@ def test_run_report_json_field_names(tmp_path):
 def test_metrics_csv_header(tmp_path):
     report = RunReport(epochs=1)
     report.records.append(EpochRecord(epoch=0, sparsity=0.25, train_loss=2.0, val_accuracy=0.75))
-    path = tmp_path / "metrics.csv"
-    report.save_metrics_csv(path)
-    lines = path.read_text().strip().splitlines()
+    write_report(tmp_path / "metrics", report)
+    lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,sparsity,train_loss,val_accuracy"
     assert lines[1] == "0,0.25,2,0.75"
 
