@@ -96,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     for fn, name, help_text in subcommands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed list")
+        if fn is not cmd_report:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed list")
         p.add_argument("--out-dir", default="out", help="output root directory")
         if fn in (cmd_finetune, cmd_sanity):
             p.add_argument("--checkpoint", required=True)

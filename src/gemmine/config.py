@@ -32,7 +32,7 @@ from .miners.edge_popup import GLOBAL, LAYERWISE
 from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
 from .miners.smart_ratio import VARIANTS, check_smart_ratio_settings
 from .optim import parse_optimizer
-from .sanity import SanityVariant
+from .sanity import INVERT, SanityVariant
 from .trainer import Cosine, MultiStep, TrainConfig
 
 ALGORITHMS = ("gem", "ep", "imp", "sr")
@@ -256,7 +256,7 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         kind, _, extra = entry.partition(":")
         sanity.append(_checked("sanity", SanityVariant, kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
     seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
-    for key, seed in [("task.seed", task.seed)] + [("seeds", s) for s in seeds]:
+    for key, seed in [("task.seed", task.seed)] + [("seeds", s) for s in seeds] + [("sanity", v.seed) for v in sanity]:
         if seed < 0:
             raise ConfigError(f"{key}: a seed must be >= 0, got {seed}")
     # a repeated seed or kind would write its cell's files twice, and summary.csv would disagree with them
@@ -309,6 +309,8 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
     if algorithm == "sr":
         sr_settings = (cfg.sr_reference_profile, cfg.sr_imp_profile, cfg.sr_last_layer_keep, cfg.sr_tune_steps)
         _checked("sr", check_smart_ratio_settings, spec, cfg.sr_variant, *sr_settings)
+        if any(v.kind == INVERT for v in sanity):
+            raise ConfigError("sanity: invert is undefined for sr, which produces no scores")
     unknown = fields.unknown()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -4,14 +4,12 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
@@ -67,54 +65,31 @@ def float_features(x: np.ndarray) -> np.ndarray:
     return x / 255.0 if x.dtype == np.uint8 else x
 
 
-def _read_u32be(buf: bytes, offset: int, path: Path, what: str) -> int:
-    if offset + 4 > len(buf):
-        raise IdxFormatError(f"{path}: truncated reading {what} at offset {offset}")
-    return struct.unpack(">I", buf[offset : offset + 4])[0]
+def read_idx(path: str | Path, ndim: int) -> np.ndarray:
+    """Read an IDX file of uint8 items into an array of its ``ndim`` sizes (3 for images, 1 for labels).
 
-
-def read_idx_images(path: str | Path) -> np.ndarray:
-    """Read an IDX image file into a uint8 array of shape (count, rows, cols)."""
+    The header is the magic ``0x00000800 + ndim`` then ``ndim`` big-endian u32 sizes.
+    """
     path = Path(path)
     buf = path.read_bytes()
-    magic = _read_u32be(buf, 0, path, "magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0 (expected 0x{IDX_IMAGE_MAGIC:08x})")
-    count = _read_u32be(buf, 4, path, "item count")
-    rows = _read_u32be(buf, 8, path, "row count")
-    cols = _read_u32be(buf, 12, path, "column count")
-    need = 16 + count * rows * cols
-    if len(buf) < need:
-        raise IdxFormatError(f"{path}: truncated pixel data, need {need} bytes, have {len(buf)}")
-    return np.frombuffer(buf, dtype=np.uint8, count=count * rows * cols, offset=16).reshape(count, rows, cols)
+    header = 4 * (1 + ndim)
+    if len(buf) < header:
+        raise IdxFormatError(f"{path}: truncated header, need {header} bytes, have {len(buf)}")
+    magic, *shape = struct.unpack(f">{1 + ndim}I", buf[:header])
+    if magic != 0x800 + ndim:
+        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0 (expected 0x{0x800 + ndim:08x})")
+    count = math.prod(shape)
+    if len(buf) < header + count:
+        raise IdxFormatError(f"{path}: truncated data, need {header + count} bytes, have {len(buf)}")
+    return np.frombuffer(buf, dtype=np.uint8, count=count, offset=header).reshape(shape)
 
 
-def read_idx_labels(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    buf = path.read_bytes()
-    magic = _read_u32be(buf, 0, path, "magic")
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0 (expected 0x{IDX_LABEL_MAGIC:08x})")
-    count = _read_u32be(buf, 4, path, "item count")
-    need = 8 + count
-    if len(buf) < need:
-        raise IdxFormatError(f"{path}: truncated label data, need {need} bytes, have {len(buf)}")
-    return np.frombuffer(buf, dtype=np.uint8, count=count, offset=8)
-
-
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
+def write_idx(path: str | Path, array: np.ndarray) -> None:
+    """Write ``array`` as uint8 items under the header ``read_idx`` reads: its magic and sizes come from the array."""
+    array = np.ascontiguousarray(array, dtype=np.uint8)
     with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+        f.write(struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape))
+        f.write(array)
 
 
 def check_split_settings(train_limit: int | None = None, val_fraction: float = 0.0) -> None:
@@ -123,6 +98,14 @@ def check_split_settings(train_limit: int | None = None, val_fraction: float = 0
         raise ValueError(f"train_limit must be >= 1, got {train_limit}")
     if not (0.0 <= val_fraction < 1.0):
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+
+
+def _read_idx_pair(directory: Path, split: str, images_name: str, labels_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """One split's images and labels, checked to be as many."""
+    images, labels = read_idx(directory / images_name, 3), read_idx(directory / labels_name, 1)
+    if images.shape[0] != labels.shape[0]:
+        raise IdxFormatError(f"{directory}: {images.shape[0]} {split} images but {labels.shape[0]} labels")
+    return images, labels
 
 
 def load_idx(
@@ -145,14 +128,10 @@ def load_idx(
     for name in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS):
         if not (directory / name).exists():
             raise FileNotFoundError(f"missing IDX file {directory / name}")
-    train_images = read_idx_images(directory / TRAIN_IMAGES)
-    train_labels = read_idx_labels(directory / TRAIN_LABELS)
-    test_images = read_idx_images(directory / TEST_IMAGES)
-    test_labels = read_idx_labels(directory / TEST_LABELS)
-    if train_images.shape[0] != train_labels.shape[0]:
-        raise IdxFormatError(
-            f"{directory}: {train_images.shape[0]} train images but {train_labels.shape[0]} labels"
-        )
+    train_images, train_labels = _read_idx_pair(directory, "train", TRAIN_IMAGES, TRAIN_LABELS)
+    test_images, test_labels = _read_idx_pair(directory, "test", TEST_IMAGES, TEST_LABELS)
+    if test_images.shape[1:] != train_images.shape[1:]:
+        raise IdxFormatError(f"{directory}: test images of shape {test_images.shape[1:]}, train images {train_images.shape[1:]}")
 
     # the training labels give the class count; a test label must be below it
     if train_labels.size == 0:
@@ -303,8 +282,8 @@ def make_digit_archive(directory: str | Path, n_train: int, n_test: int, seed: i
     directory.mkdir(parents=True, exist_ok=True)
     train_images, train_labels = gen_digit_images(n_train, seed=seed, noise=noise)
     test_images, test_labels = gen_digit_images(n_test, seed=seed + 1, noise=noise)
-    write_idx_images(directory / TRAIN_IMAGES, train_images)
-    write_idx_labels(directory / TRAIN_LABELS, train_labels)
-    write_idx_images(directory / TEST_IMAGES, test_images)
-    write_idx_labels(directory / TEST_LABELS, test_labels)
+    write_idx(directory / TRAIN_IMAGES, train_images)
+    write_idx(directory / TRAIN_LABELS, train_labels)
+    write_idx(directory / TEST_IMAGES, test_images)
+    write_idx(directory / TEST_LABELS, test_labels)
     return directory

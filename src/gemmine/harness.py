@@ -86,7 +86,7 @@ def load_dataset(cfg: ExperimentConfig) -> DatasetSplit:
     """``build_dataset(cfg.task)``, checked against the rest of ``cfg`` once, before any seed runs.
 
     A config that does not fit its data raises a ``ConfigError`` that starts with the key to change:
-    - ``task.path``: the directory lacks an IDX file, or one is malformed;
+    - ``task.path``: the directory lacks an IDX file, one is malformed, or the splits disagree;
     - ``task.val_fraction`` (``task.train_limit`` when it is set): the archive leaves no training row;
     - ``task.classes``: a train, validation or test label is not below it;
     - ``net.widths``: the input width is not the feature count, or the output

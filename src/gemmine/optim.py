@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
@@ -28,6 +29,8 @@ class Adam:
             raise ValueError(f"adam betas must be in [0, 1), got {self.beta1}, {self.beta2}")
         if not self.eps > 0.0:
             raise ValueError(f"adam eps must be > 0, got {self.eps}")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"adam eps must be finite, got {self.eps}")
 
 
 OptimizerChoice = Union[SgdMomentum, Adam]

@@ -17,10 +17,8 @@ from gemmine.data import (
     gen_synthetic,
     load_idx,
     make_digit_archive,
-    read_idx_images,
-    read_idx_labels,
-    write_idx_images,
-    write_idx_labels,
+    read_idx,
+    write_idx,
 )
 from gemmine.masking import NetworkSpec, init_weights
 from gemmine.miners import LayerRatios, MinerConfig, SparsitySchedule, gem_mine, smart_ratio
@@ -31,20 +29,20 @@ def test_idx_image_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
     path = tmp_path / "imgs"
-    write_idx_images(path, images)
-    np.testing.assert_array_equal(read_idx_images(path), images)
+    write_idx(path, images)
+    np.testing.assert_array_equal(read_idx(path, 3), images)
 
 
 def test_idx_label_roundtrip(tmp_path):
     labels = np.array([0, 3, 9, 1], dtype=np.uint8)
     path = tmp_path / "labels"
-    write_idx_labels(path, labels)
-    np.testing.assert_array_equal(read_idx_labels(path), labels)
+    write_idx(path, labels)
+    np.testing.assert_array_equal(read_idx(path, 1), labels)
 
 
 def test_idx_golden_bytes(tmp_path):
     path = tmp_path / "two_pixels"
-    write_idx_images(path, np.array([[[7, 9]]], dtype=np.uint8))
+    write_idx(path, np.array([[[7, 9]]], dtype=np.uint8))
     assert path.read_bytes() == struct.pack(">IIII", 0x00000803, 1, 1, 2) + bytes([7, 9])
 
 
@@ -52,24 +50,24 @@ def test_idx_bad_magic_names_offset(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(struct.pack(">IIII", 0x12345678, 1, 1, 1) + b"\x00")
     with pytest.raises(IdxFormatError, match="offset 0"):
-        read_idx_images(path)
+        read_idx(path, 3)
     with pytest.raises(IdxFormatError, match="0x12345678"):
-        read_idx_images(path)
+        read_idx(path, 3)
 
 
 def test_idx_truncated_pixels(tmp_path):
     path = tmp_path / "short"
     path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 3)
     with pytest.raises(IdxFormatError, match="truncated"):
-        read_idx_images(path)
+        read_idx(path, 3)
 
 
 def _archive(tmp_path, n_train=40, n_test=10, rows=4, cols=5, classes=10):
     rng = np.random.default_rng(1)
-    write_idx_images(tmp_path / "train-images-idx3-ubyte", rng.integers(0, 256, (n_train, rows, cols)).astype(np.uint8))
-    write_idx_labels(tmp_path / "train-labels-idx1-ubyte", (np.arange(n_train) % classes).astype(np.uint8))
-    write_idx_images(tmp_path / "t10k-images-idx3-ubyte", rng.integers(0, 256, (n_test, rows, cols)).astype(np.uint8))
-    write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", (np.arange(n_test) % classes).astype(np.uint8))
+    write_idx(tmp_path / "train-images-idx3-ubyte", rng.integers(0, 256, (n_train, rows, cols)).astype(np.uint8))
+    write_idx(tmp_path / "train-labels-idx1-ubyte", (np.arange(n_train) % classes).astype(np.uint8))
+    write_idx(tmp_path / "t10k-images-idx3-ubyte", rng.integers(0, 256, (n_test, rows, cols)).astype(np.uint8))
+    write_idx(tmp_path / "t10k-labels-idx1-ubyte", (np.arange(n_test) % classes).astype(np.uint8))
     return tmp_path
 
 
@@ -80,8 +78,8 @@ def test_load_idx_flattens_and_scales(tmp_path):
     assert split.train_x.shape[0] == 30 and split.val_x.shape[0] == 10
     assert split.test_x.shape[0] == 10
     # stored as the file's uint8 pixels, one flattened image per row
-    train_pixels = read_idx_images(directory / "train-images-idx3-ubyte").reshape(40, 20)
-    test_pixels = read_idx_images(directory / "t10k-images-idx3-ubyte").reshape(10, 20)
+    train_pixels = read_idx(directory / "train-images-idx3-ubyte", 3).reshape(40, 20)
+    test_pixels = read_idx(directory / "t10k-images-idx3-ubyte", 3).reshape(10, 20)
     rows = {r.tobytes() for r in train_pixels}
     for x in (split.train_x, split.val_x, split.test_x):
         assert x.dtype == np.uint8 and x.flags.c_contiguous
@@ -210,7 +208,7 @@ def test_load_idx_without_validation_rows(tmp_path):
 
 def test_load_idx_label_out_of_range(tmp_path):
     directory = _archive(tmp_path)
-    write_idx_labels(directory / "t10k-labels-idx1-ubyte", np.array([200] * 10, dtype=np.uint8))
+    write_idx(directory / "t10k-labels-idx1-ubyte", np.array([200] * 10, dtype=np.uint8))
     with pytest.raises(IdxFormatError, match=r"test label 200 out of range \[0, 10\)"):
         load_idx(directory)
 
@@ -284,7 +282,7 @@ def test_digit_archive_loadable(tmp_path):
     assert split.n_features == 784
     assert split.n_classes == 10
     again, _ = gen_digit_images(60, seed=0)
-    assert read_idx_images(tmp_path / "train-images-idx3-ubyte").tobytes() == again.tobytes()
+    assert read_idx(tmp_path / "train-images-idx3-ubyte", 3).tobytes() == again.tobytes()
 
 
 @pytest.mark.parametrize(

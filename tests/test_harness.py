@@ -16,7 +16,7 @@ import gemmine.harness as harness
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
-from gemmine.data import make_digit_archive
+from gemmine.data import make_digit_archive, write_idx
 from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, mask_sparsity
 from gemmine.miners import smooth_ratios
 from gemmine.miners.imp import WARM
@@ -44,6 +44,9 @@ finetune.batch_size = 16
 sanity = shuffle,reinit,invert
 seeds = 1,2
 """
+
+# BASE_CFG's sanity variants without invert, which sr has no scores for
+NO_INVERT = "sanity = shuffle,reinit\n"
 
 
 def test_parse_key_values_and_errors():
@@ -151,6 +154,8 @@ def test_config_number_errors_name_the_key(line, key):
         ("miner.optimizer = adam:1.5,0.999", "miner.optimizer", "adam betas must be in [0, 1), got 1.5, 0.999"),
         ("finetune.optimizer = adam:0.9,-0.1", "finetune.optimizer", "adam betas must be in [0, 1), got 0.9, -0.1"),
         ("finetune.optimizer = adam:0.9,0.999,0", "finetune.optimizer", "adam eps must be > 0, got 0.0"),
+        # every Adam step would be 0, so the scores would never move
+        ("miner.optimizer = adam:0.9,0.999,inf", "miner.optimizer", "adam eps must be finite, got inf"),
         ("miner.optimizer = adam:0.9,0.999,1e-8,7", "miner.optimizer", "adam takes only beta1, beta2, eps, got 4 values"),
         ("finetune.optimizer = sgd:0.9,0.5", "finetune.optimizer", "sgd takes only momentum, got 2 values"),
         ("sr.imp_profile = 0.5,2", "sr.imp_profile", "keep ratios must be in (0, 1]"),
@@ -179,6 +184,9 @@ def test_config_number_errors_name_the_key(line, key):
         ("miner.algorithm = sr\nsr.last_layer_keep = 0", "sr", "last layer keep must be in (0, 1], got 0.0"),
         ("seeds = 1,1", "seeds", "each entry must be distinct, got 1, 1"),
         ("sanity = shuffle,shuffle:5", "sanity", "each entry must be distinct, got shuffle, shuffle"),
+        # each of these used to fail every seed's variant cell into errors.log
+        ("miner.algorithm = sr\nsanity = invert", "sanity", "invert is undefined for sr, which produces no scores"),
+        ("sanity = reinit:-8000\nseeds = 1", "sanity", "a seed must be >= 0, got -8000"),
         # every seed would fail with "finetune: mask keeps no weights"
         ("schedule.sparsity = 1e-9", "schedule.sparsity", "1e-09 leaves none of 40 weights unfrozen after 2 freeze events"),
     ],
@@ -203,7 +211,7 @@ def test_config_range_errors_name_the_key(line, key, message):
     ],
 )
 def test_config_accepts_smart_ratio_settings_that_run(line):
-    build_experiment_config(BASE_CFG + line + "\n")
+    build_experiment_config(BASE_CFG + line + "\n" + NO_INVERT)
 
 
 @pytest.mark.parametrize(
@@ -260,6 +268,22 @@ def test_run_checks_the_config_against_its_data_before_any_seed(tmp_path, text, 
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         harness.run_experiment(cfg, tmp_path / "out")
     assert list((tmp_path / "out" / cfg.run_id / "masks").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, array, message",
+    [
+        ("t10k-labels-idx1-ubyte", np.arange(9, dtype=np.uint8), ": 10 test images but 9 labels"),
+        # every seed used to fail in its first matmul
+        ("t10k-images-idx3-ubyte", np.zeros((10, 28, 27), dtype=np.uint8), ": test images of shape (28, 27), train images (28, 28)"),
+    ],
+)
+def test_an_archive_whose_test_split_disagrees_with_its_training_split_fails_on_task_path(tmp_path, name, array, message):
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    write_idx(tmp_path / "digits" / name, array)
+    cfg = build_experiment_config(DIGITS_784_4_10, base_dir=tmp_path)
+    with pytest.raises(ConfigError, match=f"^task.path: .*{re.escape(message)}$"):
+        harness.load_dataset(cfg)
 
 
 @pytest.mark.parametrize("command", ["mine", "finetune"])
@@ -337,9 +361,9 @@ def test_config_missing_idx_path_names_the_key(tmp_path):
     [("gem", SIGNED_CONSTANT), ("ep", SIGNED_CONSTANT), ("imp", SCALED_NORMAL), ("sr", SCALED_NORMAL)],
 )
 def test_config_resolves_the_init_scheme(algorithm, scheme):
-    assert build_experiment_config(BASE_CFG + f"miner.algorithm = {algorithm}\n").init_scheme == scheme
+    assert build_experiment_config(BASE_CFG + NO_INVERT + f"miner.algorithm = {algorithm}\n").init_scheme == scheme
     other = SCALED_NORMAL if scheme == SIGNED_CONSTANT else SIGNED_CONSTANT
-    text = BASE_CFG + f"miner.algorithm = {algorithm}\ninit.scheme = {other}\n"
+    text = BASE_CFG + NO_INVERT + f"miner.algorithm = {algorithm}\ninit.scheme = {other}\n"
     assert build_experiment_config(text).init_scheme == other
 
 
@@ -515,6 +539,14 @@ def test_cli_run_and_report(tmp_path, capsys):
     before = summary.read_text()
     assert cli_main(["report", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
     assert summary.read_text() == before
+
+
+def test_cli_report_takes_no_seed(tmp_path):
+    # report rebuilds summary.csv from every seed's reports, so a seed would be ignored
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["report", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
 
 
 def test_cli_mine_finetune_sanity(tmp_path):
