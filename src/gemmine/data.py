@@ -85,7 +85,14 @@ def read_idx(path: str | Path, ndim: int) -> np.ndarray:
 
 
 def write_idx(path: str | Path, array: np.ndarray) -> None:
-    """Write ``array`` as uint8 items under the header ``read_idx`` reads: its magic and sizes come from the array."""
+    """Write ``array`` as uint8 items under the header ``read_idx`` reads: its magic and sizes come from the array.
+
+    Raises ``ValueError`` naming ``path``, and writes nothing, if an item is
+    not an integer in [0, 255].
+    """
+    array = np.asarray(array)
+    if array.dtype != np.uint8 and not np.all((array >= 0) & (array <= 255) & (array == np.trunc(array))):
+        raise ValueError(f"{path}: IDX items must be integers in [0, 255]")
     array = np.ascontiguousarray(array, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape))

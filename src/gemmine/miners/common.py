@@ -93,15 +93,17 @@ class MiningResult:
     ``inversion_scores`` carries the per-weight importances a score-inversion
     sanity check needs (final scores for score-based miners, weight
     magnitudes at prune time for magnitude-based ones). ``round_masks`` (IMP
-    only) holds the mask after each round's prune. Every mask is boolean, 1
-    byte per weight; the weights, scores and importances are float64.
+    only, an ``imp.RoundMasks``) gives the mask after each round's prune; it
+    keeps one pruning-round index per weight, and each access builds that
+    round's boolean masks. Every mask is boolean, 1 byte per weight; the
+    weights, scores and importances are float64.
     """
 
     layers: list[MaskedLayer]
     report: RunReport
     inversion_scores: list[np.ndarray] | None = None
     layer_ratios: "LayerRatios | None" = None
-    round_masks: list[list[np.ndarray]] | None = None
+    round_masks: Sequence[list[np.ndarray]] | None = None
 
     @property
     def weights(self) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ keeps them and restarts only the learning-rate schedule (lr_rewind).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ COLD = "cold"
 WARM = "warm"
 LR_REWIND = "lr_rewind"
 
-__all__ = ["imp", "check_imp_settings", "RewindSpec", "COLD", "WARM", "LR_REWIND", "prune_by_magnitude"]
+__all__ = ["imp", "check_imp_settings", "RewindSpec", "RoundMasks", "COLD", "WARM", "LR_REWIND", "prune_by_magnitude"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,30 @@ def prune_by_magnitude(
     return [m & ~hit for m, hit in zip(mask, select_smallest_across(candidates, n_prune))]
 
 
+class RoundMasks(Sequence):
+    """IMP's mask after each round's prune, built on access from the round each weight was pruned in.
+
+    ``pruned_in`` holds, per layer, the 0-indexed round whose prune removed
+    each weight, or the round count for a weight never pruned, as read-only
+    arrays of the smallest unsigned type that holds the count. Item ``r`` is
+    round ``r``'s mask, ``[p > r for p in pruned_in]``: new boolean arrays on
+    every access. A slice is another ``RoundMasks`` over the same arrays.
+    """
+
+    def __init__(self, pruned_in: list[np.ndarray], rounds: range):
+        self.pruned_in = pruned_in
+        self._rounds = rounds
+
+    def __len__(self) -> int:
+        return len(self._rounds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RoundMasks(self.pruned_in, self._rounds[index])
+        r = self._rounds[index]
+        return [p > r for p in self.pruned_in]
+
+
 def imp(
     data: DatasetSplit,
     spec: NetworkSpec,
@@ -84,7 +109,8 @@ def imp(
     """Run ``rounds`` of train / global-magnitude-prune / rewind.
 
     The kept fraction after round r is (1 - prune_rate)^r up to integer
-    rounding; masks are nested across rounds. With zero epochs per round the
+    rounding; masks are nested across rounds, and the result's
+    ``round_masks`` is a ``RoundMasks``. With zero epochs per round the
     procedure reduces to magnitude sorts of the initialization. Each round
     trains with ``trainer.train_masked`` (whose docstring gives the mask
     rules and the training scheme) on one batch stream shared by all rounds.
@@ -99,7 +125,7 @@ def imp(
     report = RunReport(epochs=rounds * epochs_per_round)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     warm_checkpoint: list[np.ndarray] | None = None
-    round_masks: list[list[np.ndarray]] = []
+    pruned_in = [np.full(w.shape, rounds, dtype=np.min_scalar_type(rounds)) for w in initial]
     # every round restarts the cosine schedule
     round_cfg = TrainConfig(epochs=epochs_per_round, batch_size=config.batch_size, optimizer=config.optimizer, lr=config.lr)
 
@@ -110,9 +136,12 @@ def imp(
                 warm_checkpoint = [w.copy() for w in weights]
             record_epoch(report, data, weights, round_idx * epochs_per_round + epoch, kept_fraction, mean_loss)
 
-        magnitudes = [np.abs(w) for w in weights]
-        mask = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
-        round_masks.append([m.copy() for m in mask])
+        pruned = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
+        for p, old, new in zip(pruned_in, mask, pruned):
+            p[old != new] = round_idx
+        mask = pruned
+        if round_idx == rounds - 1:
+            magnitudes = [np.abs(w) for w in weights]
         if rewind.kind == COLD:
             weights = [w0 * m for w0, m in zip(initial, mask)]
         elif rewind.kind == WARM:
@@ -121,4 +150,8 @@ def imp(
         else:
             weights = [w * m for w, m in zip(weights, mask)]
 
-    return mining_result(weights, mask, report, data, inversion_scores=magnitudes, round_masks=round_masks)
+    for p in pruned_in:
+        p.flags.writeable = False
+    return mining_result(
+        weights, mask, report, data, inversion_scores=magnitudes, round_masks=RoundMasks(pruned_in, range(rounds))
+    )

@@ -142,6 +142,7 @@ def run_epoch(
         if not math.isfinite(value):
             raise FloatingPointError(f"training diverged: loss={value}")
         optimizer.step(params, grads, lr)
+        del grads  # else they stay alive while the next batch's are computed
         total_loss += value * idx.size
     return total_loss / n
 

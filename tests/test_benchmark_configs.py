@@ -1,10 +1,12 @@
 """The benchmark's experiment configs still parse to the settings its
-workloads rely on.
+workloads rely on, and its ``baselines`` workload passes its own checks.
 
 ``perfbench/workloads.py`` writes each workload's configs as config-file
 text and parses them in its timed set-up, so a parser change that rejects
-or re-reads one would otherwise show only in a benchmark run. This reads
-that module without changing it.
+or re-reads one would otherwise show only in a benchmark run. Its
+``invariant_errors`` reads IMP's ``round_masks`` by length, slice and
+iteration, so a change to that result's shape would too. This reads that
+module without changing it.
 """
 
 import importlib.util
@@ -80,3 +82,10 @@ def test_every_workload_config_parses_to_what_the_workload_runs(workloads, tmp_p
     assert sr_cfg.schedule.target_sparsity == (1.0 - workloads.IMP_PRUNE_RATE) ** sizes.imp_rounds
     assert (sr_cfg.sr_tune_steps, sr_cfg.sr_tune_lr) == (sizes.tune_steps, 0.01)
     assert imp_cfg.task.train_limit == sr_cfg.task.train_limit == sizes.rows
+
+
+def test_tiny_baselines_run_passes_the_workloads_invariant_checks(workloads, tmp_path):
+    prep = workloads.setup("baselines", workloads.TINY, seed=1, work_dir=tmp_path)
+    outcome = workloads.run("baselines", prep, tmp_path / "out")
+    assert len(outcome.extra["imp_cold"].round_masks) == workloads.TINY.imp_rounds
+    assert workloads.invariant_errors("baselines", prep, outcome) == []

@@ -46,6 +46,22 @@ def test_idx_golden_bytes(tmp_path):
     assert path.read_bytes() == struct.pack(">IIII", 0x00000803, 1, 1, 2) + bytes([7, 9])
 
 
+@pytest.mark.parametrize(
+    "values", [[300, 7], [2.7, -1.0], [float("nan"), 1.0], [float("inf")], np.array([-1], dtype=np.int8)], ids=repr
+)
+def test_write_idx_rejects_values_it_cannot_store(tmp_path, values):
+    path = tmp_path / "bad-values"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_idx(path, np.array(values))
+    assert not path.exists()
+
+
+def test_write_idx_stores_any_integer_array_in_range(tmp_path):
+    path = tmp_path / "wide"
+    write_idx(path, np.array([0, 7, 255], dtype=np.int64))
+    assert path.read_bytes() == struct.pack(">II", 0x00000801, 3) + bytes([0, 7, 255])
+
+
 def test_idx_bad_magic_names_offset(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(struct.pack(">IIII", 0x12345678, 1, 1, 1) + b"\x00")

@@ -781,7 +781,7 @@ def property_root(tmp_path_factory):
 @given(case=_config_texts())
 def test_every_config_runs_or_fails_on_its_key(property_root, case):
     """Either the config or its check against the data raises a ConfigError that starts with a key or
-    section, or the run returns with summary.csv written."""
+    section, or the run returns with summary.csv written and no errors.log entry but a diverged training."""
     base, text = case
     out = Path(tempfile.mkdtemp(dir=property_root))
     try:
@@ -792,3 +792,7 @@ def test_every_config_runs_or_fails_on_its_key(property_root, case):
         assert str(exc).partition(": ")[0] in keys, str(exc)
         return
     assert (run_dir / "summary.csv").is_file()
+    log = run_dir / "errors.log"
+    if log.exists():
+        entries = re.findall(r"^seed \d+: (?:mining|variant \w+) failed: (.*)$", log.read_text(), flags=re.M)
+        assert entries and all(e.startswith("training diverged") for e in entries), log.read_text()

@@ -698,6 +698,58 @@ def test_imp_round_masks_are_boolean(blobs):
         assert last.dtype == m.dtype == np.bool_ and np.array_equal(last, m)
 
 
+@pytest.mark.parametrize("rounds", [1, 3, 255])
+def test_imp_round_history_is_one_byte_per_weight(rounds):
+    spec = NetworkSpec((3, 4, 2))
+    cfg = MinerConfig(seed=1)
+    res = imp(None, spec, rounds=rounds, prune_rate=0.3, rewind=RewindSpec("cold"), epochs_per_round=0, config=cfg)
+    history = res.round_masks.pruned_in
+    assert [p.dtype for p in history] == [np.uint8, np.uint8]
+    assert 0 == min(int(p.min()) for p in history) < max(int(p.max()) for p in history) <= rounds
+    assert sum(p.nbytes for p in history) == spec.total_params
+    assert [p.shape for p in history] == [m.shape for m in res.mask]
+    assert not any(p.flags.writeable for p in history)
+
+
+def test_imp_round_masks_act_as_a_sequence_of_boolean_mask_lists(blobs):
+    spec = NetworkSpec((2, 8, 2))
+    cfg = MinerConfig(lr=0.05, seed=2, batch_size=16)
+    res = imp(blobs, spec, rounds=4, prune_rate=0.3, rewind=RewindSpec("cold"), epochs_per_round=1, config=cfg)
+    rounds = res.round_masks
+    expected = [[m.copy() for m in rounds[r]] for r in range(4)]
+    for masks in expected:
+        assert isinstance(masks, list) and [m.dtype for m in masks] == [np.bool_, np.bool_]
+    kept = [sum(int(np.sum(m)) for m in masks) for masks in expected]
+    assert kept == sorted(kept, reverse=True) and len(set(kept)) == 4
+    assert len(rounds) == 4 and (rounds or []) is rounds
+    for got, want in zip(rounds, expected, strict=True):
+        _assert_same_masks(got, want)
+    _assert_same_masks(rounds[-1], res.mask)
+    _assert_same_masks(rounds[-4], expected[0])
+    with pytest.raises(IndexError):
+        rounds[4]
+    tail = rounds[1:]
+    assert len(tail) == 3 and type(tail) is type(rounds)
+    for got, want in zip(tail, expected[1:], strict=True):
+        _assert_same_masks(got, want)
+    for got, want in zip(rounds[::-2], expected[::-2], strict=True):
+        _assert_same_masks(got, want)
+    assert len(rounds[4:]) == 0 and (rounds[4:] or []) == []
+    with pytest.raises(ValueError):
+        list(zip(rounds, rounds[1:], strict=True))
+    # each access builds new arrays, so writing into one leaves the history as it was
+    rounds[0][0][...] = False
+    _assert_same_masks(rounds[0], expected[0])
+    with pytest.raises(TypeError):
+        rounds[0] = expected[0]
+
+
+def _assert_same_masks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.bool_ and a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_imp_deterministic(blobs):
     spec = NetworkSpec((2, 8, 2))
     cfg = MinerConfig(lr=0.05, seed=13, batch_size=16)

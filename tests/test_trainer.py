@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +241,22 @@ def test_run_masked_epoch_reports_mean_loss(blobs):
     rng = stream_rng(0, STREAM_BATCHES)
     [(_, loss)] = train_masked(weights, mask, blobs, cfg, rng)
     assert math.isfinite(loss) and loss > 0.0
+
+
+def test_run_epoch_releases_a_batchs_gradients_before_the_next(blobs):
+    """One gradient set is alive at a time: a batch's are gone before the next batch's are computed."""
+    weights = [w.copy() for w in init_weights(NetworkSpec((2, 6, 2)), SCALED_NORMAL, seed=0)]
+    previous = []
+
+    def batch_loss_and_grads(x, y):
+        assert all(ref() is None for ref in previous)
+        loss, grads = loss_and_grads(x, y, weights)
+        previous[:] = [weakref.ref(g) for g in grads]
+        return loss, grads
+
+    optimizer = make_optimizer(SgdMomentum(), weights)
+    run_epoch(weights, batch_loss_and_grads, blobs.train_x, blobs.train_y, 16, optimizer, 0.05, stream_rng(0, STREAM_BATCHES))
+    assert previous
 
 
 def _break_contract(weights, mask, how):
