@@ -7,8 +7,10 @@ Subcommands:
     sanity    apply configured sanity transformations to a checkpoint
     report    rebuild summary.csv from a completed run directory
 
-Each subcommand calls the harness stage that writes its files; this module
-only parses arguments, prints and sets the exit code.
+``main`` loads the config once, ``--seed`` included, and hands it to the
+subcommand, which calls the harness stage that writes its files; this
+module only parses arguments, prints and sets the exit code. A config
+error, wherever it is raised, is one ``error:`` line and exit code 2.
 """
 
 from __future__ import annotations
@@ -16,15 +18,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_experiment_config
+from .config import ConfigError, load_experiment_config
 from .harness import finetune_file, load_dataset, mine_seed, open_run_dir, rebuild_summary, run_experiment, sanity_file
 from .masking import mask_sparsity
 
 
-def cmd_run(args) -> int:
-    cfg = load_experiment_config(args.config)
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
+def cmd_run(cfg, args) -> int:
     run_dir = run_experiment(cfg, args.out_dir)
     print(f"run complete: {run_dir / 'summary.csv'}")
     errors = run_dir / "errors.log"
@@ -34,33 +33,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_mine(args) -> int:
-    cfg = load_experiment_config(args.config)
-    seeds = [args.seed] if args.seed is not None else cfg.seeds
+def cmd_mine(cfg, args) -> int:
     run_dir = open_run_dir(cfg, args.out_dir, snapshot=True)
     data = load_dataset(cfg)
-    for seed in seeds:
+    for seed in cfg.seeds:
         result, checkpoint = mine_seed(cfg, data, seed, run_dir)
         print(f"seed {seed}: sparsity {mask_sparsity(result.mask):.6f}, checkpoint {checkpoint}")
     return 0
 
 
-def cmd_finetune(args) -> int:
-    cfg = load_experiment_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    row, stem = finetune_file(cfg, args.checkpoint, seed, args.out_dir)
+def cmd_finetune(cfg, args) -> int:
+    row, stem = finetune_file(cfg, args.checkpoint, cfg.seeds[0], args.out_dir)
     print(f"finetuned {args.checkpoint}: pre {row.pre_acc:.4f} -> post {row.post_acc:.4f} ({stem}.json)")
     return 0
 
 
-def cmd_sanity(args) -> int:
-    cfg = load_experiment_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+def cmd_sanity(cfg, args) -> int:
     if not cfg.sanity:
         print("no sanity variants configured", file=sys.stderr)
         return 1
     status = 0
-    for kind, checkpoint, outcome, warnings in sanity_file(cfg, args.checkpoint, seed, args.out_dir):
+    for kind, checkpoint, outcome, warnings in sanity_file(cfg, args.checkpoint, cfg.seeds[0], args.out_dir):
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if isinstance(outcome, Exception):
@@ -71,8 +64,7 @@ def cmd_sanity(args) -> int:
     return status
 
 
-def cmd_report(args) -> int:
-    cfg = load_experiment_config(args.config)
+def cmd_report(cfg, args) -> int:
     try:
         summary, n_rows = rebuild_summary(cfg, args.out_dir)
     except FileNotFoundError as exc:
@@ -101,10 +93,14 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out-dir", default="out", help="output root directory")
         if fn in (cmd_finetune, cmd_sanity):
             p.add_argument("--checkpoint", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, seed=None)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(load_experiment_config(args.config, seed=args.seed), args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

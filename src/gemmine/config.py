@@ -189,7 +189,10 @@ def _parse_schedule_choice(key: str, text: str):
     raise ConfigError(f"{key}: unknown lr schedule {text!r}")
 
 
-def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Path | None = None) -> ExperimentConfig:
+def build_experiment_config(
+    text: str, default_run_id: str = "run", base_dir: Path | None = None, seed: int | None = None
+) -> ExperimentConfig:
+    """Parse and check config ``text``; ``seed``, when given, replaces its ``seeds`` under the same rules."""
     fields = _Fields(parse_key_values(text))
 
     kind = fields.choice("task.kind", TASK_KINDS)
@@ -256,9 +259,11 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
         kind, _, extra = entry.partition(":")
         sanity.append(_checked("sanity", SanityVariant, kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
     seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
-    for key, seed in [("task.seed", task.seed)] + [("seeds", s) for s in seeds] + [("sanity", v.seed) for v in sanity]:
-        if seed < 0:
-            raise ConfigError(f"{key}: a seed must be >= 0, got {seed}")
+    if seed is not None:
+        seeds = [seed]
+    for key, value in [("task.seed", task.seed)] + [("seeds", s) for s in seeds] + [("sanity", v.seed) for v in sanity]:
+        if value < 0:
+            raise ConfigError(f"{key}: a seed must be >= 0, got {value}")
     # a repeated seed or kind would write its cell's files twice, and summary.csv would disagree with them
     for key, values in (("sanity", [v.kind for v in sanity]), ("seeds", seeds)):
         if len(set(values)) < len(values):
@@ -317,6 +322,6 @@ def build_experiment_config(text: str, default_run_id: str = "run", base_dir: Pa
     return cfg
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
+def load_experiment_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     path = Path(path)
-    return build_experiment_config(path.read_text(), default_run_id=path.stem, base_dir=path.parent)
+    return build_experiment_config(path.read_text(), default_run_id=path.stem, base_dir=path.parent, seed=seed)

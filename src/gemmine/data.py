@@ -68,7 +68,8 @@ def float_features(x: np.ndarray) -> np.ndarray:
 def read_idx(path: str | Path, ndim: int) -> np.ndarray:
     """Read an IDX file of uint8 items into an array of its ``ndim`` sizes (3 for images, 1 for labels).
 
-    The header is the magic ``0x00000800 + ndim`` then ``ndim`` big-endian u32 sizes.
+    The header is the magic ``0x00000800 + ndim`` then ``ndim`` big-endian u32 sizes,
+    and the items fill the rest of the file exactly.
     """
     path = Path(path)
     buf = path.read_bytes()
@@ -81,6 +82,8 @@ def read_idx(path: str | Path, ndim: int) -> np.ndarray:
     count = math.prod(shape)
     if len(buf) < header + count:
         raise IdxFormatError(f"{path}: truncated data, need {header + count} bytes, have {len(buf)}")
+    if len(buf) > header + count:
+        raise IdxFormatError(f"{path}: {len(buf) - header - count} trailing bytes after {count} items")
     return np.frombuffer(buf, dtype=np.uint8, count=count, offset=header).reshape(shape)
 
 

@@ -2,7 +2,7 @@
 whole matrix, and emit checkpoints, reports, and a summary table.
 
 ``run_experiment`` and the CLI subcommands build the run directory from the
-same three stages: ``mine_seed``, ``write_variant`` and
+same three stages: ``mine_seed``, ``variant_network`` and
 ``finetune_checkpoint``. This module is the one writer of the layout under
 ``<out_root>/<run_id>/``, and the only module that knows a report file's
 bytes: ``write_report`` writes a ``RunReport`` as ``<stem>.json`` and its
@@ -135,28 +135,31 @@ def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> Minin
 
 
 def variant_network(
-    cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int, warnings: list[str]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weights and mask for one sanity variant of a mining result.
+    cfg: ExperimentConfig, layers: list[MaskedLayer], scores: list[np.ndarray] | None, variant: str, seed: int,
+    warnings: list[str],
+) -> list[MaskedLayer]:
+    """One sanity variant of the network ``layers``, without scores.
 
-    ``seed`` combines the run seed with the variant's own seed so that a
-    pinned variant seed shifts the transformation deterministically.
-    The variant's warnings (a degenerate inversion) are appended to ``warnings``.
+    ``scores`` are what ``invert`` ranks (a mining result's ``inversion_scores``),
+    None when the miner produces none. ``seed`` combines the run seed with the
+    variant's own seed so that a pinned variant seed shifts the transformation
+    deterministically. The variant's warnings (a degenerate inversion) are
+    appended to ``warnings``.
     """
-    weights = result.weights
-    mask = result.mask
+    weights, mask = [layer.weights for layer in layers], extract_mask(layers)
     if variant == SHUFFLE:
-        return weights, shuffle_mask(mask, seed + _SHUFFLE_SEED_OFFSET)
-    if variant == REINIT:
-        fresh = reinit_weights(result.layers, cfg.spec, cfg.init_scheme, seed + _REINIT_SEED_OFFSET)
-        return [layer.weights for layer in fresh], mask
-    if variant == INVERT:
-        if result.inversion_scores is None:
+        mask = shuffle_mask(mask, seed + _SHUFFLE_SEED_OFFSET)
+    elif variant == REINIT:
+        fresh = reinit_weights(layers, cfg.spec, cfg.init_scheme, seed + _REINIT_SEED_OFFSET)
+        weights = [layer.weights for layer in fresh]
+    elif variant == INVERT:
+        if scores is None:
             raise ValueError(f"{cfg.algorithm} produces no scores; score inversion undefined")
-        inverted, inversion_warnings = invert_scores(result.inversion_scores, mask)
+        mask, inversion_warnings = invert_scores(scores, mask)
         warnings.extend(inversion_warnings)
-        return weights, inverted
-    raise ValueError(f"unknown sanity variant {variant!r}")
+    else:
+        raise ValueError(f"unknown sanity variant {variant!r}")
+    return [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
 
 
 def seed_stem(seed: int, variant: str) -> str:
@@ -189,13 +192,13 @@ def mine_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int, run_dir: Pat
     return result, checkpoint
 
 
-def write_variant(
-    cfg: ExperimentConfig, result: MiningResult, variant: str, seed: int, path: Path, warnings: list[str]
-) -> list[np.ndarray]:
-    """Write the checkpoint of one sanity variant of ``result`` to ``path``, add its warnings to ``warnings``; return its mask."""
-    weights, mask = variant_network(cfg, result, variant, seed, warnings)
-    save_checkpoint(path, [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)])
-    return mask
+def read_checkpoint(cfg: ExperimentConfig, path: Path) -> list[MaskedLayer]:
+    """The layers of checkpoint ``path``, or a ``ConfigError`` on ``net.widths`` when their shapes are not the config's."""
+    layers = load_checkpoint(path)
+    shapes, expected = [layer.weights.shape for layer in layers], list(cfg.spec.layer_shapes)
+    if shapes != expected:
+        raise ConfigError(f"net.widths: checkpoint {path} holds layers of shapes {shapes}, not {expected}")
+    return layers
 
 
 def finetune_checkpoint(
@@ -207,7 +210,7 @@ def finetune_checkpoint(
     not the network in memory, gives every path the same numbers.
     ``warnings`` go first in the report.
     """
-    layers = load_checkpoint(checkpoint)
+    layers = read_checkpoint(cfg, checkpoint)
     mask = extract_mask(layers)
     _, report = finetune([layer.weights for layer in layers], mask, data, replace(cfg.finetune, seed=seed))
     report.warnings[:0] = warnings
@@ -234,7 +237,8 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
             warnings = result.report.warnings if variant == BASE_VARIANT else []
             try:
                 if variant != BASE_VARIANT:
-                    write_variant(cfg, result, variant, seed + variant_seed, checkpoint, warnings)
+                    layers = variant_network(cfg, result.layers, result.inversion_scores, variant, seed + variant_seed, warnings)
+                    save_checkpoint(checkpoint, layers)
                 rows.append(finetune_checkpoint(cfg, data, seed, checkpoint, run_dir / "reports" / stem, variant, warnings))
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
@@ -264,19 +268,20 @@ def sanity_file(
     Only Gem-Miner's checkpoints hold scores, so ``invert`` fails for the others.
     """
     checkpoint = Path(checkpoint)
-    layers = load_checkpoint(checkpoint)
+    layers = read_checkpoint(cfg, checkpoint)
     scores = [layer.scores for layer in layers] if cfg.algorithm == "gem" else None
-    result = MiningResult(layers=layers, report=RunReport(epochs=0), inversion_scores=scores)
     run_dir = open_run_dir(cfg, out_root)
     for variant in cfg.sanity:
         stem = f"{checkpoint.stem}_{variant.kind}"
         path = run_dir / "masks" / f"{stem}.tfmc"
         warnings: list[str] = []
         try:
-            mask = write_variant(cfg, result, variant.kind, seed + variant.seed, path, warnings)
+            variant_layers = variant_network(cfg, layers, scores, variant.kind, seed + variant.seed, warnings)
+            save_checkpoint(path, variant_layers)
         except Exception as exc:  # noqa: BLE001 - variant isolation is the contract
             yield variant.kind, path, exc, warnings
             continue
+        mask = extract_mask(variant_layers)
         write_layerwise(run_dir / "reports" / f"{stem}_layerwise.csv", layerwise_report(mask))
         yield variant.kind, path, mask_sparsity(mask), warnings
 

@@ -220,12 +220,14 @@ def score_descent(
     epoch's report columns (see ``trainer.record_epoch``).
 
     The kernel's effective weights ``base * bits`` are kept across batches.
-    A step flips few mask bits, so each batch rewrites only the entries whose
-    bit flipped (``patch_flips``); a new ``base`` rebuilds them whole. The
-    epoch is recorded on them. Returns the weights, which never move: they
-    are read-only until the loop ends, so a write into them raises
-    ``ValueError`` where it happens. Also returns the trained scores and the
-    report.
+    A step flips few mask bits, so each batch, and each new ``base``,
+    rewrites only the entries whose bit flipped (``patch_flips``). A new
+    ``base`` may therefore change an entry only where that entry's new bit
+    is off, and only to the old entry times 0.0: its product is then the
+    same zero either way. The epoch is recorded on the effective weights.
+    Returns the weights, which never move: they are read-only until the
+    loop ends, so a write into them raises ``ValueError`` where it happens.
+    Also returns the trained scores and the report.
     """
     weights = init_weights(spec, init_scheme, config.seed)
     for w in weights:
@@ -252,8 +254,7 @@ def score_descent(
         new_base, sparsity, extra = end_epoch(weights, scores, epoch, report.warnings)
         if new_base is not None:
             base = new_base
-            bits = take_bits(scores, epoch, report.warnings)
-            effective = [b * m for b, m in zip(base, bits)]
+            patch_flips(effective, base, bits, take_bits(scores, epoch, report.warnings))
         record_epoch(report, data, effective, epoch, sparsity, train_loss, **extra)
 
     for w in weights:

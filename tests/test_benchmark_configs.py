@@ -1,15 +1,20 @@
 """The benchmark's experiment configs still parse to the settings its
-workloads rely on, and its ``baselines`` workload passes its own checks.
+workloads rely on, its ``baselines`` workload passes its own checks, and
+each workload's unit reproduces the stored reference hashes.
 
 ``perfbench/workloads.py`` writes each workload's configs as config-file
 text and parses them in its timed set-up, so a parser change that rejects
 or re-reads one would otherwise show only in a benchmark run. Its
 ``invariant_errors`` reads IMP's ``round_masks`` by length, slice and
-iteration, so a change to that result's shape would too. This reads that
-module without changing it.
+iteration, so a change to that result's shape would too. A change that
+moves one bit of a mask or a summary would show only there as well. This
+reads those modules and the reference hashes without changing them.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +23,9 @@ import pytest
 from gemmine.config import build_experiment_config
 from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT
 
-WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
+BENCHMARK_WORKLOADS = ["gem_mine", "ep_ablation", "matrix_gem", "baselines"]
 
 ALGORITHMS = {
     "gem_mine": "gem",
@@ -89,3 +96,31 @@ def test_tiny_baselines_run_passes_the_workloads_invariant_checks(workloads, tmp
     outcome = workloads.run("baselines", prep, tmp_path / "out")
     assert len(outcome.extra["imp_cold"].round_masks) == workloads.TINY.imp_rounds
     assert workloads.invariant_errors("baselines", prep, outcome) == []
+
+
+@pytest.fixture
+def bench_run(workloads, monkeypatch):
+    """``perfbench/run.py`` as a module; its own ``workloads`` import gets the fixture's, and ``sys.path`` is restored."""
+    monkeypatch.setattr(sys, "path", [*sys.path])
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec = importlib.util.spec_from_file_location("perfbench_run_under_test", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_unit_reproduces_the_reference_hashes(bench_run, tmp_path, workload):
+    # the full-size unit at seed 1, as run.py starts it, checked as run.py checks it
+    assert sorted(bench_run.WORKLOADS) == sorted(BENCHMARK_WORKLOADS)
+    env = {**os.environ, **{var: str(bench_run.BLAS_THREADS) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    cmd = [sys.executable, str(PERFBENCH / "unit.py"), "--workload", workload, "--seed", "1", "--work-dir", str(tmp_path / "work")]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    unit = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert unit["errors"] == []
+    key = bench_run.reference_key([unit])
+    references = json.loads(bench_run.REFERENCE.read_text())
+    if key not in references:
+        pytest.skip(f"no reference hashes for this BLAS build: {key!r}")
+    assert unit["hashes"] == references[key][workload][str(1 % bench_run.ARCHIVE_VARIANTS)]

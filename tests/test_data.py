@@ -78,6 +78,15 @@ def test_idx_truncated_pixels(tmp_path):
         read_idx(path, 3)
 
 
+def test_idx_trailing_bytes_are_rejected(tmp_path):
+    # a file longer than its header's sizes was cut or written wrong; its last items would be lost silently
+    path = tmp_path / "long"
+    write_idx(path, np.array([[[7, 9]]], dtype=np.uint8))
+    path.write_bytes(path.read_bytes() + b"\x00" * 7)
+    with pytest.raises(IdxFormatError, match=f"^{re.escape(str(path))}: 7 trailing bytes after 2 items$"):
+        read_idx(path, 3)
+
+
 def _archive(tmp_path, n_train=40, n_test=10, rows=4, cols=5, classes=10):
     rng = np.random.default_rng(1)
     write_idx(tmp_path / "train-images-idx3-ubyte", rng.integers(0, 256, (n_train, rows, cols)).astype(np.uint8))

@@ -287,13 +287,51 @@ def test_an_archive_whose_test_split_disagrees_with_its_training_split_fails_on_
 
 
 @pytest.mark.parametrize("command", ["mine", "finetune"])
-def test_cli_checks_the_config_against_its_data(tmp_path, command):
+def test_cli_checks_the_config_against_its_data(tmp_path, capsys, command):
     cfg_path = _write_cfg(tmp_path, GEM_2_4_2 + "net.widths = 3,4,2\n")
     argv = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
     if command == "finetune":
         argv += ["--checkpoint", str(tmp_path / "never_read.tfmc")]
-    with pytest.raises(ConfigError, match="^net.widths: input width 3 "):
-        cli_main(argv)
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: net.widths: input width 3 ")
+
+
+@pytest.mark.parametrize("command", ["finetune", "sanity"])
+def test_cli_checks_a_checkpoint_against_net_widths(tmp_path, capsys, command):
+    # a 2-4-2 checkpoint under a 2-8-2 config: finetune ran it silently, and reinit failed on a shape naming no key
+    ckpt = tmp_path / "small.tfmc"
+    save_checkpoint(ckpt, [MaskedLayer(np.ones(s), np.ones(s, dtype=bool)) for s in [(4, 2), (2, 4)]])
+    cfg_path = _write_cfg(tmp_path, GEM_2_4_2 + "net.widths = 2,8,2\nsanity = reinit\n")
+    out_dir = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out-dir", str(out_dir), "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: net.widths: checkpoint {ckpt} holds layers of shapes [(4, 2), (2, 4)], not [(8, 2), (2, 8)]"
+    ]
+    assert [p for p in out_dir.rglob("*") if p.is_file()] == []
+
+
+def _cli_argv(command, cfg_path, out_dir, *extra):
+    argv = [command, "--config", str(cfg_path), "--out-dir", str(out_dir), *extra]
+    return argv + ["--checkpoint", str(out_dir / "never_read.tfmc")] * (command in ("finetune", "sanity"))
+
+
+@pytest.mark.parametrize("command", ["run", "mine", "finetune", "sanity"])
+def test_cli_seed_obeys_the_config_seed_rule(tmp_path, capsys, command):
+    # run logged the seed's mining failure in errors.log, and mine died in numpy
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    out_dir = tmp_path / "out"
+    assert cli_main(_cli_argv(command, cfg_path, out_dir, "--seed", "-1")) == 2
+    assert capsys.readouterr().err == "error: seeds: a seed must be >= 0, got -1\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "mine", "finetune", "sanity", "report"])
+def test_cli_prints_a_config_error_as_one_line(tmp_path, capsys, command):
+    cfg_path = _write_cfg(tmp_path, BASE_CFG + "schedule.epochs = 0\n")
+    assert cli_main(_cli_argv(command, cfg_path, tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: schedule: epochs and freeze period must be positive, got 0, 2\n"
+    assert captured.out == ""
 
 
 def test_config_missing_idx_path(tmp_path):
