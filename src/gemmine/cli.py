@@ -34,8 +34,8 @@ def cmd_run(cfg, args) -> int:
 
 
 def cmd_mine(cfg, args) -> int:
-    run_dir = open_run_dir(cfg, args.out_dir, snapshot=True)
     data = load_dataset(cfg)
+    run_dir = open_run_dir(cfg, args.out_dir, snapshot=True)
     for seed in cfg.seeds:
         result, checkpoint = mine_seed(cfg, data, seed, run_dir)
         print(f"seed {seed}: sparsity {mask_sparsity(result.mask):.6f}, checkpoint {checkpoint}")

@@ -323,5 +323,11 @@ def build_experiment_config(
 
 
 def load_experiment_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
+    """``build_experiment_config`` of the file ``path``; a file that cannot be read as text is a ``ConfigError`` too."""
     path = Path(path)
-    return build_experiment_config(path.read_text(), default_run_id=path.stem, base_dir=path.parent, seed=seed)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ConfigError(f"config {path}: cannot be read ({reason})") from exc
+    return build_experiment_config(text, default_run_id=path.stem, base_dir=path.parent, seed=seed)

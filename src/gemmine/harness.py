@@ -211,8 +211,9 @@ def finetune_checkpoint(
     ``warnings`` go first in the report.
     """
     layers = read_checkpoint(cfg, checkpoint)
-    mask = extract_mask(layers)
-    _, report = finetune([layer.weights for layer in layers], mask, data, replace(cfg.finetune, seed=seed))
+    weights, mask = [layer.weights for layer in layers], extract_mask(layers)
+    del layers  # frees the checkpoint's scores, which finetuning does not read
+    _, report = finetune(weights, mask, data, replace(cfg.finetune, seed=seed))
     report.warnings[:0] = warnings
     write_report(stem, report)
     write_layerwise(f"{stem}_layerwise.csv", report.layerwise)
@@ -220,8 +221,8 @@ def finetune_checkpoint(
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
+    data = load_dataset(cfg)  # first, so a config that does not fit its data leaves no run directory
     run_dir = open_run_dir(cfg, out_root, snapshot=True)
-    data = load_dataset(cfg)
     rows: list[SummaryRow] = []
     errors: list[str] = []
 
@@ -239,6 +240,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
                 if variant != BASE_VARIANT:
                     layers = variant_network(cfg, result.layers, result.inversion_scores, variant, seed + variant_seed, warnings)
                     save_checkpoint(checkpoint, layers)
+                    del layers  # finetuning reads the checkpoint back, so the variant is freed while it trains
                 rows.append(finetune_checkpoint(cfg, data, seed, checkpoint, run_dir / "reports" / stem, variant, warnings))
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
@@ -252,8 +254,9 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
 def finetune_file(cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_root: str | Path) -> tuple[SummaryRow, Path]:
     """Finetune a checkpoint file into ``reports/<ckpt>_finetune_seed<K>.*``; the row and the reports' stem."""
     checkpoint = Path(checkpoint)
+    data = load_dataset(cfg)
     stem = open_run_dir(cfg, out_root) / "reports" / f"{checkpoint.stem}_finetune_seed{seed}"
-    row = finetune_checkpoint(cfg, load_dataset(cfg), seed, checkpoint, stem, checkpoint.stem)
+    row = finetune_checkpoint(cfg, data, seed, checkpoint, stem, checkpoint.stem)
     return row, stem
 
 

@@ -121,20 +121,25 @@ def select_smallest_across(values: Sequence[np.ndarray], k: int) -> list[np.ndar
     return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
 
 
-class SmallestSelector:
-    """``select_smallest_across`` for values that move little from one call to the next.
+class LargestSelector:
+    """The k largest entries of values that move little from one call to the next.
 
-    It keeps a window [lo, hi] of values around the last call's k-th
-    smallest, about ``MARGIN`` ranks to each side. Two counts show exactly
-    whether this call's k-th smallest lies in it: fewer than k entries are
-    below lo, and at least k are at most hi. Then every entry below lo is
-    chosen, and ``select_smallest`` picks the rest among the entries inside
-    the window, taken in (array, flat index) order, so ties fall as in
-    ``select_smallest_across``; otherwise that full partition runs. NaN is
-    inside no window and -0.0 compares equal to +0.0 on both sides, so the
-    chosen set is the same for any values and any k. A k of at most 0 or at
-    least the entry count chooses none or all without a partition.
-    ``window_calls`` counts the window path, ``fallback_calls`` the others.
+    Equal values are chosen lowest (array, flat index) first: a call is
+    exactly ``select_smallest_across`` on the negated values, but only the
+    few values near the threshold are negated. It keeps a window [lo, hi]
+    of negated values around the last call's threshold, about ``MARGIN``
+    ranks to each side. Two counts show exactly whether this call's
+    threshold lies in it: fewer than k entries are above -lo, and at least
+    k are at least -hi. Then every entry above -lo is chosen, and
+    ``select_smallest`` picks the rest among the negated entries inside the
+    window, taken in (array, flat index) order, so ties fall as in
+    ``select_smallest_across``; otherwise that full partition runs on the
+    negated values. ``v > -lo`` is ``-v < lo``, and ``v >= -hi`` is
+    ``-v <= hi``, for every float. NaN is inside no window and -0.0 compares
+    equal to +0.0 on both sides, so the chosen set is the same for any
+    values and any k. A k of at most 0 or at least the entry count chooses
+    none or all without a partition. ``window_calls`` counts the window
+    path, ``fallback_calls`` the others.
     """
 
     MARGIN = 256
@@ -152,36 +157,38 @@ class SmallestSelector:
             return [np.full(v.shape, k > 0) for v in values]
         if self.window is not None:
             lo, hi = self.window
-            below = [v < lo for v in values]
-            n_below = sum(int(np.count_nonzero(b)) for b in below)
-            upto = [v <= hi for v in values]
-            if n_below < k <= sum(int(np.count_nonzero(u)) for u in upto):
-                # lo <= hi, so the entries below lo are among those at most hi
-                inside = [np.flatnonzero(np.logical_xor(u, b, out=u)) for u, b in zip(upto, below)]
+            above = [v > -lo for v in values]
+            n_above = sum(int(np.count_nonzero(a)) for a in above)
+            atleast = [v >= -hi for v in values]
+            if n_above < k <= sum(int(np.count_nonzero(a)) for a in atleast):
+                # lo <= hi, so the entries above -lo are among those at least -hi
+                inside = [np.flatnonzero(np.logical_xor(a, b, out=a)) for a, b in zip(atleast, above)]
                 candidates = np.concatenate([v.reshape(-1)[i] for v, i in zip(values, inside)])
-                rest = k - n_below
+                np.negative(candidates, out=candidates)
+                rest = k - n_above
                 chosen = select_smallest(candidates, rest)
                 start = 0
-                for b, i in zip(below, inside):
-                    b.reshape(-1)[i[chosen[start : start + i.size]]] = True
+                for a, i in zip(above, inside):
+                    a.reshape(-1)[i[chosen[start : start + i.size]]] = True
                     start += i.size
                 self._recentre(candidates, rest)
                 self.window_calls += 1
-                return below
+                return above
         self.fallback_calls += 1
-        chosen = select_smallest_across(values, k)
+        negated = [-v for v in values]
+        chosen = select_smallest_across(negated, k)
         self.window = None  # the new window keeps no bound of the old one
-        self._recentre(np.concatenate([v.reshape(-1) for v in values]), k)
+        self._recentre(np.concatenate([v.reshape(-1) for v in negated]), k)
         return chosen
 
-    def _recentre(self, values: np.ndarray, k: int) -> None:
-        """Window ``values``' k-th smallest and ``MARGIN`` ranks to each side; a side with fewer keeps its old bound."""
+    def _recentre(self, negated: np.ndarray, k: int) -> None:
+        """Window ``negated``'s k-th smallest and ``MARGIN`` ranks to each side; a side with fewer keeps its old bound."""
         lo_rank, hi_rank = k - 1 - self.MARGIN, k - 1 + self.MARGIN
-        ranks = [max(lo_rank, 0), min(hi_rank, values.size - 1)]
-        lo, hi = np.partition(values, ranks)[ranks]
+        ranks = [max(lo_rank, 0), min(hi_rank, negated.size - 1)]
+        lo, hi = np.partition(negated, ranks)[ranks]
         if self.window is not None:
             lo = lo if lo_rank >= 0 else self.window[0]
-            hi = hi if hi_rank < values.size else self.window[1]
+            hi = hi if hi_rank < negated.size else self.window[1]
         if hi != hi:  # NaN: the window runs to the largest number
             hi = np.inf
         self.window = (lo, hi) if lo == lo else None

@@ -179,7 +179,8 @@ def score_loss_and_grads(
     The binarization has an identity backward, so the score gradient is
     d(loss)/d(effective weight) * base, plus that of ``config.reg_weight``
     times the scores' L1 or squared-L2 norm. ``scratch``, one array per
-    layer of ``scores``, is overwritten with the penalty's terms. The
+    layer of ``scores``, is overwritten with the penalty's terms; it is not
+    read, and may be ``None``, when ``config.reg_weight`` is 0. The
     returned gradients are the kernel's freshly allocated arrays, scaled
     and penalized in place.
     """
@@ -236,7 +237,7 @@ def score_descent(
     optimizer = make_optimizer(config.optimizer, scores)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     report = RunReport(epochs=schedule.total_epochs)
-    scratch = [np.empty_like(p) for p in scores]
+    scratch = [np.empty_like(p) for p in scores] if config.reg_weight > 0.0 else None
     base = weights
     # all bits off: the first batch writes every kept entry
     bits = [np.zeros(w.shape, dtype=bool) for w in weights]

@@ -2,7 +2,7 @@
 
 Its rule on ``common.score_descent``: the mask keeps the highest-scoring
 fraction of the weights, found through a window around the last threshold
-(``masking.SmallestSelector``), and the fixed factor of the effective
+(``masking.LargestSelector``), and the fixed factor of the effective
 weights is the weights themselves. Three ablation axes on the vanilla
 layerwise form: global top-k across the whole network, a gradual
 keep-fraction schedule that follows the same exponential envelope as the
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..data import DatasetSplit
-from ..masking import SIGNED_CONSTANT, NetworkSpec, SmallestSelector
+from ..masking import SIGNED_CONSTANT, LargestSelector, NetworkSpec
 from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_descent
 
 LAYERWISE = "layerwise"
@@ -33,21 +33,22 @@ def _kept_count(k: float, size: int) -> int:
 
 def topk_mask(
     scores: Sequence[np.ndarray], keep_fraction: float, scope: str, warnings: list[str] | None = None,
-    *, selectors: Sequence[SmallestSelector] | None = None,
+    *, selectors: Sequence[LargestSelector] | None = None,
 ) -> list[np.ndarray]:
-    """Boolean masks keeping the highest-scoring fraction, per layer or globally.
+    """Boolean masks keeping the largest scores, a ``keep_fraction`` of them, per layer or globally.
 
-    Equal scores are kept lowest flat index first; globally, in
-    ``select_smallest_across``'s order. ``selectors``, one
-    ``SmallestSelector`` per layer (or one for the global scope), carry a
-    run's previous thresholds from call to call; while the scores move
-    little, only the scores near the last threshold are partitioned. Without
-    them, fresh ones make the full selection.
+    Largest first, and equal scores kept lowest flat index first; globally,
+    lowest (layer, flat index) first. That is ``select_smallest_across`` on
+    the negated scores, but the scores are read as they are, not negated.
+    ``selectors``, one ``LargestSelector`` per layer (or one for the global
+    scope), carry a run's previous thresholds from call to call; while the
+    scores move little, only the scores near the last threshold are
+    partitioned. Without them, fresh ones make the full selection.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise ValueError(f"keep fraction must be in (0, 1], got {keep_fraction}")
     if scope == LAYERWISE:
-        selectors = selectors or [SmallestSelector() for _ in scores]
+        selectors = selectors or [LargestSelector() for _ in scores]
         masks = []
         for i, p in enumerate(scores):
             kept = _kept_count(keep_fraction, p.size)
@@ -55,12 +56,12 @@ def topk_mask(
                 msg = f"layerwise top-k clamped to 1 weight in layer {i}"
                 if msg not in warnings:
                     warnings.append(msg)
-            masks += selectors[i]([-p], kept)
+            masks += selectors[i]([p], kept)
         return masks
     if scope == GLOBAL:
         kept = _kept_count(keep_fraction, sum(p.size for p in scores))
-        (select,) = selectors or [SmallestSelector()]
-        return select([-p for p in scores], kept)
+        (select,) = selectors or [LargestSelector()]
+        return select(scores, kept)
     raise ValueError(f"scope must be {LAYERWISE!r} or {GLOBAL!r}, got {scope!r}")
 
 
@@ -84,7 +85,7 @@ def edge_popup(
     Scores are unconstrained here (no unit-interval projection): top-k only
     consumes their ranking.
     """
-    selectors = [SmallestSelector() for _ in range(len(spec.layer_shapes) if scope == LAYERWISE else 1)]
+    selectors = [LargestSelector() for _ in range(len(spec.layer_shapes) if scope == LAYERWISE else 1)]
 
     def keep_fraction(epoch):
         if not gradual:

@@ -267,7 +267,7 @@ def test_run_checks_the_config_against_its_data_before_any_seed(tmp_path, text, 
     cfg = build_experiment_config(text, base_dir=tmp_path)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         harness.run_experiment(cfg, tmp_path / "out")
-    assert list((tmp_path / "out" / cfg.run_id / "masks").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -286,7 +286,7 @@ def test_an_archive_whose_test_split_disagrees_with_its_training_split_fails_on_
         harness.load_dataset(cfg)
 
 
-@pytest.mark.parametrize("command", ["mine", "finetune"])
+@pytest.mark.parametrize("command", ["run", "mine", "finetune"])
 def test_cli_checks_the_config_against_its_data(tmp_path, capsys, command):
     cfg_path = _write_cfg(tmp_path, GEM_2_4_2 + "net.widths = 3,4,2\n")
     argv = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
@@ -294,6 +294,8 @@ def test_cli_checks_the_config_against_its_data(tmp_path, capsys, command):
         argv += ["--checkpoint", str(tmp_path / "never_read.tfmc")]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: net.widths: input width 3 ")
+    # the data is checked before the run directory is opened: it used to hold config.snapshot here
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["finetune", "sanity"])
@@ -322,6 +324,23 @@ def test_cli_seed_obeys_the_config_seed_rule(tmp_path, capsys, command):
     out_dir = tmp_path / "out"
     assert cli_main(_cli_argv(command, cfg_path, out_dir, "--seed", "-1")) == 2
     assert capsys.readouterr().err == "error: seeds: a seed must be >= 0, got -1\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "mine", "finetune", "sanity", "report"])
+@pytest.mark.parametrize("how", ["missing", "directory", "not_text"])
+def test_cli_prints_an_unreadable_config_as_one_line(tmp_path, capsys, command, how):
+    # a missing config file used to end in a FileNotFoundError traceback
+    cfg_path = tmp_path / "nope.cfg"
+    if how == "directory":
+        cfg_path.mkdir()
+    elif how == "not_text":
+        cfg_path.write_bytes(b"run.id = \xff\xfe\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(_cli_argv(command, cfg_path, out_dir)) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: config {re.escape(str(cfg_path))}: cannot be read \\(.+\\)\n", captured.err), captured.err
+    assert captured.out == ""
     assert not out_dir.exists()
 
 

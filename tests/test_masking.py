@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import struct
 import tokenize
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from gemmine.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from gemmine.masking import (
     SCALED_NORMAL,
     SIGNED_CONSTANT,
+    LargestSelector,
     MaskedLayer,
     NetworkSpec,
-    SmallestSelector,
     as_mask,
     extract_mask,
     init_scores,
@@ -29,7 +30,7 @@ from gemmine.masking import (
     select_smallest,
     select_smallest_across,
 )
-from gemmine.miners import GLOBAL, LAYERWISE, MinerConfig, RewindSpec, SparsitySchedule, edge_popup, gem_mine, imp, smart_ratio
+from gemmine.miners import GLOBAL, LAYERWISE, MinerConfig, RewindSpec, SparsitySchedule, edge_popup, gem_mine, imp, smart_ratio, topk_mask
 from gemmine.sanity import invert_scores, shuffle_mask
 
 
@@ -346,7 +347,7 @@ def _selection_runs(draw):
     # 0 keeps the values, 10 moves them by more than their spread
     scales = st.sampled_from([0.0, 1e-3, 0.05, 10.0])
     steps = draw(st.lists(st.tuples(scales, ks, st.integers(0, 2**32 - 1)), min_size=1, max_size=8))
-    return layers, tie_heavy, draw(st.sampled_from([1, 2, 8, SmallestSelector.MARGIN])), steps
+    return layers, tie_heavy, draw(st.sampled_from([1, 2, 8, LargestSelector.MARGIN])), steps
 
 
 def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
@@ -356,7 +357,7 @@ def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
     @given(_selection_runs())
     def check(run):
         layers, tie_heavy, margin, steps = run
-        selector = SmallestSelector()
+        selector = LargestSelector()
         selector.MARGIN = margin
         for scale, k, seed in steps:
             noise = np.random.default_rng(seed)
@@ -364,9 +365,9 @@ def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
             if tie_heavy:
                 layers = [np.round(layer * 4.0) / 4.0 for layer in layers]  # moved values still tie
             chosen = selector(layers, k)
-            want = select_smallest_across(layers, k)
+            want = select_smallest_across([-layer for layer in layers], k)
             if len(layers) == 1:
-                assert want[0].tobytes() == select_smallest(layers[0].reshape(-1), k).tobytes()
+                assert want[0].tobytes() == select_smallest(-layers[0].reshape(-1), k).tobytes()
             for got, expected, layer in zip(chosen, want, layers):
                 assert got.dtype == bool and got.shape == layer.shape
                 np.testing.assert_array_equal(got, expected)
@@ -381,13 +382,13 @@ def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
 def test_smallest_selector_takes_the_window_while_values_move_little():
     rng = np.random.default_rng(3)
     layers = [rng.random((40, 30)), rng.random(200)]
-    selector = SmallestSelector()
+    selector = LargestSelector()
     for _ in range(6):
         layers = [layer + 1e-4 * rng.standard_normal(layer.shape) for layer in layers]
-        for got, want in zip(selector(layers, 70), select_smallest_across(layers, 70)):
+        for got, want in zip(selector(layers, 70), select_smallest_across([-layer for layer in layers], 70)):
             assert got.tobytes() == want.tobytes()
     assert (selector.fallback_calls, selector.window_calls) == (1, 5)
-    selector(layers, 700)  # the k-th smallest moves far out of the window
+    selector(layers, 700)  # the k-th largest moves far out of the window
     assert selector.fallback_calls == 2
 
 
@@ -397,12 +398,31 @@ def test_smallest_selector_chooses_none_or_all_without_a_partition(monkeypatch):
 
     monkeypatch.setattr(masking, "select_smallest_across", no_partition)
     layers = [np.arange(6.0).reshape(2, 3), np.array([0.5, -1.0])]
-    selector = SmallestSelector()
+    selector = LargestSelector()
     for k, want in ((0, False), (8, True), (-1, False), (9, True)):
         chosen = selector(layers, k)
         assert [(c.dtype, c.shape) for c in chosen] == [(np.dtype(bool), (2, 3)), (np.dtype(bool), (2,))]
         assert all(np.all(c == want) for c in chosen), k
     assert (selector.fallback_calls, selector.window_calls) == (4, 0)
+
+
+@pytest.mark.parametrize("scope, shapes", [(LAYERWISE, [(128, 784)]), (GLOBAL, [(64, 784), (64, 784)])])
+def test_a_windowed_top_k_copies_no_scores(scope, shapes):
+    """One window call of topk_mask on 100,352 scores reads them as they are: it allocates less than one float64 copy."""
+    rng = np.random.default_rng(6)
+    scores = [rng.random(shape) for shape in shapes]
+    selectors = [LargestSelector() for _ in shapes] if scope == LAYERWISE else [LargestSelector()]
+    topk_mask(scores, 0.3, scope, selectors=selectors)
+    for p in scores:
+        p += 1e-6 * rng.standard_normal(p.shape)
+    tracemalloc.start()
+    try:
+        topk_mask(scores, 0.3, scope, selectors=selectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.window_calls for s in selectors] == [1] * len(selectors)
+    assert peak < sum(p.nbytes for p in scores)
 
 
 def test_no_miner_concatenates_layers():

@@ -1032,7 +1032,7 @@ def test_tune_ratios_clamps_to_unit_interval():
 # ---------------------------------------------------------------------------
 
 # the modules whose global select_smallest is called: masking's, through
-# select_smallest_across and SmallestSelector, serves freeze_step,
+# select_smallest_across and LargestSelector, serves freeze_step,
 # prune_by_magnitude and both scopes of top-k
 SELECTION_SITES = ("gemmine.masking", "gemmine.sanity")
 
