@@ -5,7 +5,7 @@ Subcommands:
     mine      run the configured miner for one or more seeds
     finetune  finetune a saved mask checkpoint
     sanity    apply configured sanity transformations to a checkpoint
-    report    rebuild summary.csv from a completed run directory
+    report    rewrite summary.csv from the config's finished cells
 
 ``main`` loads the config once, ``--seed`` included, and hands it to the
 subcommand, which calls the harness stage that writes its files; this
@@ -43,8 +43,8 @@ def cmd_mine(cfg, args) -> int:
 
 
 def cmd_finetune(cfg, args) -> int:
-    row, stem = finetune_file(cfg, args.checkpoint, cfg.seeds[0], args.out_dir)
-    print(f"finetuned {args.checkpoint}: pre {row.pre_acc:.4f} -> post {row.post_acc:.4f} ({stem}.json)")
+    report, stem = finetune_file(cfg, args.checkpoint, cfg.seeds[0], args.out_dir)
+    print(f"finetuned {args.checkpoint}: pre {report.pre_finetune_accuracy:.4f} -> post {report.post_finetune_accuracy:.4f} ({stem}.json)")
     return 0
 
 

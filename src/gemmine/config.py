@@ -41,7 +41,10 @@ TRUE_WORDS, FALSE_WORDS = ("true", "1", "yes"), ("false", "0", "no")
 
 
 class ConfigError(ValueError):
-    pass
+    @classmethod
+    def unreadable(cls, what: str, path: Path, exc: Exception) -> ConfigError:
+        """``<what> <path>: cannot be read (<reason>)``, the reason an ``OSError``'s text or ``exc`` itself."""
+        return cls(f"{what} {path}: cannot be read ({exc.strerror if isinstance(exc, OSError) and exc.strerror else exc})")
 
 
 def _parse(key: str, text: str, kind):
@@ -328,6 +331,5 @@ def load_experiment_config(path: str | Path, seed: int | None = None) -> Experim
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise ConfigError(f"config {path}: cannot be read ({reason})") from exc
+        raise ConfigError.unreadable("config", path, exc) from exc
     return build_experiment_config(text, default_run_id=path.stem, base_dir=path.parent, seed=seed)

@@ -1,29 +1,31 @@
 """Experiment orchestration: mine, apply sanity variants, finetune the
 whole matrix, and emit checkpoints, reports, and a summary table.
 
-``run_experiment`` and the CLI subcommands build the run directory from the
-same three stages: ``mine_seed``, ``variant_network`` and
-``finetune_checkpoint``. This module is the one writer of the layout under
-``<out_root>/<run_id>/``, and the only module that knows a report file's
-bytes: ``write_report`` writes a ``RunReport`` as ``<stem>.json`` and its
-per-epoch ``<stem>.csv``, and ``write_table`` writes every CSV, the
-layerwise tables (``write_layerwise``) and ``summary.csv`` included::
+``run_experiment`` and the CLI subcommands build the run directory from the same three
+stages: ``mine_seed``, ``variant_network`` and ``finetune_checkpoint``. This module is the
+one writer of the layout under ``<out_root>/<run_id>/``, and the only module that knows a
+report file's bytes: ``write_report`` writes a ``RunReport``'s per-epoch ``<stem>.csv`` and
+then ``<stem>.json``, and ``write_table`` writes every CSV, ``summary.csv`` included::
 
     config.snapshot                  verbatim copy of the config text (run, mine)
     masks/seed<K>_<variant>.tfmc     mined network (variant none) and its sanity variants
-    reports/seed<K>_<variant>.json / .csv / _layerwise.csv   finetune reports (run)
-    reports/seed<K>_none_mining.json / .csv                  mining reports (run, mine)
+    reports/seed<K>_<variant>_layerwise.csv / .csv / .json   a cell's finetune reports (run)
+    reports/seed<K>_none_mining.csv / .json                  mining reports (run, mine)
     masks/<ckpt>_<kind>.tfmc         sanity variants of checkpoint <ckpt>.tfmc (sanity)
     reports/<ckpt>_<kind>_layerwise.csv                      (sanity)
-    reports/<ckpt>_finetune_seed<K>.json / .csv / _layerwise.csv   (finetune)
+    reports/<ckpt>_finetune_seed<K>_layerwise.csv / .csv / .json   (finetune)
     summary.csv                      algorithm,variant,seed,sparsity,pre_acc,post_acc (run, report)
     errors.log                       only when a per-seed stage failed (run)
+
+A cell, one (seed, variant) pair, has finished when its report JSON, written last, exists.
+``rebuild_summary`` is the one writer of ``summary.csv``: it lists the config's finished cells.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import traceback
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
@@ -31,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, TaskConfig
 from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
@@ -63,10 +65,11 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 
 def write_report(stem: str | Path, report: RunReport) -> None:
-    """Write ``report`` whole as ``<stem>.json`` and its per-epoch columns as ``<stem>.csv``."""
-    Path(f"{stem}.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+    """Write ``report``'s per-epoch columns as ``<stem>.csv``, then the whole report as ``<stem>.json``, renamed into place."""
     epochs = ([r.epoch, r.sparsity, r.train_loss, r.val_accuracy] for r in report.records)
     write_table(f"{stem}.csv", ["epoch", "sparsity", "train_loss", "val_accuracy"], epochs)
+    Path(f"{stem}.json.partial").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+    os.replace(f"{stem}.json.partial", f"{stem}.json")
 
 
 def write_layerwise(path: str | Path, rows: Sequence[dict]) -> None:
@@ -166,10 +169,9 @@ def seed_stem(seed: int, variant: str) -> str:
     return f"seed{seed}_{variant}"
 
 
-def parse_seed_stem(stem: str) -> tuple[int, str]:
-    """``(seed, variant)`` of a ``seed_stem`` name."""
-    seed_text, _, variant = stem.partition("_")
-    return int(seed_text.removeprefix("seed")), variant
+def matrix_variants(cfg: ExperimentConfig) -> list[tuple[str, int]]:
+    """Each seed's cells in matrix order, as (variant, the seed it adds to the run seed): ``none``, then ``cfg.sanity``."""
+    return [(BASE_VARIANT, 0)] + [(v.kind, v.seed) for v in cfg.sanity]
 
 
 def open_run_dir(cfg: ExperimentConfig, out_root: str | Path, snapshot: bool = False) -> Path:
@@ -193,8 +195,11 @@ def mine_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int, run_dir: Pat
 
 
 def read_checkpoint(cfg: ExperimentConfig, path: Path) -> list[MaskedLayer]:
-    """The layers of checkpoint ``path``, or a ``ConfigError`` on ``net.widths`` when their shapes are not the config's."""
-    layers = load_checkpoint(path)
+    """The layers of checkpoint ``path``; a ``ConfigError`` when it cannot be read or its shapes are not ``net.widths``."""
+    try:
+        layers = load_checkpoint(path)
+    except (OSError, CheckpointError) as exc:
+        raise ConfigError.unreadable("checkpoint", path, exc) from exc
     shapes, expected = [layer.weights.shape for layer in layers], list(cfg.spec.layer_shapes)
     if shapes != expected:
         raise ConfigError(f"net.widths: checkpoint {path} holds layers of shapes {shapes}, not {expected}")
@@ -202,37 +207,39 @@ def read_checkpoint(cfg: ExperimentConfig, path: Path) -> list[MaskedLayer]:
 
 
 def finetune_checkpoint(
-    cfg: ExperimentConfig, data: DatasetSplit, seed: int, checkpoint: Path, stem: Path, variant: str, warnings: Sequence[str] = ()
-) -> SummaryRow:
-    """Finetune the network read back from ``checkpoint``; write ``<stem>.json``, ``.csv`` and ``_layerwise.csv``.
+    cfg: ExperimentConfig, data: DatasetSplit, seed: int, layers: list[MaskedLayer], stem: Path, warnings: Sequence[str] = ()
+) -> RunReport:
+    """Finetune ``layers`` read back by ``read_checkpoint``; write ``<stem>_layerwise.csv``, then ``write_report``'s files.
 
-    The checkpoint stores float32 weights, so finetuning what it reads back,
-    not the network in memory, gives every path the same numbers.
-    ``warnings`` go first in the report.
+    The checkpoint stores float32 weights, so finetuning what it reads back, not the network in memory,
+    gives every path the same numbers. ``warnings`` go first in the report.
     """
-    layers = read_checkpoint(cfg, checkpoint)
     weights, mask = [layer.weights for layer in layers], extract_mask(layers)
-    del layers  # frees the checkpoint's scores, which finetuning does not read
+    del layers  # frees the checkpoint's scores, which finetuning does not read, when the caller holds none
     _, report = finetune(weights, mask, data, replace(cfg.finetune, seed=seed))
     report.warnings[:0] = warnings
-    write_report(stem, report)
     write_layerwise(f"{stem}_layerwise.csv", report.layerwise)
-    return SummaryRow(cfg.algorithm, variant, seed, mask_sparsity(mask), report.pre_finetune_accuracy, report.post_finetune_accuracy)
+    write_report(stem, report)
+    return report
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
+    """Run the matrix; a failed seed or cell goes to ``errors.log`` and the rest still run. An earlier run's
+    ``errors.log``, and a seed's cell reports before it is mined, are removed: ``summary.csv`` lists this call's cells."""
     data = load_dataset(cfg)  # first, so a config that does not fit its data leaves no run directory
     run_dir = open_run_dir(cfg, out_root, snapshot=True)
-    rows: list[SummaryRow] = []
+    (run_dir / "errors.log").unlink(missing_ok=True)
     errors: list[str] = []
 
     for seed in cfg.seeds:
+        for variant, _ in matrix_variants(cfg):
+            (run_dir / "reports" / f"{seed_stem(seed, variant)}.json").unlink(missing_ok=True)
         try:
             result, _ = mine_seed(cfg, data, seed, run_dir)
         except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
             errors.append(f"seed {seed}: mining failed: {exc}\n{traceback.format_exc()}")
             continue
-        for variant, variant_seed in [(BASE_VARIANT, 0)] + [(v.kind, v.seed) for v in cfg.sanity]:
+        for variant, variant_seed in matrix_variants(cfg):
             stem = seed_stem(seed, variant)
             checkpoint = run_dir / "masks" / f"{stem}.tfmc"
             warnings = result.report.warnings if variant == BASE_VARIANT else []
@@ -241,23 +248,23 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
                     layers = variant_network(cfg, result.layers, result.inversion_scores, variant, seed + variant_seed, warnings)
                     save_checkpoint(checkpoint, layers)
                     del layers  # finetuning reads the checkpoint back, so the variant is freed while it trains
-                rows.append(finetune_checkpoint(cfg, data, seed, checkpoint, run_dir / "reports" / stem, variant, warnings))
+                finetune_checkpoint(cfg, data, seed, read_checkpoint(cfg, checkpoint), run_dir / "reports" / stem, warnings)
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
 
-    write_summary(run_dir / "summary.csv", rows)
+    rebuild_summary(cfg, out_root)
     if errors:
         (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
     return run_dir
 
 
-def finetune_file(cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_root: str | Path) -> tuple[SummaryRow, Path]:
-    """Finetune a checkpoint file into ``reports/<ckpt>_finetune_seed<K>.*``; the row and the reports' stem."""
+def finetune_file(cfg: ExperimentConfig, checkpoint: str | Path, seed: int, out_root: str | Path) -> tuple[RunReport, Path]:
+    """Finetune a checkpoint file into ``reports/<ckpt>_finetune_seed<K>.*``; the report and the reports' stem."""
     checkpoint = Path(checkpoint)
     data = load_dataset(cfg)
+    layers = read_checkpoint(cfg, checkpoint)  # before the run directory opens, so a bad checkpoint leaves none
     stem = open_run_dir(cfg, out_root) / "reports" / f"{checkpoint.stem}_finetune_seed{seed}"
-    row = finetune_checkpoint(cfg, data, seed, checkpoint, stem, checkpoint.stem)
-    return row, stem
+    return finetune_checkpoint(cfg, data, seed, layers, stem), stem
 
 
 def sanity_file(
@@ -290,35 +297,26 @@ def sanity_file(
 
 
 def rebuild_summary(cfg: ExperimentConfig, out_root: str | Path) -> tuple[Path, int]:
-    """Rewrite ``summary.csv`` from the finetune reports of a run directory; its path and row count.
+    """Write ``summary.csv`` from the config's finished cells, seeds then ``matrix_variants`` in order; its path and row count.
 
-    Reports without a ``seed<K>_<variant>.tfmc`` checkpoint of the same name
-    (mining reports, ``finetune_file`` output) are not matrix cells and are
-    skipped. Raises ``FileNotFoundError`` when the run has no reports.
+    A cell is finished when its ``reports/seed<K>_<variant>.json`` exists; its row reads that report's accuracies
+    and ``global`` layerwise ``keep_fraction``. Raises ``FileNotFoundError`` when the run has no reports directory.
     """
     run_dir = Path(out_root) / cfg.run_id
-    reports_dir = run_dir / "reports"
-    if not reports_dir.is_dir():
-        raise FileNotFoundError(f"no reports directory at {reports_dir}")
+    if not (run_dir / "reports").is_dir():
+        raise FileNotFoundError(f"no reports directory at {run_dir / 'reports'}")
     rows: list[SummaryRow] = []
-    for path in sorted(reports_dir.glob("seed*_*.json")):
-        checkpoint = run_dir / "masks" / f"{path.stem}.tfmc"
-        if path.stem.endswith("_mining") or not checkpoint.exists():
-            continue
-        seed, variant = parse_seed_stem(path.stem)
-        payload = json.loads(path.read_text())
-        sparsity = mask_sparsity(extract_mask(load_checkpoint(checkpoint)))
-        rows.append(SummaryRow(cfg.algorithm, variant, seed, sparsity, payload["pre_finetune_accuracy"], payload["post_finetune_accuracy"]))
-    # matrix order: config seeds first, each base variant then the configured sanity kinds
-    variant_order = {BASE_VARIANT: 0, **{v.kind: i for i, v in enumerate(cfg.sanity, start=1)}}
-    seed_order = {seed: i for i, seed in enumerate(cfg.seeds)}
-    rows.sort(key=lambda r: (seed_order.get(r.seed, len(seed_order)), r.seed, variant_order.get(r.variant, 99), r.variant))
-    write_summary(run_dir / "summary.csv", rows)
-    return run_dir / "summary.csv", len(rows)
-
-
-def write_summary(path: str | Path, rows: list[SummaryRow]) -> None:
-    write_table(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
+    for seed in cfg.seeds:
+        for variant, _ in matrix_variants(cfg):
+            path = run_dir / "reports" / f"{seed_stem(seed, variant)}.json"
+            if path.exists():
+                report = json.loads(path.read_text())
+                sparsity = next(row["keep_fraction"] for row in report["layerwise"] if row["layer_index"] == "global")
+                accuracies = report["pre_finetune_accuracy"], report["post_finetune_accuracy"]
+                rows.append(SummaryRow(cfg.algorithm, variant, seed, sparsity, *accuracies))
+    summary = run_dir / "summary.csv"
+    write_table(summary, [f.name for f in fields(SummaryRow)], map(astuple, rows))
+    return summary, len(rows)
 
 
 def read_summary(path: str | Path) -> list[dict]:

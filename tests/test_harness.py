@@ -312,6 +312,26 @@ def test_cli_checks_a_checkpoint_against_net_widths(tmp_path, capsys, command):
     assert [p for p in out_dir.rglob("*") if p.is_file()] == []
 
 
+@pytest.mark.parametrize("command", ["finetune", "sanity"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file or directory"), (b"garbage!", "bad magic b'garb' at offset 0 (expected b'TFMC')")],
+    ids=["missing", "corrupt"],
+)
+def test_cli_prints_an_unreadable_checkpoint_as_one_line(tmp_path, capsys, command, content, reason):
+    # a FileNotFoundError or CheckpointError traceback, and finetune left empty masks/ and reports/ behind
+    ckpt = tmp_path / "seed1_none.tfmc"
+    if content is not None:
+        ckpt.write_bytes(content)
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    out_dir = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out-dir", str(out_dir), "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: checkpoint {ckpt}: cannot be read ({reason})\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def _cli_argv(command, cfg_path, out_dir, *extra):
     argv = [command, "--config", str(cfg_path), "--out-dir", str(out_dir), *extra]
     return argv + ["--checkpoint", str(out_dir / "never_read.tfmc")] * (command in ("finetune", "sanity"))
@@ -598,8 +618,57 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert summary.read_text() == before
 
 
+def test_report_lists_the_cells_of_the_config_not_of_an_earlier_run(tmp_path):
+    # report used to list every seed<K>_<variant> report in the directory: 8 rows against run's 4
+    out_dir = tmp_path / "out"
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    assert cli_main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    cfg_path = _write_cfg(tmp_path, BASE_CFG.replace("seeds = 1,2", "seeds = 1"))
+    assert cli_main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    summary = out_dir / "tiny" / "summary.csv"
+    after_run = summary.read_bytes()
+    assert [(row["seed"], row["variant"]) for row in harness.read_summary(summary)] == [
+        ("1", variant) for variant in ("none", "shuffle", "reinit", "invert")
+    ]
+    assert cli_main(["report", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    assert summary.read_bytes() == after_run
+
+
+@pytest.mark.parametrize("stage", ["finetune", "write_layerwise"])
+def test_report_after_an_interrupted_run_lists_the_finished_cells(tmp_path, monkeypatch, stage):
+    # the third cell is seed 1's reinit; the parent wrote a cell's report JSON before its layerwise CSV
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    cfg = build_experiment_config(BASE_CFG)
+    whole = harness.run_experiment(cfg, tmp_path / "whole")
+    real, calls = getattr(harness, stage), []
+
+    def interrupted(*args, **kwargs):
+        calls.append(stage)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, stage, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_experiment(cfg, tmp_path / "cut")
+    assert cli_main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "cut")]) == 0
+    summary = (tmp_path / "cut" / "tiny" / "summary.csv").read_text()
+    assert summary.splitlines(keepends=True) == (whole / "summary.csv").read_text().splitlines(keepends=True)[:3]
+
+
+def test_run_replaces_an_earlier_runs_errors_log(tmp_path, capsys):
+    # a clean run used to keep the old errors.log, print "some stages failed" and return 1
+    cfg_path = _write_cfg(tmp_path, BASE_CFG.replace("seeds = 1,2", "seeds = 1"))
+    run_dir = tmp_path / "out" / "tiny"
+    run_dir.mkdir(parents=True)
+    (run_dir / "errors.log").write_text("seed 1: mining failed: boom\n")
+    assert cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert not (run_dir / "errors.log").exists()
+
+
 def test_cli_report_takes_no_seed(tmp_path):
-    # report rebuilds summary.csv from every seed's reports, so a seed would be ignored
+    # report lists the config's seeds, so a --seed would give a summary other than the run's
     cfg_path = _write_cfg(tmp_path, BASE_CFG)
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["report", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(tmp_path / "out")])
@@ -696,6 +765,58 @@ def test_cli_leaves_the_run_directory_to_the_harness():
         tokens = tokenize.tokenize(f.readline)
         offenders = [f"cli.py:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
     assert offenders == []
+
+
+def _summary_sites(source: str, names_too: bool) -> list[str]:
+    """``function:line: what`` for each ``SummaryRow(`` call in ``source`` and, when ``names_too``,
+    each string that names ``summary.csv`` outside a docstring."""
+    tree = ast.parse(source)
+    scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    docstrings = {id(n.body[0].value) for n in scopes if n.body and isinstance(n.body[0], ast.Expr)}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "SummaryRow" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"{function}:{node.lineno}: SummaryRow(")
+        elif names_too and isinstance(node, ast.Constant) and "summary.csv" in str(node.value) and id(node) not in docstrings:
+            found.append(f"{function}:{node.lineno}: summary.csv")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_summary_csv_has_one_writer():
+    """Only rebuild_summary builds summary rows, and, of the modules that write files, only it names summary.csv."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    sites = {
+        str(path.relative_to(package)): _summary_sites(path.read_text(), str(path.relative_to(package)) in FILE_WRITERS)
+        for path in sorted(package.rglob("*.py"))
+    }
+    offenders = [f"{module}:{site}" for module, found in sites.items() for site in found]
+    assert [site for site in offenders if not site.startswith("harness.py:rebuild_summary:")] == []
+    assert {site.partition(": ")[2] for site in offenders} == {"SummaryRow(", "summary.csv"}
+
+
+def test_the_summary_guard_sees_each_spelling():
+    source = '''"""summary.csv in a module docstring"""
+def rebuild_summary():
+    """summary.csv in a docstring"""
+    return SummaryRow(1), run_dir / "summary.csv"
+def run_experiment():
+    harness.SummaryRow(2)
+    print(f"{run_dir}/summary.csv")
+'''
+    assert _summary_sites(source, names_too=True) == [
+        "rebuild_summary:4: SummaryRow(",
+        "rebuild_summary:4: summary.csv",
+        "run_experiment:6: SummaryRow(",
+        "run_experiment:7: summary.csv",
+    ]
+    assert _summary_sites(source, names_too=False) == ["rebuild_summary:4: SummaryRow(", "run_experiment:6: SummaryRow("]
 
 
 # the modules that write files: the run directory, the checkpoint format and IDX archives
