@@ -163,6 +163,11 @@ class _Fields:
             return []
         return [part.strip() for part in raw.split(",") if part.strip()]
 
+    def ratios(self, key: str) -> LayerRatios | None:
+        """The comma-separated keep ratios, or None when the key is absent or empty."""
+        parts = self.get_list(key)
+        return _checked(key, LayerRatios, tuple(_parse(key, p, float) for p in parts)) if parts else None
+
     def unknown(self) -> list[str]:
         return sorted(set(self.values) - self.used)
 
@@ -272,10 +277,6 @@ def build_experiment_config(
         if len(set(values)) < len(values):
             raise ConfigError(f"{key}: each entry must be distinct, got {', '.join(map(str, values))}")
 
-    def profile(key: str) -> LayerRatios | None:
-        parts = fields.get_list(key)
-        return _checked(key, LayerRatios, tuple(_parse(key, p, float) for p in parts)) if parts else None
-
     # score miners operate on fixed-magnitude weights; weight trainers draw normals
     default_scheme = SIGNED_CONSTANT if algorithm in ("gem", "ep") else SCALED_NORMAL
     cfg = ExperimentConfig(
@@ -299,8 +300,8 @@ def build_experiment_config(
         sr_last_layer_keep=fields.number("sr.last_layer_keep", float, 0.3),
         sr_tune_steps=fields.number("sr.tune_steps", int, 50),
         sr_tune_lr=fields.number("sr.tune_lr", float, 0.01),
-        sr_reference_profile=profile("sr.reference_profile"),
-        sr_imp_profile=profile("sr.imp_profile"),
+        sr_reference_profile=fields.ratios("sr.reference_profile"),
+        sr_imp_profile=fields.ratios("sr.imp_profile"),
         raw_text=text,
     )
     if algorithm == "gem":

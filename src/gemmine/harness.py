@@ -93,8 +93,12 @@ def load_dataset(cfg: ExperimentConfig) -> DatasetSplit:
     - ``task.val_fraction`` (``task.train_limit`` when it is set): the archive leaves no training row;
     - ``task.classes``: a train, validation or test label is not below it;
     - ``net.widths``: the input width is not the feature count, or the output
-      width is not the class count (``task.classes`` when it is set, the data's otherwise).
+      width is not the class count (``task.classes`` when it is set, the data's otherwise);
+    - ``sr``: smart-ratio v4 or v6 has no ``sr.imp_profile``. The config parses, since
+      ``smart_ratio`` may be handed an IMP run's profile, but no seed of it can be mined here.
     """
+    if cfg.algorithm == "sr" and cfg.sr_variant in ("v4", "v6") and cfg.sr_imp_profile is None:
+        raise ConfigError(f"sr: {cfg.sr_variant} needs a magnitude-pruning profile, sr.imp_profile")
     try:
         data = build_dataset(cfg.task)
     except (FileNotFoundError, IdxFormatError) as exc:

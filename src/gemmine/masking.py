@@ -88,7 +88,7 @@ def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k smallest entries of a 1-D array.
 
     Selects the same set as ``np.argsort(values, kind="stable")[:k]``
-    without a full sort: ``np.partition`` finds the k-th value, everything
+    without a full sort: a partitioned copy finds the k-th value, everything
     below it is kept, and the places left go to the entries equal to it
     with the lowest index. As in the sort, -0.0 ties with +0.0 and NaN
     ranks above +inf, its ties broken by lowest index too.
@@ -96,14 +96,17 @@ def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
     n = values.size
     if k <= 0 or k >= n:
         return np.full(n, k > 0)
-    kth = np.partition(values, k - 1)[k - 1]
+    part = values.copy()
+    part.partition(k - 1)
+    kth = part[k - 1]
+    del part  # freed before the two comparisons below allocate theirs
     if kth != kth:  # NaN: every number is below it, every NaN ties with it
         tied = np.isnan(values)
         chosen = ~tied
     else:
         tied = values == kth
         chosen = values < kth
-    chosen[np.flatnonzero(tied)[: k - int(np.count_nonzero(chosen))]] = True
+    chosen[tied.nonzero()[0][: k - int(np.count_nonzero(chosen))]] = True
     return chosen
 
 
@@ -162,7 +165,7 @@ class LargestSelector:
             atleast = [v >= -hi for v in values]
             if n_above < k <= sum(int(np.count_nonzero(a)) for a in atleast):
                 # lo <= hi, so the entries above -lo are among those at least -hi
-                inside = [np.flatnonzero(np.logical_xor(a, b, out=a)) for a, b in zip(atleast, above)]
+                inside = [np.logical_xor(a, b, out=a).reshape(-1).nonzero()[0] for a, b in zip(atleast, above)]
                 candidates = np.concatenate([v.reshape(-1)[i] for v, i in zip(values, inside)])
                 np.negative(candidates, out=candidates)
                 rest = k - n_above
@@ -185,7 +188,9 @@ class LargestSelector:
         """Window ``negated``'s k-th smallest and ``MARGIN`` ranks to each side; a side with fewer keeps its old bound."""
         lo_rank, hi_rank = k - 1 - self.MARGIN, k - 1 + self.MARGIN
         ranks = [max(lo_rank, 0), min(hi_rank, negated.size - 1)]
-        lo, hi = np.partition(negated, ranks)[ranks]
+        part = negated.copy()
+        part.partition(ranks)
+        lo, hi = part[ranks]
         if self.window is not None:
             lo = lo if lo_rank >= 0 else self.window[0]
             hi = hi if hi_rank < negated.size else self.window[1]
@@ -270,8 +275,8 @@ def mlp_activations(features: np.ndarray, layer_weights: Sequence[np.ndarray]) -
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax through the log-sum-exp form, so large logits cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def loss_and_grads(features: np.ndarray, labels: np.ndarray, layer_weights: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
@@ -285,16 +290,16 @@ def loss_and_grads(features: np.ndarray, labels: np.ndarray, layer_weights: Sequ
     n, k = acts[-1].shape
     if y.shape != (n,):
         raise ValueError(f"loss_and_grads: logits {acts[-1].shape} incompatible with labels {y.shape}")
-    if np.any(y < 0) or np.any(y >= k):
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= k):
         raise ValueError(f"loss_and_grads: label outside [0, {k})")
     log_probs = log_softmax(acts[-1])
     rows = np.arange(n)
-    loss = -np.sum(log_probs[rows, y]) / n
+    loss = -np.add.reduce(log_probs[rows, y], axis=None) / n
     # delta[label] = p[label] - 1 = -sum of the other probabilities;
     # the subtraction form underflows to 0 when p[label] rounds to 1
     delta = np.exp(log_probs)
     delta[rows, y] = 0.0
-    delta[rows, y] = -np.sum(delta, axis=1)
+    delta[rows, y] = -np.add.reduce(delta, axis=1)
     g = delta * (1.0 / n)
     grads = [g.T @ acts[-2]]
     for i in range(len(layer_weights) - 1, 0, -1):

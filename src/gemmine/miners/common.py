@@ -164,7 +164,7 @@ def patch_flips(
     """
     for e, b, old, new in zip(effective, base, bits, now):
         new = new.reshape(-1)
-        flips = np.flatnonzero(old.reshape(-1) != new)
+        flips = (old.reshape(-1) != new).nonzero()[0]
         if flips.size:
             e.reshape(-1)[flips] = b.reshape(-1)[flips] * new[flips]
             old.reshape(-1)[flips] = new[flips]
@@ -192,12 +192,12 @@ def score_loss_and_grads(
         penalty = 0.0
         for g, p, t in zip(grads, scores, scratch):
             if config.regularizer == L1:
-                penalty += np.sum(np.abs(p, out=t))
+                penalty += np.add.reduce(np.abs(p, out=t), axis=None)
                 np.sign(p, out=t)
                 t *= lam
                 g += t
             else:
-                penalty += np.sum(np.square(p, out=t))
+                penalty += np.add.reduce(np.square(p, out=t), axis=None)
                 # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
                 np.multiply(p, lam, out=t)
                 g += t

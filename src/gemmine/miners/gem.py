@@ -3,11 +3,15 @@
 Its rule on ``common.score_descent``: the scores are clipped to [0, 1]
 after every step and a weight is kept where its score is at least 0.5 and
 it is not frozen. Every ``freeze_period`` epochs the globally smallest
-unfrozen scores are frozen, and set to 0 at that event, so the unfrozen
-fraction tracks the exponential envelope and lands at the target; the
-fixed factor of the effective weights becomes ``w * freeze``. The
-optimizer still steps every score, so SGD momentum can move a frozen score
-afterwards; the mask ignores it, since its freeze bit is 0.
+unfrozen scores are frozen, and set to 0 at that event, which leaves
+``schedule.survivors(unfrozen)``, ``floor(keep_factor * unfrozen)``, of
+the unfrozen weights unfrozen. The unfrozen fraction so stays at or below
+the exponential envelope. Each event floors again, so the final unfrozen
+count can fall short of ``floor(target * N)`` by up to one weight per
+event (acceptance criterion 1 allows ``n_events / N``). The fixed factor
+of the effective weights becomes ``w * freeze``. The optimizer still
+steps every score, so SGD momentum can move a frozen score afterwards;
+the mask ignores it, since its freeze bit is 0.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ def tune_ratios(
         idx = rng.choice(n, size=min(TUNE_BATCH_SIZE, n), replace=False)
         masks = [rng.random(w.shape) < r for w, r in zip(weights, ratios)]
         _, d_eff = loss_and_grads(float_features(data.train_x[idx]), data.train_y[idx], [w * m for w, m in zip(weights, masks)])
-        grad = np.array([float(np.sum(d * w)) for d, w in zip(d_eff, weights)])
+        grad = np.array([float(np.add.reduce(d * w, axis=None)) for d, w in zip(d_eff, weights)])
         ratios = np.clip(ratios - lr * grad, MIN_RATIO, 1.0)
     return LayerRatios(tuple(ratios))
 

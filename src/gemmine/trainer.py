@@ -168,7 +168,7 @@ def run_masked_epoch(
     def batch_loss_and_grads(x, y):
         scatter()
         loss, d_eff = loss_and_grads(x, y, weights)
-        return loss, [np.take(d, i) for d, i in zip(d_eff, live)]
+        return loss, [d.take(i) for d, i in zip(d_eff, live)]
 
     mean_loss = run_epoch(params, batch_loss_and_grads, features, labels, batch_size, optimizer, lr, rng)
     scatter()

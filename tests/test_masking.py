@@ -522,3 +522,96 @@ def test_float_cast_guard_sees_every_spelling(tmp_path):
         "    d = m.astype(dtype=numpy.float32)\n    e = m.astype(bool)\n    g = m.astype(np.int64)\n"
     )
     assert _float_casts(source) == [(2, "f"), (3, "f"), (4, "f"), (5, "f")]
+
+
+# the functions that run once per batch or once per selection: (module, qualified name)
+PER_BATCH_FUNCTIONS = {
+    (Path("masking.py"), "loss_and_grads"),
+    (Path("masking.py"), "log_softmax"),
+    (Path("masking.py"), "select_smallest"),
+    (Path("masking.py"), "LargestSelector.__call__"),
+    (Path("masking.py"), "LargestSelector._recentre"),
+    (Path("miners", "common.py"), "patch_flips"),
+    (Path("miners", "common.py"), "score_loss_and_grads"),
+    (Path("trainer.py"), "run_masked_epoch"),
+    (Path("miners", "smart_ratio.py"), "tune_ratios"),
+}
+# numpy functions that reach their C loop through Python-level wrappers
+NUMPY_WRAPPERS = {"sum", "any", "all", "mean", "max", "min", "amax", "amin", "flatnonzero", "nonzero", "take", "partition"}
+# array methods that numpy runs through Python (numpy/_core/_methods.py)
+PYTHON_METHODS = {"sum", "any", "all", "mean", "max", "min"}
+
+
+def _wrapper_calls(source: str, names: set[str]) -> dict[str, list[str]]:
+    """``{name: ["line: np.sum", "line: .max()", ...]}`` for each function or ``Class.method`` of ``names`` in ``source``."""
+    tree = ast.parse(source)
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef))
+    found = {}
+    for name in names & set(functions):
+        found[name] = []
+        for node in ast.walk(functions[name]):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr, owner = node.func.attr, node.func.value
+            if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+                if attr in NUMPY_WRAPPERS:
+                    found[name].append(f"{node.lineno}: np.{attr}")
+            elif attr in PYTHON_METHODS:
+                found[name].append(f"{node.lineno}: .{attr}()")
+        found[name].sort(key=lambda hit: int(hit.partition(":")[0]))
+    return found
+
+
+def test_per_batch_code_calls_no_python_level_numpy_wrapper():
+    """Each wrapper costs a few microseconds per call before any arithmetic; these functions call the C entry
+    points (``np.add.reduce``, ``.nonzero()``, ``.take``, ``.partition``) with the same arguments, hence the same bits."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    found = {}
+    for module in sorted({module for module, _ in PER_BATCH_FUNCTIONS}):
+        names = {name for m, name in PER_BATCH_FUNCTIONS if m == module}
+        found.update(((module, name), hits) for name, hits in _wrapper_calls((package / module).read_text(), names).items())
+    # every listed function exists, so a rename cannot take one out of the guard
+    assert set(found) == PER_BATCH_FUNCTIONS
+    assert {key: hits for key, hits in found.items() if hits} == {}
+
+
+def test_the_wrapper_guard_sees_each_spelling():
+    source = """
+def f(x, y):
+    np.sum(x), numpy.any(x), np.all(x), np.mean(x), np.max(x), np.min(x)
+    np.amax(x), np.amin(x), np.flatnonzero(x), np.nonzero(x), np.take(x, y), np.partition(x, 1)
+    x.sum(), x.any(), (x < y).all(), x.mean(axis=0), x.max(axis=1, keepdims=True), x.min()
+    np.add.reduce(x, axis=None), np.maximum.reduce(x), x.nonzero()[0], x.take(y), x.partition(1), sum(y), max(y)
+class C:
+    def g(self, x):
+        def inner():
+            return x.sum()
+        return inner
+def h(x):
+    return x.sum()
+"""
+    wrappers = ["np.sum", "np.any", "np.all", "np.mean", "np.max", "np.min"]
+    wrappers += ["np.amax", "np.amin", "np.flatnonzero", "np.nonzero", "np.take", "np.partition"]
+    methods = [".sum()", ".any()", ".all()", ".mean()", ".max()", ".min()"]
+    assert _wrapper_calls(source, {"f", "C.g", "missing"}) == {
+        "f": [f"3: {w}" for w in wrappers[:6]] + [f"4: {w}" for w in wrappers[6:]] + [f"5: {m}" for m in methods],
+        "C.g": ["10: .sum()"],
+    }
+
+
+def test_select_smallest_peaks_at_one_copy_of_its_values():
+    # the partitioned copy is freed before the two comparisons allocate theirs
+    values = np.random.default_rng(0).random(100_352)
+    tracemalloc.start()
+    try:
+        chosen = select_smallest(values, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(np.count_nonzero(chosen)) == 50_000
+    assert peak < 1.125 * values.nbytes
