@@ -8,7 +8,7 @@ scores its mask was rounded from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,18 +110,41 @@ def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
-def select_smallest_across(values: Sequence[np.ndarray], k: int) -> list[np.ndarray]:
+def select_smallest_across(
+    values: Iterable[np.ndarray], k: int, eligible: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Boolean masks, one per array of ``values`` and of its shape, of the k smallest entries of them all.
 
     This is the one statement of the cross-layer tie order: the arrays are
     ranked as one, equal values chosen from the earlier array first, then
     by lower flat index (``select_smallest`` on their concatenation).
-    Callers exclude entries by passing them as +inf, which no finite value
-    ties with, so while k is at most the number of finite entries none is chosen.
+    With ``eligible``, one mask per array that is nonzero where an entry may
+    be chosen, only those entries are ranked, in that order.
+    ``values`` is then read once, an array at a time, so it may be a
+    generator that makes each array as it is needed: the marked entries are
+    copied into one vector and each array is freed before the next is made.
     """
-    chosen = select_smallest(np.concatenate([v.reshape(-1) for v in values]), k)
-    bounds = np.cumsum([v.size for v in values])[:-1]
-    return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
+    if eligible is None:
+        chosen = select_smallest(np.concatenate([v.reshape(-1) for v in values]), k)
+        bounds = np.cumsum([v.size for v in values])[:-1]
+        return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
+    counts = [int(np.count_nonzero(e)) for e in eligible]
+    ranked = np.empty(sum(counts))
+    start = 0
+    for v, e, n in zip(values, eligible, counts, strict=True):
+        # "clip": the positions are in range, and take buffers ``out`` in its default mode
+        v.reshape(-1).take(e.reshape(-1).nonzero()[0], out=ranked[start : start + n], mode="clip")
+        start += n
+    chosen = select_smallest(ranked, k)
+    del ranked  # freed before the masks below are made
+    hits = [np.zeros(e.shape, dtype=bool) for e in eligible]
+    start = 0
+    for hit, e, n in zip(hits, eligible, counts):
+        # the positions again, not kept from the gather: kept, they would sit beside the partitioned copy
+        positions = e.reshape(-1).nonzero()[0]
+        hit.reshape(-1)[positions.take(chosen[start : start + n].nonzero()[0])] = True
+        start += n
+    return hits
 
 
 class LargestSelector:

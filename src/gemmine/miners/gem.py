@@ -32,16 +32,15 @@ def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: Sp
     The survivor count is ``schedule.survivors(unfrozen)``, which keeps the
     unfrozen fraction at or below the envelope; each event can overshoot
     the envelope downward by at most one weight. Equal scores are frozen in
-    ``select_smallest_across``'s order. The scores frozen by this call are
-    set to 0; frozen weights never thaw. Returns the number of weights frozen.
+    ``select_smallest_across``'s order; only the unfrozen scores are ranked.
+    The scores frozen by this call are set to 0; frozen weights never thaw.
+    Returns the number of weights frozen.
     """
     total_unfrozen = sum(int(np.count_nonzero(f)) for f in freeze)
     n_freeze = total_unfrozen - schedule.survivors(total_unfrozen)
     if n_freeze < 1:
         return 0
-    # n_freeze <= unfrozen, so the frozen scores, passed as +inf, are never chosen
-    candidates = [np.where(f, p, np.inf) for p, f in zip(scores, freeze)]
-    for p, f, hit in zip(scores, freeze, select_smallest_across(candidates, n_freeze)):
+    for p, f, hit in zip(scores, freeze, select_smallest_across(scores, n_freeze, eligible=freeze)):
         f[hit] = False
         p[hit] = 0.0
     return n_freeze

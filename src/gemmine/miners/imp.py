@@ -58,18 +58,22 @@ def prune_by_magnitude(
 ) -> list[np.ndarray]:
     """Zero out the smallest-magnitude fraction of currently kept weights, globally.
 
-    Equal magnitudes are pruned in ``select_smallest_across``'s order.
+    Only the kept weights are ranked; ``int(prune_rate * kept + 0.5)`` of
+    them are pruned, at most all but one (with a warning), and equal
+    magnitudes are pruned in ``select_smallest_across``'s order. A mask
+    that keeps no weight raises ``ValueError``.
     """
     alive = sum(int(np.count_nonzero(m)) for m in mask)
+    if alive == 0:
+        raise ValueError("prune_by_magnitude: mask keeps no weights")
     n_prune = int(prune_rate * alive + 0.5)
     if alive - n_prune < 1:
         n_prune = alive - 1
         msg = "magnitude pruning clamped to keep 1 weight"
         if msg not in warnings:
             warnings.append(msg)
-    # n_prune < alive, so the pruned weights, passed as +inf, are never chosen again
-    candidates = [np.where(m, np.abs(w), np.inf) for w, m in zip(weights, mask)]
-    return [m & ~hit for m, hit in zip(mask, select_smallest_across(candidates, n_prune))]
+    magnitudes = (np.abs(w) for w in weights)  # one layer at a time, as the selection reads them
+    return [m & ~hit for m, hit in zip(mask, select_smallest_across(magnitudes, n_prune, eligible=mask))]
 
 
 class RoundMasks(Sequence):
@@ -125,7 +129,8 @@ def imp(
     report = RunReport(epochs=rounds * epochs_per_round)
     rng = stream_rng(config.seed, STREAM_BATCHES)
     warm_checkpoint: list[np.ndarray] | None = None
-    pruned_in = [np.full(w.shape, rounds, dtype=np.min_scalar_type(rounds)) for w in initial]
+    # how many prunes each weight has survived: in the end, the 0-indexed round that pruned it, or ``rounds``
+    pruned_in = [np.zeros(w.shape, dtype=np.min_scalar_type(rounds)) for w in initial]
     # every round restarts the cosine schedule
     round_cfg = TrainConfig(epochs=epochs_per_round, batch_size=config.batch_size, optimizer=config.optimizer, lr=config.lr)
 
@@ -136,10 +141,9 @@ def imp(
                 warm_checkpoint = [w.copy() for w in weights]
             record_epoch(report, data, weights, round_idx * epochs_per_round + epoch, kept_fraction, mean_loss)
 
-        pruned = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
-        for p, old, new in zip(pruned_in, mask, pruned):
-            p[old != new] = round_idx
-        mask = pruned
+        mask = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
+        for p, m in zip(pruned_in, mask):
+            p += m
         if round_idx == rounds - 1:
             magnitudes = [np.abs(w) for w in weights]
         if rewind.kind == COLD:

@@ -336,6 +336,27 @@ def test_select_smallest_across_never_chooses_inf_within_the_finite_count():
 
 
 @st.composite
+def _layers_eligible_and_k(draw):
+    shapes = st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
+    layers = draw(st.lists(hnp.arrays(np.float64, shapes, elements=st.sampled_from(SPECIAL_VALUES)), min_size=1, max_size=4))
+    eligible = [draw(hnp.arrays(np.bool_, layer.shape)) for layer in layers]
+    n = sum(int(np.count_nonzero(e)) for e in eligible)
+    return layers, eligible, draw(st.integers(min_value=-1, max_value=n + 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_layers_eligible_and_k())
+def test_select_smallest_across_ranks_only_the_eligible_entries(case):
+    """With ``eligible``, the choice is the stable sort of the eligible entries alone, taken in (layer, flat index) order."""
+    layers, eligible, k = case
+    chosen = select_smallest_across((layer for layer in layers), k, eligible=eligible)  # read once, so a generator will do
+    expected = _stable_sort_selection(np.concatenate([layer[e] for layer, e in zip(layers, eligible)]), k)
+    assert [(c.dtype, c.shape) for c in chosen] == [(np.dtype(bool), layer.shape) for layer in layers]
+    assert not any(np.any(c & ~e) for c, e in zip(chosen, eligible))
+    np.testing.assert_array_equal(np.concatenate([c[e] for c, e in zip(chosen, eligible)]), expected)
+
+
+@st.composite
 def _selection_runs(draw):
     """1-3 arrays, a window margin, and the steps of a run: a perturbation scale, a k and a noise seed each."""
     shapes = st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
@@ -433,6 +454,17 @@ def test_no_miner_concatenates_layers():
         with open(path, "rb") as f:
             tokens = tokenize.tokenize(f.readline)
             offenders += [f"{path.name}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "concatenate"]
+    assert offenders == []
+
+
+def test_no_miner_pads_excluded_entries_with_inf():
+    """A miner passes the entries a selection may choose as ``eligible``; none builds an +inf-padded copy."""
+    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
+    offenders = []
+    for path in sorted(miners.rglob("*.py")):
+        with open(path, "rb") as f:
+            tokens = tokenize.tokenize(f.readline)
+            offenders += [f"{path.name}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "inf"]
     assert offenders == []
 
 

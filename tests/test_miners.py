@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -686,6 +687,147 @@ def test_prune_by_magnitude_keeps_one_weight_and_warns_once():
         pruned = prune_by_magnitude(weights, mask, 0.9, warnings)
         assert pruned[0].tolist() == [[False, True, False]]
     assert warnings == ["magnitude pruning clamped to keep 1 weight"]
+
+
+def test_prune_by_magnitude_rejects_a_mask_that_keeps_no_weight():
+    weights = [np.ones((2, 3)), np.ones(4)]
+    mask = [np.zeros((2, 3), dtype=bool), np.zeros(4, dtype=bool)]
+    warnings: list[str] = []
+    with pytest.raises(ValueError, match="^prune_by_magnitude: mask keeps no weights$"):
+        prune_by_magnitude(weights, mask, 0.5, warnings)
+    assert warnings == []
+
+
+def test_a_prune_or_a_freeze_event_ranks_only_the_weights_it_may_remove(blobs, monkeypatch):
+    """Each IMP prune partitions exactly the kept weights, each freeze event exactly the unfrozen scores."""
+    masking = importlib.import_module("gemmine.masking")
+    gem = importlib.import_module("gemmine.miners.gem")
+    ranked = []
+    real_select, real_freeze = masking.select_smallest, gem.freeze_step
+
+    def recording_select(values, k):
+        ranked.append(values.size)
+        return real_select(values, k)
+
+    monkeypatch.setattr(masking, "select_smallest", recording_select)
+    spec = NetworkSpec((2, 8, 2))
+    res = imp(blobs, spec, 4, 0.3, RewindSpec("cold"), 1, MinerConfig(lr=0.05, seed=2, batch_size=16))
+    kept = [spec.total_params] + [sum(int(np.count_nonzero(m)) for m in round_mask) for round_mask in res.round_masks]
+    assert ranked == kept[:-1] and kept[-1] < kept[0]
+
+    unfrozen = []
+
+    def recording_freeze(scores, freeze, schedule):
+        before = sum(int(np.count_nonzero(f)) for f in freeze)
+        if real_freeze(scores, freeze, schedule):
+            unfrozen.append(before)
+
+    monkeypatch.setattr(gem, "freeze_step", recording_freeze)
+    ranked.clear()
+    gem_mine(blobs, spec, SparsitySchedule(0.2, 6, 2), MinerConfig(lr=0.1, seed=2, batch_size=16))
+    assert len(unfrozen) == 3 and unfrozen[0] == spec.total_params
+    assert ranked == unfrozen
+
+
+# few distinct values, so ties are everywhere, with -0.0 beside +0.0
+TIED_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def _layers_and_eligible(draw):
+    """1-3 layers of tied values and a non-empty eligibility mask: all, one, or random entries."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=3))
+    values = [np.array(draw(st.lists(st.sampled_from(TIED_VALUES), min_size=r * c, max_size=r * c))).reshape(r, c) for r, c in shapes]
+    n = sum(v.size for v in values)
+    kind = draw(st.sampled_from(["all", "one", "random"]))
+    if kind == "all":
+        flat = np.ones(n, dtype=bool)
+    elif kind == "one":
+        flat = np.zeros(n, dtype=bool)
+        flat[draw(st.integers(0, n - 1))] = True
+    else:
+        flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        flat[draw(st.integers(0, n - 1))] = True
+    bounds = np.cumsum([v.size for v in values])[:-1]
+    return values, [part.reshape(v.shape) for part, v in zip(np.split(flat, bounds), values)]
+
+
+def _padded_stable_sort(values, eligible, k):
+    """The rule before only eligible entries were ranked: excluded entries as +inf, a stable sort of the concatenation."""
+    padded = np.concatenate([np.where(e, v, np.inf).reshape(-1) for v, e in zip(values, eligible)])
+    chosen = np.zeros(padded.size, dtype=bool)
+    chosen[np.argsort(padded, kind="stable")[:k]] = True
+    bounds = np.cumsum([v.size for v in values])[:-1]
+    return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_layers_and_eligible(), st.sampled_from([0.01, 0.2, 0.5, 0.8, 0.99]))
+def test_prune_by_magnitude_matches_the_padded_stable_sort(case, rate):
+    weights, mask = case
+    before = [m.copy() for m in mask]
+    alive = sum(int(np.count_nonzero(m)) for m in mask)
+    n_prune = min(int(rate * alive + 0.5), alive - 1)
+    warnings: list[str] = []
+    pruned = prune_by_magnitude(weights, mask, rate, warnings)
+    oracle = _padded_stable_sort([np.abs(w) for w in weights], mask, n_prune)
+    for got, m, hit, old in zip(pruned, mask, oracle, before):
+        assert got.dtype == bool and got.shape == m.shape
+        np.testing.assert_array_equal(got, m & ~hit)
+        assert np.array_equal(m, old) and not np.any(got & ~old)  # no pruned weight comes back
+    assert sum(int(np.count_nonzero(m)) for m in pruned) == alive - n_prune
+    assert bool(warnings) == (int(rate * alive + 0.5) > alive - 1)
+
+
+SCHEDULES = [SparsitySchedule(0.5, 1, 1), SparsitySchedule(0.1, 4, 2), SparsitySchedule(0.9, 2, 1), SparsitySchedule(0.01, 1, 1)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_layers_and_eligible(), st.sampled_from(SCHEDULES), st.sampled_from([bool, np.float64]))
+def test_freeze_step_matches_the_padded_stable_sort(case, schedule, freeze_dtype):
+    before, unfrozen = case
+    scores = [p.copy() for p in before]
+    freeze = [f.astype(freeze_dtype) for f in unfrozen]  # the float 0/1 arrays older callers pass still work
+    total = sum(int(np.count_nonzero(f)) for f in unfrozen)
+    n_freeze = max(total - schedule.survivors(total), 0)
+    oracle = _padded_stable_sort(before, unfrozen, n_freeze)
+    assert freeze_step(scores, freeze, schedule) == n_freeze
+    for p, f, old_p, old_f, hit in zip(scores, freeze, before, unfrozen, oracle):
+        assert f.dtype == freeze_dtype
+        np.testing.assert_array_equal(f != 0, old_f & ~hit)  # newly frozen: exactly the oracle's; none thaws
+        np.testing.assert_array_equal(p, np.where(hit, 0.0, old_p))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks of one call on 784-128-10 with every entry eligible, in bytes, when the
+# excluded entries were still padded to +inf (three network-sized float64 arrays at the partition)
+PADDED_PEAKS = {"prune_by_magnitude": 2_442_848, "freeze_step": 2_442_840}
+
+
+@pytest.mark.parametrize("eligible_fraction", [1.0, 0.2])
+def test_prune_and_freeze_memory_shrinks_with_the_eligible_count(eligible_fraction):
+    spec = NetworkSpec((784, 128, 10))
+    rng = np.random.default_rng(4)
+    weights = [rng.standard_normal(shape) for shape in spec.layer_shapes]
+    scores = [rng.random(shape) for shape in spec.layer_shapes]
+    mask = [rng.random(shape) < eligible_fraction for shape in spec.layer_shapes]
+    freeze = [m.copy() for m in mask]
+    peaks = {
+        "prune_by_magnitude": _traced_peak(lambda: prune_by_magnitude(weights, mask, 0.2, [])),
+        "freeze_step": _traced_peak(lambda: freeze_step(scores, freeze, SparsitySchedule(0.5, 1, 1))),
+    }
+    if eligible_fraction == 1.0:
+        assert all(peaks[name] <= PADDED_PEAKS[name] for name in peaks), peaks
+    else:
+        assert all(peak < 1.5 * 8 * spec.total_params for peak in peaks.values()), peaks
 
 
 def test_imp_round_masks_are_boolean(blobs):
