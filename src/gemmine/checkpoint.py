@@ -5,14 +5,16 @@ Layout (all integers little-endian):
 
     magic "TFMC" | format version u32 | layer count u32
     per layer:
-        fan_out u32 | fan_in u32
-        scores   as float32, row-major (the mask as 0/1 when the layer has no scores)
+        fan_out u32 | fan_in u32 | has_scores u32 (0 or 1)
+        scores   as float32, row-major, only when has_scores is 1
         mask     as packed bitset, row-major, LSB-first
         weights  as float32, row-major
 
-The reader's boolean mask is ``round_scores(float32 scores) & bitset``. A
-kept weight implies a score >= 0.5, which float32 keeps >= 0.5, so a saved
-layer's mask reloads unchanged; older files holding a freeze bitset read the same way.
+The bitset is the mask, and the scores are what ``invert`` ranks. A
+version 1 file has no flag and a scores block in every layer, the mask as
+0/1 for a layer without scores; its mask is ``round_scores(scores) &
+bitset`` and it loads without scores, since that block cannot tell scores
+from a mask.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .masking import MaskedLayer, round_scores
 
 MAGIC = b"TFMC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -37,9 +39,9 @@ def save_checkpoint(path: str | Path, layers: Sequence[MaskedLayer]) -> None:
     blobs = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(layers))]
     for layer in layers:
         fan_out, fan_in = layer.weights.shape
-        blobs.append(struct.pack("<II", fan_out, fan_in))
-        scores = layer.mask if layer.scores is None else layer.scores
-        blobs.append(np.ascontiguousarray(scores, dtype="<f4").tobytes())
+        blobs.append(struct.pack("<III", fan_out, fan_in, layer.scores is not None))
+        if layer.scores is not None:
+            blobs.append(np.ascontiguousarray(layer.scores, dtype="<f4").tobytes())
         blobs.append(np.packbits(layer.mask.reshape(-1), bitorder="little").tobytes())
         blobs.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(blobs))
@@ -61,18 +63,29 @@ def load_checkpoint(path: str | Path) -> list[MaskedLayer]:
         raise CheckpointError(f"bad magic {raw!r} at offset 0 (expected {MAGIC!r})")
     raw, off = _take(buf, off, 8, "header")
     version, n_layers = struct.unpack("<II", raw)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     layers: list[MaskedLayer] = []
     for idx in range(n_layers):
         raw, off = _take(buf, off, 8, f"layer {idx} shape")
         fan_out, fan_in = struct.unpack("<II", raw)
         n = fan_out * fan_in
-        raw, off = _take(buf, off, 4 * n, f"layer {idx} scores")
-        scores = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
+        has_scores = 1
+        if version == FORMAT_VERSION:
+            raw, off = _take(buf, off, 4, f"layer {idx} has_scores")
+            (has_scores,) = struct.unpack("<I", raw)
+            if has_scores > 1:
+                raise CheckpointError(f"layer {idx} has_scores is {has_scores}, not 0 or 1")
+        scores = None
+        if has_scores:
+            raw, off = _take(buf, off, 4 * n, f"layer {idx} scores")
+            scores = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
         raw, off = _take(buf, off, (n + 7) // 8, f"layer {idx} mask bitset")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-        mask = round_scores(scores) & bits.astype(bool).reshape(fan_out, fan_in)
+        mask = bits.astype(bool).reshape(fan_out, fan_in)
+        if version == 1:
+            mask &= round_scores(scores)
+            scores = None
         raw, off = _take(buf, off, 4 * n, f"layer {idx} weights")
         weights = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(fan_out, fan_in)
         layers.append(MaskedLayer(weights=weights, mask=mask, scores=scores))

@@ -31,8 +31,6 @@ from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, TaskConfig
 from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
@@ -142,16 +140,14 @@ def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> Minin
 
 
 def variant_network(
-    cfg: ExperimentConfig, layers: list[MaskedLayer], scores: list[np.ndarray] | None, variant: str, seed: int,
-    warnings: list[str],
+    cfg: ExperimentConfig, layers: list[MaskedLayer], variant: str, seed: int, warnings: list[str]
 ) -> list[MaskedLayer]:
     """One sanity variant of the network ``layers``, without scores.
 
-    ``scores`` are what ``invert`` ranks (a mining result's ``inversion_scores``),
-    None when the miner produces none. ``seed`` combines the run seed with the
-    variant's own seed so that a pinned variant seed shifts the transformation
-    deterministically. The variant's warnings (a degenerate inversion) are
-    appended to ``warnings``.
+    ``invert`` ranks the layers' ``scores`` and fails on a layer without
+    any. ``seed`` combines the run seed with the variant's own seed so that
+    a pinned variant seed shifts the transformation deterministically. The
+    variant's warnings (a degenerate inversion) are appended to ``warnings``.
     """
     weights, mask = [layer.weights for layer in layers], extract_mask(layers)
     if variant == SHUFFLE:
@@ -160,9 +156,10 @@ def variant_network(
         fresh = reinit_weights(layers, cfg.spec, cfg.init_scheme, seed + _REINIT_SEED_OFFSET)
         weights = [layer.weights for layer in fresh]
     elif variant == INVERT:
-        if scores is None:
-            raise ValueError(f"{cfg.algorithm} produces no scores; score inversion undefined")
-        mask, inversion_warnings = invert_scores(scores, mask)
+        unscored = [i for i, layer in enumerate(layers) if layer.scores is None]
+        if unscored:
+            raise ValueError(f"layer {unscored[0]} has no scores; score inversion undefined")
+        mask, inversion_warnings = invert_scores([layer.scores for layer in layers], mask)
         warnings.extend(inversion_warnings)
     else:
         raise ValueError(f"unknown sanity variant {variant!r}")
@@ -249,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
             warnings = result.report.warnings if variant == BASE_VARIANT else []
             try:
                 if variant != BASE_VARIANT:
-                    layers = variant_network(cfg, result.layers, result.inversion_scores, variant, seed + variant_seed, warnings)
+                    layers = variant_network(cfg, result.layers, variant, seed + variant_seed, warnings)
                     save_checkpoint(checkpoint, layers)
                     del layers  # finetuning reads the checkpoint back, so the variant is freed while it trains
                 finetune_checkpoint(cfg, data, seed, read_checkpoint(cfg, checkpoint), run_dir / "reports" / stem, warnings)
@@ -279,18 +276,18 @@ def sanity_file(
 
     Yields ``(kind, checkpoint path, sparsity, warnings)``, the error in place
     of the sparsity for a variant that failed; the other variants are still written.
-    Only Gem-Miner's checkpoints hold scores, so ``invert`` fails for the others.
+    ``invert`` ranks the scores the checkpoint holds, so it fails on a file without
+    them: a sanity variant's, a smart-ratio network's, or any version 1 file.
     """
     checkpoint = Path(checkpoint)
     layers = read_checkpoint(cfg, checkpoint)
-    scores = [layer.scores for layer in layers] if cfg.algorithm == "gem" else None
     run_dir = open_run_dir(cfg, out_root)
     for variant in cfg.sanity:
         stem = f"{checkpoint.stem}_{variant.kind}"
         path = run_dir / "masks" / f"{stem}.tfmc"
         warnings: list[str] = []
         try:
-            variant_layers = variant_network(cfg, layers, scores, variant.kind, seed + variant.seed, warnings)
+            variant_layers = variant_network(cfg, layers, variant.kind, seed + variant.seed, warnings)
             save_checkpoint(path, variant_layers)
         except Exception as exc:  # noqa: BLE001 - variant isolation is the contract
             yield variant.kind, path, exc, warnings

@@ -65,10 +65,10 @@ def as_mask(m) -> np.ndarray:
 
 @dataclass
 class MaskedLayer:
-    """One layer: weights (fan_out, fan_in), a boolean mask (``as_mask``), optional scores.
+    """One layer: weights (fan_out, fan_in), a boolean mask (``as_mask``), and the scores ``invert`` ranks, if any.
 
-    A kept weight needs a score >= 0.5 where scores are given, so the
-    checkpoint reader's ``round_scores(scores) & bitset`` gives the mask back.
+    The scores are a miner's per-weight importances, of any sign and size;
+    the mask alone says which weights are kept.
     """
 
     weights: np.ndarray
@@ -80,8 +80,6 @@ class MaskedLayer:
         shapes = [a.shape for a in (self.weights, self.mask, self.scores) if a is not None]
         if len(set(shapes)) != 1:
             raise ValueError(f"MaskedLayer fields must share one shape, got {'/'.join(map(str, shapes))}")
-        if self.scores is not None and np.any(self.mask & ~(self.scores >= 0.5)):
-            raise ValueError("MaskedLayer mask keeps a weight whose score is below 0.5")
 
 
 def select_smallest(values: np.ndarray, k: int) -> np.ndarray:

@@ -90,18 +90,17 @@ class MinerConfig:
 class MiningResult:
     """What a miner hands back: the masked layers and a report.
 
-    ``inversion_scores`` carries the per-weight importances a score-inversion
-    sanity check needs (final scores for score-based miners, weight
-    magnitudes at prune time for magnitude-based ones). ``round_masks`` (IMP
-    only, an ``imp.RoundMasks``) gives the mask after each round's prune; it
-    keeps one pruning-round index per weight, and each access builds that
-    round's boolean masks. Every mask is boolean, 1 byte per weight; the
-    weights, scores and importances are float64.
+    Each layer's ``scores`` are the per-weight importances a score-inversion
+    sanity check ranks: the final scores of a score-based miner, the weight
+    magnitudes at the last prune of IMP, none for smart-ratio.
+    ``round_masks`` (IMP only, an ``imp.RoundMasks``) gives the mask after
+    each round's prune; it keeps one pruning-round index per weight, and
+    each access builds that round's boolean masks. Every mask is boolean,
+    1 byte per weight; the weights and scores are float64.
     """
 
     layers: list[MaskedLayer]
     report: RunReport
-    inversion_scores: list[np.ndarray] | None = None
     layer_ratios: "LayerRatios | None" = None
     round_masks: Sequence[list[np.ndarray]] | None = None
 
@@ -126,8 +125,8 @@ def mining_result(
 
     The report gets the network's test accuracy as ``pre_finetune_accuracy``
     (left ``None`` without ``data``) and the mask's layerwise rows. Each layer
-    keeps its entry of ``scores``, if given; ``fields`` are the other
-    ``MiningResult`` fields.
+    keeps its entry of ``scores``, what ``invert`` ranks, if given; ``fields``
+    are the other ``MiningResult`` fields.
     """
     if data is not None:
         report.pre_finetune_accuracy = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)

@@ -101,4 +101,4 @@ def edge_popup(
 
     weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
     final_mask = topk_mask(scores, schedule.target_sparsity, scope, report.warnings)
-    return mining_result(weights, final_mask, report, data, inversion_scores=scores)
+    return mining_result(weights, final_mask, report, data, scores=scores)

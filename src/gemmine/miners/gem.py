@@ -90,4 +90,4 @@ def gem_mine(
     weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
     mask = current_mask(scores)
     check_layer_collapse(mask, report.warnings, when="final mask")
-    return mining_result(weights, mask, report, data, scores=scores, inversion_scores=scores)
+    return mining_result(weights, mask, report, data, scores=scores)

@@ -157,5 +157,5 @@ def imp(
     for p in pruned_in:
         p.flags.writeable = False
     return mining_result(
-        weights, mask, report, data, inversion_scores=magnitudes, round_masks=RoundMasks(pruned_in, range(rounds))
+        weights, mask, report, data, scores=magnitudes, round_masks=RoundMasks(pruned_in, range(rounds))
     )

@@ -13,6 +13,7 @@ import pytest
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
+from gemmine.harness import _REINIT_SEED_OFFSET, _SHUFFLE_SEED_OFFSET
 from gemmine.masking import MaskedLayer, NetworkSpec, init_scores, init_weights, loss_and_grads, mask_sparsity, round_scores
 from gemmine.miners import (
     GLOBAL,
@@ -164,15 +165,15 @@ def test_criterion_5_sanity_gap(digits_1k):
             _, base = finetune(res.weights, res.mask, digits_1k, ft)
             post["base"].append(base.post_finetune_accuracy)
 
-            shuffled = shuffle_mask(res.mask, seed=seed + 104729)
+            shuffled = shuffle_mask(res.mask, seed=seed + _SHUFFLE_SEED_OFFSET)
             _, r = finetune(res.weights, shuffled, digits_1k, ft)
             post["shuffle"].append(r.post_finetune_accuracy)
 
-            fresh = reinit_weights(res.layers, IMAGE_SPEC, "signed_constant", seed=seed + 7919)
+            fresh = reinit_weights(res.layers, IMAGE_SPEC, "signed_constant", seed=seed + _REINIT_SEED_OFFSET)
             _, r = finetune([layer.weights for layer in fresh], res.mask, digits_1k, ft)
             post["reinit"].append(r.post_finetune_accuracy)
 
-            inverted, _ = invert_scores(res.inversion_scores, res.mask)
+            inverted, _ = invert_scores([l.scores for l in res.layers], res.mask)
             _, r = finetune(res.weights, inverted, digits_1k, ft)
             post["invert"].append(r.post_finetune_accuracy)
         base_mean = np.mean(post["base"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gemmine.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from gemmine.masking import MaskedLayer, extract_mask, round_scores
@@ -17,31 +18,91 @@ def _layer(w, m, p=None):
     )
 
 
-def test_golden_bytes_single_layer(tmp_path):
-    # 1x3 layer: scores [0.5, 0.25, 1.0], mask [1, 0, 1], weights [1, -2, 0.5]
-    layer = _layer([[1.0, -2.0, 0.5]], [[1.0, 0.0, 1.0]], [[0.5, 0.25, 1.0]])
+def test_golden_bytes_scored_and_unscored_layer(tmp_path):
+    # 1x3 scored layer: scores [-1.5, 0.25, 2.0] (an edge-popup range), mask [1, 0, 1], weights [1, -2, 0.5];
+    # 2x1 layer without scores: mask [0, 1], weights [3, -0.5]
+    layers = [_layer([[1.0, -2.0, 0.5]], [[1.0, 0.0, 1.0]], [[-1.5, 0.25, 2.0]]), _layer([[3.0], [-0.5]], [[0.0], [1.0]])]
     path = tmp_path / "golden.tfmc"
-    save_checkpoint(path, [layer])
+    save_checkpoint(path, layers)
 
     expected = b"TFMC"
-    expected += struct.pack("<II", 1, 1)  # version, layer count
-    expected += struct.pack("<II", 1, 3)  # fan_out, fan_in
-    expected += struct.pack("<3f", 0.5, 0.25, 1.0)
+    expected += struct.pack("<II", 2, 2)  # version, layer count
+    expected += struct.pack("<III", 1, 3, 1)  # fan_out, fan_in, has_scores
+    expected += struct.pack("<3f", -1.5, 0.25, 2.0)
     expected += bytes([0b00000101])  # LSB-first bitset: bits 0 and 2 set
     expected += struct.pack("<3f", 1.0, -2.0, 0.5)
+    expected += struct.pack("<III", 2, 1, 0)  # no scores block follows
+    expected += bytes([0b00000010])
+    expected += struct.pack("<2f", 3.0, -0.5)
     assert path.read_bytes() == expected
 
     loaded = load_checkpoint(path)
-    assert len(loaded) == 1
-    np.testing.assert_array_equal(loaded[0].scores, layer.scores)
-    np.testing.assert_array_equal(loaded[0].mask, layer.mask)
-    np.testing.assert_array_equal(loaded[0].weights, layer.weights)
+    assert len(loaded) == 2
+    np.testing.assert_array_equal(loaded[0].scores, layers[0].scores)
+    assert loaded[1].scores is None
+    for before, after in zip(layers, loaded):
+        np.testing.assert_array_equal(after.mask, before.mask)
+        np.testing.assert_array_equal(after.weights, before.weights)
+
+
+def _v1_bytes(layers):
+    """A version 1 file, byte by byte: per layer its shape, ``scores`` as float32, the bitset of ``bits``, weights."""
+    out = b"TFMC" + struct.pack("<II", 1, len(layers))
+    for scores, bits, weights in layers:
+        n = len(scores)
+        out += struct.pack("<II", 1, n) + struct.pack(f"<{n}f", *scores)
+        out += np.packbits(np.array(bits, dtype=bool), bitorder="little").tobytes() + struct.pack(f"<{n}f", *weights)
+    return out
+
+
+def test_a_version_1_file_loads_its_mask_without_scores(tmp_path):
+    # the version 1 golden layout: a Gem-Miner layer's scores, and the mask as 0/1 in a layer without scores
+    path = tmp_path / "v1.tfmc"
+    path.write_bytes(_v1_bytes([([0.5, 0.25, 1.0], [1, 0, 1], [1.0, -2.0, 0.5]), ([0.0, 1.0], [0, 1], [3.0, -0.5])]))
+    loaded = load_checkpoint(path)
+    assert [layer.mask.tolist() for layer in loaded] == [[[True, False, True]], [[False, True]]]
+    assert [layer.weights.tolist() for layer in loaded] == [[[1.0, -2.0, 0.5]], [[3.0, -0.5]]]
+    assert [layer.scores for layer in loaded] == [None, None]
+
+
+def test_a_version_1_freeze_bitset_loads_as_rounded_scores_and_bits(tmp_path):
+    # a set bit over a score below 0.5 is dropped, and so is a score of at least 0.5 over a clear bit
+    path = tmp_path / "v1.tfmc"
+    path.write_bytes(_v1_bytes([([0.75, 0.25, 0.6, 0.1], [1, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])]))
+    (layer,) = load_checkpoint(path)
+    assert layer.mask.tolist() == [[True, False, False, False]]
+    assert layer.scores is None
 
 
 def test_bad_magic_reports_offset(tmp_path):
     path = tmp_path / "bad.tfmc"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="offset 0"):
+        load_checkpoint(path)
+
+
+def test_truncation_names_the_scores_of_a_flagged_layer_only(tmp_path):
+    layers = [_layer(np.ones((2, 3)), np.ones((2, 3))), _layer(np.ones((3, 2)), np.ones((3, 2)), np.full((3, 2), -4.0))]
+    path = tmp_path / "full.tfmc"
+    save_checkpoint(path, layers)
+    raw = path.read_bytes()
+    messages = []
+    for end in range(len(raw)):
+        path.write_bytes(raw[:end])
+        with pytest.raises(CheckpointError, match="truncated") as info:
+            load_checkpoint(path)
+        messages.append(str(info.value))
+    assert not any("layer 0 scores" in m for m in messages)
+    assert any("layer 0 has_scores" in m for m in messages) and any("layer 1 scores" in m for m in messages)
+
+
+def test_a_has_scores_flag_other_than_0_or_1_is_rejected(tmp_path):
+    path = tmp_path / "flag.tfmc"
+    save_checkpoint(path, [_layer(np.ones((1, 2)), np.ones((1, 2)))])
+    raw = bytearray(path.read_bytes())
+    raw[20] = 2  # the first byte of layer 0's has_scores
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="layer 0 has_scores is 2"):
         load_checkpoint(path)
 
 
@@ -108,8 +169,36 @@ def test_bitset_is_row_major_lsb_first(tmp_path):
     path = tmp_path / "bits.tfmc"
     save_checkpoint(path, [layer])
     raw = path.read_bytes()
-    offset = 4 + 8 + 8 + 4 * 9  # magic, header, shape, scores
+    offset = 4 + 8 + 12  # magic, header, shape and has_scores (0: no scores block)
     assert raw[offset : offset + 2] == bytes([0b00011001, 0b00000001])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layers=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7), st.booleans()).flatmap(
+            lambda t: st.tuples(
+                hnp.arrays(np.float64, t[:2], elements=st.floats(-1e30, 1e30)) if t[2] else st.none(),
+                hnp.arrays(np.bool_, t[:2]),
+            )
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_roundtrip_keeps_scores_of_any_sign_and_size(tmp_path_factory, layers):
+    """Scores reload as their float32 values and the mask bit for bit, whatever the scores are:
+    edge-popup scores are unbounded, and IMP's magnitudes are below 0.5 on kept weights."""
+    rng = np.random.default_rng(len(layers))
+    saved = [MaskedLayer(weights=rng.standard_normal(m.shape), mask=m, scores=p) for p, m in layers]
+    path = tmp_path_factory.mktemp("ckpt") / "a.tfmc"
+    save_checkpoint(path, saved)
+    for before, after in zip(saved, load_checkpoint(path)):
+        assert after.mask.tobytes() == before.mask.tobytes()
+        if before.scores is None:
+            assert after.scores is None
+        else:
+            assert after.scores.tobytes() == before.scores.astype(np.float32).astype(np.float64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +245,6 @@ def test_roundtrip_preserves_the_mask(tmp_path_factory, shapes, with_scores, see
     reloaded = _reloaded_mask(tmp_path_factory.mktemp("ckpt") / "a.tfmc", layers)
     for before, after in zip(extract_mask(layers), reloaded):
         assert before.tobytes() == after.tobytes()
-
-
-def test_masked_layer_rejects_a_kept_weight_scored_below_half():
-    with pytest.raises(ValueError, match="below 0.5"):
-        _layer(np.ones((1, 2)), [[1.0, 1.0]], [[0.9, BELOW_HALF]])
-    with pytest.raises(ValueError, match="below 0.5"):
-        _layer(np.ones((1, 1)), [[1.0]], [[np.nan]])
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])

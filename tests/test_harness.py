@@ -21,6 +21,7 @@ from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract
 from gemmine.miners import smooth_ratios
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
+from gemmine.sanity import invert_scores
 from gemmine.trainer import MultiStep, finetune
 
 BASE_CFG = """
@@ -590,7 +591,10 @@ def test_run_reports_a_degenerate_inversion(tmp_path, monkeypatch):
     real = harness.mine_for_seed
 
     def constant_scores(cfg_arg, data, seed):
-        return replace(real(cfg_arg, data, seed), inversion_scores=[np.full((10, 2), 0.25), np.full((2, 10), 0.25)])
+        result = real(cfg_arg, data, seed)
+        for layer in result.layers:
+            layer.scores = np.full(layer.weights.shape, 0.25)
+        return result
 
     monkeypatch.setattr(harness, "mine_for_seed", constant_scores)
     run_dir = harness.run_experiment(cfg, tmp_path)
@@ -743,19 +747,48 @@ def test_cli_sanity_prints_a_degenerate_inversion(tmp_path, capsys):
 
 @pytest.mark.parametrize("miner", ["miner.algorithm = ep\nep.scope = global", "miner.algorithm = imp"])
 def test_cli_sanity_inverts_only_scored_checkpoints(tmp_path, capsys, miner):
-    # only Gem-Miner checkpoints hold scores; the others' stored mask is no score to invert
+    # a mined checkpoint holds its miner's scores (IMP: magnitudes), a sanity variant's holds none
     cfg_path = _write_cfg(tmp_path, BASE_CFG + miner + "\n")
     out_dir = tmp_path / "out"
+    masks = out_dir / "tiny" / "masks"
     common = ["--config", str(cfg_path), "--seed", "3", "--out-dir", str(out_dir)]
     assert cli_main(["mine", *common]) == 0
-    ckpt = out_dir / "tiny" / "masks" / "seed3_none.tfmc"
+    base = load_checkpoint(masks / "seed3_none.tfmc")
+    assert cli_main(["sanity", *common, "--checkpoint", str(masks / "seed3_none.tfmc")]) == 0
+    inverted = extract_mask(load_checkpoint(masks / "seed3_none_invert.tfmc"))
+    assert [int(m.sum()) for m in inverted] == [int(m.sum()) for m in extract_mask(base)]
+    want, _ = invert_scores([layer.scores for layer in base], extract_mask(base))
+    assert [m.tobytes() for m in inverted] == [m.tobytes() for m in want]
+
     capsys.readouterr()
-    assert cli_main(["sanity", *common, "--checkpoint", str(ckpt)]) == 1
+    assert cli_main(["sanity", *common, "--checkpoint", str(masks / "seed3_none_shuffle.tfmc")]) == 1
     err = capsys.readouterr().err
     assert "variant invert failed" in err and "score inversion undefined" in err
-    masks = out_dir / "tiny" / "masks"
-    assert (masks / "seed3_none_shuffle.tfmc").exists() and (masks / "seed3_none_reinit.tfmc").exists()
-    assert not (masks / "seed3_none_invert.tfmc").exists()
+    assert (masks / "seed3_none_shuffle_shuffle.tfmc").exists() and (masks / "seed3_none_shuffle_reinit.tfmc").exists()
+    assert not (masks / "seed3_none_shuffle_invert.tfmc").exists()
+
+
+@pytest.mark.parametrize("algorithm", ["gem", "ep", "imp", "sr"])
+def test_run_checkpoints_hold_the_miners_scores_and_the_variants_none(tmp_path, monkeypatch, algorithm):
+    text = BASE_CFG.replace("seeds = 1,2", "seeds = 1") + f"miner.algorithm = {algorithm}\n"
+    cfg = build_experiment_config(text + (NO_INVERT if algorithm == "sr" else ""))
+    mined = {}
+    real = harness.mine_for_seed
+
+    def recording(cfg_arg, data, seed):
+        mined[seed] = real(cfg_arg, data, seed)
+        return mined[seed]
+
+    monkeypatch.setattr(harness, "mine_for_seed", recording)
+    run_dir = harness.run_experiment(cfg, tmp_path)
+    assert not (run_dir / "errors.log").exists()
+    for layer, saved in zip(mined[1].layers, load_checkpoint(run_dir / "masks" / "seed1_none.tfmc"), strict=True):
+        if algorithm == "sr":
+            assert layer.scores is None and saved.scores is None
+        else:  # gem's and edge-popup's scores, IMP's magnitudes
+            assert saved.scores.tobytes() == layer.scores.astype(np.float32).astype(np.float64).tobytes()
+    for variant, _ in harness.matrix_variants(cfg)[1:]:
+        assert [layer.scores for layer in load_checkpoint(run_dir / "masks" / f"seed1_{variant}.tfmc")] == [None, None]
 
 
 def test_cli_leaves_the_run_directory_to_the_harness():
@@ -777,6 +810,47 @@ def test_cli_leaves_the_run_directory_to_the_harness():
         tokens = tokenize.tokenize(f.readline)
         offenders = [f"cli.py:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
     assert offenders == []
+
+
+def _algorithm_branches(source: str) -> list[str]:
+    """``function:line`` for each comparison or ``match`` in ``source`` that reads an ``.algorithm`` attribute."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        operands += [node.subject] if isinstance(node, ast.Match) else []
+        if any(isinstance(o, ast.Attribute) and o.attr == "algorithm" for o in operands):
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_harness_branches_on_the_algorithm_only_to_mine_and_check_the_data():
+    """Once mined, a network's layers say what it holds: ``invert`` reads their scores, whichever miner made them."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    branches = _algorithm_branches((package / "harness.py").read_text())
+    assert branches and {site.partition(":")[0] for site in branches} <= {"mine_for_seed", "load_dataset"}
+    assert [str(path) for path in sorted(package.rglob("*.py")) if "inversion_scores" in path.read_text()] == []
+
+
+def test_the_algorithm_guard_sees_each_spelling():
+    source = """
+def mine_for_seed(cfg):
+    if cfg.algorithm == "gem": pass
+def sanity_file(cfg, self):
+    scores = 1 if cfg.algorithm == "gem" else None
+    same = "sr" != self.algorithm
+    if cfg.algorithm in ("ep", "imp"): pass
+    match cfg.algorithm:
+        case "gem": pass
+    return cfg.algorithm
+"""
+    assert _algorithm_branches(source) == ["mine_for_seed:3", "sanity_file:5", "sanity_file:6", "sanity_file:7", "sanity_file:8"]
 
 
 def _summary_sites(source: str, names_too: bool) -> list[str]:

@@ -195,12 +195,12 @@ MASK_PRODUCERS = {
     "shuffle_mask": lambda data, tmp: shuffle_mask(_mined(data, "gem").mask, seed=1),
     "invert_scores": lambda data, tmp: _inverted(_mined(data, "gem")),
     "load_checkpoint_scored": lambda data, tmp: _reloaded(tmp, _mined(data, "gem").layers),
-    "load_checkpoint_scoreless": lambda data, tmp: _reloaded(tmp, _mined(data, "imp").layers),
+    "load_checkpoint_scoreless": lambda data, tmp: _reloaded(tmp, _mined(data, "sr").layers),
 }
 
 
 def _inverted(result):
-    return invert_scores(result.inversion_scores, result.mask)[0]
+    return invert_scores([l.scores for l in result.layers], result.mask)[0]
 
 
 def _reloaded(tmp, layers):

@@ -365,9 +365,8 @@ def test_gem_mine_matches_the_per_batch_reference_loop(digits_1k, penalty, optim
     assert sum(b < a for a, b in zip(unfrozen, unfrozen[1:])) == 3  # freeze events at epochs 2, 4 and 6
     for got, want in zip(res.mask, mask):  # the reference holds float 0/1 masks
         assert got.dtype == np.bool_ and got.tobytes() == (want != 0).tobytes()
-    for layer, inverted, want in zip(res.layers, res.inversion_scores, scores):
+    for layer, want in zip(res.layers, scores):
         assert layer.scores.tobytes() == want.tobytes()
-        assert inverted.tobytes() == want.tobytes()
     for name, got in _report_columns(res.report).items():
         assert np.array(got).tobytes() == np.array(columns[name]).tobytes(), name
     assert np.float64(res.report.pre_finetune_accuracy).tobytes() == np.float64(pre_acc).tobytes()
@@ -524,8 +523,8 @@ def test_edge_popup_matches_the_per_batch_reference_loop(digits_1k, scope, gradu
         assert warnings == ["layerwise top-k clamped to 1 weight in layer 1"]
     for got, want in zip(res.mask, mask):  # the reference holds float 0/1 masks
         assert got.dtype == np.bool_ and got.tobytes() == (want != 0).tobytes()
-    for inverted, want in zip(res.inversion_scores, scores):
-        assert inverted.tobytes() == want.tobytes()
+    for layer, want in zip(res.layers, scores):
+        assert layer.scores.tobytes() == want.tobytes()
     rows = [r.as_dict() for r in res.report.records]
     assert all(list(row) == list(columns) for row in rows)
     for name, want in columns.items():
@@ -1194,10 +1193,10 @@ def _mine_with_every_selection(data):
     assert sum(b < a for a, b in zip(unfrozen, unfrozen[1:])) == 2  # two freeze events
     out = {}
     for name, res in results.items():
-        arrays = list(res.mask) + list(res.inversion_scores) + [l.scores for l in res.layers if l.scores is not None]
+        arrays = list(res.mask) + [l.scores for l in res.layers]
         arrays.append(np.array([r.sparsity for r in res.report.records]))  # gem: the unfrozen fraction
         arrays += [m for round_mask in res.round_masks or [] for m in round_mask]
-        inverted, _ = invert_scores(res.inversion_scores, res.mask)
+        inverted, _ = invert_scores([l.scores for l in res.layers], res.mask)
         out[name] = [a.tobytes() for a in arrays + inverted]
     return out
 

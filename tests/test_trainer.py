@@ -443,7 +443,7 @@ def test_imp_matches_the_dense_reference_loop(digits_1k, kind, optimizer, lr):
     _assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
     for got, want in zip(res.round_masks, round_masks, strict=True):
         _assert_arrays_identical(got, want)
-    _assert_arrays_identical(res.inversion_scores, magnitudes)
+    _assert_arrays_identical([l.scores for l in res.layers], magnitudes)
     assert np.array(_record_rows(res.report)).tobytes() == np.array(rows).tobytes()
     assert np.array(res.report.pre_finetune_accuracy).tobytes() == np.array(pre_acc).tobytes()
     assert res.report.layerwise == layerwise
