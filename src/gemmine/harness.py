@@ -147,7 +147,7 @@ def variant_network(
     ``invert`` ranks the layers' ``scores`` and fails on a layer without
     any. ``seed`` combines the run seed with the variant's own seed so that
     a pinned variant seed shifts the transformation deterministically. The
-    variant's warnings (a degenerate inversion) are appended to ``warnings``.
+    variant's warnings (a degenerate inversion, kept weights that are 0) are appended to ``warnings``.
     """
     weights, mask = [layer.weights for layer in layers], extract_mask(layers)
     if variant == SHUFFLE:
@@ -163,6 +163,9 @@ def variant_network(
         warnings.extend(inversion_warnings)
     else:
         raise ValueError(f"unknown sanity variant {variant!r}")
+    zeros = sum(int((w[m] == 0.0).sum()) for w, m in zip(weights, mask))  # a pre-masked network's pruned weights
+    if zeros:
+        warnings.append(f"variant {variant}: {zeros} of {sum(int(m.sum()) for m in mask)} kept weights are exactly 0")
     return [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
 
 

@@ -65,10 +65,11 @@ def as_mask(m) -> np.ndarray:
 
 @dataclass
 class MaskedLayer:
-    """One layer: weights (fan_out, fan_in), a boolean mask (``as_mask``), and the scores ``invert`` ranks, if any.
+    """One layer: dense weights (fan_out, fan_in), a boolean mask (``as_mask``) over them, and the scores ``invert`` ranks, if any.
 
-    The scores are a miner's per-weight importances, of any sign and size;
-    the mask alone says which weights are kept.
+    The layer's network is ``weights * mask``. The scores are a miner's
+    per-weight importances, of any sign and size; the mask alone says which
+    weights are kept.
     """
 
     weights: np.ndarray

@@ -90,6 +90,8 @@ class MinerConfig:
 class MiningResult:
     """What a miner hands back: the masked layers and a report.
 
+    Each layer's ``weights`` are the dense weights its mask selects from: the
+    fixed random weights of every miner but IMP, whose are its rewind point.
     Each layer's ``scores`` are the per-weight importances a score-inversion
     sanity check ranks: the final scores of a score-based miner, the weight
     magnitudes at the last prune of IMP, none for smart-ratio.
@@ -113,6 +115,14 @@ class MiningResult:
         return extract_mask(self.layers)
 
 
+def check_layer_collapse(mask: Sequence[np.ndarray], warnings: list[str], when: str) -> None:
+    """Warn once in ``warnings`` about each layer that ``mask`` empties, saying ``when``."""
+    for i, m in enumerate(mask):
+        msg = f"layer_collapse: layer {i} mask is empty ({when})"
+        if int(np.sum(m)) == 0 and msg not in warnings:
+            warnings.append(msg)
+
+
 def mining_result(
     weights: Sequence[np.ndarray],
     mask: Sequence[np.ndarray],
@@ -121,13 +131,15 @@ def mining_result(
     scores: Sequence[np.ndarray] | None = None,
     **fields,
 ) -> MiningResult:
-    """A miner's result: its network ``weights * mask`` as layers, and ``report`` finished.
+    """A miner's result: its dense ``weights`` and their ``mask`` as layers, and ``report`` finished.
 
-    The report gets the network's test accuracy as ``pre_finetune_accuracy``
-    (left ``None`` without ``data``) and the mask's layerwise rows. Each layer
-    keeps its entry of ``scores``, what ``invert`` ranks, if given; ``fields``
-    are the other ``MiningResult`` fields.
+    The report gets a layer-collapse warning for each layer the mask
+    empties, the network's (``weights * mask``) test accuracy as
+    ``pre_finetune_accuracy`` (left ``None`` without ``data``) and the mask's
+    layerwise rows. Each layer keeps its entry of ``scores``, what ``invert``
+    ranks, if given; ``fields`` are the other ``MiningResult`` fields.
     """
+    check_layer_collapse(mask, report.warnings, when="final mask")
     if data is not None:
         report.pre_finetune_accuracy = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
     report.layerwise = layerwise_report(mask)

@@ -20,9 +20,9 @@ import numpy as np
 
 from ..data import DatasetSplit
 from ..masking import SIGNED_CONSTANT, NetworkSpec, mask_sparsity, round_scores, select_smallest_across
-from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_descent
+from .common import MinerConfig, MiningResult, SparsitySchedule, check_layer_collapse, mining_result, score_descent
 
-__all__ = ["freeze_step", "gem_mine", "check_layer_collapse"]
+__all__ = ["freeze_step", "gem_mine"]
 
 
 def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: SparsitySchedule) -> int:
@@ -44,13 +44,6 @@ def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: Sp
         f[hit] = False
         p[hit] = 0.0
     return n_freeze
-
-
-def check_layer_collapse(mask: list[np.ndarray], warnings: list[str], when: str) -> None:
-    for i, m in enumerate(mask):
-        msg = f"layer_collapse: layer {i} mask is empty ({when})"
-        if int(np.sum(m)) == 0 and msg not in warnings:
-            warnings.append(msg)
 
 
 def gem_mine(
@@ -88,6 +81,4 @@ def gem_mine(
         return base, mask_sparsity(freeze), {"mask_sparsity": mask_sparsity(current_mask(scores))}
 
     weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
-    mask = current_mask(scores)
-    check_layer_collapse(mask, report.warnings, when="final mask")
-    return mining_result(weights, mask, report, data, scores=scores)
+    return mining_result(weights, current_mask(scores), report, data, scores=scores)

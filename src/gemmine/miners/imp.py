@@ -1,9 +1,10 @@
 """Iterative magnitude pruning with cold / warm / learning-rate rewinding.
 
 Each round trains the surviving weights, prunes the smallest-magnitude
-fraction of them globally, then either rewinds the survivors to their
-initial values (cold), to an early checkpoint from round one (warm), or
-keeps them and restarts only the learning-rate schedule (lr_rewind).
+fraction of them globally, then restarts the survivors from the rewind
+point: their initial values (cold), an early checkpoint from round one
+(warm), or their trained values, restarting only the learning-rate
+schedule (lr_rewind).
 """
 
 from __future__ import annotations
@@ -116,46 +117,39 @@ def imp(
     rounding; masks are nested across rounds, and the result's
     ``round_masks`` is a ``RoundMasks``. With zero epochs per round the
     procedure reduces to magnitude sorts of the initialization. Each round
-    trains with ``trainer.train_masked`` (whose docstring gives the mask
-    rules and the training scheme) on one batch stream shared by all rounds.
-    Each rewind multiplies the weights by the new mask, so they are 0
-    wherever the mask is 0, as ``train_masked`` requires, and the returned
-    weights are the masked network itself.
+    trains ``point * mask`` with ``trainer.train_masked`` (whose docstring
+    gives the mask rules and the training scheme) on one batch stream shared
+    by all rounds. ``point``, dense, is where each round restarts: the
+    initialization (cold), round one's weights after epoch
+    ``rewind.warm_epoch`` (warm), or each weight's value after the last
+    round that trained it (lr_rewind). The result's weights are that point,
+    the dense weights the final mask selects from.
     """
     check_imp_settings(rounds, prune_rate, rewind, epochs_per_round)
-    initial = init_weights(spec, init_scheme, config.seed)
-    weights = [w.copy() for w in initial]
-    mask = [np.ones(w.shape, dtype=bool) for w in initial]
+    point = init_weights(spec, init_scheme, config.seed)
+    mask = [np.ones(p.shape, dtype=bool) for p in point]
     report = RunReport(epochs=rounds * epochs_per_round)
     rng = stream_rng(config.seed, STREAM_BATCHES)
-    warm_checkpoint: list[np.ndarray] | None = None
     # how many prunes each weight has survived: in the end, the 0-indexed round that pruned it, or ``rounds``
-    pruned_in = [np.zeros(w.shape, dtype=np.min_scalar_type(rounds)) for w in initial]
+    pruned_in = [np.zeros(p.shape, dtype=np.min_scalar_type(rounds)) for p in point]
     # every round restarts the cosine schedule
     round_cfg = TrainConfig(epochs=epochs_per_round, batch_size=config.batch_size, optimizer=config.optimizer, lr=config.lr)
 
     for round_idx in range(rounds):
+        weights = [p * m for p, m in zip(point, mask)]
         kept_fraction = mask_sparsity(mask)
         for epoch, mean_loss in train_masked(weights, mask, data, round_cfg, rng):
             if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
-                warm_checkpoint = [w.copy() for w in weights]
+                point = [w.copy() for w in weights]
             record_epoch(report, data, weights, round_idx * epochs_per_round + epoch, kept_fraction, mean_loss)
+        if rewind.kind == LR_REWIND:
+            point = [np.where(m, w, p) for p, w, m in zip(point, weights, mask)]
 
         mask = prune_by_magnitude(weights, mask, prune_rate, report.warnings)
         for p, m in zip(pruned_in, mask):
             p += m
-        if round_idx == rounds - 1:
-            magnitudes = [np.abs(w) for w in weights]
-        if rewind.kind == COLD:
-            weights = [w0 * m for w0, m in zip(initial, mask)]
-        elif rewind.kind == WARM:
-            # set in round one: check_imp_settings holds warm_epoch below epochs_per_round
-            weights = [w0 * m for w0, m in zip(warm_checkpoint, mask)]
-        else:
-            weights = [w * m for w, m in zip(weights, mask)]
 
     for p in pruned_in:
         p.flags.writeable = False
-    return mining_result(
-        weights, mask, report, data, scores=magnitudes, round_masks=RoundMasks(pruned_in, range(rounds))
-    )
+    magnitudes = [np.abs(w) for w in weights]
+    return mining_result(point, mask, report, data, scores=magnitudes, round_masks=RoundMasks(pruned_in, range(rounds)))

@@ -17,7 +17,7 @@ from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
 from gemmine.data import make_digit_archive, write_idx
-from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, mask_sparsity
+from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, init_weights, mask_sparsity
 from gemmine.miners import smooth_ratios
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
@@ -789,6 +789,70 @@ def test_run_checkpoints_hold_the_miners_scores_and_the_variants_none(tmp_path, 
             assert saved.scores.tobytes() == layer.scores.astype(np.float32).astype(np.float64).tobytes()
     for variant, _ in harness.matrix_variants(cfg)[1:]:
         assert [layer.scores for layer in load_checkpoint(run_dir / "masks" / f"seed1_{variant}.tfmc")] == [None, None]
+
+
+def test_imp_sanity_variants_start_from_the_mined_weights(tmp_path):
+    # the variants move IMP's mask over the dense weights it selects from, so no kept weight starts at 0
+    make_digit_archive(tmp_path / "digits", n_train=60, n_test=20, seed=0)
+    text = (
+        "task.kind = idx\ntask.path = digits\ntask.train_limit = 40\nnet.widths = 784,8,10\n"
+        "miner.algorithm = imp\nimp.rounds = 6\nimp.prune_rate = 0.3\nimp.epochs_per_round = 1\n"
+        "finetune.epochs = 1\nfinetune.batch_size = 16\nsanity = shuffle,invert\nseeds = 3\n"
+    )
+    cfg = build_experiment_config(text, default_run_id="imp_idx", base_dir=tmp_path)
+    run_dir = harness.run_experiment(cfg, tmp_path / "out")
+    assert not (run_dir / "errors.log").exists()
+    for variant in ("shuffle", "invert"):
+        layers = load_checkpoint(run_dir / "masks" / f"seed3_{variant}.tfmc")
+        assert mask_sparsity(extract_mask(layers)) < 0.2
+        assert all(np.all(layer.weights[layer.mask] != 0.0) for layer in layers)
+        assert json.loads((run_dir / "reports" / f"seed3_{variant}.json").read_text())["warnings"] == []
+
+
+def _zero_weight_warning(kind, layers):
+    zeros = sum(int(np.count_nonzero(layer.weights[layer.mask] == 0.0)) for layer in layers)
+    kept = sum(int(np.count_nonzero(layer.mask)) for layer in layers)
+    assert zeros > 0
+    return f"variant {kind}: {zeros} of {kept} kept weights are exactly 0"
+
+
+def test_cli_sanity_warns_about_the_zero_weights_of_a_pre_masked_checkpoint(tmp_path, capsys):
+    # a network stored as weights * mask, as IMP's were once, has nothing but zeros to move a mask onto
+    cfg_path = _write_cfg(tmp_path, BASE_CFG.replace("sanity = shuffle,reinit,invert", "sanity = shuffle,invert"))
+    layers = []
+    for w in init_weights(build_experiment_config(BASE_CFG).spec, SCALED_NORMAL, 0):
+        mask = np.zeros(w.size, dtype=bool)
+        mask[::3] = True
+        mask = mask.reshape(w.shape)
+        layers.append(MaskedLayer(w * mask, mask, np.abs(w * mask)))
+    ckpt = tmp_path / "premasked.tfmc"
+    save_checkpoint(ckpt, layers)
+    out_dir = tmp_path / "out"
+    common = ["--config", str(cfg_path), "--seed", "3", "--out-dir", str(out_dir)]
+    assert cli_main(["sanity", *common, "--checkpoint", str(ckpt)]) == 0
+    want = [
+        "warning: " + _zero_weight_warning(kind, load_checkpoint(out_dir / "tiny" / "masks" / f"premasked_{kind}.tfmc"))
+        for kind in ("shuffle", "invert")
+    ]
+    assert capsys.readouterr().err.splitlines() == want
+    assert want[1] == "warning: variant invert: 14 of 14 kept weights are exactly 0"
+
+
+def test_run_reports_the_zero_weights_a_variant_keeps(tmp_path, monkeypatch):
+    cfg = build_experiment_config(BASE_CFG.replace("seeds = 1,2", "seeds = 1") + "sanity = shuffle,reinit\n")
+    real = harness.mine_for_seed
+
+    def pre_masked(cfg_arg, data, seed):
+        result = real(cfg_arg, data, seed)
+        result.layers = [replace(layer, weights=layer.weights * layer.mask) for layer in result.layers]
+        return result
+
+    monkeypatch.setattr(harness, "mine_for_seed", pre_masked)
+    run_dir = harness.run_experiment(cfg, tmp_path)
+    shuffled = load_checkpoint(run_dir / "masks" / "seed1_shuffle.tfmc")
+    report = json.loads((run_dir / "reports" / "seed1_shuffle.json").read_text())
+    assert report["warnings"] == [_zero_weight_warning("shuffle", shuffled)]
+    assert json.loads((run_dir / "reports" / "seed1_reinit.json").read_text())["warnings"] == []
 
 
 def test_cli_leaves_the_run_directory_to_the_harness():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import math
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
-from gemmine.data import float_features
+from gemmine.checkpoint import load_checkpoint, save_checkpoint
+from gemmine.data import float_features, gen_synthetic
 from gemmine.masking import (
     SIGNED_CONSTANT,
     STREAM_BATCHES,
@@ -24,8 +26,11 @@ from gemmine.masking import (
     stream_rng,
 )
 from gemmine.miners import (
+    COLD,
     GLOBAL,
     LAYERWISE,
+    LR_REWIND,
+    WARM,
     LayerRatios,
     MinerConfig,
     RewindSpec,
@@ -40,8 +45,7 @@ from gemmine.miners import (
     topk_mask,
     tune_ratios,
 )
-from gemmine.miners.common import L1, L2, patch_flips, score_descent
-from gemmine.miners.gem import check_layer_collapse
+from gemmine.miners.common import L1, L2, check_layer_collapse, patch_flips, score_descent
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import invert_scores, layerwise_report
 from gemmine.trainer import evaluate, run_epoch
@@ -637,10 +641,7 @@ def test_imp_cold_rewind_bit_equals_init(blobs):
     cfg = MinerConfig(lr=0.05, seed=4, batch_size=16)
     res = imp(blobs, spec, rounds=2, prune_rate=0.3, rewind=RewindSpec("cold"), epochs_per_round=2, config=cfg)
     initial = init_weights(spec, "scaled_normal", seed=4)
-    for w, w0, m in zip(res.weights, initial, res.mask):
-        survivors = m != 0.0
-        assert np.array_equal(w[survivors], w0[survivors])
-        assert np.all(w[~survivors] == 0.0)
+    assert [w.tobytes() for w in res.weights] == [w0.tobytes() for w0 in initial]
 
 
 def test_imp_lr_rewind_keeps_trained_weights(blobs):
@@ -650,6 +651,40 @@ def test_imp_lr_rewind_keeps_trained_weights(blobs):
     initial = init_weights(spec, "scaled_normal", seed=4)
     survivors = res.mask[0] != 0.0
     assert not np.array_equal(res.weights[0][survivors], initial[0][survivors])
+
+
+@pytest.mark.parametrize("kind", [COLD, WARM, LR_REWIND])
+def test_imp_result_weights_are_the_rewind_point(blobs, monkeypatch, kind):
+    # every round's weights after each of its epochs, as train_masked leaves them
+    imp_module = importlib.import_module("gemmine.miners.imp")  # gemmine.miners.imp is the function
+    trained = []
+    real = imp_module.train_masked
+
+    def recording(weights, mask, data, cfg, rng):
+        for epoch, loss in real(weights, mask, data, cfg, rng):
+            trained.append([w.copy() for w in weights])
+            yield epoch, loss
+
+    monkeypatch.setattr(imp_module, "train_masked", recording)
+    spec = NetworkSpec((2, 8, 2))
+    rounds, epochs = 3, 2
+    cfg = MinerConfig(lr=0.05, seed=4, batch_size=16)
+    res = imp(blobs, spec, rounds, 0.3, RewindSpec(kind, warm_epoch=1), epochs, cfg)
+    assert len(trained) == rounds * epochs
+    if kind == COLD:
+        want = init_weights(spec, "scaled_normal", seed=4)
+    elif kind == WARM:
+        want = trained[0]  # round one, after its first epoch
+    else:
+        # each weight's value after the last round that trained it: round r trains the mask round r - 1 left
+        want = trained[epochs - 1]
+        for r in range(1, rounds):
+            for w, t, m in zip(want, trained[(r + 1) * epochs - 1], res.round_masks[r - 1]):
+                np.copyto(w, t, where=m)
+        for w, t, m in zip(res.weights, trained[-1], res.mask):
+            assert w[m].tobytes() == t[m].tobytes()
+        assert all(np.all(w != 0.0) for w in res.weights)
+    assert [w.tobytes() for w in res.weights] == [w.tobytes() for w in want]
 
 
 def test_imp_warm_epoch_must_fit_round():
@@ -1219,3 +1254,61 @@ def test_selection_sites_match_the_stable_sort_oracle(digits_1k, monkeypatch):
     assert all(n > 0 for n in calls.values()), calls
     for name in fast:
         assert fast[name] == sorted_[name], name
+
+
+# ---------------------------------------------------------------------------
+# what every miner returns
+# ---------------------------------------------------------------------------
+
+CONTRACT_SCHEDULE = SparsitySchedule(0.3, 4, 2)
+EVERY_MINER = {
+    "gem": lambda data, spec, cfg: gem_mine(data, spec, CONTRACT_SCHEDULE, cfg),
+    "ep_layerwise": lambda data, spec, cfg: edge_popup(data, spec, CONTRACT_SCHEDULE, cfg, scope=LAYERWISE),
+    "ep_global_gradual": lambda data, spec, cfg: edge_popup(data, spec, CONTRACT_SCHEDULE, cfg, scope=GLOBAL, gradual=True),
+    "imp_cold": lambda data, spec, cfg: imp(data, spec, 3, 0.3, RewindSpec(COLD), 2, cfg),
+    "imp_warm": lambda data, spec, cfg: imp(data, spec, 3, 0.3, RewindSpec(WARM, warm_epoch=1), 2, cfg),
+    "imp_lr_rewind": lambda data, spec, cfg: imp(data, spec, 3, 0.3, RewindSpec(LR_REWIND), 2, cfg),
+    "sr_v1": lambda data, spec, cfg: smart_ratio(spec, 0.3, "v1", cfg.seed, data=data),
+}
+
+
+@pytest.mark.parametrize("miner", sorted(EVERY_MINER))
+def test_every_miner_returns_the_dense_weights_its_mask_selects_from(blobs, tmp_path, miner):
+    spec = NetworkSpec((2, 8, 2))
+    res = EVERY_MINER[miner](blobs, spec, MinerConfig(lr=0.05, seed=4, batch_size=16))
+    assert all(np.all(w != 0.0) for w in res.weights)
+    network = [w * m for w, m in zip(res.weights, res.mask)]
+    assert res.report.pre_finetune_accuracy == evaluate(network, blobs.test_x, blobs.test_y)
+    save_checkpoint(tmp_path / "net.tfmc", res.layers)
+    loaded = load_checkpoint(tmp_path / "net.tfmc")
+    assert [l.mask.tobytes() for l in loaded] == [m.tobytes() for m in res.mask]
+    assert [l.weights.tobytes() for l in loaded] == [w.astype(np.float32).astype(np.float64).tobytes() for w in res.weights]
+
+
+def test_imp_warns_about_the_layers_it_empties():
+    data = gen_synthetic("blobs", 400, 0.3, 0)
+    res = imp(data, NetworkSpec((2, 30, 30, 2)), 12, 0.3, RewindSpec(COLD), 1, MinerConfig(seed=1))
+    assert [int(m.sum()) for m in res.mask] == [14, 0, 0]
+    assert res.report.warnings == [
+        "layer_collapse: layer 1 mask is empty (final mask)",
+        "layer_collapse: layer 2 mask is empty (final mask)",
+    ]
+
+
+def test_edge_popup_warns_about_the_layers_it_empties():
+    data = gen_synthetic("blobs", 400, 0.3, 0)
+    schedule = SparsitySchedule(0.02, 4, 2)
+    res = edge_popup(data, NetworkSpec((2, 8, 30, 2)), schedule, MinerConfig(seed=2), scope=GLOBAL, gradual=True)
+    assert [int(m.sum()) for m in res.mask] == [0, 2, 4]
+    assert res.report.warnings == ["layer_collapse: layer 0 mask is empty (final mask)"]
+
+
+def test_the_layer_collapse_warning_is_spelled_once():
+    src = Path(__file__).resolve().parents[1] / "src"
+    spelled = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "layer_collapse" in node.value
+    ]
+    assert len(spelled) == 1 and spelled[0].startswith("gemmine/miners/common.py:"), spelled

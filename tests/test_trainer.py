@@ -439,7 +439,7 @@ def test_imp_matches_the_dense_reference_loop(digits_1k, kind, optimizer, lr):
     )
 
     assert [row[1] for row in rows[::2]] == [1.0, 0.5, 0.25, 0.125, 0.0625]  # kept fraction trained each round
-    _assert_arrays_identical(res.weights, weights)
+    _assert_arrays_identical([w * m for w, m in zip(res.weights, res.mask)], weights)
     _assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
     for got, want in zip(res.round_masks, round_masks, strict=True):
         _assert_arrays_identical(got, want)
