@@ -83,7 +83,11 @@ def edge_popup(
     the returned mask is cut to it (see
     ``test_edge_popup_gradual_trains_its_last_period_at_the_target``).
     Scores are unconstrained here (no unit-interval projection): top-k only
-    consumes their ranking.
+    consumes their ranking. Every mask, the returned one included, comes
+    from the run's own ``LargestSelector`` windows, so when k is the last
+    batch's, as in every non-gradual run, the returned mask partitions only
+    the scores near the last threshold; the chosen set does not depend on
+    the windows.
     """
     selectors = [LargestSelector() for _ in range(len(spec.layer_shapes) if scope == LAYERWISE else 1)]
 
@@ -100,5 +104,5 @@ def edge_popup(
         return None, keep_fraction(epoch), {}
 
     weights, scores, report = score_descent(data, spec, schedule, config, init_scheme, take_bits, end_epoch)
-    final_mask = topk_mask(scores, schedule.target_sparsity, scope, report.warnings)
+    final_mask = topk_mask(scores, schedule.target_sparsity, scope, report.warnings, selectors=selectors)
     return mining_result(weights, final_mask, report, data, scores=scores)

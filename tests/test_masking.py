@@ -415,9 +415,9 @@ def test_smallest_selector_takes_the_window_while_values_move_little():
 
 def test_smallest_selector_chooses_none_or_all_without_a_partition(monkeypatch):
     def no_partition(values, k):
-        raise AssertionError(f"select_smallest_across called with k={k}")
+        raise AssertionError(f"select_smallest called with k={k}")
 
-    monkeypatch.setattr(masking, "select_smallest_across", no_partition)
+    monkeypatch.setattr(masking, "select_smallest", no_partition)
     layers = [np.arange(6.0).reshape(2, 3), np.array([0.5, -1.0])]
     selector = LargestSelector()
     for k, want in ((0, False), (8, True), (-1, False), (9, True)):
@@ -425,6 +425,53 @@ def test_smallest_selector_chooses_none_or_all_without_a_partition(monkeypatch):
         assert [(c.dtype, c.shape) for c in chosen] == [(np.dtype(bool), (2, 3)), (np.dtype(bool), (2,))]
         assert all(np.all(c == want) for c in chosen), k
     assert (selector.fallback_calls, selector.window_calls) == (4, 0)
+
+
+@st.composite
+def _recentre_cases(draw):
+    """Negated values with ties, +-0.0, +-inf and NaN, a k that a caller passes (1 to their count), a margin and an old window."""
+    elements = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-2.0, 2.0))
+    values = draw(hnp.arrays(np.float64, st.integers(min_value=1, max_value=40), elements=elements))
+    size = draw(st.sampled_from([values.size, 700, 3000]))
+    if size != values.size:  # a partition sorts a few dozen entries outright, so it would hide a bound read out of place
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(values, size)
+    k = draw(st.integers(min_value=1, max_value=values.size))
+    bound = st.sampled_from([-1.0, -0.0, 0.0, 0.5, np.inf])  # a window's bounds are never NaN
+    window = draw(st.one_of(st.none(), st.tuples(bound, bound)))
+    return values, k, draw(st.sampled_from([0, 1, 2, 8, LargestSelector.MARGIN])), window
+
+
+@settings(max_examples=400, deadline=None)
+@given(_recentre_cases())
+def test_recentre_windows_the_sorted_ranks_around_k(case):
+    """The window is the values at ranks k - 1 -+ MARGIN of the sorted vector; a side past the vector's end keeps
+    its old bound, a NaN high bound becomes inf and a NaN low bound leaves no window."""
+    values, k, margin, window = case
+    ordered = np.sort(values)  # NaN last, as a partition places it
+    lo_rank, hi_rank = k - 1 - margin, k - 1 + margin
+    lo = ordered[max(lo_rank, 0)] if lo_rank >= 0 or window is None else window[0]
+    hi = ordered[min(hi_rank, values.size - 1)] if hi_rank < values.size or window is None else window[1]
+    want = None if np.isnan(lo) else (lo, np.inf if np.isnan(hi) else hi)
+    selector = LargestSelector()
+    selector.MARGIN, selector.window = margin, window
+    selector._recentre(values.copy(), k)
+    assert selector.window == want  # == so that -0.0 and +0.0, which every comparison treats alike, are one bound
+
+
+def test_a_full_top_k_makes_one_negated_copy_of_the_scores():
+    """One fallback call on the 101,632 scores of 784-128-10 peaks at the negated copy, select_smallest's partitioned
+    copy of it and boolean masks: the window is found in the negated copy itself."""
+    rng = np.random.default_rng(6)
+    scores = [rng.random(shape) for shape in [(128, 784), (10, 128)]]
+    selector = LargestSelector()
+    tracemalloc.start()
+    try:
+        chosen = selector(scores, 30_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert selector.fallback_calls == 1 and sum(int(np.count_nonzero(c)) for c in chosen) == 30_000
+    assert peak < 2.25 * sum(p.nbytes for p in scores)
 
 
 @pytest.mark.parametrize("scope, shapes", [(LAYERWISE, [(128, 784)]), (GLOBAL, [(64, 784), (64, 784)])])

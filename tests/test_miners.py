@@ -636,23 +636,6 @@ def test_imp_schedule_composition(blobs):
     assert all(b <= a for a, b in zip(column, column[1:]))
 
 
-def test_imp_cold_rewind_bit_equals_init(blobs):
-    spec = NetworkSpec((2, 8, 2))
-    cfg = MinerConfig(lr=0.05, seed=4, batch_size=16)
-    res = imp(blobs, spec, rounds=2, prune_rate=0.3, rewind=RewindSpec("cold"), epochs_per_round=2, config=cfg)
-    initial = init_weights(spec, "scaled_normal", seed=4)
-    assert [w.tobytes() for w in res.weights] == [w0.tobytes() for w0 in initial]
-
-
-def test_imp_lr_rewind_keeps_trained_weights(blobs):
-    spec = NetworkSpec((2, 8, 2))
-    cfg = MinerConfig(lr=0.05, seed=4, batch_size=16)
-    res = imp(blobs, spec, rounds=2, prune_rate=0.3, rewind=RewindSpec("lr_rewind"), epochs_per_round=2, config=cfg)
-    initial = init_weights(spec, "scaled_normal", seed=4)
-    survivors = res.mask[0] != 0.0
-    assert not np.array_equal(res.weights[0][survivors], initial[0][survivors])
-
-
 @pytest.mark.parametrize("kind", [COLD, WARM, LR_REWIND])
 def test_imp_result_weights_are_the_rewind_point(blobs, monkeypatch, kind):
     # every round's weights after each of its epochs, as train_masked leaves them
