@@ -173,21 +173,23 @@ class _Fields:
 
 
 def _parse_rewind(key: str, text: str) -> RewindSpec:
-    head, _, arg = text.partition(":")
+    head, sep, arg = text.partition(":")
     head = head.strip().lower()
-    if head == COLD:
-        return RewindSpec(COLD)
     if head == WARM:
         return _checked(key, RewindSpec, WARM, warm_epoch=_parse(key, arg, int) if arg else 1)
-    if head == LR_REWIND:
-        return RewindSpec(LR_REWIND)
+    if head in (COLD, LR_REWIND):
+        if sep:
+            raise ConfigError(f"{key}: {head} takes no argument, got {text!r}")
+        return RewindSpec(head)
     raise ConfigError(f"{key}: unknown rewind {text!r}")
 
 
 def _parse_schedule_choice(key: str, text: str):
-    head, _, args = text.partition(":")
+    head, sep, args = text.partition(":")
     head = head.strip().lower()
     if head == "cosine":
+        if sep:
+            raise ConfigError(f"{key}: cosine takes no argument, got {text!r}")
         return Cosine()
     if head == "multistep":
         milestones_text, _, gamma_text = args.partition(":")
@@ -316,7 +318,7 @@ def build_experiment_config(
     if algorithm == "imp":
         _checked("imp", check_imp_settings, cfg.imp_rounds, cfg.imp_prune_rate, cfg.imp_rewind, cfg.imp_epochs_per_round)
     if algorithm == "sr":
-        sr_settings = (cfg.sr_reference_profile, cfg.sr_imp_profile, cfg.sr_last_layer_keep, cfg.sr_tune_steps)
+        sr_settings = (cfg.sr_reference_profile, cfg.sr_imp_profile, cfg.sr_last_layer_keep, cfg.sr_tune_steps, cfg.sr_tune_lr)
         _checked("sr", check_smart_ratio_settings, spec, cfg.sr_variant, *sr_settings)
         if any(v.kind == INVERT for v in sanity):
             raise ConfigError("sanity: invert is undefined for sr, which produces no scores")

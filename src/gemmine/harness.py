@@ -37,7 +37,7 @@ from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
 from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask
-from .trainer import RunReport, finetune
+from .trainer import EpochRecord, RunReport, finetune
 
 BASE_VARIANT = "none"
 _REINIT_SEED_OFFSET = 7919
@@ -63,16 +63,17 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 
 def write_report(stem: str | Path, report: RunReport) -> None:
-    """Write ``report``'s per-epoch columns as ``<stem>.csv``, then the whole report as ``<stem>.json``, renamed into place."""
-    epochs = ([r.epoch, r.sparsity, r.train_loss, r.val_accuracy] for r in report.records)
-    write_table(f"{stem}.csv", ["epoch", "sparsity", "train_loss", "val_accuracy"], epochs)
+    """Write ``report``'s records as ``<stem>.csv``, in the columns of ``EpochRecord``'s fields other than ``extra``,
+    then ``report.as_dict()`` as ``<stem>.json``, renamed into place."""
+    header = [f.name for f in fields(EpochRecord) if f.name != "extra"]
+    write_table(f"{stem}.csv", header, ([getattr(r, key) for key in header] for r in report.records))
     Path(f"{stem}.json.partial").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
     os.replace(f"{stem}.json.partial", f"{stem}.json")
 
 
 def write_layerwise(path: str | Path, rows: Sequence[dict]) -> None:
-    """Write ``sanity.layerwise_report`` rows, all but their ``collapsed`` flag."""
-    header = ["layer_index", "params", "kept", "keep_fraction"]
+    """Write ``sanity.layerwise_report`` rows in the columns of their keys other than ``collapsed``."""
+    header = [key for key in rows[0] if key != "collapsed"]
     write_table(path, header, ([row[key] for key in header] for row in rows))
 
 

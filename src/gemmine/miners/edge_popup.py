@@ -27,8 +27,12 @@ GLOBAL = "global"
 __all__ = ["edge_popup", "topk_mask", "LAYERWISE", "GLOBAL"]
 
 
-def _kept_count(k: float, size: int) -> int:
-    return max(1, int(math.floor(k * size)))
+def _kept_count(k: float, size: int, warnings: list[str] | None, clamped: str) -> int:
+    """``floor(k * size)``, raised to 1 with the warning ``clamped``, given once in ``warnings``, when it is 0."""
+    kept = math.floor(k * size)
+    if kept < 1 and warnings is not None and clamped not in warnings:
+        warnings.append(clamped)
+    return max(1, kept)
 
 
 def topk_mask(
@@ -43,7 +47,9 @@ def topk_mask(
     ``selectors``, one ``LargestSelector`` per layer (or one for the global
     scope), carry a run's previous thresholds from call to call; while the
     scores move little, only the scores near the last threshold are
-    partitioned. Without them, fresh ones make the full selection.
+    partitioned. Without them, fresh ones make the full selection. A keep
+    count that floors to 0 (per layer, or over the network) is raised to 1,
+    and ``warnings``, when given, notes each such clamp once.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise ValueError(f"keep fraction must be in (0, 1], got {keep_fraction}")
@@ -51,15 +57,11 @@ def topk_mask(
         selectors = selectors or [LargestSelector() for _ in scores]
         masks = []
         for i, p in enumerate(scores):
-            kept = _kept_count(keep_fraction, p.size)
-            if warnings is not None and math.floor(keep_fraction * p.size) < 1:
-                msg = f"layerwise top-k clamped to 1 weight in layer {i}"
-                if msg not in warnings:
-                    warnings.append(msg)
+            kept = _kept_count(keep_fraction, p.size, warnings, f"layerwise top-k clamped to 1 weight in layer {i}")
             masks += selectors[i]([p], kept)
         return masks
     if scope == GLOBAL:
-        kept = _kept_count(keep_fraction, sum(p.size for p in scores))
+        kept = _kept_count(keep_fraction, sum(p.size for p in scores), warnings, "global top-k clamped to 1 weight")
         (select,) = selectors or [LargestSelector()]
         return select(scores, kept)
     raise ValueError(f"scope must be {LAYERWISE!r} or {GLOBAL!r}, got {scope!r}")

@@ -39,7 +39,8 @@ __all__ = ["smart_ratio", "check_smart_ratio_settings", "smooth_ratios", "tune_r
 
 
 def check_smart_ratio_settings(
-    spec: NetworkSpec, variant: str, reference_profile: LayerRatios | None, imp_profile: LayerRatios | None, last_layer_keep: float, tune_steps: int
+    spec: NetworkSpec, variant: str, reference_profile: LayerRatios | None, imp_profile: LayerRatios | None, last_layer_keep: float,
+    tune_steps: int, tune_lr: float,
 ) -> None:
     """Raise ``ValueError`` unless ``smart_ratio`` can run with these settings.
 
@@ -57,6 +58,8 @@ def check_smart_ratio_settings(
         raise ValueError(f"{variant} needs a magnitude-pruning profile of {spec.n_layers} ratios, got {len(imp_profile)}")
     if variant in ("v5", "v6") and tune_steps < 1:
         raise ValueError(f"{variant} tunes its ratios: tune steps must be >= 1, got {tune_steps}")
+    if variant in ("v5", "v6") and not tune_lr > 0:
+        raise ValueError(f"{variant} tunes its ratios: tune learning rate must be > 0, got {tune_lr}")
 
 
 def _fill_to_budget(weights_per_layer: list[int], raw: list[float], budget: float) -> list[float]:
@@ -131,12 +134,15 @@ def tune_ratios(
     them when there are fewer), samples per-layer masks with the current
     keep probabilities, takes the gradient of the batch loss with respect
     to the sampled mask entries, sums it per layer, and moves the keep
-    probabilities downhill. Results are clamped to (1e-3, 1].
+    probabilities downhill by ``lr`` times it, so ``lr`` must be finite and
+    > 0. Results are clamped to (1e-3, 1].
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not math.isfinite(lr):
         raise ValueError(f"tune learning rate must be finite, got {lr}")
+    if lr <= 0:
+        raise ValueError(f"tune learning rate must be > 0, got {lr}")
     ratios = np.array(p0.ratios, dtype=np.float64)
     rng = stream_rng(seed, STREAM_SAMPLING)
     n = data.train_x.shape[0]
@@ -170,7 +176,7 @@ def smart_ratio(
     global sparsity follows the ratios, which only v1 (and v4's rescaling)
     tie to the requested target.
     """
-    check_smart_ratio_settings(spec, variant, reference_profile, imp_profile, last_layer_keep, tune_steps)
+    check_smart_ratio_settings(spec, variant, reference_profile, imp_profile, last_layer_keep, tune_steps, tune_lr)
     if not (0.0 < target_sparsity <= 1.0):
         raise ValueError(f"target sparsity must be in (0, 1], got {target_sparsity}")
     if variant in ("v4", "v6") and imp_profile is None:

@@ -71,31 +71,21 @@ def invert_scores(
     return out, warnings
 
 
+def _layerwise_row(layer_index: int | str, params: int, kept: int) -> dict:
+    return {
+        "layer_index": layer_index,
+        "params": params,
+        "kept": kept,
+        "keep_fraction": kept / params,
+        "collapsed": kept == 0,
+    }
+
+
 def layerwise_report(mask: Sequence[np.ndarray]) -> list[dict]:
-    """Exact per-layer kept counts plus a global summary row."""
-    rows = []
-    total_params = 0
-    total_kept = 0
-    for i, m in enumerate(mask):
-        kept = int(np.count_nonzero(m))
-        rows.append(
-            {
-                "layer_index": i,
-                "params": int(m.size),
-                "kept": kept,
-                "keep_fraction": kept / m.size,
-                "collapsed": kept == 0,
-            }
-        )
-        total_params += m.size
-        total_kept += kept
-    rows.append(
-        {
-            "layer_index": "global",
-            "params": total_params,
-            "kept": total_kept,
-            "keep_fraction": total_kept / total_params,
-            "collapsed": total_kept == 0,
-        }
-    )
-    return rows
+    """Each layer's exact kept count, then a ``global`` row of their sums.
+
+    A row is ``layer_index``, ``params``, ``kept``, ``keep_fraction`` and
+    ``collapsed`` (nothing kept), in that order.
+    """
+    rows = [_layerwise_row(i, int(m.size), int(np.count_nonzero(m))) for i, m in enumerate(mask)]
+    return rows + [_layerwise_row("global", sum(row["params"] for row in rows), sum(row["kept"] for row in rows))]

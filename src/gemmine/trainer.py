@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -67,12 +67,8 @@ class EpochRecord:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        row = {
-            "epoch": self.epoch,
-            "sparsity": self.sparsity,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-        }
+        """The record's fields in order, ``extra``'s columns following them in its place."""
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
         row.update(self.extra)
         return row
 
@@ -89,14 +85,10 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "records": [r.as_dict() for r in self.records],
-            "pre_finetune_accuracy": self.pre_finetune_accuracy,
-            "post_finetune_accuracy": self.post_finetune_accuracy,
-            "layerwise": self.layerwise,
-            "warnings": self.warnings,
-        }
+        """The report's fields in order, each of ``records`` as its ``EpochRecord.as_dict``."""
+        report = {f.name: getattr(self, f.name) for f in fields(self)}
+        report["records"] = [r.as_dict() for r in self.records]
+        return report
 
 
 def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.ndarray) -> float:

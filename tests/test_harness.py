@@ -137,6 +137,10 @@ def test_config_number_errors_name_the_key(line, key):
         ("miner.optimizer = foo", "miner.optimizer", "unknown optimizer"),
         ("miner.optimizer = sgd:abc", "miner.optimizer", "could not convert"),
         ("imp.rewind = warm:0", "imp.rewind", "warm rewind epoch must be >= 1"),
+        # cold, lr_rewind and cosine take no argument: one given is an error, not dropped
+        ("imp.rewind = cold:5", "imp.rewind", "cold takes no argument, got 'cold:5'"),
+        ("imp.rewind = lr_rewind:2", "imp.rewind", "lr_rewind takes no argument, got 'lr_rewind:2'"),
+        ("finetune.schedule = cosine:0.5", "finetune.schedule", "cosine takes no argument, got 'cosine:0.5'"),
         ("miner.algorithm = imp\nimp.rounds = 0", "imp", "rounds must be >= 1, got 0"),
         ("miner.algorithm = imp\nimp.prune_rate = 1.5", "imp", "prune rate must be in (0, 1), got 1.5"),
         ("miner.algorithm = imp\nimp.epochs_per_round = -1", "imp", "epochs_per_round must be >= 0, got -1"),
@@ -182,6 +186,17 @@ def test_config_number_errors_name_the_key(line, key):
             "sr",
             "tune steps must be >= 1, got 0",
         ),
+        # a rate <= 0 would stand still or climb the loss that the tuning descends
+        (
+            "miner.algorithm = sr\nsr.variant = v5\nsr.reference_profile = 0.5,0.5\nsr.tune_lr = -1",
+            "sr",
+            "v5 tunes its ratios: tune learning rate must be > 0, got -1.0",
+        ),
+        (
+            "miner.algorithm = sr\nsr.variant = v6\nsr.imp_profile = 0.5,0.5\nsr.tune_lr = 0",
+            "sr",
+            "v6 tunes its ratios: tune learning rate must be > 0, got 0.0",
+        ),
         ("miner.algorithm = sr\nsr.last_layer_keep = 0", "sr", "last layer keep must be in (0, 1], got 0.0"),
         ("seeds = 1,1", "seeds", "each entry must be distinct, got 1, 1"),
         ("sanity = shuffle,shuffle:5", "sanity", "each entry must be distinct, got shuffle, shuffle"),
@@ -200,9 +215,9 @@ def test_config_range_errors_name_the_key(line, key, message):
 @pytest.mark.parametrize(
     "line",
     [
-        # unused settings: v1 reads no magnitude-pruning profile, v4 no tune steps
+        # unused settings: v1 reads no magnitude-pruning profile, v4 no tune steps or tune rate
         "miner.algorithm = sr\nsr.imp_profile = 0.5,0.5,0.5\nsr.tune_steps = 0",
-        "miner.algorithm = sr\nsr.variant = v4\nsr.imp_profile = 0.5,0.5\nsr.tune_steps = 0",
+        "miner.algorithm = sr\nsr.variant = v4\nsr.imp_profile = 0.5,0.5\nsr.tune_steps = 0\nsr.tune_lr = -1",
         # v2 and v5 read only the first and last entries of the reference profile
         "miner.algorithm = sr\nsr.variant = v2\nsr.reference_profile = 0.5",
         # the profile may come from an IMP run made after the config is read

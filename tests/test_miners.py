@@ -451,6 +451,16 @@ def test_topk_layerwise_keeps_at_least_one():
     assert any("clamped" in w for w in warnings)
 
 
+def test_global_top_k_warns_once_when_it_clamps_to_one_weight(blobs):
+    # floor(0.01 * 32) = 0, so every mask, the final one included, keeps the single highest score
+    res = edge_popup(blobs, NetworkSpec((2, 8, 2)), SparsitySchedule(0.01, 2, 1), MinerConfig(seed=1, batch_size=16), scope=GLOBAL)
+    assert sum(int(m.sum()) for m in res.mask) == 1
+    collapsed = [i for i, m in enumerate(res.mask) if not m.any()]
+    assert res.report.warnings == ["global top-k clamped to 1 weight"] + [
+        f"layer_collapse: layer {i} mask is empty (final mask)" for i in collapsed
+    ]
+
+
 def test_topk_global_ties_go_to_the_earlier_layer():
     scores = [np.array([[0.5, 0.1]]), np.array([[0.5, 0.5]])]
     mask = topk_mask(scores, 0.5, GLOBAL)
@@ -1130,6 +1140,14 @@ def test_tune_ratios_zero_weight_layer_unmoved():
 def test_tune_ratios_rejects_a_non_finite_learning_rate(lr):
     data, weights = _toy_one_useful_weight()
     with pytest.raises(ValueError, match="tune learning rate must be finite"):
+        tune_ratios(LayerRatios((0.5, 0.9)), weights, data, steps=5, lr=lr, seed=1)
+
+
+@pytest.mark.parametrize("lr", [-1.0, 0.0])
+def test_tune_ratios_rejects_a_learning_rate_that_is_not_positive(lr):
+    # a negative rate would climb the expected loss, and 0 would leave the ratios where they are
+    data, weights = _toy_one_useful_weight()
+    with pytest.raises(ValueError, match=f"tune learning rate must be > 0, got {lr}"):
         tune_ratios(LayerRatios((0.5, 0.9)), weights, data, steps=5, lr=lr, seed=1)
 
 

@@ -122,6 +122,8 @@ def test_layerwise_report_counts():
     assert rows[1] == {"layer_index": 1, "params": 2, "kept": 1, "keep_fraction": 0.5, "collapsed": False}
     assert rows[2]["layer_index"] == "global"
     assert rows[2]["kept"] == 3 and rows[2]["params"] == 6
+    # the global row's counts are the per-layer sums, and its fraction their ratio
+    assert rows[2] == {"layer_index": "global", "params": 4 + 2, "kept": 2 + 1, "keep_fraction": 3 / 6, "collapsed": False}
     assert rows[2]["keep_fraction"] == pytest.approx(0.5)
 
 

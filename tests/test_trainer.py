@@ -191,6 +191,9 @@ def test_final_loss_not_worse_than_initial_across_seeds(blobs):
 def test_run_report_json_field_names(tmp_path):
     report = RunReport(epochs=2)
     report.records.append(EpochRecord(epoch=0, sparsity=0.5, train_loss=1.0, val_accuracy=0.5))
+    report.records.append(
+        EpochRecord(epoch=1, sparsity=0.25, train_loss=0.75, val_accuracy=0.625, extra={"mask_sparsity": 0.375})
+    )
     report.pre_finetune_accuracy = 0.1
     report.post_finetune_accuracy = 0.9
     report.layerwise = [{"layer_index": 0, "params": 4, "kept": 2, "keep_fraction": 0.5}]
@@ -211,15 +214,51 @@ def test_run_report_json_field_names(tmp_path):
         "train_loss": 1.0,
         "val_accuracy": 0.5,
     }
+    # the whole file, key order included: a record's extra columns follow its fields
+    assert (tmp_path / "report.json").read_text() == """{
+  "epochs": 2,
+  "records": [
+    {
+      "epoch": 0,
+      "sparsity": 0.5,
+      "train_loss": 1.0,
+      "val_accuracy": 0.5
+    },
+    {
+      "epoch": 1,
+      "sparsity": 0.25,
+      "train_loss": 0.75,
+      "val_accuracy": 0.625,
+      "mask_sparsity": 0.375
+    }
+  ],
+  "pre_finetune_accuracy": 0.1,
+  "post_finetune_accuracy": 0.9,
+  "layerwise": [
+    {
+      "layer_index": 0,
+      "params": 4,
+      "kept": 2,
+      "keep_fraction": 0.5
+    }
+  ],
+  "warnings": [
+    "example"
+  ]
+}
+"""
 
 
 def test_metrics_csv_header(tmp_path):
     report = RunReport(epochs=1)
     report.records.append(EpochRecord(epoch=0, sparsity=0.25, train_loss=2.0, val_accuracy=0.75))
+    report.records.append(EpochRecord(epoch=1, sparsity=0.125, train_loss=1.5, val_accuracy=0.5, extra={"mask_sparsity": 0.5}))
     write_report(tmp_path / "metrics", report)
     lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,sparsity,train_loss,val_accuracy"
     assert lines[1] == "0,0.25,2,0.75"
+    # the whole file: a record's extra columns stay out of the CSV
+    assert (tmp_path / "metrics.csv").read_bytes() == b"epoch,sparsity,train_loss,val_accuracy\r\n0,0.25,2,0.75\r\n1,0.125,1.5,0.5\r\n"
 
 
 def test_sparsity_constant_during_finetune(blobs):
