@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .data import check_split_settings, check_synthetic_settings
@@ -31,13 +32,22 @@ from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
 from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
 from .miners.smart_ratio import VARIANTS, check_smart_ratio_settings
-from .optim import parse_optimizer
-from .sanity import INVERT, SanityVariant
+from .optim import Adam, SgdMomentum
+from .sanity import INVERT, VARIANT_KINDS, SanityVariant
 from .trainer import Cosine, MultiStep, TrainConfig
 
 ALGORITHMS = ("gem", "ep", "imp", "sr")
 TASK_KINDS = ("blobs", "two_moons", "idx")
 TRUE_WORDS, FALSE_WORDS = ("true", "1", "yes"), ("false", "0", "no")
+# the kinds of each <kind>[:<arg>[:<arg>]] value: kind -> (constructor, arguments, how many are required), see _kind
+_OPTIMIZERS = {"sgd": (SgdMomentum, [(float, ("momentum",))], 0), "adam": (Adam, [(float, ("beta1", "beta2", "eps"))], 0)}
+_REWINDS = {
+    COLD: (partial(RewindSpec, COLD), [], 0),
+    WARM: (partial(RewindSpec, WARM), [(int, ("warm_epoch",))], 0),
+    LR_REWIND: (partial(RewindSpec, LR_REWIND), [], 0),
+}
+_SCHEDULES = {"cosine": (Cosine, [], 0), "multistep": (MultiStep, [(int, "milestones"), (float, ("gamma",))], 1)}
+_SANITY_VARIANTS = {kind: (partial(SanityVariant, kind), [(int, ("seed",))], 0) for kind in VARIANT_KINDS}
 
 
 class ConfigError(ValueError):
@@ -64,6 +74,54 @@ def _checked(key: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _choice(key: str, text: str, choices) -> str:
+    """``text`` lower-cased, which must be one of ``choices``."""
+    if text.lower() not in choices:
+        raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {text!r}")
+    return text.lower()
+
+
+def _items(key: str, text: str, kind) -> list:
+    """The comma-separated entries of ``text``, each stripped and read by ``_parse`` as ``kind``.
+
+    A blank ``text`` has none; an empty entry among others is an error.
+    """
+    entries = [entry.strip() for entry in text.split(",")] if text.strip() else []
+    if "" in entries:
+        raise ConfigError(f"{key}: empty entry in {text!r}")
+    return [_parse(key, entry, kind) for entry in entries]
+
+
+def _kind(key: str, text: str, kinds: dict):
+    """A ``<kind>[:<arg>[:<arg>]]`` value, built as ``kinds[<kind>] = (make, arguments, required)`` says.
+
+    The kind is one of ``kinds`` (``_choice``). Each argument is ``(type, names)``, its text read
+    by ``_items`` as ``type``: the entries fill the fields ``names`` in order, or, when ``names``
+    is one name, that field takes them all as a tuple. The first ``required`` arguments must be
+    given; omitted ones, and omitted entries, keep ``make``'s defaults.
+    """
+    name, *args = (part.strip() for part in text.split(":"))
+    name = _choice(key, name, kinds)
+    make, params, required = kinds[name]
+    if len(args) > len(params):
+        most = ("no argument", "at most one argument", "at most two arguments")[len(params)]
+        raise ConfigError(f"{key}: {name} takes {most}, got {text!r}")
+    if len(args) < required:
+        raise ConfigError(f"{key}: {name} needs {params[len(args)][1]}, got {text!r}")
+    if "" in args:
+        raise ConfigError(f"{key}: empty argument in {text!r}")
+    values = {}
+    for arg, (kind, names) in zip(args, params):
+        entries = _items(key, arg, kind)
+        if isinstance(names, str):
+            values[names] = tuple(entries)
+        elif len(entries) > len(names):
+            raise ConfigError(f"{key}: {name} takes only {', '.join(names)}, got {len(entries)} values")
+        else:
+            values.update(zip(names, entries))
+    return _checked(key, make, **values)
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -151,52 +209,15 @@ class _Fields:
 
     def choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
         """The lower-cased value, which must be one of ``choices``; required when ``default`` is None."""
-        raw = self.require(key) if default is None else self.get(key, default)
-        value = raw.lower()
-        if value not in choices:
-            raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {raw!r}")
-        return value
-
-    def get_list(self, key: str) -> list[str]:
-        raw = self.get(key)
-        if raw is None or not raw.strip():
-            return []
-        return [part.strip() for part in raw.split(",") if part.strip()]
+        return _choice(key, self.require(key) if default is None else self.get(key, default), choices)
 
     def ratios(self, key: str) -> LayerRatios | None:
         """The comma-separated keep ratios, or None when the key is absent or empty."""
-        parts = self.get_list(key)
-        return _checked(key, LayerRatios, tuple(_parse(key, p, float) for p in parts)) if parts else None
+        ratios = _items(key, self.get(key, ""), float)
+        return _checked(key, LayerRatios, tuple(ratios)) if ratios else None
 
     def unknown(self) -> list[str]:
         return sorted(set(self.values) - self.used)
-
-
-def _parse_rewind(key: str, text: str) -> RewindSpec:
-    head, sep, arg = text.partition(":")
-    head = head.strip().lower()
-    if head == WARM:
-        return _checked(key, RewindSpec, WARM, warm_epoch=_parse(key, arg, int) if arg else 1)
-    if head in (COLD, LR_REWIND):
-        if sep:
-            raise ConfigError(f"{key}: {head} takes no argument, got {text!r}")
-        return RewindSpec(head)
-    raise ConfigError(f"{key}: unknown rewind {text!r}")
-
-
-def _parse_schedule_choice(key: str, text: str):
-    head, sep, args = text.partition(":")
-    head = head.strip().lower()
-    if head == "cosine":
-        if sep:
-            raise ConfigError(f"{key}: cosine takes no argument, got {text!r}")
-        return Cosine()
-    if head == "multistep":
-        milestones_text, _, gamma_text = args.partition(":")
-        milestones = tuple(_parse(key, m, int) for m in milestones_text.split(",") if m.strip())
-        gamma = _parse(key, gamma_text, float) if gamma_text else 0.1
-        return MultiStep(milestones=milestones, gamma=gamma)
-    raise ConfigError(f"{key}: unknown lr schedule {text!r}")
 
 
 def build_experiment_config(
@@ -231,8 +252,7 @@ def build_experiment_config(
         )
         _checked("task.n", check_synthetic_settings, task.n)
 
-    widths = [_parse("net.widths", w, int) for w in fields.require("net.widths").split(",")]
-    spec = _checked("net.widths", NetworkSpec, tuple(widths))
+    spec = _checked("net.widths", NetworkSpec, tuple(_items("net.widths", fields.require("net.widths"), int)))
 
     algorithm = fields.choice("miner.algorithm", ALGORITHMS, "gem")
     miner = _checked(
@@ -241,7 +261,7 @@ def build_experiment_config(
         lr=fields.number("miner.lr", float, 0.1),
         reg_weight=fields.number("miner.lambda", float, 0.0),
         regularizer=fields.choice("miner.regularizer", (L1, L2), L2),
-        optimizer=_checked("miner.optimizer", parse_optimizer, fields.get("miner.optimizer", "sgd")),
+        optimizer=_kind("miner.optimizer", fields.get("miner.optimizer", "sgd"), _OPTIMIZERS),
         batch_size=fields.number("miner.batch_size", int, 32),
     )
 
@@ -259,16 +279,13 @@ def build_experiment_config(
         TrainConfig,
         epochs=fields.number("finetune.epochs", int, 10),
         batch_size=fields.number("finetune.batch_size", int, 32),
-        optimizer=_checked("finetune.optimizer", parse_optimizer, fields.get("finetune.optimizer", "sgd")),
+        optimizer=_kind("finetune.optimizer", fields.get("finetune.optimizer", "sgd"), _OPTIMIZERS),
         lr=fields.number("finetune.lr", float, 0.1),
-        schedule=_parse_schedule_choice("finetune.schedule", fields.get("finetune.schedule", "cosine")),
+        schedule=_kind("finetune.schedule", fields.get("finetune.schedule", "cosine"), _SCHEDULES),
     )
 
-    sanity = []
-    for entry in fields.get_list("sanity"):
-        kind, _, extra = entry.partition(":")
-        sanity.append(_checked("sanity", SanityVariant, kind=kind.lower(), seed=_parse("sanity", extra, int) if extra else 0))
-    seeds = [_parse("seeds", s, int) for s in fields.get_list("seeds")] or [0]
+    sanity = [_kind("sanity", entry, _SANITY_VARIANTS) for entry in _items("sanity", fields.get("sanity", ""), str)]
+    seeds = _items("seeds", fields.get("seeds", ""), int) or [0]
     if seed is not None:
         seeds = [seed]
     for key, value in [("task.seed", task.seed)] + [("seeds", s) for s in seeds] + [("sanity", v.seed) for v in sanity]:
@@ -297,7 +314,7 @@ def build_experiment_config(
         imp_rounds=fields.number("imp.rounds", int, 3),
         imp_prune_rate=fields.number("imp.prune_rate", float, 0.2),
         imp_epochs_per_round=fields.number("imp.epochs_per_round", int, 1),
-        imp_rewind=_parse_rewind("imp.rewind", fields.get("imp.rewind", COLD)),
+        imp_rewind=_kind("imp.rewind", fields.get("imp.rewind", COLD), _REWINDS),
         sr_variant=fields.choice("sr.variant", VARIANTS, "v1"),
         sr_last_layer_keep=fields.number("sr.last_layer_keep", float, 0.3),
         sr_tune_steps=fields.number("sr.tune_steps", int, 50),

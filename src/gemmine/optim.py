@@ -8,7 +8,7 @@ arrays and drops them after the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -102,23 +102,3 @@ def make_optimizer(choice: OptimizerChoice, params: Sequence[np.ndarray]):
     if isinstance(choice, Adam):
         return _AdamState(choice, params)
     raise ValueError(f"unknown optimizer choice {choice!r}")
-
-
-def parse_optimizer(text: str) -> OptimizerChoice:
-    """Parse config strings like ``sgd``, ``sgd:0.9``, ``adam:0.9,0.999,1e-8``.
-
-    The arguments fill the optimizer's fields in order; the rest keep their defaults.
-    """
-    head, _, args = text.strip().partition(":")
-    head = head.lower()
-    if head == "sgd":
-        kind = SgdMomentum
-    elif head == "adam":
-        kind = Adam
-    else:
-        raise ValueError(f"unknown optimizer {text!r}")
-    values = [float(x) for x in args.split(",")] if args else []
-    names = [f.name for f in fields(kind)]
-    if len(values) > len(names):
-        raise ValueError(f"{head} takes only {', '.join(names)}, got {len(values)} values")
-    return kind(**dict(zip(names, values)))

@@ -116,7 +116,7 @@ def test_config_number_errors_name_the_key(line, key):
 @pytest.mark.parametrize(
     "line, key, message",
     [
-        ("sanity = bogus", "sanity", "sanity variant must be one of"),
+        ("sanity = bogus", "sanity", "must be one of shuffle, reinit, invert, got 'bogus'"),
         # NaN passes every "x <= 0" style range check, and Gem-Miner then mines an all-zero mask
         ("miner.lr = nan", "miner.lr", "must be a finite number, got 'nan'"),
         ("miner.lr = inf", "miner.lr", "must be a finite number, got 'inf'"),
@@ -134,13 +134,26 @@ def test_config_number_errors_name_the_key(line, key):
         ("schedule.freeze_period = 3\nschedule.epochs = 10", "schedule", "freeze period 3 must divide"),
         ("miner.lr = 0", "miner", "learning rate must be positive"),
         ("miner.batch_size = 0", "miner", "batch size must be positive"),
-        ("miner.optimizer = foo", "miner.optimizer", "unknown optimizer"),
-        ("miner.optimizer = sgd:abc", "miner.optimizer", "could not convert"),
+        ("miner.optimizer = foo", "miner.optimizer", "must be one of sgd, adam, got 'foo'"),
+        ("miner.optimizer = sgd:abc", "miner.optimizer", "cannot parse 'abc'"),
         ("imp.rewind = warm:0", "imp.rewind", "warm rewind epoch must be >= 1"),
         # cold, lr_rewind and cosine take no argument: one given is an error, not dropped
         ("imp.rewind = cold:5", "imp.rewind", "cold takes no argument, got 'cold:5'"),
         ("imp.rewind = lr_rewind:2", "imp.rewind", "lr_rewind takes no argument, got 'lr_rewind:2'"),
         ("finetune.schedule = cosine:0.5", "finetune.schedule", "cosine takes no argument, got 'cosine:0.5'"),
+        # an empty or missing argument or entry is an error, not a default
+        ("imp.rewind = warm:", "imp.rewind", "empty argument in 'warm:'"),
+        ("sanity = shuffle:", "sanity", "empty argument in 'shuffle:'"),
+        ("finetune.schedule = multistep", "finetune.schedule", "multistep needs milestones, got 'multistep'"),
+        ("finetune.schedule = multistep:", "finetune.schedule", "empty argument in 'multistep:'"),
+        ("finetune.schedule = multistep::0.5", "finetune.schedule", "empty argument in 'multistep::0.5'"),
+        ("finetune.schedule = multistep:80,,120", "finetune.schedule", "empty entry in '80,,120'"),
+        ("miner.optimizer = sgd:", "miner.optimizer", "empty argument in 'sgd:'"),
+        ("miner.optimizer = adam:", "miner.optimizer", "empty argument in 'adam:'"),
+        ("seeds = 1,,2", "seeds", "empty entry in '1,,2'"),
+        ("seeds = 1,2,", "seeds", "empty entry in '1,2,'"),
+        ("sanity = shuffle,,reinit", "sanity", "empty entry in 'shuffle,,reinit'"),
+        ("sr.imp_profile = 0.5,,0.4", "sr.imp_profile", "empty entry in '0.5,,0.4'"),
         ("miner.algorithm = imp\nimp.rounds = 0", "imp", "rounds must be >= 1, got 0"),
         ("miner.algorithm = imp\nimp.prune_rate = 1.5", "imp", "prune rate must be in (0, 1), got 1.5"),
         ("miner.algorithm = imp\nimp.epochs_per_round = -1", "imp", "epochs_per_round must be >= 0, got -1"),
@@ -160,7 +173,7 @@ def test_config_number_errors_name_the_key(line, key):
         ("finetune.optimizer = adam:0.9,-0.1", "finetune.optimizer", "adam betas must be in [0, 1), got 0.9, -0.1"),
         ("finetune.optimizer = adam:0.9,0.999,0", "finetune.optimizer", "adam eps must be > 0, got 0.0"),
         # every Adam step would be 0, so the scores would never move
-        ("miner.optimizer = adam:0.9,0.999,inf", "miner.optimizer", "adam eps must be finite, got inf"),
+        ("miner.optimizer = adam:0.9,0.999,inf", "miner.optimizer", "must be a finite number, got 'inf'"),
         ("miner.optimizer = adam:0.9,0.999,1e-8,7", "miner.optimizer", "adam takes only beta1, beta2, eps, got 4 values"),
         ("finetune.optimizer = sgd:0.9,0.5", "finetune.optimizer", "sgd takes only momentum, got 2 values"),
         ("sr.imp_profile = 0.5,2", "sr.imp_profile", "keep ratios must be in (0, 1]"),
@@ -430,9 +443,9 @@ def test_config_choice_errors_name_the_key(line, key):
         # each value has one spelling, the one README documents
         ("task.kind = two-moons", "task.kind", "must be one of blobs, two_moons, idx, got 'two-moons'"),
         ("task.kind = idx_dataset", "task.kind", "must be one of blobs, two_moons, idx, got 'idx_dataset'"),
-        ("imp.rewind = lr", "imp.rewind", "unknown rewind 'lr'"),
-        ("miner.optimizer = sgd_momentum", "miner.optimizer", "unknown optimizer 'sgd_momentum'"),
-        ("finetune.optimizer = sgd_momentum:0.9", "finetune.optimizer", "unknown optimizer 'sgd_momentum:0.9'"),
+        ("imp.rewind = lr", "imp.rewind", "must be one of cold, warm, lr_rewind, got 'lr'"),
+        ("miner.optimizer = sgd_momentum", "miner.optimizer", "must be one of sgd, adam, got 'sgd_momentum'"),
+        ("finetune.optimizer = sgd_momentum:0.9", "finetune.optimizer", "must be one of sgd, adam, got 'sgd_momentum'"),
         ("miner.regularizer =", "miner.regularizer", "must be one of l1, l2, got ''"),
     ],
 )
@@ -930,6 +943,46 @@ def sanity_file(cfg, self):
     return cfg.algorithm
 """
     assert _algorithm_branches(source) == ["mine_for_seed:3", "sanity_file:5", "sanity_file:6", "sanity_file:7", "sanity_file:8"]
+
+
+def _value_splits(source: str) -> list[str]:
+    """``function:line`` for each ``.split``, ``.partition`` or right-hand variant in ``source`` that cuts at ``':'`` or ``','``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("split", "rsplit", "partition", "rpartition"):
+            separators = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
+            if any(isinstance(a, ast.Constant) and a.value in (":", ",") for a in separators):
+                found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_value_text_is_cut_only_by_the_two_config_readers():
+    """A list or a ``<kind>[:<arg>]`` value has one grammar: ``config._items`` and ``config._kind`` read them all."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    sites = [f"{path.relative_to(package)}:{site}" for path in sorted(package.rglob("*.py")) for site in _value_splits(path.read_text())]
+    assert {site.rpartition(":")[0] for site in sites} == {"config.py:_items", "config.py:_kind"}
+
+
+def test_the_value_split_guard_sees_each_spelling():
+    source = """
+def read(text, scores):
+    kind, _, arg = text.partition(":")
+    text.split(",")
+    text.rsplit(sep=",", maxsplit=1)
+    text.rpartition(":")
+    scores.partition(3)
+    text.split("#", 1)
+    text.split()
+    text.partition("=")
+"""
+    assert _value_splits(source) == ["read:3", "read:4", "read:5", "read:6"]
 
 
 def _summary_sites(source: str, names_too: bool) -> list[str]:

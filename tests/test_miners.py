@@ -614,6 +614,43 @@ def test_edge_popup_deterministic(blobs):
         assert ma.tobytes() == mb.tobytes()
 
 
+@st.composite
+def _epochs_and_period(draw):
+    epochs = draw(st.integers(min_value=1, max_value=4))
+    return epochs, draw(st.sampled_from([p for p in range(1, epochs + 1) if epochs % p == 0]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    hidden=st.lists(st.integers(min_value=2, max_value=20), min_size=1, max_size=2),
+    epochs_and_period=_epochs_and_period(),
+    keep=st.floats(min_value=0.005, max_value=1.0),
+    scope=st.sampled_from([LAYERWISE, GLOBAL]),
+    gradual=st.booleans(),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_every_edge_popup_mask_keeps_max_1_floor_k_size(blobs, hidden, epochs_and_period, keep, scope, gradual, seed):
+    """Each mask ``edge_popup`` takes, every batch's and the returned one, keeps ``max(1, floor(k * size))``
+    per layer, or over the whole network for the global scope, for that call's keep fraction k."""
+    counts = []
+
+    def recording_topk_mask(scores, keep_fraction, scope, *args, **kwargs):
+        masks = topk_mask(scores, keep_fraction, scope, *args, **kwargs)
+        sizes, kept = [p.size for p in scores], [int(np.count_nonzero(m)) for m in masks]
+        if scope == GLOBAL:
+            sizes, kept = [sum(sizes)], [sum(kept)]
+        counts.append((keep_fraction, [max(1, math.floor(keep_fraction * n)) for n in sizes], kept))
+        return masks
+
+    schedule = SparsitySchedule(keep, *epochs_and_period)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("gemmine.miners.edge_popup"), "topk_mask", recording_topk_mask)
+        edge_popup(blobs, NetworkSpec((2, *hidden, 2)), schedule, MinerConfig(seed=seed, batch_size=32), scope=scope, gradual=gradual)
+    assert len(counts) > schedule.total_epochs and counts[-1][0] == keep
+    for k, wanted, kept in counts:
+        assert kept == wanted, f"k={k}"
+
+
 # ---------------------------------------------------------------------------
 # iterative magnitude pruning
 # ---------------------------------------------------------------------------

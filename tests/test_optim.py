@@ -1,5 +1,6 @@
 """The in-place optimizer steps against their plain-expression form, bit for bit, and their allocations."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -99,3 +100,9 @@ def test_a_step_allocates_no_parameter_sized_array(spec):
         finally:
             tracemalloc.stop()
         assert peak < param.nbytes / 4
+
+
+def test_adam_rejects_an_infinite_eps():
+    # the config reader rejects 'inf' before it builds an Adam; a library caller reaches this check
+    with pytest.raises(ValueError, match="^adam eps must be finite, got inf$"):
+        Adam(eps=math.inf)

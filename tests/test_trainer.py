@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from gemmine.autodiff import Tensor, add, backward, mul, scale
+from gemmine.config import ConfigError, build_experiment_config
 from gemmine.harness import write_report
 from gemmine.masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_weights, loss_and_grads, mask_sparsity, stream_rng
 from gemmine.miners import COLD, LR_REWIND, WARM, MinerConfig, RewindSpec, imp, prune_by_magnitude
-from gemmine.optim import Adam, SgdMomentum, make_optimizer, parse_optimizer
+from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import layerwise_report
 from gemmine.trainer import (
     Cosine,
@@ -67,18 +68,29 @@ def test_single_weight_hand_update():
     assert w[0] == pytest.approx(0.6, abs=0.0)
 
 
+# the smallest config that builds; the optimizer tests add their two keys to it
+OPTIMIZER_CFG = "task.kind = blobs\nnet.widths = 2,4,2\n"
+
+
 def test_parse_optimizer_has_one_sgd_spelling():
-    with pytest.raises(ValueError, match="unknown optimizer 'sgd_momentum:0.9'"):
-        parse_optimizer("sgd_momentum:0.9")
+    # the message names the kind it rejects
+    for key in ("miner.optimizer", "finetune.optimizer"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be one of sgd, adam, got 'sgd_momentum'$"):
+            build_experiment_config(OPTIMIZER_CFG + f"{key} = sgd_momentum:0.9\n")
 
 
 def test_parse_optimizer_forms():
-    assert parse_optimizer("sgd") == SgdMomentum()
-    assert parse_optimizer("sgd:0.8") == SgdMomentum(momentum=0.8)
-    assert parse_optimizer("adam") == Adam()
-    assert parse_optimizer("adam:0.5,0.9,1e-6") == Adam(beta1=0.5, beta2=0.9, eps=1e-6)
-    with pytest.raises(ValueError):
-        parse_optimizer("rmsprop")
+    forms = {
+        "sgd": SgdMomentum(),
+        "sgd:0.8": SgdMomentum(momentum=0.8),
+        "adam": Adam(),
+        "adam:0.5,0.9,1e-6": Adam(beta1=0.5, beta2=0.9, eps=1e-6),
+    }
+    for text, optimizer in forms.items():
+        cfg = build_experiment_config(OPTIMIZER_CFG + f"miner.optimizer = {text}\nfinetune.optimizer = {text}\n")
+        assert cfg.miner.optimizer == optimizer and cfg.finetune.optimizer == optimizer
+    with pytest.raises(ConfigError, match="^miner.optimizer: must be one of sgd, adam, got 'rmsprop'$"):
+        build_experiment_config(OPTIMIZER_CFG + "miner.optimizer = rmsprop\n")
 
 
 def test_evaluate_perfect_and_chance_and_zero():
