@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import traceback
 from dataclasses import astuple, dataclass, fields, replace
@@ -62,12 +63,27 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
+def _nan_as_null(value):
+    """``value`` with every NaN float in it, inside lists and dicts too, replaced by ``None``."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _nan_as_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_as_null(v) for v in value]
+    return value
+
+
 def write_report(stem: str | Path, report: RunReport) -> None:
     """Write ``report``'s records as ``<stem>.csv``, in the columns of ``EpochRecord``'s fields other than ``extra``,
-    then ``report.as_dict()`` as ``<stem>.json``, renamed into place."""
+    then ``report.as_dict()`` as ``<stem>.json``, renamed into place.
+
+    The JSON is strict: an undefined (NaN) value, such as the accuracy on an empty split, is ``null``.
+    """
     header = [f.name for f in fields(EpochRecord) if f.name != "extra"]
     write_table(f"{stem}.csv", header, ([getattr(r, key) for key in header] for r in report.records))
-    Path(f"{stem}.json.partial").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+    text = json.dumps(_nan_as_null(report.as_dict()), indent=2, allow_nan=False)
+    Path(f"{stem}.json.partial").write_text(text + "\n")
     os.replace(f"{stem}.json.partial", f"{stem}.json")
 
 
@@ -305,7 +321,8 @@ def rebuild_summary(cfg: ExperimentConfig, out_root: str | Path) -> tuple[Path, 
     """Write ``summary.csv`` from the config's finished cells, seeds then ``matrix_variants`` in order; its path and row count.
 
     A cell is finished when its ``reports/seed<K>_<variant>.json`` exists; its row reads that report's accuracies
-    and ``global`` layerwise ``keep_fraction``. Raises ``FileNotFoundError`` when the run has no reports directory.
+    (NaN for a ``null`` one) and ``global`` layerwise ``keep_fraction``. Raises ``FileNotFoundError`` when the run
+    has no reports directory.
     """
     run_dir = Path(out_root) / cfg.run_id
     if not (run_dir / "reports").is_dir():
@@ -317,8 +334,9 @@ def rebuild_summary(cfg: ExperimentConfig, out_root: str | Path) -> tuple[Path, 
             if path.exists():
                 report = json.loads(path.read_text())
                 sparsity = next(row["keep_fraction"] for row in report["layerwise"] if row["layer_index"] == "global")
-                accuracies = report["pre_finetune_accuracy"], report["post_finetune_accuracy"]
-                rows.append(SummaryRow(cfg.algorithm, variant, seed, sparsity, *accuracies))
+                accuracies = (report[key] for key in ("pre_finetune_accuracy", "post_finetune_accuracy"))
+                pre, post = (math.nan if a is None else a for a in accuracies)
+                rows.append(SummaryRow(cfg.algorithm, variant, seed, sparsity, pre, post))
     summary = run_dir / "summary.csv"
     write_table(summary, [f.name for f in fields(SummaryRow)], map(astuple, rows))
     return summary, len(rows)

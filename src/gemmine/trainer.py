@@ -141,7 +141,7 @@ def run_epoch(
 
 def run_masked_epoch(
     weights: list[np.ndarray],
-    live: Sequence[np.ndarray],
+    layouts: Sequence[tuple[bool, np.ndarray]],
     features: np.ndarray,
     labels: np.ndarray,
     batch_size: int,
@@ -149,18 +149,33 @@ def run_masked_epoch(
     lr: float,
     rng: np.random.Generator,
 ) -> float:
-    """One epoch of ``train_masked``, in place: steps each layer's weights at flat indices ``live``. Returns mean loss."""
+    """One epoch of ``train_masked``, in place, with each layer's ``(in_place, indices)`` from it. Returns mean loss.
+
+    An in-place layer's parameter is its own flat weights, and the entries of
+    its gradient at ``indices`` (the pruned ones) are set to +0.0 before each
+    step. Any other layer's parameter is a compact vector of its weights at
+    ``indices`` (the kept ones): it is scattered into the weights before each
+    batch's kernel and after the last step, and its gradient is gathered there.
+    """
     flat = [w.reshape(-1) for w in weights]
-    params = [f[i] for f, i in zip(flat, live)]
+    params = [f if in_place else f[i] for f, (in_place, i) in zip(flat, layouts)]
+    compact = [(f, i, p) for f, (in_place, i), p in zip(flat, layouts, params) if not in_place]
 
     def scatter():
-        for f, i, p in zip(flat, live, params):
+        for f, i, p in compact:
             f[i] = p
+
+    def gradient(d, in_place, i):
+        if not in_place:
+            return d.take(i)
+        d = d.reshape(-1)
+        d[i] = 0.0
+        return d
 
     def batch_loss_and_grads(x, y):
         scatter()
         loss, d_eff = loss_and_grads(x, y, weights)
-        return loss, [d.take(i) for d, i in zip(d_eff, live)]
+        return loss, [gradient(d, *layout) for d, layout in zip(d_eff, layouts)]
 
     mean_loss = run_epoch(params, batch_loss_and_grads, features, labels, batch_size, optimizer, lr, rng)
     scatter()
@@ -175,16 +190,25 @@ def train_masked(
     Each mask goes through ``masking.as_mask``, and the weights must be
     C-contiguous arrays that are 0 wherever the mask is False, so that they
     are the masked network itself; otherwise ``ValueError`` names the layer
-    before any step, and the weights are left untouched. Only the kept
-    weights are stepped: each layer's, in flat-index order, form one compact
-    vector, and ``cfg.optimizer`` holds state for these vectors only. Epoch
-    ``e`` runs at ``lr_at(cfg, e)`` on batches of ``data``'s training split
-    drawn from ``rng``. The kernel's gradient is gathered at the kept
-    indices, and the dense weights are written only there, so pruned weights
-    keep their zeros, signs included. At each yield the dense weights are up
-    to date.
+    before any step, and the weights are left untouched. Epoch ``e`` runs at
+    ``lr_at(cfg, e)`` on batches of ``data``'s training split drawn from
+    ``rng``. Each layer is stepped in one of two layouts, chosen from its
+    mask once per call:
+
+    - a layer that keeps at least as many weights as it prunes trains in
+      place: ``cfg.optimizer`` steps its flat weights and holds layer-sized
+      state, and the pruned entries of each gradient are set to +0.0 first;
+    - any other layer's kept weights, in flat-index order, form one compact
+      vector, which ``cfg.optimizer`` steps and holds state for; the
+      kernel's gradient is gathered at the kept indices, and the dense
+      weights are written only there.
+
+    A +0.0 gradient leaves a pruned weight's optimizer state at +0.0 and its
+    step at +0.0, so in either layout pruned weights keep their zeros, signs
+    included, and each kept weight gets the same float operations. At each
+    yield the dense weights are up to date.
     """
-    live = []
+    layouts = []
     for i, (w, m) in enumerate(zip(weights, mask)):
         try:
             m = as_mask(m)
@@ -194,11 +218,14 @@ def train_masked(
             raise ValueError(f"layer {i}: weights must be 0 where the mask is 0")
         if not w.flags.c_contiguous:
             raise ValueError(f"layer {i}: weights must be a C-contiguous array")
-        live.append(np.flatnonzero(m))
-    optimizer = make_optimizer(cfg.optimizer, [np.take(w, i) for w, i in zip(weights, live)])
+        in_place = 2 * np.count_nonzero(m) >= m.size
+        layouts.append((in_place, np.flatnonzero(~m if in_place else m)))
+    optimizer = make_optimizer(
+        cfg.optimizer, [w.reshape(-1) if in_place else np.take(w, i) for w, (in_place, i) in zip(weights, layouts)]
+    )
     for epoch in range(cfg.epochs):
         yield epoch, run_masked_epoch(
-            weights, live, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
+            weights, layouts, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
         )
 
 

@@ -22,7 +22,7 @@ from gemmine.miners import smooth_ratios
 from gemmine.miners.imp import WARM
 from gemmine.optim import SgdMomentum
 from gemmine.sanity import invert_scores
-from gemmine.trainer import MultiStep, finetune
+from gemmine.trainer import MultiStep, RunReport, finetune
 
 BASE_CFG = """
 # tiny end-to-end experiment
@@ -297,6 +297,35 @@ def test_run_checks_the_config_against_its_data_before_any_seed(tmp_path, text, 
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         harness.run_experiment(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_a_run_with_an_empty_validation_split_writes_strict_json_reports(tmp_path):
+    # its undefined validation accuracies used to be bare NaN tokens, which jq and JavaScript reject
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    cfg = build_experiment_config(DIGITS_784_4_10 + "task.val_fraction = 0\n", base_dir=tmp_path)
+    run_dir = harness.run_experiment(cfg, tmp_path / "out")
+    reports = sorted((run_dir / "reports").glob("*.json"))
+    assert [path.name for path in reports][:2] == ["seed1_none.json", "seed1_none_mining.json"]
+    for path in reports:
+        report = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert [record["val_accuracy"] for record in report["records"]] == [None] * len(report["records"])
+
+
+def test_rebuild_summary_writes_an_undefined_accuracy_as_nan(tmp_path):
+    cfg = build_experiment_config(BASE_CFG.replace("seeds = 1,2", "seeds = 1") + "sanity =\n")
+    reports = tmp_path / cfg.run_id / "reports"
+    reports.mkdir(parents=True)
+    layerwise = [{"layer_index": "global", "params": 40, "kept": 12, "keep_fraction": 0.3, "collapsed": False}]
+    report = RunReport(epochs=0, pre_finetune_accuracy=float("nan"), post_finetune_accuracy=0.5, layerwise=layerwise)
+    harness.write_report(reports / "seed1_none", report)
+    assert json.loads((reports / "seed1_none.json").read_text())["pre_finetune_accuracy"] is None
+    summary, rows = harness.rebuild_summary(cfg, tmp_path)
+    assert rows == 1
+    assert summary.read_text().splitlines()[1] == "gem,none,1,0.3,nan,0.5"
 
 
 @pytest.mark.parametrize(

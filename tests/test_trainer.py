@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemmine.autodiff import Tensor, add, backward, mul, scale
 from gemmine.config import ConfigError, build_experiment_config
@@ -13,6 +15,7 @@ from gemmine.masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_wei
 from gemmine.miners import COLD, LR_REWIND, WARM, MinerConfig, RewindSpec, imp, prune_by_magnitude
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import layerwise_report
+from gemmine import trainer as trainer_module
 from gemmine.trainer import (
     Cosine,
     EpochRecord,
@@ -432,14 +435,21 @@ def _assert_arrays_identical(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-# per layer of 784-16-10: the kept fraction, or "one" for exactly one kept weight
+# per layer of 784-16-10: the kept fraction, or a kept count: "one" weight, or half the layer's ("half") give or
+# take one; train_masked steps a layer that keeps at least half its weights in place, any other one compactly
 MASK_DENSITIES = {
     "dense": (1.0, 1.0),
     "half": (0.5, 0.5),
     "sparse": (0.05, 0.05),
     "one_kept": (0.5, "one"),
     "none_kept": (0.5, 0.0),
+    "half_plus_one": ("half+1", "half+1"),
+    "exact_half": ("half", "half"),
+    "half_minus_one": ("half-1", "half-1"),
+    "in_place_then_compact": ("half", "half-1"),
+    "compact_then_in_place": ("half-1", "half"),
 }
+HALF_OFFSETS = {"half-1": -1, "half": 0, "half+1": 1}
 OPTIMIZERS = pytest.mark.parametrize(
     "optimizer, lr", [(SgdMomentum(), 0.1), (Adam(), 0.01)], ids=["sgd", "adam"]
 )
@@ -456,6 +466,9 @@ def test_finetune_matches_the_dense_reference_loop(digits_1k, case, optimizer, l
         if density == "one":
             m = np.zeros_like(w)
             m.flat[rng.integers(m.size)] = 1.0
+        elif density in HALF_OFFSETS:
+            m = np.zeros_like(w)
+            m.flat[rng.permutation(m.size)[: m.size // 2 + HALF_OFFSETS[density]]] = 1.0
         else:
             m = (rng.random(w.shape) < density).astype(np.float64)
         mask.append(m)
@@ -499,3 +512,58 @@ def test_imp_matches_the_dense_reference_loop(digits_1k, kind, optimizer, lr):
     assert np.array(res.report.pre_finetune_accuracy).tobytes() == np.array(pre_acc).tobytes()
     assert res.report.layerwise == layerwise
     assert res.report.warnings == warnings
+
+
+@pytest.mark.parametrize("kept, in_place", [(13, True), (12, True), (11, False)], ids=["half+1", "half", "half-1"])
+def test_train_masked_steps_a_layer_that_keeps_at_least_half_in_place(blobs, monkeypatch, kept, in_place):
+    """An in-place layer's optimizer parameter is the layer's own flat weights; a compact one's holds its kept weights."""
+    weights = [w.copy() for w in init_weights(NetworkSpec((2, 12, 2)), SCALED_NORMAL, seed=0)]
+    mask = [np.zeros((12, 2), dtype=bool), np.ones((2, 12), dtype=bool)]
+    mask[0].flat[np.random.default_rng(1).permutation(24)[:kept]] = True
+    weights[0] *= mask[0]
+    params = []
+
+    def recording(choice, layer_params):
+        params.extend(layer_params)
+        return make_optimizer(choice, layer_params)
+
+    monkeypatch.setattr(trainer_module, "make_optimizer", recording)
+    next(train_masked(weights, mask, blobs, TrainConfig(epochs=1, batch_size=16), stream_rng(0, STREAM_BATCHES)))
+    assert [p.size for p in params] == [24 if in_place else kept, 24]
+    assert [np.shares_memory(p, w) for p, w in zip(params, weights)] == [in_place, True]
+
+
+@st.composite
+def _imp_runs(draw):
+    epochs = draw(st.integers(1, 2))
+    optimizer, lr = draw(st.sampled_from([(SgdMomentum(), 0.1), (Adam(), 0.01)]))
+    return dict(
+        spec=NetworkSpec((2, *draw(st.lists(st.integers(2, 20), min_size=1, max_size=2)), 2)),
+        rounds=draw(st.integers(1, 4)),
+        prune_rate=draw(st.floats(0.1, 0.7)),
+        # warm rewinding restores an epoch before round one's last
+        rewind=RewindSpec(kind=draw(st.sampled_from([COLD, LR_REWIND] + [WARM] * (epochs == 2))), warm_epoch=1),
+        epochs_per_round=epochs,
+        config=MinerConfig(lr=lr, optimizer=optimizer, seed=draw(st.integers(0, 1000)), batch_size=32),
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(run=_imp_runs())
+def test_imp_matches_the_dense_reference_loop_on_drawn_runs(blobs, run):
+    """Drawn rates put a layer on each side of train_masked's in-place rule, from round to round and layer to layer."""
+    res = imp(blobs, **run)
+    weights, mask, round_masks, magnitudes, *_ = _reference_imp(blobs, **run)
+
+    _assert_arrays_identical([w * m for w, m in zip(res.weights, res.mask)], weights)
+    _assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
+    _assert_arrays_identical([m for r in res.round_masks for m in r], [m for r in round_masks for m in r])
+    _assert_arrays_identical([l.scores for l in res.layers], magnitudes)
+    want = sum(w.size for w in weights)
+    previous = [np.ones(w.shape, dtype=bool) for w in weights]
+    for masks in res.round_masks:
+        assert all(not (m & ~p).any() for m, p in zip(masks, previous))
+        # prune_by_magnitude keeps at least one weight
+        want = max(want - int(run["prune_rate"] * want + 0.5), 1)
+        assert sum(int(np.count_nonzero(m)) for m in masks) == want
+        previous = masks
