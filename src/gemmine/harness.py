@@ -2,7 +2,9 @@
 whole matrix, and emit checkpoints, reports, and a summary table.
 
 ``run_experiment`` and the CLI subcommands build the run directory from the same three
-stages: ``mine_seed``, ``variant_network`` and ``finetune_checkpoint``. This module is the
+stages: ``mine_seed``, ``variant_network`` and ``finetune_checkpoint``. Every cell of a seed
+starts from its ``masks/seed<K>_none.tfmc`` read back, so ``run`` writes what ``mine``, then
+``sanity`` and ``finetune`` of the same files write. This module is the
 one writer of the layout under ``<out_root>/<run_id>/``, and the only module that knows a
 report file's bytes: ``write_report`` writes a ``RunReport``'s per-epoch ``<stem>.csv`` and
 then ``<stem>.json``, and ``write_table`` writes every CSV, ``summary.csv`` included::
@@ -37,6 +39,7 @@ from .config import ConfigError, ExperimentConfig, TaskConfig
 from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
+from .miners.smart_ratio import IMP_PROFILE_VARIANTS
 from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask
 from .trainer import EpochRecord, RunReport, finetune
 
@@ -112,7 +115,7 @@ def load_dataset(cfg: ExperimentConfig) -> DatasetSplit:
     - ``sr``: smart-ratio v4 or v6 has no ``sr.imp_profile``. The config parses, since
       ``smart_ratio`` may be handed an IMP run's profile, but no seed of it can be mined here.
     """
-    if cfg.algorithm == "sr" and cfg.sr_variant in ("v4", "v6") and cfg.sr_imp_profile is None:
+    if cfg.algorithm == "sr" and cfg.sr_variant in IMP_PROFILE_VARIANTS and cfg.sr_imp_profile is None:
         raise ConfigError(f"sr: {cfg.sr_variant} needs a magnitude-pruning profile, sr.imp_profile")
     try:
         data = build_dataset(cfg.task)
@@ -235,9 +238,7 @@ def finetune_checkpoint(
     The checkpoint stores float32 weights, so finetuning what it reads back, not the network in memory,
     gives every path the same numbers. ``warnings`` go first in the report.
     """
-    weights, mask = [layer.weights for layer in layers], extract_mask(layers)
-    del layers  # frees the checkpoint's scores, which finetuning does not read, when the caller holds none
-    _, report = finetune(weights, mask, data, replace(cfg.finetune, seed=seed))
+    _, report = finetune([layer.weights for layer in layers], extract_mask(layers), data, replace(cfg.finetune, seed=seed))
     report.warnings[:0] = warnings
     write_layerwise(f"{stem}_layerwise.csv", report.layerwise)
     write_report(stem, report)
@@ -256,22 +257,24 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
         for variant, _ in matrix_variants(cfg):
             (run_dir / "reports" / f"{seed_stem(seed, variant)}.json").unlink(missing_ok=True)
         try:
-            result, _ = mine_seed(cfg, data, seed, run_dir)
+            result, checkpoint = mine_seed(cfg, data, seed, run_dir)
+            mining_warnings, result = result.report.warnings, None  # every cell starts from the checkpoint read back
+            layers = read_checkpoint(cfg, checkpoint)
         except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
             errors.append(f"seed {seed}: mining failed: {exc}\n{traceback.format_exc()}")
             continue
         for variant, variant_seed in matrix_variants(cfg):
             stem = seed_stem(seed, variant)
             checkpoint = run_dir / "masks" / f"{stem}.tfmc"
-            warnings = result.report.warnings if variant == BASE_VARIANT else []
+            warnings = mining_warnings if variant == BASE_VARIANT else []
             try:
-                if variant != BASE_VARIANT:
-                    layers = variant_network(cfg, result.layers, variant, seed + variant_seed, warnings)
-                    save_checkpoint(checkpoint, layers)
-                    del layers  # finetuning reads the checkpoint back, so the variant is freed while it trains
-                finetune_checkpoint(cfg, data, seed, read_checkpoint(cfg, checkpoint), run_dir / "reports" / stem, warnings)
+                if variant != BASE_VARIANT:  # finetuned as the file reads back, float32 weights included, as the base is
+                    save_checkpoint(checkpoint, variant_network(cfg, layers, variant, seed + variant_seed, warnings))
+                cell = layers if variant == BASE_VARIANT else read_checkpoint(cfg, checkpoint)
+                finetune_checkpoint(cfg, data, seed, cell, run_dir / "reports" / stem, warnings)
             except Exception as exc:  # noqa: BLE001
                 errors.append(f"seed {seed}: variant {variant} failed: {exc}\n{traceback.format_exc()}")
+        del layers, cell  # the next seed mines without this one's networks
 
     rebuild_summary(cfg, out_root)
     if errors:

@@ -115,12 +115,24 @@ class MiningResult:
         return extract_mask(self.layers)
 
 
+def warn_once(warnings: list[str], message: str) -> None:
+    """Append ``message`` to ``warnings`` unless it is there already."""
+    if message not in warnings:
+        warnings.append(message)
+
+
+def keep_at_least_one(kept: int, warnings: list[str] | None, clamped: str) -> int:
+    """``kept``, raised to 1 if it is below 1, with the warning ``clamped`` given once in ``warnings`` when they are given."""
+    if kept < 1 and warnings is not None:
+        warn_once(warnings, clamped)
+    return max(1, kept)
+
+
 def check_layer_collapse(mask: Sequence[np.ndarray], warnings: list[str], when: str) -> None:
     """Warn once in ``warnings`` about each layer that ``mask`` empties, saying ``when``."""
     for i, m in enumerate(mask):
-        msg = f"layer_collapse: layer {i} mask is empty ({when})"
-        if int(np.sum(m)) == 0 and msg not in warnings:
-            warnings.append(msg)
+        if int(np.sum(m)) == 0:
+            warn_once(warnings, f"layer_collapse: layer {i} mask is empty ({when})")
 
 
 def mining_result(

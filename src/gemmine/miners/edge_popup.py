@@ -19,20 +19,12 @@ import numpy as np
 
 from ..data import DatasetSplit
 from ..masking import SIGNED_CONSTANT, LargestSelector, NetworkSpec
-from .common import MinerConfig, MiningResult, SparsitySchedule, mining_result, score_descent
+from .common import MinerConfig, MiningResult, SparsitySchedule, keep_at_least_one, mining_result, score_descent
 
 LAYERWISE = "layerwise"
 GLOBAL = "global"
 
 __all__ = ["edge_popup", "topk_mask", "LAYERWISE", "GLOBAL"]
-
-
-def _kept_count(k: float, size: int, warnings: list[str] | None, clamped: str) -> int:
-    """``floor(k * size)``, raised to 1 with the warning ``clamped``, given once in ``warnings``, when it is 0."""
-    kept = math.floor(k * size)
-    if kept < 1 and warnings is not None and clamped not in warnings:
-        warnings.append(clamped)
-    return max(1, kept)
 
 
 def topk_mask(
@@ -57,11 +49,11 @@ def topk_mask(
         selectors = selectors or [LargestSelector() for _ in scores]
         masks = []
         for i, p in enumerate(scores):
-            kept = _kept_count(keep_fraction, p.size, warnings, f"layerwise top-k clamped to 1 weight in layer {i}")
+            kept = keep_at_least_one(math.floor(keep_fraction * p.size), warnings, f"layerwise top-k clamped to 1 weight in layer {i}")
             masks += selectors[i]([p], kept)
         return masks
     if scope == GLOBAL:
-        kept = _kept_count(keep_fraction, sum(p.size for p in scores), warnings, "global top-k clamped to 1 weight")
+        kept = keep_at_least_one(math.floor(keep_fraction * sum(p.size for p in scores)), warnings, "global top-k clamped to 1 weight")
         (select,) = selectors or [LargestSelector()]
         return select(scores, kept)
     raise ValueError(f"scope must be {LAYERWISE!r} or {GLOBAL!r}, got {scope!r}")

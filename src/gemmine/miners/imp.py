@@ -17,7 +17,7 @@ import numpy as np
 from ..data import DatasetSplit
 from ..masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_weights, mask_sparsity, select_smallest_across, stream_rng
 from ..trainer import RunReport, TrainConfig, record_epoch, train_masked
-from .common import MinerConfig, MiningResult, mining_result
+from .common import MinerConfig, MiningResult, keep_at_least_one, mining_result
 
 COLD = "cold"
 WARM = "warm"
@@ -67,12 +67,7 @@ def prune_by_magnitude(
     alive = sum(int(np.count_nonzero(m)) for m in mask)
     if alive == 0:
         raise ValueError("prune_by_magnitude: mask keeps no weights")
-    n_prune = int(prune_rate * alive + 0.5)
-    if alive - n_prune < 1:
-        n_prune = alive - 1
-        msg = "magnitude pruning clamped to keep 1 weight"
-        if msg not in warnings:
-            warnings.append(msg)
+    n_prune = alive - keep_at_least_one(alive - int(prune_rate * alive + 0.5), warnings, "magnitude pruning clamped to keep 1 weight")
     magnitudes = (np.abs(w) for w in weights)  # one layer at a time, as the selection reads them
     return [m & ~hit for m, hit in zip(mask, select_smallest_across(magnitudes, n_prune, eligible=mask))]
 

@@ -29,9 +29,12 @@ from ..masking import (
     stream_rng,
 )
 from ..trainer import RunReport
-from .common import LayerRatios, MiningResult, mining_result
+from .common import LayerRatios, MiningResult, keep_at_least_one, mining_result
 
 VARIANTS = ("v1", "v2", "v3", "v4", "v5", "v6")
+REFERENCE_VARIANTS = ("v2", "v5")  # built on a reference mining profile
+IMP_PROFILE_VARIANTS = ("v4", "v6")  # built on a magnitude-pruning profile
+TUNED_VARIANTS = ("v5", "v6")  # whose ratios tune_ratios refines
 MIN_RATIO = 1e-3
 TUNE_BATCH_SIZE = 64
 
@@ -52,13 +55,13 @@ def check_smart_ratio_settings(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not (0.0 < last_layer_keep <= 1.0):
         raise ValueError(f"last layer keep must be in (0, 1], got {last_layer_keep}")
-    if variant in ("v2", "v5") and reference_profile is None:
+    if variant in REFERENCE_VARIANTS and reference_profile is None:
         raise ValueError(f"{variant} needs a reference mining profile")
-    if variant in ("v4", "v6") and imp_profile is not None and len(imp_profile) != spec.n_layers:
+    if variant in IMP_PROFILE_VARIANTS and imp_profile is not None and len(imp_profile) != spec.n_layers:
         raise ValueError(f"{variant} needs a magnitude-pruning profile of {spec.n_layers} ratios, got {len(imp_profile)}")
-    if variant in ("v5", "v6") and tune_steps < 1:
+    if variant in TUNED_VARIANTS and tune_steps < 1:
         raise ValueError(f"{variant} tunes its ratios: tune steps must be >= 1, got {tune_steps}")
-    if variant in ("v5", "v6") and not tune_lr > 0:
+    if variant in TUNED_VARIANTS and not tune_lr > 0:
         raise ValueError(f"{variant} tunes its ratios: tune learning rate must be > 0, got {tune_lr}")
 
 
@@ -108,12 +111,7 @@ def sample_ratio_mask(spec: NetworkSpec, ratios: LayerRatios, seed: int, warning
     mask = []
     for i, ((fan_out, fan_in), ratio) in enumerate(zip(spec.layer_shapes, ratios.ratios)):
         size = fan_out * fan_in
-        kept = math.floor(ratio * size)
-        if kept < 1:
-            kept = 1
-            msg = f"ratio {ratio:.3g} keeps no weights in layer {i}, clamped to 1"
-            if msg not in warnings:
-                warnings.append(msg)
+        kept = keep_at_least_one(math.floor(ratio * size), warnings, f"ratio {ratio:.3g} keeps no weights in layer {i}, clamped to 1")
         flat = np.zeros(size, dtype=bool)
         flat[rng.choice(size, size=kept, replace=False)] = True
         mask.append(flat.reshape(fan_out, fan_in))
@@ -179,9 +177,9 @@ def smart_ratio(
     check_smart_ratio_settings(spec, variant, reference_profile, imp_profile, last_layer_keep, tune_steps, tune_lr)
     if not (0.0 < target_sparsity <= 1.0):
         raise ValueError(f"target sparsity must be in (0, 1], got {target_sparsity}")
-    if variant in ("v4", "v6") and imp_profile is None:
+    if variant in IMP_PROFILE_VARIANTS and imp_profile is None:
         raise ValueError(f"{variant} needs a magnitude-pruning profile")
-    if variant in ("v5", "v6") and data is None:
+    if variant in TUNED_VARIANTS and data is None:
         raise ValueError(f"{variant} needs data to tune ratios")
 
     if weights is None:
@@ -191,7 +189,7 @@ def smart_ratio(
     base = smooth_ratios(spec, target_sparsity, last_layer_keep)
     if variant == "v1":
         ratios = base
-    elif variant in ("v2", "v5"):
+    elif variant in REFERENCE_VARIANTS:
         assert reference_profile is not None
         values = list(base.ratios)
         values[0] = reference_profile.ratios[0]
@@ -202,11 +200,11 @@ def smart_ratio(
         values[0] = 1.0
         values[-1] = 1.0
         ratios = LayerRatios(tuple(values))
-    else:  # v4 / v6
+    else:  # IMP_PROFILE_VARIANTS
         assert imp_profile is not None
         ratios = LayerRatios(tuple(_fill_to_budget(sizes, list(imp_profile.ratios), target_sparsity * sum(sizes))))
 
-    if variant in ("v5", "v6"):
+    if variant in TUNED_VARIANTS:
         assert data is not None
         ratios = tune_ratios(ratios, weights, data, steps=tune_steps, lr=tune_lr, seed=seed)
 

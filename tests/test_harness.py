@@ -787,6 +787,34 @@ def test_cli_mine_finetune_sanity(tmp_path):
     ).read_bytes()
 
 
+def test_run_and_sanity_write_the_same_variants_when_float32_ties_two_scores(tmp_path, monkeypatch):
+    # layer 0's scores are 0 .. n-1, but entries kept-1 and kept hold kept-1+1e-9 and kept-1: in float64
+    # invert keeps entry kept, in float32 the two tie and invert keeps the lower flat index, kept-1
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    real = harness.mine_for_seed
+
+    def near_tie(cfg_arg, data, seed):
+        result = real(cfg_arg, data, seed)
+        layer = result.layers[0]
+        kept = int(layer.mask.sum())
+        assert 1 <= kept < layer.mask.size - 1
+        scores = np.arange(layer.mask.size, dtype=np.float64)
+        scores[kept - 1], scores[kept] = kept - 1 + 1e-9, kept - 1
+        layer.scores = scores.reshape(layer.mask.shape)
+        return result
+
+    monkeypatch.setattr(harness, "mine_for_seed", near_tie)
+    run_masks, sanity_masks = tmp_path / "run" / "tiny" / "masks", tmp_path / "sanity" / "tiny" / "masks"
+    assert cli_main(["run", "--config", str(cfg_path), "--seed", "3", "--out-dir", str(tmp_path / "run")]) == 0
+    ckpt = run_masks / "seed3_none.tfmc"
+    saved = load_checkpoint(ckpt)[0]
+    kept = int(saved.mask.sum())
+    assert saved.scores.reshape(-1)[kept - 1] == saved.scores.reshape(-1)[kept] == kept - 1
+    assert cli_main(["sanity", "--config", str(cfg_path), "--seed", "3", "--out-dir", str(tmp_path / "sanity"), "--checkpoint", str(ckpt)]) == 0
+    for kind in ("shuffle", "reinit", "invert"):
+        assert (run_masks / f"seed3_{kind}.tfmc").read_bytes() == (sanity_masks / f"seed3_none_{kind}.tfmc").read_bytes(), kind
+
+
 def test_cli_sanity_prints_a_degenerate_inversion(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, BASE_CFG)
     out_dir = tmp_path / "out"
@@ -910,6 +938,47 @@ def test_run_reports_the_zero_weights_a_variant_keeps(tmp_path, monkeypatch):
     report = json.loads((run_dir / "reports" / "seed1_shuffle.json").read_text())
     assert report["warnings"] == [_zero_weight_warning("shuffle", shuffled)]
     assert json.loads((run_dir / "reports" / "seed1_reinit.json").read_text())["warnings"] == []
+
+
+SCORED_MINERS = {
+    "gem": "miner.algorithm = gem\n",
+    "ep": "miner.algorithm = ep\nep.scope = global\nep.gradual = true\n",
+    "imp": "miner.algorithm = imp\nimp.rounds = 2\nimp.epochs_per_round = 1\n",
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    miner=st.sampled_from(sorted(SCORED_MINERS)),
+    seed=st.integers(0, 1000),
+)
+def test_sanity_variants_of_a_read_back_checkpoint_keep_their_contracts(hidden, miner, seed):
+    widths = ",".join(map(str, [2, *hidden, 2]))
+    cfg = build_experiment_config(BASE_CFG.replace("net.widths = 2,10,2", f"net.widths = {widths}") + SCORED_MINERS[miner])
+    result = harness.mine_for_seed(cfg, harness.build_dataset(cfg.task), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(Path(tmp) / "mined.tfmc", result.layers)
+        layers = harness.read_checkpoint(cfg, Path(tmp) / "mined.tfmc")
+
+    def as_float32(a):
+        return a.astype(np.float32).astype(np.float64).tobytes()
+
+    mask, kept = extract_mask(layers), [int(layer.mask.sum()) for layer in layers]
+    assert [m.tobytes() for m in mask] == [m.tobytes() for m in result.mask]
+    assert [layer.weights.tobytes() for layer in layers] == [as_float32(layer.weights) for layer in result.layers]
+    assert [layer.scores.tobytes() for layer in layers] == [as_float32(layer.scores) for layer in result.layers]
+
+    def variant(kind):
+        warnings: list[str] = []
+        return extract_mask(harness.variant_network(cfg, layers, kind, seed, warnings)), warnings
+
+    assert [int(m.sum()) for m in variant("shuffle")[0]] == kept
+    assert [m.tobytes() for m in variant("reinit")[0]] == [m.tobytes() for m in mask]
+    inverted, warnings = variant("invert")
+    degenerate = [f"inversion degenerate: all scores equal in layer {i}" for i, l in enumerate(layers) if np.ptp(l.scores) == 0.0]
+    assert [int(m.sum()) for m in inverted] == kept
+    assert [w for w in warnings if w.startswith("inversion degenerate")] == degenerate
 
 
 def test_cli_leaves_the_run_directory_to_the_harness():

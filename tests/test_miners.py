@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import math
+import re
 import tokenize
 import tracemalloc
 from pathlib import Path
@@ -40,6 +41,7 @@ from gemmine.miners import (
     gem_mine,
     imp,
     prune_by_magnitude,
+    sample_ratio_mask,
     smart_ratio,
     smooth_ratios,
     topk_mask,
@@ -1057,6 +1059,21 @@ def test_sr_deterministic(blobs):
         assert ma.tobytes() == mb.tobytes()
 
 
+def test_smart_ratio_warns_once_per_layer_when_a_ratio_keeps_no_weight():
+    # floor(0.001 * 20) = 0 in both layers of 2-10-2, so each keeps 1 weight
+    spec = NetworkSpec((2, 10, 2))
+    clamped = [f"ratio 0.001 keeps no weights in layer {i}, clamped to 1" for i in range(2)]
+    warnings: list[str] = []
+    for seed in (0, 1):
+        mask = sample_ratio_mask(spec, LayerRatios((1e-3, 1e-3)), seed, warnings)
+        assert [int(m.sum()) for m in mask] == [1, 1]
+    assert warnings == clamped
+    # v4 rescales the profile to a budget of 0.04 weights, so both ratios end at MIN_RATIO
+    res = smart_ratio(spec, 0.001, "v4", seed=0, imp_profile=LayerRatios((0.5, 0.5)))
+    assert res.layer_ratios.ratios == (1e-3, 1e-3)
+    assert res.report.warnings == clamped
+
+
 # ---------------------------------------------------------------------------
 # miner reports
 # ---------------------------------------------------------------------------
@@ -1136,6 +1153,92 @@ def test_masked_weight_training_stays_in_the_trainer():
     """IMP trains through trainer.train_masked, and only common.score_descent builds an optimizer."""
     assert _miner_names({"run_masked_epoch", "lr_at", "live_params"}, skip=()) == []
     assert _miner_names({"make_optimizer"}) == []
+
+
+def _package_sites(find) -> list[str]:
+    """``find``'s sites in every module under ``src/gemmine``, each prefixed with the module's path."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
+    return [f"{path.relative_to(package)}:{site}" for path in sorted(package.rglob("*.py")) for site in find(path.read_text())]
+
+
+def _warning_membership_tests(source: str) -> list[str]:
+    """``function:line`` for each ``in`` or ``not in`` test in ``source`` against a name or attribute ``warnings``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.In, ast.NotIn)) and "warnings" in (getattr(right, "id", None), getattr(right, "attr", None))
+            for op, right in zip(node.ops, node.comparators)
+        ):
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_a_warning_is_deduplicated_only_by_warn_once():
+    """Every "warn once" is ``common.warn_once``'s; the miners' keep-at-least-one clamps reach it through ``keep_at_least_one``."""
+    assert [site.rpartition(":")[0] for site in _package_sites(_warning_membership_tests)] == ["miners/common.py:warn_once"]
+
+
+def test_the_warning_guard_sees_each_spelling():
+    source = """
+def warn_once(warnings, message):
+    if message not in warnings:
+        warnings.append(message)
+def clamp(report, msg, warnings, notes):
+    if msg not in report.warnings: pass
+    seen = msg in warnings
+    if not msg in warnings: pass
+    for w in warnings: pass
+    other = msg not in notes
+"""
+    assert _warning_membership_tests(source) == ["warn_once:3", "clamp:6", "clamp:7", "clamp:8"]
+
+
+def _variant_collections(source: str) -> list[str]:
+    """``where:line`` for each tuple, list or set literal in ``source`` holding a ``"v<digit>"`` string; ``where`` is
+    the name a module-level assignment binds the literal to, else the enclosing function (``None`` at module level)."""
+    tree = ast.parse(source)
+    bound = {id(n.value): n.targets[0].id for n in tree.body if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(
+            isinstance(e, ast.Constant) and isinstance(e.value, str) and re.fullmatch(r"v\d+", e.value) for e in node.elts
+        ):
+            found.append(f"{bound.get(id(node), function)}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_smart_ratio_variant_sets_are_named_once():
+    """The variants that need a reference or an IMP profile, and the tuned ones, are each one named set in smart_ratio.py."""
+    sites = {site.rpartition(":")[0] for site in _package_sites(_variant_collections)}
+    names = ("VARIANTS", "REFERENCE_VARIANTS", "IMP_PROFILE_VARIANTS", "TUNED_VARIANTS")
+    assert sites == {f"miners/smart_ratio.py:{name}" for name in names}
+
+
+def test_the_variant_set_guard_sees_each_spelling():
+    source = """
+VARIANTS = ("v1", "v2")
+OTHER = 3, "v4"
+def check(variant):
+    if variant in ("v4", "v6"): pass
+    pair = ("v5",)
+    names = ("a", "b")
+    return variant in ["v2", "v5"] or variant in {"v3"} or variant == "v3"
+"""
+    assert _variant_collections(source) == ["VARIANTS:2", "OTHER:3", "check:5", "check:6", "check:8", "check:8"]
 
 
 # ---------------------------------------------------------------------------
