@@ -2,12 +2,12 @@
 whole matrix, and emit checkpoints, reports, and a summary table.
 
 ``run_experiment`` and the CLI subcommands build the run directory from the same three
-stages: ``mine_seed``, ``variant_network`` and ``finetune_checkpoint``. Every cell of a seed
-starts from its ``masks/seed<K>_none.tfmc`` read back, so ``run`` writes what ``mine``, then
-``sanity`` and ``finetune`` of the same files write. This module is the
-one writer of the layout under ``<out_root>/<run_id>/``, and the only module that knows a
-report file's bytes: ``write_report`` writes a ``RunReport``'s per-epoch ``<stem>.csv`` and
-then ``<stem>.json``, and ``write_table`` writes every CSV, ``summary.csv`` included::
+stages: ``mine_seed``, ``sanity.variant_network`` (it computes a variant, this module writes
+it) and ``finetune_checkpoint``. Every cell of a seed starts from its ``masks/seed<K>_none.tfmc``
+read back, so ``run`` writes what ``mine``, then ``sanity`` and ``finetune`` of the same files
+write. This module is the one writer of the layout under ``<out_root>/<run_id>/``, and the only
+module that knows a report file's bytes: ``write_report`` writes a ``RunReport``'s per-epoch
+``<stem>.csv`` and then ``<stem>.json``, and ``write_table`` writes every CSV, ``summary.csv`` included::
 
     config.snapshot                  verbatim copy of the config text (run, mine)
     masks/seed<K>_<variant>.tfmc     mined network (variant none) and its sanity variants
@@ -40,12 +40,10 @@ from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
 from .miners.smart_ratio import IMP_PROFILE_VARIANTS
-from .sanity import INVERT, REINIT, SHUFFLE, invert_scores, layerwise_report, reinit_weights, shuffle_mask
+from .sanity import layerwise_report, variant_network
 from .trainer import EpochRecord, RunReport, finetune
 
 BASE_VARIANT = "none"
-_REINIT_SEED_OFFSET = 7919
-_SHUFFLE_SEED_OFFSET = 104729
 
 
 @dataclass
@@ -159,36 +157,6 @@ def mine_for_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int) -> Minin
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
 
-def variant_network(
-    cfg: ExperimentConfig, layers: list[MaskedLayer], variant: str, seed: int, warnings: list[str]
-) -> list[MaskedLayer]:
-    """One sanity variant of the network ``layers``, without scores.
-
-    ``invert`` ranks the layers' ``scores`` and fails on a layer without
-    any. ``seed`` combines the run seed with the variant's own seed so that
-    a pinned variant seed shifts the transformation deterministically. The
-    variant's warnings (a degenerate inversion, kept weights that are 0) are appended to ``warnings``.
-    """
-    weights, mask = [layer.weights for layer in layers], extract_mask(layers)
-    if variant == SHUFFLE:
-        mask = shuffle_mask(mask, seed + _SHUFFLE_SEED_OFFSET)
-    elif variant == REINIT:
-        fresh = reinit_weights(layers, cfg.spec, cfg.init_scheme, seed + _REINIT_SEED_OFFSET)
-        weights = [layer.weights for layer in fresh]
-    elif variant == INVERT:
-        unscored = [i for i, layer in enumerate(layers) if layer.scores is None]
-        if unscored:
-            raise ValueError(f"layer {unscored[0]} has no scores; score inversion undefined")
-        mask, inversion_warnings = invert_scores([layer.scores for layer in layers], mask)
-        warnings.extend(inversion_warnings)
-    else:
-        raise ValueError(f"unknown sanity variant {variant!r}")
-    zeros = sum(int((w[m] == 0.0).sum()) for w, m in zip(weights, mask))  # a pre-masked network's pruned weights
-    if zeros:
-        warnings.append(f"variant {variant}: {zeros} of {sum(int(m.sum()) for m in mask)} kept weights are exactly 0")
-    return [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
-
-
 def seed_stem(seed: int, variant: str) -> str:
     return f"seed{seed}_{variant}"
 
@@ -269,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
             warnings = mining_warnings if variant == BASE_VARIANT else []
             try:
                 if variant != BASE_VARIANT:  # finetuned as the file reads back, float32 weights included, as the base is
-                    save_checkpoint(checkpoint, variant_network(cfg, layers, variant, seed + variant_seed, warnings))
+                    save_checkpoint(checkpoint, variant_network(layers, variant, seed + variant_seed, cfg.init_scheme, warnings))
                 cell = layers if variant == BASE_VARIANT else read_checkpoint(cfg, checkpoint)
                 finetune_checkpoint(cfg, data, seed, cell, run_dir / "reports" / stem, warnings)
             except Exception as exc:  # noqa: BLE001
@@ -310,7 +278,7 @@ def sanity_file(
         path = run_dir / "masks" / f"{stem}.tfmc"
         warnings: list[str] = []
         try:
-            variant_layers = variant_network(cfg, layers, variant.kind, seed + variant.seed, warnings)
+            variant_layers = variant_network(layers, variant.kind, seed + variant.seed, cfg.init_scheme, warnings)
             save_checkpoint(path, variant_layers)
         except Exception as exc:  # noqa: BLE001 - variant isolation is the contract
             yield variant.kind, path, exc, warnings

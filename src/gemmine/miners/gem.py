@@ -70,7 +70,7 @@ def gem_mine(
         # each optimizer step is projected onto [0, 1] before the scores are used
         for p in scores:
             np.clip(p, 0.0, 1.0, out=p)
-        return [p >= 0.5 for p in scores]
+        return [round_scores(p) for p in scores]
 
     def end_epoch(weights, scores, epoch, warnings):
         base = None

@@ -1,24 +1,29 @@
-"""Mask sanity transformations and layerwise mask analytics, computed in memory.
+"""Mask sanity variants and layerwise mask analytics, computed in memory.
 
-The transformations destroy everything about a mask except its layerwise
-sparsity profile, so a mined mask is meaningful when its finetuned accuracy
-beats each variant's. Nothing here computes that verdict: only acceptance
-criterion 5 checks it, with a margin of 0.02 on the mean over seeds.
+The variants destroy everything about a mask except its layerwise sparsity
+profile, so a mined mask is meaningful when its finetuned accuracy beats
+each variant's. ``variant_network`` builds every variant: ``run``,
+``gemmine sanity`` and acceptance criterion 5 all call it, so its seed
+offsets (``_SHUFFLE_SEED_OFFSET``, ``_REINIT_SEED_OFFSET``) are named only
+here. Nothing here computes the verdict: only criterion 5 checks it, with a
+margin of 0.02 on the mean over seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .masking import MaskedLayer, NetworkSpec, as_mask, init_weights, select_smallest
+from .masking import MaskedLayer, NetworkSpec, as_mask, extract_mask, init_weights, select_smallest
 
 SHUFFLE = "shuffle"
 REINIT = "reinit"
 INVERT = "invert"
 VARIANT_KINDS = (SHUFFLE, REINIT, INVERT)
+_REINIT_SEED_OFFSET = 7919
+_SHUFFLE_SEED_OFFSET = 104729
 
 
 @dataclass(frozen=True)
@@ -41,26 +46,21 @@ def shuffle_mask(mask: Sequence[np.ndarray], seed: int) -> list[np.ndarray]:
     return out
 
 
-def reinit_weights(
-    layers: Sequence[MaskedLayer], spec: NetworkSpec, scheme: str, seed: int
-) -> list[MaskedLayer]:
-    """Fresh weights from the original distribution; mask and scores untouched."""
-    fresh = init_weights(spec, scheme, seed)
-    return [replace(layer, weights=w) for layer, w in zip(layers, fresh)]
+def reinit_weights(layers: Sequence[MaskedLayer], scheme: str, seed: int) -> list[np.ndarray]:
+    """Fresh weights for ``layers``, of their shapes, from the distribution ``init_weights`` draws with ``scheme``."""
+    widths = (layers[0].weights.shape[1], *(layer.weights.shape[0] for layer in layers))
+    return init_weights(NetworkSpec(widths), scheme, seed)
 
 
-def invert_scores(
-    scores: Sequence[np.ndarray], reference_mask: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[str]]:
+def invert_scores(scores: Sequence[np.ndarray], reference_mask: Sequence[np.ndarray], warnings: list[str]) -> list[np.ndarray]:
     """Keep the lowest-scoring weights instead of the highest.
 
     Per layer, exactly as many weights survive as in the reference mask;
-    equal scores are kept lowest flat index first.
-    Returns the inverted mask plus warnings for degenerate all-equal layers.
+    equal scores are kept lowest flat index first. A warning for each
+    degenerate, all-equal layer is appended to ``warnings``.
     """
     if len(scores) != len(reference_mask):
         raise ValueError(f"{len(scores)} score tensors for {len(reference_mask)} mask layers")
-    warnings: list[str] = []
     out = []
     for i, (p, m) in enumerate(zip(scores, reference_mask)):
         kept = int(np.sum(m))
@@ -68,7 +68,34 @@ def invert_scores(
         if flat.size and np.ptp(flat) == 0.0:
             warnings.append(f"inversion degenerate: all scores equal in layer {i}")
         out.append(select_smallest(flat, kept).reshape(p.shape))
-    return out, warnings
+    return out
+
+
+def variant_network(layers: Sequence[MaskedLayer], kind: str, seed: int, scheme: str, warnings: list[str]) -> list[MaskedLayer]:
+    """The sanity variant ``kind`` of the network ``layers``, without scores.
+
+    ``reinit`` draws the weights with ``scheme``; ``invert`` ranks the layers'
+    ``scores`` and fails on a layer without any. ``seed`` combines the run seed
+    with the variant's own seed so that a pinned variant seed shifts the
+    transformation deterministically. The variant's warnings (a degenerate
+    inversion, kept weights that are 0) are appended to ``warnings``.
+    """
+    weights, mask = [layer.weights for layer in layers], extract_mask(layers)
+    if kind == SHUFFLE:
+        mask = shuffle_mask(mask, seed + _SHUFFLE_SEED_OFFSET)
+    elif kind == REINIT:
+        weights = reinit_weights(layers, scheme, seed + _REINIT_SEED_OFFSET)
+    elif kind == INVERT:
+        unscored = [i for i, layer in enumerate(layers) if layer.scores is None]
+        if unscored:
+            raise ValueError(f"layer {unscored[0]} has no scores; score inversion undefined")
+        mask = invert_scores([layer.scores for layer in layers], mask, warnings)
+    else:
+        raise ValueError(f"unknown sanity variant {kind!r}")
+    zeros = sum(int((w[m] == 0.0).sum()) for w, m in zip(weights, mask))  # a pre-masked network's pruned weights
+    if zeros:
+        warnings.append(f"variant {kind}: {zeros} of {sum(int(m.sum()) for m in mask)} kept weights are exactly 0")
+    return [MaskedLayer(weights=w, mask=m) for w, m in zip(weights, mask)]
 
 
 def _layerwise_row(layer_index: int | str, params: int, kept: int) -> dict:

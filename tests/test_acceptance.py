@@ -13,8 +13,17 @@ import pytest
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
-from gemmine.harness import _REINIT_SEED_OFFSET, _SHUFFLE_SEED_OFFSET
-from gemmine.masking import MaskedLayer, NetworkSpec, init_scores, init_weights, loss_and_grads, mask_sparsity, round_scores
+from gemmine.masking import (
+    MaskedLayer,
+    NetworkSpec,
+    extract_mask,
+    init_scores,
+    init_weights,
+    layer_stddev,
+    loss_and_grads,
+    mask_sparsity,
+    round_scores,
+)
 from gemmine.miners import (
     GLOBAL,
     LAYERWISE,
@@ -30,7 +39,7 @@ from gemmine.miners import (
     smooth_ratios,
     tune_ratios,
 )
-from gemmine.sanity import invert_scores, reinit_weights, shuffle_mask
+from gemmine.sanity import INVERT, REINIT, SHUFFLE, invert_scores, shuffle_mask, variant_network
 from gemmine.trainer import TrainConfig, finetune
 from tests.test_miners import _enumerated_expected_loss, _toy_one_useful_weight
 
@@ -165,17 +174,10 @@ def test_criterion_5_sanity_gap(digits_1k):
             _, base = finetune(res.weights, res.mask, digits_1k, ft)
             post["base"].append(base.post_finetune_accuracy)
 
-            shuffled = shuffle_mask(res.mask, seed=seed + _SHUFFLE_SEED_OFFSET)
-            _, r = finetune(res.weights, shuffled, digits_1k, ft)
-            post["shuffle"].append(r.post_finetune_accuracy)
-
-            fresh = reinit_weights(res.layers, IMAGE_SPEC, "signed_constant", seed=seed + _REINIT_SEED_OFFSET)
-            _, r = finetune([layer.weights for layer in fresh], res.mask, digits_1k, ft)
-            post["reinit"].append(r.post_finetune_accuracy)
-
-            inverted, _ = invert_scores([l.scores for l in res.layers], res.mask)
-            _, r = finetune(res.weights, inverted, digits_1k, ft)
-            post["invert"].append(r.post_finetune_accuracy)
+            for kind in (SHUFFLE, REINIT, INVERT):  # each variant as run and gemmine sanity build it
+                variant = variant_network(res.layers, kind, seed, "signed_constant", [])
+                _, r = finetune([layer.weights for layer in variant], extract_mask(variant), digits_1k, ft)
+                post[kind].append(r.post_finetune_accuracy)
         base_mean = np.mean(post["base"])
         for variant in ("shuffle", "reinit", "invert"):
             assert base_mean >= np.mean(post[variant]) + margin, (
@@ -263,13 +265,15 @@ def test_criterion_8_conservation_and_determinism(blobs, tmp_path):
             MaskedLayer(weights=w, mask=round_scores(p), scores=p)
             for w, p in zip(init_weights(spec, "signed_constant", seed=0), init_scores(spec, seed=0))
         ]
-        fresh = reinit_weights(layers, spec, "signed_constant", seed=1)
+        fresh = variant_network(layers, REINIT, 1, "signed_constant", [])
         for old, new in zip(layers, fresh):
-            assert old.scores.tobytes() == new.scores.tobytes()
+            assert new.scores is None
             assert old.mask.tobytes() == new.mask.tobytes()
+            assert old.weights.tobytes() != new.weights.tobytes()
+            assert np.all(np.abs(new.weights) == layer_stddev(old.weights.shape[1]))
 
         scores = [rng.random((6, 8)), rng.random((4, 6))]
-        inverted, _ = invert_scores(scores, mask)
+        inverted = invert_scores(scores, mask, [])
         for m, inv in zip(mask, inverted):
             assert int(np.sum(m)) == int(np.sum(inv))
 

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gemmine.harness as harness
+import gemmine.sanity as sanity
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
@@ -842,7 +844,7 @@ def test_cli_sanity_inverts_only_scored_checkpoints(tmp_path, capsys, miner):
     assert cli_main(["sanity", *common, "--checkpoint", str(masks / "seed3_none.tfmc")]) == 0
     inverted = extract_mask(load_checkpoint(masks / "seed3_none_invert.tfmc"))
     assert [int(m.sum()) for m in inverted] == [int(m.sum()) for m in extract_mask(base)]
-    want, _ = invert_scores([layer.scores for layer in base], extract_mask(base))
+    want = invert_scores([layer.scores for layer in base], extract_mask(base), [])
     assert [m.tobytes() for m in inverted] == [m.tobytes() for m in want]
 
     capsys.readouterr()
@@ -971,7 +973,7 @@ def test_sanity_variants_of_a_read_back_checkpoint_keep_their_contracts(hidden, 
 
     def variant(kind):
         warnings: list[str] = []
-        return extract_mask(harness.variant_network(cfg, layers, kind, seed, warnings)), warnings
+        return extract_mask(harness.variant_network(layers, kind, seed, cfg.init_scheme, warnings)), warnings
 
     assert [int(m.sum()) for m in variant("shuffle")[0]] == kept
     assert [m.tobytes() for m in variant("reinit")[0]] == [m.tobytes() for m in mask]
@@ -1000,6 +1002,56 @@ def test_cli_leaves_the_run_directory_to_the_harness():
         tokens = tokenize.tokenize(f.readline)
         offenders = [f"cli.py:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
     assert offenders == []
+
+
+def _sanity_rule_names(source: str) -> list[str]:
+    """``line: name`` for each NAME token in ``source`` that is a sanity transform or a ``*_SEED_OFFSET``."""
+    transforms = {"shuffle_mask", "reinit_weights", "invert_scores"}
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [
+        f"{t.start[0]}: {t.string}"
+        for t in tokens
+        if t.type == tokenize.NAME and (t.string in transforms or t.string.endswith("_SEED_OFFSET"))
+    ]
+
+
+def _private_harness_names(source: str) -> list[str]:
+    """``line: name`` for each underscore-prefixed name ``source`` imports from ``gemmine.harness`` or reads off ``harness``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "gemmine.harness":
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "harness" and node.attr.startswith("_"):
+            found.append(f"{node.lineno}: {node.attr}")
+    return found
+
+
+def test_a_sanity_variant_is_built_only_in_sanity():
+    """``sanity.variant_network`` is the one rule for what a variant is: the harness calls it and writes what it returns."""
+    root = Path(__file__).resolve().parents[1]
+    assert _sanity_rule_names((root / "src" / "gemmine" / "harness.py").read_text()) == []
+    assert harness.variant_network is sanity.variant_network
+    tests = sorted((root / "tests").glob("*.py"))
+    assert [f"{path.name}:{site}" for path in tests for site in _private_harness_names(path.read_text())] == []
+
+
+def test_the_sanity_rule_guard_sees_each_spelling():
+    source = """
+from .sanity import shuffle_mask, reinit_weights as redraw
+mask = sanity.invert_scores(scores, mask, warnings)
+_REINIT_SEED_OFFSET = 7919
+seed + _SHUFFLE_SEED_OFFSET  # shuffle_mask in a comment
+text = "invert_scores in a string"
+"""
+    want = ["2: shuffle_mask", "2: reinit_weights", "3: invert_scores", "4: _REINIT_SEED_OFFSET", "5: _SHUFFLE_SEED_OFFSET"]
+    assert _sanity_rule_names(source) == want
+    imports = """
+from gemmine.harness import _REINIT_SEED_OFFSET, write_report
+from gemmine.harness import (_hidden as shown)
+from gemmine.sanity import _SHUFFLE_SEED_OFFSET
+offset = harness._SHUFFLE_SEED_OFFSET + harness.BASE_VARIANT
+"""
+    assert _private_harness_names(imports) == ["2: _REINIT_SEED_OFFSET", "3: _hidden", "5: _SHUFFLE_SEED_OFFSET"]
 
 
 def _algorithm_branches(source: str) -> list[str]:

@@ -200,7 +200,7 @@ MASK_PRODUCERS = {
 
 
 def _inverted(result):
-    return invert_scores([l.scores for l in result.layers], result.mask)[0]
+    return invert_scores([l.scores for l in result.layers], result.mask, [])
 
 
 def _reloaded(tmp, layers):

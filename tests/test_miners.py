@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import math
 import re
+import tempfile
 import tokenize
 import tracemalloc
 from pathlib import Path
@@ -16,6 +17,7 @@ from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.data import float_features, gen_synthetic
 from gemmine.masking import (
+    SCALED_NORMAL,
     SIGNED_CONSTANT,
     STREAM_BATCHES,
     NetworkSpec,
@@ -48,8 +50,9 @@ from gemmine.miners import (
     tune_ratios,
 )
 from gemmine.miners.common import L1, L2, check_layer_collapse, patch_flips, score_descent
+from gemmine.miners.smart_ratio import MIN_RATIO
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
-from gemmine.sanity import invert_scores, layerwise_report
+from gemmine.sanity import INVERT, invert_scores, layerwise_report, variant_network
 from gemmine.trainer import evaluate, run_epoch
 from tests.conftest import random_classification
 
@@ -399,6 +402,65 @@ def test_frozen_scores_stay_zero_after_freeze(digits_1k, monkeypatch):
     for layer, f in zip(res.layers, seen["freeze"]):
         assert np.count_nonzero(f == 0.0) > 0
         assert np.all(layer.scores[f == 0.0] == 0.0)
+
+
+@st.composite
+def _gem_runs(draw):
+    period = draw(st.integers(1, 2))
+    return dict(
+        spec=NetworkSpec((2, *draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)), 2)),
+        schedule=SparsitySchedule(draw(st.floats(0.05, 1.0)), period * draw(st.integers(1, 4)), period),
+        config=MinerConfig(lr=0.5, seed=draw(st.integers(0, 1000)), batch_size=32),
+    )
+
+
+def _unfrozen(freeze):
+    return sum(int(np.count_nonzero(f)) for f in freeze)
+
+
+def _gem_freeze_events(data, run):
+    """``gem_mine(data, **run)`` and a copy of its unfrozen sets before and after each ``freeze_step``."""
+    events = []
+
+    def recording_freeze_step(scores, freeze, schedule):
+        before = [f.copy() for f in freeze]
+        frozen = freeze_step(scores, freeze, schedule)
+        events.append((before, [f.copy() for f in freeze]))
+        return frozen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("gemmine.miners.gem"), "freeze_step", recording_freeze_step)
+        result = gem_mine(data, **run)
+    return result, events
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(run=_gem_runs())
+def test_gem_mine_freezes_monotonically_to_the_survivor_count(blobs, run):
+    """Each event leaves ``survivors(previous unfrozen)`` unfrozen, no weight thaws, and the mask lies inside the unfrozen set."""
+    result, events = _gem_freeze_events(blobs, run)
+    schedule = run["schedule"]
+    assert len(events) == schedule.n_events
+    previous = [np.ones(shape, dtype=bool) for shape in run["spec"].layer_shapes]
+    for before, after in events:
+        assert [b.tobytes() for b in before] == [p.tobytes() for p in previous]
+        assert not any((a & ~b).any() for a, b in zip(after, before))
+        assert _unfrozen(after) == schedule.survivors(_unfrozen(before))
+        previous = after
+    assert not any((m & ~f).any() for m, f in zip(result.mask, previous))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="freeze_step floors survivors() at every event, so the final unfrozen count falls short of "
+    "floor(target * N); ROADMAP item 7(d) counts every event against the starting count",
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(run=_gem_runs())
+def test_gem_mine_leaves_floor_target_n_weights_unfrozen(blobs, run):
+    _, events = _gem_freeze_events(blobs, run)
+    assert _unfrozen(events[-1][1]) == math.floor(run["schedule"].target_sparsity * run["spec"].total_params)
 
 
 def _first_step_score_gradients(weights, scale_layer=None, factor=1.0):
@@ -1074,6 +1136,35 @@ def test_smart_ratio_warns_once_per_layer_when_a_ratio_keeps_no_weight():
     assert res.report.warnings == clamped
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+    ratios=st.lists(st.floats(MIN_RATIO, 1.0), min_size=3, max_size=3),
+    target=st.floats(0.05, 1.0),
+    seed=st.integers(0, 1000),
+)
+def test_smart_ratio_masks_keep_their_counts_and_read_back_without_scores(hidden, ratios, target, seed):
+    spec = NetworkSpec((2, *hidden, 2))
+    ratios = LayerRatios(tuple(ratios[: spec.n_layers]))
+    warnings: list[str] = []
+    mask = sample_ratio_mask(spec, ratios, seed, warnings)
+    floors = [math.floor(r * o * i) for r, (o, i) in zip(ratios.ratios, spec.layer_shapes)]
+    assert [int(np.count_nonzero(m)) for m in mask] == [max(1, f) for f in floors]
+    clamped = [i for i, f in enumerate(floors) if f < 1]
+    assert warnings == [f"ratio {ratios.ratios[i]:.3g} keeps no weights in layer {i}, clamped to 1" for i in clamped]
+    assert [m.tobytes() for m in sample_ratio_mask(spec, ratios, seed, [])] == [m.tobytes() for m in mask]
+
+    result = smart_ratio(spec, target, "v4", seed, imp_profile=ratios)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(Path(tmp) / "sr.tfmc", result.layers)
+        layers = load_checkpoint(Path(tmp) / "sr.tfmc")
+    assert [layer.mask.tobytes() for layer in layers] == [m.tobytes() for m in result.mask]
+    assert [layer.weights.tobytes() for layer in layers] == [w.astype(np.float32).astype(np.float64).tobytes() for w in result.weights]
+    assert [layer.scores for layer in layers] == [None] * spec.n_layers
+    with pytest.raises(ValueError, match="has no scores"):
+        variant_network(layers, INVERT, seed, SCALED_NORMAL, [])
+
+
 # ---------------------------------------------------------------------------
 # miner reports
 # ---------------------------------------------------------------------------
@@ -1372,7 +1463,7 @@ def _mine_with_every_selection(data):
         arrays = list(res.mask) + [l.scores for l in res.layers]
         arrays.append(np.array([r.sparsity for r in res.report.records]))  # gem: the unfrozen fraction
         arrays += [m for round_mask in res.round_masks or [] for m in round_mask]
-        inverted, _ = invert_scores([l.scores for l in res.layers], res.mask)
+        inverted = invert_scores([l.scores for l in res.layers], res.mask, [])
         out[name] = [a.tobytes() for a in arrays + inverted]
     return out
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gemmine.harness import write_layerwise
 from gemmine.masking import (
+    SCALED_NORMAL,
     SIGNED_CONSTANT,
     MaskedLayer,
     NetworkSpec,
@@ -15,11 +16,13 @@ from gemmine.masking import (
     round_scores,
 )
 from gemmine.sanity import (
+    REINIT,
     SanityVariant,
     invert_scores,
     layerwise_report,
     reinit_weights,
     shuffle_mask,
+    variant_network,
 )
 
 
@@ -71,19 +74,35 @@ def test_reinit_preserves_masks_and_redraws_weights():
         MaskedLayer(weights=w, mask=round_scores(p), scores=p)
         for w, p in zip(init_weights(spec, SIGNED_CONSTANT, seed=2), init_scores(spec, seed=2))
     ]
-    fresh = reinit_weights(layers, spec, SIGNED_CONSTANT, seed=3)
+    fresh = variant_network(layers, REINIT, 3, SIGNED_CONSTANT, [])
     for old, new in zip(layers, fresh):
-        assert old.scores.tobytes() == new.scores.tobytes()
+        assert new.scores is None  # no variant holds scores
         assert old.mask.tobytes() == new.mask.tobytes()
         assert old.weights.tobytes() != new.weights.tobytes()
         # the scheme's per-layer magnitude is preserved exactly
         assert np.all(np.abs(new.weights) == layer_stddev(old.weights.shape[1]))
 
 
+@pytest.mark.parametrize("widths", [(4, 6, 3), (3, 5, 4, 2)])
+def test_reinit_weights_draws_the_layers_shapes_as_init_weights_does(widths):
+    spec = NetworkSpec(widths)
+    layers = [MaskedLayer(weights=w, mask=w > 0) for w in init_weights(spec, SIGNED_CONSTANT, seed=2)]
+    for scheme in (SIGNED_CONSTANT, SCALED_NORMAL):
+        fresh = reinit_weights(layers, scheme, seed=3)
+        assert [w.tobytes() for w in fresh] == [w.tobytes() for w in init_weights(spec, scheme, seed=3)]
+
+
+def test_variant_network_rejects_an_unknown_kind():
+    layers = [MaskedLayer(weights=w, mask=w > 0) for w in init_weights(NetworkSpec((4, 6, 3)), SIGNED_CONSTANT, seed=2)]
+    with pytest.raises(ValueError, match="unknown sanity variant 'scramble'"):
+        variant_network(layers, "scramble", 1, SIGNED_CONSTANT, [])
+
+
 def test_invert_is_complement_at_half_density():
     scores = [np.array([[0.9, 0.1, 0.8, 0.2]])]
     original = [np.array([[1.0, 0.0, 1.0, 0.0]])]
-    inverted, warnings = invert_scores(scores, original)
+    warnings: list[str] = []
+    inverted = invert_scores(scores, original, warnings)
     np.testing.assert_array_equal(inverted[0], 1.0 - original[0])
     assert warnings == []
 
@@ -92,7 +111,7 @@ def test_invert_preserves_per_layer_counts():
     rng = np.random.default_rng(0)
     scores = [rng.random((5, 5)), rng.random((3, 7))]
     mask = [(rng.random((5, 5)) < 0.3).astype(float), (rng.random((3, 7)) < 0.6).astype(float)]
-    inverted, _ = invert_scores(scores, mask)
+    inverted = invert_scores(scores, mask, [])
     for m, inv in zip(mask, inverted):
         assert int(np.sum(inv)) == int(np.sum(m))
 
@@ -103,14 +122,15 @@ def test_invert_disjoint_when_sparse_and_distinct():
     top20 = np.zeros(100)
     top20[np.argsort(-scores[0].reshape(-1))[:20]] = 1.0
     mask = [top20.reshape(10, 10)]
-    inverted, _ = invert_scores(scores, mask)
+    inverted = invert_scores(scores, mask, [])
     assert int(np.sum(mask[0] * inverted[0])) == 0
 
 
 def test_invert_degenerate_scores_warn():
     scores = [np.full((2, 2), 0.5)]
     mask = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-    inverted, warnings = invert_scores(scores, mask)
+    warnings: list[str] = []
+    inverted = invert_scores(scores, mask, warnings)
     assert int(np.sum(inverted[0])) == 2
     assert any("degenerate" in w for w in warnings)
 
@@ -150,4 +170,4 @@ def test_layerwise_csv_format(tmp_path):
 
 def test_invert_length_mismatch():
     with pytest.raises(ValueError):
-        invert_scores([np.ones((2, 2))], [np.ones((2, 2)), np.ones((1, 1))])
+        invert_scores([np.ones((2, 2))], [np.ones((2, 2)), np.ones((1, 1))], [])
