@@ -26,8 +26,8 @@ class DatasetSplit:
     """Disjoint train/val/test features with integer labels in [0, n_classes).
 
     Features are of one of two kinds: float rows, used as they are, or
-    uint8 pixel rows (``load_idx``), scaled to [0, 1] by ``float_features``
-    only where a batch or a split is read.
+    uint8 pixel rows (``load_idx``), which the kernel scales to [0, 1] as
+    it reads a batch or a split (``masking.mlp_activations``).
     """
 
     train_x: np.ndarray
@@ -59,9 +59,11 @@ class DatasetSplit:
 def float_features(x: np.ndarray) -> np.ndarray:
     """Feature rows as floats: uint8 pixels scaled to [0, 1] as ``x / 255.0``, float rows as they are, uncopied.
 
-    This is the one place pixels are scaled; ``x / 255.0`` has the bits of
-    ``x.astype(np.float64) / 255.0``.
+    Other rows, such as int64 or bool, raise ``ValueError``. The kernel is the
+    one caller; ``x / 255.0`` has the bits of ``x.astype(np.float64) / 255.0``.
     """
+    if x.dtype.kind != "f" and x.dtype != np.uint8:
+        raise ValueError(f"features must be uint8 pixels or floating point, got {x.dtype}")
     return x / 255.0 if x.dtype == np.uint8 else x
 
 
@@ -127,8 +129,8 @@ def load_idx(
     """Load an IDX archive directory (conventional train/t10k file names).
 
     Each split's features are its flattened images as one C-contiguous
-    uint8 array of shape (n, rows * cols), 1 byte per pixel; they are
-    scaled to [0, 1] by ``float_features`` per batch and per evaluation.
+    uint8 array of shape (n, rows * cols), 1 byte per pixel; the kernel
+    scales the rows it reads to [0, 1].
     Only the selected rows are copied out of the files, whose buffers are
     then freed. A validation split is carved off the shuffled training set
     before ``train_limit`` applies.

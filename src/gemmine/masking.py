@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tensor, linear, relu
+from .data import float_features
 
 SIGNED_CONSTANT = "signed_constant"
 SCALED_NORMAL = "scaled_normal"
@@ -296,15 +297,12 @@ def mlp_forward(x: Tensor, layer_weights: Sequence[Tensor]) -> Tensor:
 
 
 def mlp_activations(features: np.ndarray, layer_weights: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Graph-free forward pass: the input, each hidden ReLU output, then the logits.
+    """Graph-free forward pass: the input as float64, each hidden ReLU output, then the logits.
 
-    ``features`` must be floating point: integer (uint8 pixel) rows raise
-    ``ValueError``, so they are scaled by ``data.float_features`` first.
+    ``features`` are rows as a split stores them: uint8 pixels are scaled to
+    [0, 1] here, as ``x / 255.0``, and other non-float rows raise ``ValueError``.
     """
-    features = np.asarray(features)
-    if features.dtype.kind != "f":
-        raise ValueError(f"mlp_activations: features must be floating point, got {features.dtype}")
-    acts = [np.asarray(features, dtype=np.float64)]
+    acts = [np.asarray(float_features(np.asarray(features)), dtype=np.float64)]
     last = len(layer_weights) - 1
     for i, w in enumerate(layer_weights):
         out = acts[-1] @ w.T

@@ -199,13 +199,13 @@ def score_loss_and_grads(
 ) -> tuple[float, list[np.ndarray]]:
     """Batch loss and straight-through score gradients for ``effective`` weights, ``base`` times the binarized ``scores``.
 
+    ``x`` is the batch's rows as the split stores them; the kernel scales them.
     The binarization has an identity backward, so the score gradient is
-    d(loss)/d(effective weight) * base, plus that of ``config.reg_weight``
-    times the scores' L1 or squared-L2 norm. ``scratch``, one array per
-    layer of ``scores``, is overwritten with the penalty's terms; it is not
-    read, and may be ``None``, when ``config.reg_weight`` is 0. The
-    returned gradients are the kernel's freshly allocated arrays, scaled
-    and penalized in place.
+    d(loss)/d(effective weight) * base, plus that of ``config.reg_weight`` times
+    the scores' L1 or squared-L2 norm. ``scratch``, one array per layer of
+    ``scores``, is overwritten with the penalty's terms; it is not read, and may
+    be ``None``, when ``config.reg_weight`` is 0. The returned gradients are the
+    kernel's freshly allocated arrays, scaled and penalized in place.
     """
     loss, grads = loss_and_grads(x, y, effective)
     for g, b in zip(grads, base):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..data import DatasetSplit, float_features
+from ..data import DatasetSplit
 from ..masking import (
     SCALED_NORMAL,
     STREAM_SAMPLING,
@@ -147,7 +147,7 @@ def tune_ratios(
     for _ in range(steps):
         idx = rng.choice(n, size=min(TUNE_BATCH_SIZE, n), replace=False)
         masks = [rng.random(w.shape) < r for w, r in zip(weights, ratios)]
-        _, d_eff = loss_and_grads(float_features(data.train_x[idx]), data.train_y[idx], [w * m for w, m in zip(weights, masks)])
+        _, d_eff = loss_and_grads(data.train_x[idx], data.train_y[idx], [w * m for w, m in zip(weights, masks)])
         grad = np.array([float(np.add.reduce(d * w, axis=None)) for d, w in zip(d_eff, weights)])
         ratios = np.clip(ratios - lr * grad, MIN_RATIO, 1.0)
     return LayerRatios(tuple(ratios))

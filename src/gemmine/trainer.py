@@ -8,7 +8,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .data import DatasetSplit, float_features
+from .data import DatasetSplit
 from .masking import STREAM_BATCHES, as_mask, loss_and_grads, mask_sparsity, mlp_activations, stream_rng
 from .optim import OptimizerChoice, SgdMomentum, make_optimizer
 from .sanity import layerwise_report
@@ -95,7 +95,7 @@ def evaluate(weights: Sequence[np.ndarray], features: np.ndarray, labels: np.nda
     """Top-1 accuracy of the network with these (effective) weights; NaN on an empty split."""
     if features.shape[0] == 0:
         return float("nan")
-    logits = mlp_activations(float_features(features), weights)[-1]
+    logits = mlp_activations(features, weights)[-1]
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -124,13 +124,13 @@ def run_epoch(
     """One epoch of minibatch descent on ``params``, in place. Returns mean loss.
 
     ``batch_loss_and_grads(x, y)`` gives a batch's loss and the gradient for
-    each of ``params``; ``x`` is the batch's rows of ``features`` as floats
-    (``data.float_features``).
+    each of ``params``; ``x`` is the batch's rows of ``features`` as stored,
+    uint8 pixels or floats, which the kernel scales as it reads them.
     """
     total_loss = 0.0
     n = features.shape[0]
     for idx in batch_indices(n, batch_size, rng):
-        value, grads = batch_loss_and_grads(float_features(features[idx]), labels[idx])
+        value, grads = batch_loss_and_grads(features[idx], labels[idx])
         if not math.isfinite(value):
             raise FloatingPointError(f"training diverged: loss={value}")
         optimizer.step(params, grads, lr)

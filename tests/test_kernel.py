@@ -21,6 +21,7 @@ from gemmine.autodiff import (
     ste_substitute,
     sum_all,
 )
+from gemmine.data import float_features
 from gemmine.masking import NetworkSpec, loss_and_grads, mlp_activations, mlp_forward, round_scores
 from gemmine.miners import (
     GLOBAL,
@@ -34,7 +35,7 @@ from gemmine.miners import (
     smart_ratio,
 )
 from gemmine.miners.common import L1, L2, score_loss_and_grads
-from gemmine.trainer import TrainConfig, finetune
+from gemmine.trainer import TrainConfig, evaluate, finetune
 
 FORMS = ("gem", "edge_popup", "weights", "ratios")
 PENALTY_WEIGHT = 0.37
@@ -153,15 +154,27 @@ def test_kernel_rejects_label_count_mismatch():
         loss_and_grads(np.ones((2, 2)), np.array([0, 1, 2]), weights)
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_kernel_reads_pixel_rows_as_their_scaled_floats():
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(0, 256, size=(24, 6), dtype=np.uint8)
+    labels = rng.integers(0, 3, size=24)
+    weights = [rng.standard_normal((5, 6)), rng.standard_normal((3, 5))]
+    floats = float_features(pixels)
+    assert [a.tobytes() for a in mlp_activations(pixels, weights)] == [a.tobytes() for a in mlp_activations(floats, weights)]
+    (loss_p, grads_p), (loss_f, grads_f) = loss_and_grads(pixels, labels, weights), loss_and_grads(floats, labels, weights)
+    assert loss_p == loss_f and [g.tobytes() for g in grads_p] == [g.tobytes() for g in grads_f]
+    assert evaluate(weights, pixels, labels) == evaluate(weights, floats, labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_])
 def test_kernel_rejects_integer_features(dtype):
     # unscaled pixels would train silently on values up to 255
     weights = [np.ones((4, 2)), np.ones((3, 4))]
     features = np.ones((2, 2), dtype=dtype)
-    with pytest.raises(ValueError, match="features must be floating point"):
-        mlp_activations(features, weights)
-    with pytest.raises(ValueError, match="features must be floating point"):
-        loss_and_grads(features, np.array([0, 1]), weights)
+    for call in (lambda: mlp_activations(features, weights), lambda: loss_and_grads(features, np.array([0, 1]), weights)):
+        with pytest.raises(ValueError, match="features must be uint8 pixels or floating point") as raised:
+            call()
+        assert raised.traceback[-1].name == "float_features"
 
 
 def test_training_loops_build_no_graph(blobs, monkeypatch):

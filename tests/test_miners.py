@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
-from gemmine.data import float_features, gen_synthetic
+from gemmine.data import gen_synthetic
 from gemmine.masking import (
     SCALED_NORMAL,
     SIGNED_CONSTANT,
@@ -1384,9 +1384,9 @@ def test_tune_ratios_rejects_a_learning_rate_that_is_not_positive(lr):
 
 def test_tune_ratios_dense_matches_dense_loss():
     data, weights = _toy_one_useful_weight()
-    dense_loss = loss_and_grads(float_features(data.train_x), data.train_y, weights)[0]
+    dense_loss = loss_and_grads(data.train_x, data.train_y, weights)[0]
     ones = [np.ones_like(w) for w in weights]
-    masked_loss = loss_and_grads(float_features(data.train_x), data.train_y, [w * m for w, m in zip(weights, ones)])[0]
+    masked_loss = loss_and_grads(data.train_x, data.train_y, [w * m for w, m in zip(weights, ones)])[0]
     assert masked_loss == dense_loss
 
 
@@ -1409,7 +1409,7 @@ def _enumerated_expected_loss(weights, ratios, data) -> float:
             masks.append(m.reshape(w.shape))
         if prob == 0.0:
             continue
-        loss = loss_and_grads(float_features(data.train_x), data.train_y, [w * m for w, m in zip(weights, masks)])[0]
+        loss = loss_and_grads(data.train_x, data.train_y, [w * m for w, m in zip(weights, masks)])[0]
         expected += prob * loss
     return expected
 
