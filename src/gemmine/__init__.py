@@ -21,19 +21,11 @@ from .masking import (
     mask_sparsity,
     round_scores,
 )
-from .miners import (
-    LayerRatios,
-    MinerConfig,
-    MiningResult,
-    RewindSpec,
-    SparsitySchedule,
-    edge_popup,
-    freeze_step,
-    gem_mine,
-    imp,
-    smart_ratio,
-    tune_ratios,
-)
+from .miners.common import LayerRatios, MinerConfig, MiningResult, SparsitySchedule
+from .miners.edge_popup import edge_popup
+from .miners.gem import freeze_step, gem_mine
+from .miners.imp import RewindSpec, imp
+from .miners.smart_ratio import smart_ratio, tune_ratios
 from .optim import Adam, SgdMomentum
 from .sanity import SanityVariant, invert_scores, layerwise_report, reinit_weights, shuffle_mask
 from .trainer import Cosine, MultiStep, RunReport, TrainConfig, evaluate, finetune, lr_at

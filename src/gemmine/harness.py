@@ -38,8 +38,11 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, TaskConfig
 from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
-from .miners import MiningResult, edge_popup, gem_mine, imp, smart_ratio
-from .miners.smart_ratio import IMP_PROFILE_VARIANTS
+from .miners.common import MiningResult
+from .miners.edge_popup import edge_popup
+from .miners.gem import gem_mine
+from .miners.imp import imp
+from .miners.smart_ratio import IMP_PROFILE_VARIANTS, smart_ratio
 from .sanity import layerwise_report, variant_network
 from .trainer import EpochRecord, RunReport, finetune
 

@@ -1,29 +1,4 @@
-from .common import LayerRatios, MinerConfig, MiningResult, SparsitySchedule
-from .edge_popup import GLOBAL, LAYERWISE, edge_popup, topk_mask
-from .gem import freeze_step, gem_mine
-from .imp import COLD, LR_REWIND, WARM, RewindSpec, imp, prune_by_magnitude
-from .smart_ratio import VARIANTS, sample_ratio_mask, smart_ratio, smooth_ratios, tune_ratios
+"""The miners, one module each: ``gem``, ``edge_popup``, ``imp`` and ``smart_ratio``, which share ``common``.
 
-__all__ = [
-    "LayerRatios",
-    "MinerConfig",
-    "MiningResult",
-    "SparsitySchedule",
-    "GLOBAL",
-    "LAYERWISE",
-    "edge_popup",
-    "topk_mask",
-    "freeze_step",
-    "gem_mine",
-    "COLD",
-    "LR_REWIND",
-    "WARM",
-    "RewindSpec",
-    "imp",
-    "prune_by_magnitude",
-    "VARIANTS",
-    "sample_ratio_mask",
-    "smart_ratio",
-    "smooth_ratios",
-    "tune_ratios",
-]
+Each miner function is imported from its module; this package binds no name of its own.
+"""

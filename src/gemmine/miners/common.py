@@ -244,11 +244,9 @@ def score_descent(
     epoch's report columns (see ``trainer.record_epoch``).
 
     The kernel's effective weights ``base * bits`` are kept across batches.
-    A step flips few mask bits, so each batch, and each new ``base``,
-    rewrites only the entries whose bit flipped (``patch_flips``). A new
-    ``base`` may therefore change an entry only where that entry's new bit
-    is off, and only to the old entry times 0.0: its product is then the
-    same zero either way. The epoch is recorded on the effective weights.
+    A step flips few mask bits, so each batch rewrites only the entries
+    whose bit flipped (``patch_flips``); a new ``base`` rewrites them all.
+    The epoch is recorded on the effective weights.
     Returns the weights, which never move: they are read-only until the
     loop ends, so a write into them raises ``ValueError`` where it happens.
     Also returns the trained scores and the report.
@@ -278,7 +276,9 @@ def score_descent(
         new_base, sparsity, extra = end_epoch(weights, scores, epoch, report.warnings)
         if new_base is not None:
             base = new_base
-            patch_flips(effective, base, bits, take_bits(scores, epoch, report.warnings))
+            for e, b, old, now in zip(effective, base, bits, take_bits(scores, epoch, report.warnings)):
+                np.copyto(old, now)
+                np.multiply(b, old, out=e)
         record_epoch(report, data, effective, epoch, sparsity, train_loss, **extra)
 
     for w in weights:

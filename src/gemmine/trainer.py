@@ -126,16 +126,19 @@ def run_epoch(
     ``batch_loss_and_grads(x, y)`` gives a batch's loss and the gradient for
     each of ``params``; ``x`` is the batch's rows of ``features`` as stored,
     uint8 pixels or floats, which the kernel scales as it reads them.
+    A non-finite batch loss raises ``FloatingPointError``. numpy's float errors
+    are ignored in the loop, so that is the one divergence test under any warnings filter.
     """
     total_loss = 0.0
     n = features.shape[0]
-    for idx in batch_indices(n, batch_size, rng):
-        value, grads = batch_loss_and_grads(features[idx], labels[idx])
-        if not math.isfinite(value):
-            raise FloatingPointError(f"training diverged: loss={value}")
-        optimizer.step(params, grads, lr)
-        del grads  # else they stay alive while the next batch's are computed
-        total_loss += value * idx.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for idx in batch_indices(n, batch_size, rng):
+            value, grads = batch_loss_and_grads(features[idx], labels[idx])
+            if not math.isfinite(value):
+                raise FloatingPointError(f"training diverged: loss={value}")
+            optimizer.step(params, grads, lr)
+            del grads  # else they stay alive while the next batch's are computed
+            total_loss += value * idx.size
     return total_loss / n
 
 

@@ -24,21 +24,11 @@ from gemmine.masking import (
     mask_sparsity,
     round_scores,
 )
-from gemmine.miners import (
-    GLOBAL,
-    LAYERWISE,
-    LayerRatios,
-    MinerConfig,
-    RewindSpec,
-    SparsitySchedule,
-    edge_popup,
-    freeze_step,
-    gem_mine,
-    imp,
-    smart_ratio,
-    smooth_ratios,
-    tune_ratios,
-)
+from gemmine.miners.common import LayerRatios, MinerConfig, SparsitySchedule
+from gemmine.miners.edge_popup import GLOBAL, LAYERWISE, edge_popup
+from gemmine.miners.gem import freeze_step, gem_mine
+from gemmine.miners.imp import RewindSpec, imp
+from gemmine.miners.smart_ratio import smart_ratio, smooth_ratios, tune_ratios
 from gemmine.sanity import INVERT, REINIT, SHUFFLE, invert_scores, shuffle_mask, variant_network
 from gemmine.trainer import TrainConfig, finetune
 from tests.test_miners import _enumerated_expected_loss, _toy_one_useful_weight

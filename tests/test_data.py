@@ -21,7 +21,9 @@ from gemmine.data import (
     write_idx,
 )
 from gemmine.masking import NetworkSpec, init_weights
-from gemmine.miners import LayerRatios, MinerConfig, SparsitySchedule, gem_mine, smart_ratio
+from gemmine.miners.common import LayerRatios, MinerConfig, SparsitySchedule
+from gemmine.miners.gem import gem_mine
+from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.trainer import TrainConfig, evaluate, finetune
 
 

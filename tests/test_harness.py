@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import tokenize
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,13 +16,14 @@ from hypothesis import strategies as st
 
 import gemmine.harness as harness
 import gemmine.sanity as sanity
+import golden
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.cli import main as cli_main
 from gemmine.config import ConfigError, build_experiment_config, parse_key_values
 from gemmine.data import make_digit_archive, write_idx
 from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, init_weights, mask_sparsity
-from gemmine.miners import smooth_ratios
 from gemmine.miners.imp import WARM
+from gemmine.miners.smart_ratio import smooth_ratios
 from gemmine.optim import SgdMomentum
 from gemmine.sanity import invert_scores
 from gemmine.trainer import MultiStep, RunReport, finetune
@@ -1393,3 +1395,14 @@ def test_every_config_runs_or_fails_on_its_key(property_root, case):
     if log.exists():
         entries = re.findall(r"^seed \d+: (?:mining|variant \w+) failed: (.*)$", log.read_text(), flags=re.M)
         assert entries and all(e.startswith("training diverged") for e in entries), log.read_text()
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_a_diverged_finetune_is_logged_the_same_under_any_warnings_filter(tmp_path, action):
+    """numpy's overflow warnings, errors under a strict filter, do not decide how a divergence is logged."""
+    cfg = build_experiment_config("run.id = diverge\n" + golden.CONFIGS["diverge"])
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        run_dir = harness.run_experiment(cfg, tmp_path)
+    first = (run_dir / "errors.log").read_text().splitlines()[0]
+    assert first == "seed 1: variant none failed: training diverged: loss=nan"

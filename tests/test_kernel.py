@@ -23,18 +23,11 @@ from gemmine.autodiff import (
 )
 from gemmine.data import float_features
 from gemmine.masking import NetworkSpec, loss_and_grads, mlp_activations, mlp_forward, round_scores
-from gemmine.miners import (
-    GLOBAL,
-    LayerRatios,
-    MinerConfig,
-    RewindSpec,
-    SparsitySchedule,
-    edge_popup,
-    gem_mine,
-    imp,
-    smart_ratio,
-)
-from gemmine.miners.common import L1, L2, score_loss_and_grads
+from gemmine.miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule, score_loss_and_grads
+from gemmine.miners.edge_popup import GLOBAL, edge_popup
+from gemmine.miners.gem import gem_mine
+from gemmine.miners.imp import RewindSpec, imp
+from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.trainer import TrainConfig, evaluate, finetune
 
 FORMS = ("gem", "edge_popup", "weights", "ratios")

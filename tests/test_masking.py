@@ -30,7 +30,11 @@ from gemmine.masking import (
     select_smallest,
     select_smallest_across,
 )
-from gemmine.miners import GLOBAL, LAYERWISE, MinerConfig, RewindSpec, SparsitySchedule, edge_popup, gem_mine, imp, smart_ratio, topk_mask
+from gemmine.miners.common import MinerConfig, SparsitySchedule
+from gemmine.miners.edge_popup import GLOBAL, LAYERWISE, edge_popup, topk_mask
+from gemmine.miners.gem import gem_mine
+from gemmine.miners.imp import RewindSpec, imp
+from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.sanity import invert_scores, shuffle_mask
 
 

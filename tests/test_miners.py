@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import math
+import pkgutil
 import re
 import tempfile
 import tokenize
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gemmine
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.data import gen_synthetic
@@ -28,33 +31,34 @@ from gemmine.masking import (
     round_scores,
     stream_rng,
 )
-from gemmine.miners import (
-    COLD,
-    GLOBAL,
-    LAYERWISE,
-    LR_REWIND,
-    WARM,
-    LayerRatios,
-    MinerConfig,
-    RewindSpec,
-    SparsitySchedule,
-    edge_popup,
-    freeze_step,
-    gem_mine,
-    imp,
-    prune_by_magnitude,
-    sample_ratio_mask,
-    smart_ratio,
-    smooth_ratios,
-    topk_mask,
-    tune_ratios,
-)
-from gemmine.miners.common import L1, L2, check_layer_collapse, patch_flips, score_descent
-from gemmine.miners.smart_ratio import MIN_RATIO
+from gemmine.miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule, check_layer_collapse, patch_flips, score_descent
+from gemmine.miners.edge_popup import GLOBAL, LAYERWISE, edge_popup, topk_mask
+from gemmine.miners.gem import freeze_step, gem_mine
+from gemmine.miners.imp import COLD, LR_REWIND, WARM, RewindSpec, imp, prune_by_magnitude
+from gemmine.miners.smart_ratio import MIN_RATIO, sample_ratio_mask, smart_ratio, smooth_ratios, tune_ratios
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import INVERT, invert_scores, layerwise_report, variant_network
 from gemmine.trainer import evaluate, run_epoch
 from tests.conftest import random_classification
+
+
+# ---------------------------------------------------------------------------
+# the package's namespace
+# ---------------------------------------------------------------------------
+
+MINER_MODULES = ("common", "gem", "edge_popup", "imp", "smart_ratio")
+
+
+@pytest.mark.parametrize("name", MINER_MODULES)
+def test_each_miner_module_is_reached_by_attribute(name):
+    assert getattr(gemmine.miners, name) is importlib.import_module(f"gemmine.miners.{name}")
+
+
+def test_gemmine_miners_holds_its_five_modules_and_binds_nothing_else():
+    bound = {name: value for name, value in vars(gemmine.miners).items() if not name.startswith("__")}
+    assert sorted(bound) == sorted(MINER_MODULES)
+    assert all(inspect.ismodule(value) for value in bound.values()), bound
+    assert sorted(m.name for m in pkgutil.iter_modules(gemmine.miners.__path__)) == sorted(MINER_MODULES)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +401,7 @@ def test_frozen_scores_stay_zero_after_freeze(digits_1k, monkeypatch):
         seen["freeze"] = freeze  # gem_mine's own arrays, updated in place until the run ends
         return real_freeze_step(scores, freeze, schedule)
 
-    monkeypatch.setattr(importlib.import_module("gemmine.miners.gem"), "freeze_step", recording_freeze_step)
+    monkeypatch.setattr(gemmine.miners.gem, "freeze_step", recording_freeze_step)
     res = gem_mine(data, NetworkSpec((784, 16, 10)), SparsitySchedule(0.1, 4, 2), MinerConfig(lr=0.5, seed=5, batch_size=32))
     for layer, f in zip(res.layers, seen["freeze"]):
         assert np.count_nonzero(f == 0.0) > 0
@@ -429,7 +433,7 @@ def _gem_freeze_events(data, run):
         return frozen
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(importlib.import_module("gemmine.miners.gem"), "freeze_step", recording_freeze_step)
+        patch.setattr(gemmine.miners.gem, "freeze_step", recording_freeze_step)
         result = gem_mine(data, **run)
     return result, events
 
@@ -708,7 +712,7 @@ def test_every_edge_popup_mask_keeps_max_1_floor_k_size(blobs, hidden, epochs_an
 
     schedule = SparsitySchedule(keep, *epochs_and_period)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(importlib.import_module("gemmine.miners.edge_popup"), "topk_mask", recording_topk_mask)
+        patch.setattr(gemmine.miners.edge_popup, "topk_mask", recording_topk_mask)
         edge_popup(blobs, NetworkSpec((2, *hidden, 2)), schedule, MinerConfig(seed=seed, batch_size=32), scope=scope, gradual=gradual)
     assert len(counts) > schedule.total_epochs and counts[-1][0] == keep
     for k, wanted, kept in counts:
@@ -750,16 +754,15 @@ def test_imp_schedule_composition(blobs):
 @pytest.mark.parametrize("kind", [COLD, WARM, LR_REWIND])
 def test_imp_result_weights_are_the_rewind_point(blobs, monkeypatch, kind):
     # every round's weights after each of its epochs, as train_masked leaves them
-    imp_module = importlib.import_module("gemmine.miners.imp")  # gemmine.miners.imp is the function
     trained = []
-    real = imp_module.train_masked
+    real = gemmine.miners.imp.train_masked
 
     def recording(weights, mask, data, cfg, rng):
         for epoch, loss in real(weights, mask, data, cfg, rng):
             trained.append([w.copy() for w in weights])
             yield epoch, loss
 
-    monkeypatch.setattr(imp_module, "train_masked", recording)
+    monkeypatch.setattr(gemmine.miners.imp, "train_masked", recording)
     spec = NetworkSpec((2, 8, 2))
     rounds, epochs = 3, 2
     cfg = MinerConfig(lr=0.05, seed=4, batch_size=16)
@@ -828,8 +831,7 @@ def test_prune_by_magnitude_rejects_a_mask_that_keeps_no_weight():
 
 def test_a_prune_or_a_freeze_event_ranks_only_the_weights_it_may_remove(blobs, monkeypatch):
     """Each IMP prune partitions exactly the kept weights, each freeze event exactly the unfrozen scores."""
-    masking = importlib.import_module("gemmine.masking")
-    gem = importlib.import_module("gemmine.miners.gem")
+    masking, gem = gemmine.masking, gemmine.miners.gem
     ranked = []
     real_select, real_freeze = masking.select_smallest, gem.freeze_step
 
@@ -1240,6 +1242,27 @@ def test_score_descent_hands_back_writable_weights(blobs):
     assert all(w.flags.writeable for w in weights)
 
 
+def test_score_descent_rebuilds_its_effective_weights_on_a_new_base(blobs, monkeypatch):
+    """A new base reaches the entries whose bit stays on, which no flip rewrites."""
+    recorded = {}
+    real_record = gemmine.miners.common.record_epoch
+
+    def recording(report, data, weights, epoch, *args, **kwargs):
+        recorded[epoch] = [w.copy() for w in weights]
+        return real_record(report, data, weights, epoch, *args, **kwargs)
+
+    def take_bits(scores, epoch, warnings):
+        return [np.ones(p.shape, dtype=bool) for p in scores]
+
+    def end_epoch(weights, scores, epoch, warnings):
+        return ([2 * w for w in weights] if epoch == 1 else None), 1.0, {}
+
+    monkeypatch.setattr(gemmine.miners.common, "record_epoch", recording)
+    weights, _, _ = score_descent(blobs, NetworkSpec((2, 4, 2)), SparsitySchedule(0.5, 2, 1), MinerConfig(), SCALED_NORMAL, take_bits, end_epoch)
+    for epoch in (1, 2):
+        assert [e.tobytes() for e in recorded[epoch]] == [(2 * w).tobytes() for w in weights], epoch
+
+
 def test_masked_weight_training_stays_in_the_trainer():
     """IMP trains through trainer.train_masked, and only common.score_descent builds an optimizer."""
     assert _miner_names({"run_masked_epoch", "lr_at", "live_params"}, skip=()) == []
@@ -1442,7 +1465,7 @@ def test_tune_ratios_clamps_to_unit_interval():
 # the modules whose global select_smallest is called: masking's, through
 # select_smallest_across and LargestSelector, serves freeze_step,
 # prune_by_magnitude and both scopes of top-k
-SELECTION_SITES = ("gemmine.masking", "gemmine.sanity")
+SELECTION_SITES = ("masking", "sanity")
 
 
 def _mine_with_every_selection(data):
@@ -1480,8 +1503,7 @@ def test_selection_sites_match_the_stable_sort_oracle(digits_1k, monkeypatch):
             chosen[np.argsort(np.asarray(values).reshape(-1), kind="stable")[: max(k, 0)]] = True
             return chosen
 
-        # import_module: gemmine.miners re-exports functions named like its submodules
-        monkeypatch.setattr(importlib.import_module(module), "select_smallest", oracle)
+        monkeypatch.setattr(getattr(gemmine, module), "select_smallest", oracle)
     sorted_ = _mine_with_every_selection(data)
     assert all(n > 0 for n in calls.values()), calls
     for name in fast:

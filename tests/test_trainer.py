@@ -12,7 +12,8 @@ from gemmine.autodiff import Tensor, add, backward, mul, scale
 from gemmine.config import ConfigError, build_experiment_config
 from gemmine.harness import write_report
 from gemmine.masking import SCALED_NORMAL, STREAM_BATCHES, NetworkSpec, init_weights, loss_and_grads, mask_sparsity, stream_rng
-from gemmine.miners import COLD, LR_REWIND, WARM, MinerConfig, RewindSpec, imp, prune_by_magnitude
+from gemmine.miners.common import MinerConfig
+from gemmine.miners.imp import COLD, LR_REWIND, WARM, RewindSpec, imp, prune_by_magnitude
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import layerwise_report
 from gemmine import trainer as trainer_module
