@@ -271,7 +271,7 @@ def sanity_file(
     Yields ``(kind, checkpoint path, sparsity, warnings)``, the error in place
     of the sparsity for a variant that failed; the other variants are still written.
     ``invert`` ranks the scores the checkpoint holds, so it fails on a file without
-    them: a sanity variant's, a smart-ratio network's, or any version 1 file.
+    them: a sanity variant's or a smart-ratio network's.
     """
     checkpoint = Path(checkpoint)
     layers = read_checkpoint(cfg, checkpoint)

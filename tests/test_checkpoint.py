@@ -45,35 +45,6 @@ def test_golden_bytes_scored_and_unscored_layer(tmp_path):
         np.testing.assert_array_equal(after.weights, before.weights)
 
 
-def _v1_bytes(layers):
-    """A version 1 file, byte by byte: per layer its shape, ``scores`` as float32, the bitset of ``bits``, weights."""
-    out = b"TFMC" + struct.pack("<II", 1, len(layers))
-    for scores, bits, weights in layers:
-        n = len(scores)
-        out += struct.pack("<II", 1, n) + struct.pack(f"<{n}f", *scores)
-        out += np.packbits(np.array(bits, dtype=bool), bitorder="little").tobytes() + struct.pack(f"<{n}f", *weights)
-    return out
-
-
-def test_a_version_1_file_loads_its_mask_without_scores(tmp_path):
-    # the version 1 golden layout: a Gem-Miner layer's scores, and the mask as 0/1 in a layer without scores
-    path = tmp_path / "v1.tfmc"
-    path.write_bytes(_v1_bytes([([0.5, 0.25, 1.0], [1, 0, 1], [1.0, -2.0, 0.5]), ([0.0, 1.0], [0, 1], [3.0, -0.5])]))
-    loaded = load_checkpoint(path)
-    assert [layer.mask.tolist() for layer in loaded] == [[[True, False, True]], [[False, True]]]
-    assert [layer.weights.tolist() for layer in loaded] == [[[1.0, -2.0, 0.5]], [[3.0, -0.5]]]
-    assert [layer.scores for layer in loaded] == [None, None]
-
-
-def test_a_version_1_freeze_bitset_loads_as_rounded_scores_and_bits(tmp_path):
-    # a set bit over a score below 0.5 is dropped, and so is a score of at least 0.5 over a clear bit
-    path = tmp_path / "v1.tfmc"
-    path.write_bytes(_v1_bytes([([0.75, 0.25, 0.6, 0.1], [1, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])]))
-    (layer,) = load_checkpoint(path)
-    assert layer.mask.tolist() == [[True, False, False, False]]
-    assert layer.scores is None
-
-
 def test_bad_magic_reports_offset(tmp_path):
     path = tmp_path / "bad.tfmc"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -125,10 +96,11 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_unsupported_version(tmp_path):
-    path = tmp_path / "v9.tfmc"
-    path.write_bytes(MAGIC + struct.pack("<II", 9, 0))
-    with pytest.raises(CheckpointError, match="version"):
+@pytest.mark.parametrize("version", [0, 1, 3, 2**32 - 1])
+def test_unsupported_version(tmp_path, version):
+    path = tmp_path / "other.tfmc"
+    path.write_bytes(MAGIC + struct.pack("<II", version, 0))
+    with pytest.raises(CheckpointError, match=f"^unsupported checkpoint version {version}, expected 2$"):
         load_checkpoint(path)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 import tokenize
 import warnings
@@ -389,8 +390,12 @@ def test_cli_checks_a_checkpoint_against_net_widths(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["finetune", "sanity"])
 @pytest.mark.parametrize(
     "content, reason",
-    [(None, "No such file or directory"), (b"garbage!", "bad magic b'garb' at offset 0 (expected b'TFMC')")],
-    ids=["missing", "corrupt"],
+    [
+        (None, "No such file or directory"),
+        (b"garbage!", "bad magic b'garb' at offset 0 (expected b'TFMC')"),
+        (b"TFMC" + struct.pack("<II", 1, 0), "unsupported checkpoint version 1, expected 2"),
+    ],
+    ids=["missing", "corrupt", "version_1"],
 )
 def test_cli_prints_an_unreadable_checkpoint_as_one_line(tmp_path, capsys, command, content, reason):
     # a FileNotFoundError or CheckpointError traceback, and finetune left empty masks/ and reports/ behind

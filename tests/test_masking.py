@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import struct
 import tokenize
 import tracemalloc
 from collections import Counter
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gemmine import masking
-from gemmine.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from gemmine.checkpoint import load_checkpoint, save_checkpoint
 from gemmine.masking import (
     SCALED_NORMAL,
     SIGNED_CONSTANT,
@@ -50,37 +49,9 @@ def test_round_elementwise():
     assert round_scores(np.array([0.0, 1.0, 0.5, 0.49])).tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
-def _reader_layer(tmp_path, w, p, q):
-    """The layer a TFMC v1 file with scores ``p`` and bitset ``q`` loads as."""
-    w, p, q = (np.asarray(a, dtype=float) for a in (w, p, q))
-    bits = np.packbits((q.reshape(-1) != 0.0).astype(np.uint8), bitorder="little").tobytes()
-    payload = struct.pack("<II", *w.shape) + p.astype("<f4").tobytes() + bits + w.astype("<f4").tobytes()
-    path = tmp_path / "layer.tfmc"
-    path.write_bytes(MAGIC + struct.pack("<II", 1, 1) + payload)
-    return load_checkpoint(path)[0]
-
-
 def _masked(m):
     m = np.asarray(m, dtype=float)
     return MaskedLayer(weights=np.ones_like(m), mask=m)
-
-
-# effective weights are weights * mask; a checkpoint's mask is round(scores) * bitset
-
-
-def test_effective_weights_elementwise(tmp_path):
-    layer = _reader_layer(tmp_path, [[2.0, -3.0]], [[0.7, 0.2]], [[1.0, 1.0]])
-    assert (layer.weights * layer.mask).tolist() == [[2.0, 0.0]]
-
-
-def test_effective_weights_freeze_dominates(tmp_path):
-    layer = _reader_layer(tmp_path, [[2.0, -3.0]], [[0.9, 0.9]], [[0.0, 0.0]])
-    assert (layer.weights * layer.mask).tolist() == [[0.0, 0.0]]
-
-
-def test_effective_weights_mixed(tmp_path):
-    layer = _reader_layer(tmp_path, [[1.0, 1.0]], [[0.9, 0.9]], [[1.0, 0.0]])
-    assert (layer.weights * layer.mask).tolist() == [[1.0, 0.0]]
 
 
 def test_global_sparsity_single_layer():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gemmine
@@ -462,6 +462,7 @@ def test_gem_mine_freezes_monotonically_to_the_survivor_count(blobs, run):
 )
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(run=_gem_runs())
+@example(run=dict(spec=NetworkSpec((2, 1, 2)), schedule=SparsitySchedule(0.5, 2, 1), config=MinerConfig(lr=0.5, seed=0, batch_size=32)))
 def test_gem_mine_leaves_floor_target_n_weights_unfrozen(blobs, run):
     _, events = _gem_freeze_events(blobs, run)
     assert _unfrozen(events[-1][1]) == math.floor(run["schedule"].target_sparsity * run["spec"].total_params)
