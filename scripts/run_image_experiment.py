@@ -1,5 +1,6 @@
 """End-to-end image experiment: generate the digit archive, mine a sparse
 subnetwork per seed, run the sanity-variant matrix, and print the summary.
+The set-up is ``configs/digits_gem.cfg`` at the ``--sparsity`` target.
 
     python scripts/run_image_experiment.py --out-dir out --sparsity 0.05
 """
@@ -11,26 +12,7 @@ from gemmine.config import build_experiment_config
 from gemmine.data import make_digit_archive
 from gemmine.harness import read_summary, run_experiment
 
-CONFIG_TEMPLATE = """\
-run.id = digits_gem
-task.kind = idx
-task.path = {data_dir}
-task.train_limit = 1000
-task.val_fraction = 0.1
-net.widths = 784,128,10
-miner.algorithm = gem
-miner.lr = 0.5
-miner.lambda = 1e-6
-miner.batch_size = 32
-schedule.sparsity = {sparsity}
-schedule.epochs = 30
-schedule.freeze_period = 5
-finetune.epochs = 15
-finetune.lr = 0.1
-finetune.batch_size = 32
-sanity = shuffle,reinit,invert
-seeds = 1,2,3
-"""
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "digits_gem.cfg"
 
 
 def main() -> None:
@@ -42,8 +24,9 @@ def main() -> None:
 
     data_dir = Path(args.out_dir) / "digits_data"
     make_digit_archive(data_dir, n_train=1250, n_test=400, seed=5, noise=args.noise)
-    text = CONFIG_TEMPLATE.format(data_dir=data_dir, sparsity=args.sparsity)
-    cfg = build_experiment_config(text, default_run_id="digits_gem")
+    # a repeated key takes its last value: these replace the file's data path and target
+    text = CONFIG.read_text() + f"task.path = {data_dir}\nschedule.sparsity = {args.sparsity}\n"
+    cfg = build_experiment_config(text)
     run_dir = run_experiment(cfg, args.out_dir)
 
     print(f"artifacts in {run_dir}")

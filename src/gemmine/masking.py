@@ -1,8 +1,10 @@
 """Masked-network representation shared by every miner.
 
 A network is a list of :class:`MaskedLayer` values: fixed weights and the
-boolean mask applied to them. A Gem-Miner layer also keeps the [0, 1]
-scores its mask was rounded from.
+boolean mask applied to them. A mined layer also keeps the scores that the
+``invert`` sanity variant ranks: Gem-Miner's [0, 1] scores, edge-popup's
+unconstrained scores and the magnitudes of IMP's trained weights. A
+smart-ratio layer, and a sanity variant's, keeps none.
 """
 
 from __future__ import annotations

@@ -1,8 +1,16 @@
 """Mask sanity variants and layerwise mask analytics, computed in memory.
 
-The variants destroy everything about a mask except its layerwise sparsity
-profile, so a mined mask is meaningful when its finetuned accuracy beats
-each variant's. ``variant_network`` builds every variant: ``run``,
+Each variant keeps one part of a mined network and destroys another, so a
+mined network is meaningful when its finetuned accuracy beats each
+variant's:
+- ``shuffle`` keeps the weights and each layer's kept count, and moves the
+  kept positions to random ones within the layer;
+- ``reinit`` keeps the whole mask, and redraws the weights from the
+  initial distribution;
+- ``invert`` keeps the weights and each layer's kept count, and keeps the
+  lowest-scoring weights instead of the highest.
+
+``variant_network`` builds every variant: ``run``,
 ``gemmine sanity`` and acceptance criterion 5 all call it, so its seed
 offsets (``_SHUFFLE_SEED_OFFSET``, ``_REINIT_SEED_OFFSET``) are named only
 here. Nothing here computes the verdict: only criterion 5 checks it, with a

@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gemmine.data import DatasetSplit, gen_synthetic, load_idx, make_digit_archive
+from gemmine.config import ExperimentConfig, build_experiment_config
+from gemmine.data import DatasetSplit, gen_synthetic, make_digit_archive
+from gemmine.harness import build_dataset
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -16,9 +22,23 @@ def digits_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def digits_1k(digits_dir) -> DatasetSplit:
-    """1000 training rows of the synthetic digit task, 10 classes, 784 features."""
-    return load_idx(digits_dir, train_limit=1000, val_fraction=0.1, seed=0)
+def experiment_config(digits_dir):
+    """``experiment_config(name, *lines)``: ``configs/<name>.cfg`` on the fixture's digit archive, ``lines`` appended.
+
+    A repeated key takes its last value, so the appended ``task.path`` and ``lines`` replace the file's.
+    """
+
+    def build(name: str, *lines: str) -> ExperimentConfig:
+        text = (CONFIGS / f"{name}.cfg").read_text() + "".join(f"{line}\n" for line in (f"task.path = {digits_dir}", *lines))
+        return build_experiment_config(text, base_dir=CONFIGS)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def digits_1k(experiment_config) -> DatasetSplit:
+    """The digit task of ``configs/digits_gem.cfg``: 1000 training rows, 10 classes, 784 features."""
+    return build_dataset(experiment_config("digits_gem").task)
 
 
 def random_classification(n: int, dim: int, classes: int, seed: int) -> DatasetSplit:

@@ -1,18 +1,22 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The image task is the
-synthetic 10-class digit archive from conftest (1000 training rows, 784
-features), so chance level is 10%.
+synthetic 10-class digit archive from conftest, split as
+``configs/digits_gem.cfg`` says (1000 training rows, 784 features), so
+chance level is 10%. Criteria 1, 3, 5 and 6 read their set-ups from
+``configs/``: ``digits_gem.cfg``, ``imp_cold.cfg`` and ``ep_ablation.cfg``.
 """
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
+from gemmine.harness import mine_for_seed
 from gemmine.masking import (
     MaskedLayer,
     NetworkSpec,
@@ -29,8 +33,8 @@ from gemmine.miners.edge_popup import GLOBAL, LAYERWISE, edge_popup
 from gemmine.miners.gem import freeze_step, gem_mine
 from gemmine.miners.imp import RewindSpec, imp
 from gemmine.miners.smart_ratio import smart_ratio, smooth_ratios, tune_ratios
-from gemmine.sanity import INVERT, REINIT, SHUFFLE, invert_scores, shuffle_mask, variant_network
-from gemmine.trainer import TrainConfig, finetune
+from gemmine.sanity import REINIT, invert_scores, shuffle_mask, variant_network
+from gemmine.trainer import finetune
 from tests.test_miners import _enumerated_expected_loss, _toy_one_useful_weight
 
 SEEDS = (1, 2, 3)
@@ -59,12 +63,12 @@ class criterion:
         return False
 
 
-def test_criterion_1_schedule_landing(digits_1k):
+def test_criterion_1_schedule_landing(experiment_config, digits_1k):
     with criterion(1, "schedule landing", 120.0):
-        sched = SparsitySchedule(target_sparsity=0.05, total_epochs=30, freeze_period=5)
-        cfg = MinerConfig(lr=0.5, reg_weight=1e-6, seed=1, batch_size=32)
-        res = gem_mine(digits_1k, IMAGE_SPEC, sched, cfg)
-        d = IMAGE_SPEC.total_params
+        cfg = experiment_config("digits_gem")
+        sched = cfg.schedule
+        res = mine_for_seed(cfg, digits_1k, cfg.seeds[0])
+        d = cfg.spec.total_params
         achieved = mask_sparsity(res.mask)
         tolerance = sched.n_events / d  # one weight per freeze event
         assert achieved <= 0.05
@@ -96,19 +100,12 @@ def test_criterion_2_freeze_arithmetic():
         assert target_count - 30 <= expected <= target_count
 
 
-def test_criterion_3_imp_schedule(digits_1k):
+def test_criterion_3_imp_schedule(experiment_config, digits_1k):
     with criterion(3, "imp schedule", 60.0):
-        rounds, rate = 19, 0.2
-        res = imp(
-            digits_1k,
-            IMAGE_SPEC,
-            rounds=rounds,
-            prune_rate=rate,
-            rewind=RewindSpec("cold"),
-            epochs_per_round=1,
-            config=MinerConfig(lr=0.1, seed=1, batch_size=32),
-        )
-        d = IMAGE_SPEC.total_params
+        cfg = experiment_config("imp_cold")
+        rounds, rate = cfg.imp_rounds, cfg.imp_prune_rate
+        res = mine_for_seed(cfg, digits_1k, cfg.seeds[0])
+        d = cfg.spec.total_params
         kept = d
         for _ in range(rounds):
             kept -= int(rate * kept + 0.5)
@@ -151,23 +148,21 @@ def test_criterion_4_pre_finetune_signal(digits_1k):
         assert np.mean(sr_pre) <= 2 * CHANCE
 
 
-def test_criterion_5_sanity_gap(digits_1k):
+def test_criterion_5_sanity_gap(experiment_config, digits_1k):
     with criterion(5, "sanity gap", 20 * 60.0):
         margin = 0.02
+        cfg = experiment_config("digits_gem")
         post = {"base": [], "shuffle": [], "reinit": [], "invert": []}
-        for seed in SEEDS:
-            sched = SparsitySchedule(target_sparsity=0.05, total_epochs=30, freeze_period=5)
-            res = gem_mine(
-                digits_1k, IMAGE_SPEC, sched, MinerConfig(lr=0.5, reg_weight=1e-6, seed=seed, batch_size=32)
-            )
-            ft = TrainConfig(epochs=15, batch_size=32, lr=0.1, seed=seed)
+        for seed in cfg.seeds:
+            res = mine_for_seed(cfg, digits_1k, seed)
+            ft = replace(cfg.finetune, seed=seed)
             _, base = finetune(res.weights, res.mask, digits_1k, ft)
             post["base"].append(base.post_finetune_accuracy)
 
-            for kind in (SHUFFLE, REINIT, INVERT):  # each variant as run and gemmine sanity build it
-                variant = variant_network(res.layers, kind, seed, "signed_constant", [])
+            for v in cfg.sanity:  # each variant as run and gemmine sanity build it
+                variant = variant_network(res.layers, v.kind, seed + v.seed, cfg.init_scheme, [])
                 _, r = finetune([layer.weights for layer in variant], extract_mask(variant), digits_1k, ft)
-                post[kind].append(r.post_finetune_accuracy)
+                post[v.kind].append(r.post_finetune_accuracy)
         base_mean = np.mean(post["base"])
         for variant in ("shuffle", "reinit", "invert"):
             assert base_mean >= np.mean(post[variant]) + margin, (
@@ -175,17 +170,17 @@ def test_criterion_5_sanity_gap(digits_1k):
             )
 
 
-def test_criterion_6_ep_ablation_ordering(digits_1k):
+def test_criterion_6_ep_ablation_ordering(experiment_config, digits_1k):
     with criterion(6, "edge-popup ablation ordering", 15 * 60.0):
+        vanilla_cfg = experiment_config("ep_ablation", f"ep.scope = {LAYERWISE}", "ep.gradual = false")
+        improved_cfg = experiment_config("ep_ablation", f"ep.scope = {GLOBAL}", "ep.gradual = true")
         vanilla_post, improved_post = [], []
-        for seed in SEEDS:
-            sched = SparsitySchedule(target_sparsity=0.02, total_epochs=24, freeze_period=4)
-            cfg = MinerConfig(lr=0.1, seed=seed, batch_size=32)
-            ft = TrainConfig(epochs=15, batch_size=32, lr=0.1, seed=seed)
-            vanilla = edge_popup(digits_1k, IMAGE_SPEC, sched, cfg, scope=LAYERWISE, gradual=False)
+        for seed in vanilla_cfg.seeds:
+            ft = replace(vanilla_cfg.finetune, seed=seed)
+            vanilla = mine_for_seed(vanilla_cfg, digits_1k, seed)
             _, r = finetune(vanilla.weights, vanilla.mask, digits_1k, ft)
             vanilla_post.append(r.post_finetune_accuracy)
-            improved = edge_popup(digits_1k, IMAGE_SPEC, sched, cfg, scope=GLOBAL, gradual=True)
+            improved = mine_for_seed(improved_cfg, digits_1k, seed)
             _, r = finetune(improved.weights, improved.mask, digits_1k, ft)
             improved_post.append(r.post_finetune_accuracy)
         assert np.mean(improved_post) >= np.mean(vanilla_post) + 0.02

@@ -1,6 +1,6 @@
-"""The benchmark's experiment configs still parse to the settings its
-workloads rely on, its ``baselines`` workload passes its own checks, and
-each workload's unit reproduces the stored reference hashes.
+"""The benchmark's experiment configs still parse to the settings of the
+set-ups in ``configs/`` they copy, its ``baselines`` workload passes its own
+checks, and each workload's unit reproduces the stored reference hashes.
 
 ``perfbench/workloads.py`` writes each workload's configs as config-file
 text and parses them in its timed set-up, so a parser change that rejects
@@ -16,16 +16,30 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gemmine.config import build_experiment_config
-from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT
+from gemmine.config import build_experiment_config, parse_key_values
+from gemmine.masking import SCALED_NORMAL
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS_PATH = PERFBENCH / "workloads.py"
 BENCHMARK_WORKLOADS = ["gem_mine", "ep_ablation", "matrix_gem", "baselines"]
+
+CONFIGS = PERFBENCH.parent / "configs"
+# each workload config that copies a set-up of configs/, and that file's name
+SETUPS = {
+    "gem_mine": "digits_gem",
+    "matrix_gem": "digits_gem",
+    "ep_layerwise": "ep_ablation",
+    "ep_global_gradual": "ep_ablation",
+    "imp_cold": "imp_cold",
+}
+# what a workload sets itself: its run id, seed, rows, data path and edge-popup arm; and what TINY shrinks
+WORKLOAD_KEYS = {"run.id", "seeds", "task.train_limit", "task.path", "ep.scope", "ep.gradual"}
+SIZE_KEYS = {"net.widths", "schedule.epochs", "schedule.freeze_period", "finetune.epochs", "imp.rounds"}
 
 ALGORITHMS = {
     "gem_mine": "gem",
@@ -50,45 +64,45 @@ def workloads(monkeypatch):
 @pytest.mark.parametrize("size", ["FULL", "TINY"])
 def test_every_workload_config_parses_to_what_the_workload_runs(workloads, tmp_path, size):
     sizes = getattr(workloads, size)
-    configs = {
-        name: build_experiment_config(text, default_run_id=name)
+    texts = {
+        name: text
         for workload in workloads.WORKLOADS
         for name, text in workloads.config_texts(workload, sizes, tmp_path).items()
     }
+    configs = {name: build_experiment_config(text, default_run_id=name) for name, text in texts.items()}
     assert {name: cfg.algorithm for name, cfg in configs.items()} == ALGORITHMS
+    assert {name: cfg.task.train_limit for name, cfg in configs.items()} == {
+        "gem_mine": sizes.rows, "matrix_gem": sizes.matrix_rows, "ep_layerwise": sizes.ep_rows,
+        "ep_global_gradual": sizes.ep_rows, "imp_cold": sizes.rows, "sr_v6": sizes.rows,
+    }
+    gem, ep = (sizes.gem_epochs, sizes.gem_period), (sizes.ep_epochs, sizes.ep_period)
+    assert {name: (cfg.schedule.total_epochs, cfg.schedule.freeze_period) for name, cfg in configs.items()
+            if cfg.algorithm in ("gem", "ep")} == {"gem_mine": gem, "matrix_gem": gem, "ep_layerwise": ep, "ep_global_gradual": ep}
+    assert configs["gem_mine"].finetune.epochs == configs["matrix_gem"].finetune.epochs == sizes.finetune_epochs
+    assert configs["imp_cold"].imp_rounds == sizes.imp_rounds
     for name, cfg in configs.items():
         assert cfg.run_id == name
         assert (cfg.task.kind, cfg.task.path, cfg.task.val_fraction) == ("idx", str(tmp_path), 0.1)
         assert cfg.spec.widths == tuple(int(w) for w in sizes.widths.split(","))
         assert cfg.seeds == [1]
-        assert cfg.miner.batch_size == 32
-        assert cfg.init_scheme == (SIGNED_CONSTANT if cfg.algorithm in ("gem", "ep") else SCALED_NORMAL)
         assert cfg.ep_gradual == (name == "ep_global_gradual")
         assert cfg.ep_scope == ("global" if name == "ep_global_gradual" else "layerwise")
 
-    for name in ("gem_mine", "matrix_gem"):
-        cfg = configs[name]
-        rows = sizes.matrix_rows if name == "matrix_gem" else sizes.rows
-        assert cfg.task.train_limit == rows
-        assert (cfg.miner.lr, cfg.miner.reg_weight, cfg.schedule.target_sparsity) == (0.5, 1e-6, 0.05)
-        assert (cfg.schedule.total_epochs, cfg.schedule.freeze_period) == (sizes.gem_epochs, sizes.gem_period)
-        assert (cfg.finetune.epochs, cfg.finetune.lr, cfg.finetune.batch_size) == (sizes.finetune_epochs, 0.1, 32)
-        assert [v.kind for v in cfg.sanity] == ["shuffle", "reinit", "invert"]
-    for name in ("ep_layerwise", "ep_global_gradual"):
-        cfg = configs[name]
-        assert cfg.task.train_limit == sizes.ep_rows
-        assert (cfg.schedule.total_epochs, cfg.schedule.freeze_period) == (sizes.ep_epochs, sizes.ep_period)
-        assert cfg.schedule.target_sparsity == 0.02
+    # every other setting is the set-up's file's, until the workloads read the files themselves
+    own_keys = WORKLOAD_KEYS | (SIZE_KEYS if size == "TINY" else set())
+    for name, setup in SETUPS.items():
+        own = {key: value for key, value in parse_key_values(texts[name]).items() if key in own_keys}
+        text = (CONFIGS / f"{setup}.cfg").read_text() + "".join(f"{key} = {value}\n" for key, value in own.items())
+        want = build_experiment_config(text, base_dir=CONFIGS)
+        if setup == "ep_ablation":  # the workload mines each arm and does not finetune it
+            want = replace(want, finetune=configs[name].finetune)
+        assert replace(configs[name], raw_text="") == replace(want, raw_text=""), name
 
-    imp_cfg, sr_cfg = configs["imp_cold"], configs["sr_v6"]
-    assert (imp_cfg.imp_rounds, imp_cfg.imp_prune_rate, imp_cfg.imp_epochs_per_round) == (
-        sizes.imp_rounds, workloads.IMP_PRUNE_RATE, 1,
-    )
-    assert imp_cfg.imp_rewind.kind == "cold"
-    assert sr_cfg.sr_variant == "v6"
+    sr_cfg = configs["sr_v6"]  # no other user, so no file
+    assert (sr_cfg.miner.batch_size, sr_cfg.init_scheme, sr_cfg.sr_variant) == (32, SCALED_NORMAL, "v6")
     assert sr_cfg.schedule.target_sparsity == (1.0 - workloads.IMP_PRUNE_RATE) ** sizes.imp_rounds
+    assert configs["imp_cold"].imp_prune_rate == workloads.IMP_PRUNE_RATE
     assert (sr_cfg.sr_tune_steps, sr_cfg.sr_tune_lr) == (sizes.tune_steps, 0.01)
-    assert imp_cfg.task.train_limit == sr_cfg.task.train_limit == sizes.rows
 
 
 def test_tiny_baselines_run_passes_the_workloads_invariant_checks(workloads, tmp_path):

@@ -55,13 +55,19 @@ seeds = 1,2
 NO_INVERT = "sanity = shuffle,reinit\n"
 
 
-def test_parse_key_values_and_errors():
+def test_parse_key_values_and_errors(tmp_path):
     values = parse_key_values("a.b = 1\n# comment\n\nc=hello # trailing\n")
     assert values == {"a.b": "1", "c": "hello"}
     with pytest.raises(ConfigError, match="key=value"):
         parse_key_values("not a pair\n")
     with pytest.raises(ConfigError, match="empty key"):
         parse_key_values("= 3\n")
+    # a repeated key takes its last value: a caller of configs/*.cfg appends its own lines
+    assert parse_key_values("a = 1\nb = 2\na = 3\n") == {"a": "3", "b": "2"}
+    assert build_experiment_config(BASE_CFG + "miner.lr = 0.25\n").miner.lr == 0.25
+    # the overridden task.path is neither resolved nor checked, and is not an unknown key
+    text = f"task.kind = idx\ntask.path = ../missing\nnet.widths = 2,3,2\ntask.path = {tmp_path}\n"
+    assert build_experiment_config(text, base_dir=tmp_path / "configs").task.path == str(tmp_path)
 
 
 def test_build_experiment_config_full():
