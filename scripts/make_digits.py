@@ -2,8 +2,10 @@
 
 The archive uses the conventional MNIST file names, so any IDX-format
 dataset dropped into the same layout works with `task.kind = idx` configs.
+A flag that is not given takes `gemmine.data.make_digit_archive`'s default,
+which is the archive `configs/*.cfg` read at `data/digits`.
 
-    python scripts/make_digits.py --out data/digits --train 1250 --test 400 --noise 1.0
+    python scripts/make_digits.py --out data/digits [--train N] [--test N] [--seed S] [--noise SIGMA]
 """
 
 import argparse
@@ -12,14 +14,14 @@ from gemmine.data import make_digit_archive
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--train", type=int, default=1250)
-    parser.add_argument("--test", type=int, default=400)
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--noise", type=float, default=1.0)
-    args = parser.parse_args()
-    directory = make_digit_archive(args.out, n_train=args.train, n_test=args.test, seed=args.seed, noise=args.noise)
+    parser.add_argument("--train", type=int, dest="n_train")
+    parser.add_argument("--test", type=int, dest="n_test")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--noise", type=float)
+    args = vars(parser.parse_args())
+    directory = make_digit_archive(args.pop("out"), **args)
     print(f"wrote IDX archive to {directory}")
 
 

@@ -1,8 +1,11 @@
 """End-to-end image experiment: generate the digit archive, mine a sparse
 subnetwork per seed, run the sanity-variant matrix, and print the summary.
-The set-up is ``configs/digits_gem.cfg`` at the ``--sparsity`` target.
+The set-up is ``configs/digits_gem.cfg``, on a fresh archive written by
+``gemmine.data.make_digit_archive`` to ``<out-dir>/digits_data``.
+``--sparsity`` replaces the file's target and ``--noise`` the archive's;
+a flag that is not given leaves the value as it is.
 
-    python scripts/run_image_experiment.py --out-dir out --sparsity 0.05
+    python scripts/run_image_experiment.py --out-dir out [--sparsity 0.1] [--noise SIGMA]
 """
 
 import argparse
@@ -18,14 +21,17 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "digits_gem.cfg"
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--sparsity", type=float, default=0.05)
-    parser.add_argument("--noise", type=float, default=1.0)
+    parser.add_argument("--sparsity", type=float)
+    parser.add_argument("--noise", type=float)
     args = parser.parse_args()
 
-    data_dir = Path(args.out_dir) / "digits_data"
-    make_digit_archive(data_dir, n_train=1250, n_test=400, seed=5, noise=args.noise)
-    # a repeated key takes its last value: these replace the file's data path and target
-    text = CONFIG.read_text() + f"task.path = {data_dir}\nschedule.sparsity = {args.sparsity}\n"
+    data_dir = Path(args.out_dir).resolve() / "digits_data"
+    make_digit_archive(data_dir, **({} if args.noise is None else {"noise": args.noise}))
+    # a repeated key takes its last value: these replace the file's data path and, when given, its target;
+    # the path is absolute, so the run's config.snapshot can be run again from any directory
+    text = CONFIG.read_text() + f"task.path = {data_dir}\n"
+    if args.sparsity is not None:
+        text += f"schedule.sparsity = {args.sparsity}\n"
     cfg = build_experiment_config(text)
     run_dir = run_experiment(cfg, args.out_dir)
 

@@ -94,14 +94,17 @@ def _items(key: str, text: str, kind) -> list:
     return [_parse(key, entry, kind) for entry in entries]
 
 
-def _kind(key: str, text: str, kinds: dict):
-    """A ``<kind>[:<arg>[:<arg>]]`` value, built as ``kinds[<kind>] = (make, arguments, required)`` says.
+def _kind(key: str, text: str | None, kinds: dict, absent=None):
+    """A ``<kind>[:<arg>[:<arg>]]`` value, built as ``kinds[<kind>] = (make, arguments, required)`` says,
+    or ``absent`` when ``text`` is None.
 
     The kind is one of ``kinds`` (``_choice``). Each argument is ``(type, names)``, its text read
     by ``_items`` as ``type``: the entries fill the fields ``names`` in order, or, when ``names``
     is one name, that field takes them all as a tuple. The first ``required`` arguments must be
     given; omitted ones, and omitted entries, keep ``make``'s defaults.
     """
+    if text is None:
+        return absent
     name, *args = (part.strip() for part in text.split(":"))
     name = _choice(key, name, kinds)
     make, params, required = kinds[name]
@@ -235,20 +238,20 @@ def build_experiment_config(
             raise ConfigError(f"task.path: does not exist: {path}")
         task = TaskConfig(
             kind=kind,
-            seed=fields.number("task.seed", int, 0),
+            seed=fields.number("task.seed", int, TaskConfig.seed),
             path=str(path),
-            train_limit=fields.number("task.train_limit", int, None),
-            val_fraction=fields.number("task.val_fraction", float, 0.1),
-            classes=fields.number("task.classes", int, None),
+            train_limit=fields.number("task.train_limit", int, TaskConfig.train_limit),
+            val_fraction=fields.number("task.val_fraction", float, TaskConfig.val_fraction),
+            classes=fields.number("task.classes", int, TaskConfig.classes),
         )
         _checked("task.train_limit", check_split_settings, train_limit=task.train_limit)
         _checked("task.val_fraction", check_split_settings, val_fraction=task.val_fraction)
     else:
         task = TaskConfig(
             kind=kind,
-            n=fields.number("task.n", int, 400),
-            noise=fields.number("task.noise", float, 0.1),
-            seed=fields.number("task.seed", int, 0),
+            n=fields.number("task.n", int, TaskConfig.n),
+            noise=fields.number("task.noise", float, TaskConfig.noise),
+            seed=fields.number("task.seed", int, TaskConfig.seed),
         )
         _checked("task.n", check_synthetic_settings, task.n)
 
@@ -258,11 +261,11 @@ def build_experiment_config(
     miner = _checked(
         "miner",
         MinerConfig,
-        lr=fields.number("miner.lr", float, 0.1),
-        reg_weight=fields.number("miner.lambda", float, 0.0),
-        regularizer=fields.choice("miner.regularizer", (L1, L2), L2),
-        optimizer=_kind("miner.optimizer", fields.get("miner.optimizer", "sgd"), _OPTIMIZERS),
-        batch_size=fields.number("miner.batch_size", int, 32),
+        lr=fields.number("miner.lr", float, MinerConfig.lr),
+        reg_weight=fields.number("miner.lambda", float, MinerConfig.reg_weight),
+        regularizer=fields.choice("miner.regularizer", (L1, L2), MinerConfig.regularizer),
+        optimizer=_kind("miner.optimizer", fields.get("miner.optimizer"), _OPTIMIZERS, MinerConfig.optimizer),
+        batch_size=fields.number("miner.batch_size", int, MinerConfig.batch_size),
     )
 
     epochs = fields.number("schedule.epochs", int, 10)
@@ -278,10 +281,10 @@ def build_experiment_config(
         "finetune",
         TrainConfig,
         epochs=fields.number("finetune.epochs", int, 10),
-        batch_size=fields.number("finetune.batch_size", int, 32),
-        optimizer=_kind("finetune.optimizer", fields.get("finetune.optimizer", "sgd"), _OPTIMIZERS),
-        lr=fields.number("finetune.lr", float, 0.1),
-        schedule=_kind("finetune.schedule", fields.get("finetune.schedule", "cosine"), _SCHEDULES),
+        batch_size=fields.number("finetune.batch_size", int, TrainConfig.batch_size),
+        optimizer=_kind("finetune.optimizer", fields.get("finetune.optimizer"), _OPTIMIZERS, TrainConfig.optimizer),
+        lr=fields.number("finetune.lr", float, TrainConfig.lr),
+        schedule=_kind("finetune.schedule", fields.get("finetune.schedule"), _SCHEDULES, TrainConfig.schedule),
     )
 
     sanity = [_kind("sanity", entry, _SANITY_VARIANTS) for entry in _items("sanity", fields.get("sanity", ""), str)]
@@ -314,7 +317,7 @@ def build_experiment_config(
         imp_rounds=fields.number("imp.rounds", int, 3),
         imp_prune_rate=fields.number("imp.prune_rate", float, 0.2),
         imp_epochs_per_round=fields.number("imp.epochs_per_round", int, 1),
-        imp_rewind=_kind("imp.rewind", fields.get("imp.rewind", COLD), _REWINDS),
+        imp_rewind=_kind("imp.rewind", fields.get("imp.rewind"), _REWINDS, RewindSpec()),
         sr_variant=fields.choice("sr.variant", VARIANTS, "v1"),
         sr_last_layer_keep=fields.number("sr.last_layer_keep", float, 0.3),
         sr_tune_steps=fields.number("sr.tune_steps", int, 50),

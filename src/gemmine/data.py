@@ -259,7 +259,7 @@ def _digit_templates() -> np.ndarray:
     return templates
 
 
-def gen_digit_images(n: int, seed: int, noise: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+def gen_digit_images(n: int, seed: int, noise: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``n`` labelled uint8 images, balanced across the 10 classes.
 
     Each pixel is ``round(255 * clip(template + noise * z, 0, 1))`` with
@@ -288,8 +288,13 @@ def gen_digit_images(n: int, seed: int, noise: float = 0.25) -> tuple[np.ndarray
     return out, labels.astype(np.uint8)
 
 
-def make_digit_archive(directory: str | Path, n_train: int, n_test: int, seed: int = 0, noise: float = 0.25) -> Path:
-    """Write a 4-file IDX archive of synthetic digit images."""
+def make_digit_archive(
+    directory: str | Path, n_train: int = 1250, n_test: int = 400, seed: int = 5, noise: float = 1.0
+) -> Path:
+    """Write a 4-file IDX archive of synthetic digit images: ``n_train`` from ``seed``, ``n_test`` from ``seed + 1``.
+
+    The defaults are the recipe of the archive that ``configs/*.cfg`` read at ``../data/digits``.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     train_images, train_labels = gen_digit_images(n_train, seed=seed, noise=noise)

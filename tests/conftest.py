@@ -18,7 +18,7 @@ def blobs() -> DatasetSplit:
 @pytest.fixture(scope="session")
 def digits_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("digits")
-    return make_digit_archive(directory, n_train=1250, n_test=400, seed=5, noise=1.0)
+    return make_digit_archive(directory)
 
 
 @pytest.fixture(scope="session")

@@ -99,7 +99,7 @@ def _cli(*argv: str, status: int = 0) -> None:
 def build(root: Path) -> Path:
     """Write the tree under ``root``; the directory of its outputs."""
     configs, out = root / "configs", root / "out"
-    make_digit_archive(configs / "digits", n_train=60, n_test=20, seed=0)
+    make_digit_archive(configs / "digits", n_train=60, n_test=20, seed=0, noise=0.25)
     for name, text in CONFIGS.items():
         (configs / f"{name}.cfg").write_text(f"run.id = {name}\n{text}")
     for name in ("gem", "ep", "imp", "sr", "digits"):

@@ -297,18 +297,18 @@ def test_noiseless_blobs_trainable_to_perfect_accuracy():
 
 
 def test_digit_generator_shapes_and_balance():
-    images, labels = gen_digit_images(200, seed=0)
+    images, labels = gen_digit_images(200, seed=0, noise=0.25)
     assert images.shape == (200, 28, 28) and images.dtype == np.uint8
     counts = np.bincount(labels, minlength=10)
     assert counts.min() == counts.max() == 20
 
 
 def test_digit_archive_loadable(tmp_path):
-    make_digit_archive(tmp_path, n_train=60, n_test=20, seed=0)
+    make_digit_archive(tmp_path, n_train=60, n_test=20, seed=0, noise=0.25)
     split = load_idx(tmp_path, val_fraction=0.1, seed=0)
     assert split.n_features == 784
     assert split.n_classes == 10
-    again, _ = gen_digit_images(60, seed=0)
+    again, _ = gen_digit_images(60, seed=0, noise=0.25)
     assert read_idx(tmp_path / "train-images-idx3-ubyte", 3).tobytes() == again.tobytes()
 
 

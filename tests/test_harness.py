@@ -265,7 +265,7 @@ def test_config_accepts_smart_ratio_settings_that_run(line):
     ],
 )
 def test_config_rejects_a_bad_idx_split(tmp_path, line, message):
-    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0, noise=0.25)
     text = f"task.kind = idx\ntask.path = digits\nnet.widths = 784,4,10\nseeds = 0\n{line}\n"
     key = line.partition(" =")[0]
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {re.escape(message)}"):
@@ -303,7 +303,7 @@ DIGITS_784_4_10 = "task.kind = idx\ntask.path = digits\nnet.widths = 784,4,10\ns
     ],
 )
 def test_run_checks_the_config_against_its_data_before_any_seed(tmp_path, text, message):
-    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0, noise=0.25)
     cfg = build_experiment_config(text, base_dir=tmp_path)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         harness.run_experiment(cfg, tmp_path / "out")
@@ -316,7 +316,7 @@ def _reject_constant(token):
 
 def test_a_run_with_an_empty_validation_split_writes_strict_json_reports(tmp_path):
     # its undefined validation accuracies used to be bare NaN tokens, which jq and JavaScript reject
-    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0, noise=0.25)
     cfg = build_experiment_config(DIGITS_784_4_10 + "task.val_fraction = 0\n", base_dir=tmp_path)
     run_dir = harness.run_experiment(cfg, tmp_path / "out")
     reports = sorted((run_dir / "reports").glob("*.json"))
@@ -348,7 +348,7 @@ def test_rebuild_summary_writes_an_undefined_accuracy_as_nan(tmp_path):
     ],
 )
 def test_an_archive_whose_test_split_disagrees_with_its_training_split_fails_on_task_path(tmp_path, name, array, message):
-    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0)
+    make_digit_archive(tmp_path / "digits", n_train=20, n_test=10, seed=0, noise=0.25)
     write_idx(tmp_path / "digits" / name, array)
     cfg = build_experiment_config(DIGITS_784_4_10, base_dir=tmp_path)
     with pytest.raises(ConfigError, match=f"^task.path: .*{re.escape(message)}$"):
@@ -565,7 +565,7 @@ def test_run_experiment_matrix(tmp_path):
 
 
 def test_run_experiment_smart_ratio_on_a_digit_archive(tmp_path):
-    make_digit_archive(tmp_path / "digits", n_train=60, n_test=20, seed=0)
+    make_digit_archive(tmp_path / "digits", n_train=60, n_test=20, seed=0, noise=0.25)
     text = (
         "task.kind = idx\ntask.path = digits\ntask.train_limit = 40\nnet.widths = 784,8,10\n"
         "miner.algorithm = sr\nsr.variant = v1\nschedule.sparsity = 0.1\n"
@@ -893,7 +893,7 @@ def test_run_checkpoints_hold_the_miners_scores_and_the_variants_none(tmp_path, 
 
 def test_imp_sanity_variants_start_from_the_mined_weights(tmp_path):
     # the variants move IMP's mask over the dense weights it selects from, so no kept weight starts at 0
-    make_digit_archive(tmp_path / "digits", n_train=60, n_test=20, seed=0)
+    make_digit_archive(tmp_path / "digits", n_train=60, n_test=20, seed=0, noise=0.25)
     text = (
         "task.kind = idx\ntask.path = digits\ntask.train_limit = 40\nnet.widths = 784,8,10\n"
         "miner.algorithm = imp\nimp.rounds = 6\nimp.prune_rate = 0.3\nimp.epochs_per_round = 1\n"
@@ -1345,6 +1345,29 @@ def test_config_keys_are_the_ones_readme_and_the_property_test_list():
     assert listed == read
 
 
+def _readme_literal_defaults(text: str) -> list[str]:
+    """The ``key = value`` lines, comments cut, of README's block of keys "with the value it takes when absent"
+    whose value is a literal: not a ``<…>`` placeholder, and not a required key's."""
+    block = text.split("with the value it takes when absent:", 1)[1].split("```")[1]
+    lines = []
+    for line in block.strip().splitlines():
+        setting, _, comment = line.partition("#")
+        if "<" not in setting and "required" not in comment:
+            lines.append(setting.strip())
+    return lines
+
+
+def test_readme_values_when_absent_are_the_parser_defaults():
+    lines = _readme_literal_defaults((Path(__file__).resolve().parents[1] / "README.md").read_text())
+    keys = {"miner.algorithm", "miner.lr", "miner.lambda", "schedule.sparsity", "schedule.epochs"}
+    keys |= {"finetune.epochs", "finetune.lr", "sanity", "seeds"}
+    assert {line.partition("=")[0].strip() for line in lines} == keys
+    minimal = "task.kind = blobs\nnet.widths = 2,4,2\n"
+    want = build_experiment_config(minimal)
+    for line in lines:
+        assert replace(build_experiment_config(f"{minimal}{line}\n"), raw_text=minimal) == want, line
+
+
 def test_the_config_key_finders_see_each_spelling():
     source = '''
 class _Fields:
@@ -1381,7 +1404,7 @@ def _config_texts(draw):
 @pytest.fixture(scope="module")
 def property_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("property")
-    make_digit_archive(root / "digits", n_train=60, n_test=20, seed=0)
+    make_digit_archive(root / "digits", n_train=60, n_test=20, seed=0, noise=0.25)
     return root
 
 
