@@ -11,7 +11,7 @@ a flag that is not given leaves the value as it is.
 import argparse
 from pathlib import Path
 
-from gemmine.config import build_experiment_config
+from gemmine.config import build_experiment_config, with_value
 from gemmine.data import make_digit_archive
 from gemmine.harness import read_summary, run_experiment
 
@@ -29,9 +29,9 @@ def main() -> None:
     make_digit_archive(data_dir, **({} if args.noise is None else {"noise": args.noise}))
     # a repeated key takes its last value: these replace the file's data path and, when given, its target;
     # the path is absolute, so the run's config.snapshot can be run again from any directory
-    text = CONFIG.read_text() + f"task.path = {data_dir}\n"
+    text = with_value(CONFIG.read_text(), "task.path", data_dir)
     if args.sparsity is not None:
-        text += f"schedule.sparsity = {args.sparsity}\n"
+        text = with_value(text, "schedule.sparsity", args.sparsity)
     cfg = build_experiment_config(text)
     run_dir = run_experiment(cfg, args.out_dir)
 

@@ -223,10 +223,17 @@ class _Fields:
         return sorted(set(self.values) - self.used)
 
 
+def with_value(text: str, key: str, value) -> str:
+    """``text`` with the line ``<key> = <value>`` appended; a repeated key takes its last value, so it replaces the text's."""
+    return text.removesuffix("\n") + f"\n{key} = {value}\n"
+
+
 def build_experiment_config(
     text: str, default_run_id: str = "run", base_dir: Path | None = None, seed: int | None = None
 ) -> ExperimentConfig:
-    """Parse and check config ``text``; ``seed``, when given, replaces its ``seeds`` under the same rules."""
+    """Parse and check config ``text``; ``seed``, when given, is appended as its ``seeds``, so ``raw_text`` names it too."""
+    if seed is not None:
+        text = with_value(text, "seeds", seed)
     fields = _Fields(parse_key_values(text))
 
     kind = fields.choice("task.kind", TASK_KINDS)
@@ -289,8 +296,6 @@ def build_experiment_config(
 
     sanity = [_kind("sanity", entry, _SANITY_VARIANTS) for entry in _items("sanity", fields.get("sanity", ""), str)]
     seeds = _items("seeds", fields.get("seeds", ""), int) or [0]
-    if seed is not None:
-        seeds = [seed]
     for key, value in [("task.seed", task.seed)] + [("seeds", s) for s in seeds] + [("sanity", v.seed) for v in sanity]:
         if value < 0:
             raise ConfigError(f"{key}: a seed must be >= 0, got {value}")

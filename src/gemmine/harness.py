@@ -9,7 +9,7 @@ write. This module is the one writer of the layout under ``<out_root>/<run_id>/`
 module that knows a report file's bytes: ``write_report`` writes a ``RunReport``'s per-epoch
 ``<stem>.csv`` and then ``<stem>.json``, and ``write_table`` writes every CSV, ``summary.csv`` included::
 
-    config.snapshot                  verbatim copy of the config text (run, mine)
+    config.snapshot                  the config text, with --seed and a relative task.path appended (run, mine)
     masks/seed<K>_<variant>.tfmc     mined network (variant none) and its sanity variants
     reports/seed<K>_<variant>_layerwise.csv / .csv / .json   a cell's finetune reports (run)
     reports/seed<K>_none_mining.csv / .json                  mining reports (run, mine)
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, ExperimentConfig, TaskConfig
+from .config import ConfigError, ExperimentConfig, TaskConfig, parse_key_values, with_value
 from .data import DatasetSplit, IdxFormatError, gen_synthetic, load_idx
 from .masking import MaskedLayer, extract_mask, mask_sparsity
 from .miners.common import MiningResult
@@ -175,8 +175,17 @@ def open_run_dir(cfg: ExperimentConfig, out_root: str | Path, snapshot: bool = F
     for sub in ("masks", "reports"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     if snapshot:
-        (run_dir / "config.snapshot").write_text(cfg.raw_text)
+        (run_dir / "config.snapshot").write_text(_snapshot_text(cfg, run_dir))
     return run_dir
+
+
+def _snapshot_text(cfg: ExperimentConfig, run_dir: Path) -> str:
+    """``cfg.raw_text``, and a relative ``task.path`` appended as seen from ``run_dir``, so the snapshot loads there."""
+    written = parse_key_values(cfg.raw_text).get("task.path")
+    if written is None or Path(written).is_absolute():
+        return cfg.raw_text
+    relative = os.path.relpath(cfg.task.path, run_dir)
+    return cfg.raw_text if relative == written else with_value(cfg.raw_text, "task.path", relative)
 
 
 def mine_seed(cfg: ExperimentConfig, data: DatasetSplit, seed: int, run_dir: Path) -> tuple[MiningResult, Path]:

@@ -189,17 +189,10 @@ def smart_ratio(
     base = smooth_ratios(spec, target_sparsity, last_layer_keep)
     if variant == "v1":
         ratios = base
-    elif variant in REFERENCE_VARIANTS:
-        assert reference_profile is not None
-        values = list(base.ratios)
-        values[0] = reference_profile.ratios[0]
-        values[-1] = reference_profile.ratios[-1]
-        ratios = LayerRatios(tuple(values))
-    elif variant == "v3":
-        values = list(base.ratios)
-        values[0] = 1.0
-        values[-1] = 1.0
-        ratios = LayerRatios(tuple(values))
+    elif variant in REFERENCE_VARIANTS or variant == "v3":
+        # v1's ratios with new end ones: the reference profile's, or dense first and last layers for v3
+        ends = (1.0,) if variant == "v3" else reference_profile.ratios
+        ratios = LayerRatios((ends[0], *base.ratios[1:-1], ends[-1]))
     else:  # IMP_PROFILE_VARIANTS
         assert imp_profile is not None
         ratios = LayerRatios(tuple(_fill_to_budget(sizes, list(imp_profile.ratios), target_sparsity * sum(sizes))))

@@ -25,6 +25,7 @@ from gemmine.miners.common import LayerRatios, MinerConfig, SparsitySchedule
 from gemmine.miners.gem import gem_mine
 from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.trainer import TrainConfig, evaluate, finetune
+from source_sites import modules, sites
 
 
 def test_idx_image_roundtrip(tmp_path):
@@ -348,33 +349,6 @@ def test_digit_generator_builds_the_images_in_fixed_blocks(n):
     assert peak - before - n * (28 * 28 + 3 * 8) < 1.5 * float_block
 
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-
-
-def _sites(source: str, matches) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of each node of a module's source that ``matches``."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if matches(node):
-            found.append((node.lineno, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def _package_sites(matches) -> list[tuple[Path, int, str | None]]:
-    return [
-        (path.relative_to(PACKAGE), line, function)
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for line, function in _sites(path.read_text(), matches)
-    ]
-
-
 def _is_pixel_scaling(node) -> bool:
     """A division by 255."""
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
@@ -389,13 +363,13 @@ def _is_float_features_call(node) -> bool:
 
 
 def test_pixels_are_scaled_only_by_float_features():
-    scalings = _package_sites(_is_pixel_scaling)
+    scalings = [(path, line, function) for path, text in modules() for line, function in sites(text, _is_pixel_scaling)]
     assert [(path, function) for path, _, function in scalings] == [(Path("data.py"), "float_features")], scalings
 
 
 def test_the_kernel_is_the_one_caller_of_float_features():
     # the guard sees both spellings of a call, and not a mere mention
     source = "def f(x):\n    return float_features(x)\ndef g(x):\n    return data.float_features(x)\nh = float_features\n"
-    assert _sites(source, _is_float_features_call) == [(2, "f"), (4, "g")]
-    calls = _package_sites(_is_float_features_call)
+    assert sites(source, _is_float_features_call) == [(2, "f"), (4, "g")]
+    calls = [(path, line, function) for path, text in modules() for line, function in sites(text, _is_float_features_call)]
     assert [(path, function) for path, _, function in calls] == [(Path("masking.py"), "mlp_activations")], calls

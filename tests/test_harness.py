@@ -1,11 +1,9 @@
 import ast
-import io
 import json
 import math
 import re
 import struct
 import tempfile
-import tokenize
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +26,7 @@ from gemmine.miners.smart_ratio import smooth_ratios
 from gemmine.optim import SgdMomentum
 from gemmine.sanity import invert_scores
 from gemmine.trainer import MultiStep, RunReport, finetune
+from source_sites import PACKAGE, modules, names, sites
 
 BASE_CFG = """
 # tiny end-to-end experiment
@@ -998,7 +997,6 @@ def test_sanity_variants_of_a_read_back_checkpoint_keep_their_contracts(hidden, 
 
 def test_cli_leaves_the_run_directory_to_the_harness():
     """cli.py parses, prints and sets exit codes; the harness stages write every file."""
-    cli = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "cli.py"
     banned = {
         "save_checkpoint",
         "finetune",
@@ -1010,41 +1008,34 @@ def test_cli_leaves_the_run_directory_to_the_harness():
         "write_summary",
         "MaskedLayer",
     }
-    with open(cli, "rb") as f:
-        # whole NAME tokens only: docstrings, comments and the "finetune" subcommand string may mention them
-        tokens = tokenize.tokenize(f.readline)
-        offenders = [f"cli.py:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
-    assert offenders == []
+    # whole names only: docstrings, comments and the "finetune" subcommand string may mention them
+    assert [f"cli.py:{line}: {name}" for line, name in names((PACKAGE / "cli.py").read_text()) if name in banned] == []
 
 
 def _sanity_rule_names(source: str) -> list[str]:
     """``line: name`` for each NAME token in ``source`` that is a sanity transform or a ``*_SEED_OFFSET``."""
     transforms = {"shuffle_mask", "reinit_weights", "invert_scores"}
-    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    return [
-        f"{t.start[0]}: {t.string}"
-        for t in tokens
-        if t.type == tokenize.NAME and (t.string in transforms or t.string.endswith("_SEED_OFFSET"))
-    ]
+    return [f"{line}: {name}" for line, name in names(source) if name in transforms or name.endswith("_SEED_OFFSET")]
 
 
 def _private_harness_names(source: str) -> list[str]:
     """``line: name`` for each underscore-prefixed name ``source`` imports from ``gemmine.harness`` or reads off ``harness``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def private(node) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "gemmine.harness":
-            found += [f"{node.lineno}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+            return [alias.name for alias in node.names if alias.name.startswith("_")]
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "harness" and node.attr.startswith("_"):
-            found.append(f"{node.lineno}: {node.attr}")
-    return found
+            return [node.attr]
+        return []
+
+    return [f"{line}: {name}" for line, _, found in sites(source, private, what=private) for name in found]
 
 
 def test_a_sanity_variant_is_built_only_in_sanity():
     """``sanity.variant_network`` is the one rule for what a variant is: the harness calls it and writes what it returns."""
-    root = Path(__file__).resolve().parents[1]
-    assert _sanity_rule_names((root / "src" / "gemmine" / "harness.py").read_text()) == []
+    assert _sanity_rule_names((PACKAGE / "harness.py").read_text()) == []
     assert harness.variant_network is sanity.variant_network
-    tests = sorted((root / "tests").glob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
     assert [f"{path.name}:{site}" for path in tests for site in _private_harness_names(path.read_text())] == []
 
 
@@ -1069,28 +1060,20 @@ offset = harness._SHUFFLE_SEED_OFFSET + harness.BASE_VARIANT
 
 def _algorithm_branches(source: str) -> list[str]:
     """``function:line`` for each comparison or ``match`` in ``source`` that reads an ``.algorithm`` attribute."""
-    found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def reads_algorithm(node) -> bool:
         operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
         operands += [node.subject] if isinstance(node, ast.Match) else []
-        if any(isinstance(o, ast.Attribute) and o.attr == "algorithm" for o in operands):
-            found.append(f"{function}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
+        return any(isinstance(o, ast.Attribute) and o.attr == "algorithm" for o in operands)
 
-    visit(ast.parse(source), None)
-    return found
+    return [f"{function}:{line}" for line, function in sites(source, reads_algorithm)]
 
 
 def test_the_harness_branches_on_the_algorithm_only_to_mine_and_check_the_data():
     """Once mined, a network's layers say what it holds: ``invert`` reads their scores, whichever miner made them."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    branches = _algorithm_branches((package / "harness.py").read_text())
+    branches = _algorithm_branches((PACKAGE / "harness.py").read_text())
     assert branches and {site.partition(":")[0] for site in branches} <= {"mine_for_seed", "load_dataset"}
-    assert [str(path) for path in sorted(package.rglob("*.py")) if "inversion_scores" in path.read_text()] == []
+    assert [str(path) for path, text in modules() if "inversion_scores" in text] == []
 
 
 def test_the_algorithm_guard_sees_each_spelling():
@@ -1110,27 +1093,20 @@ def sanity_file(cfg, self):
 
 def _value_splits(source: str) -> list[str]:
     """``function:line`` for each ``.split``, ``.partition`` or right-hand variant in ``source`` that cuts at ``':'`` or ``','``."""
-    found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("split", "rsplit", "partition", "rpartition"):
-            separators = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
-            if any(isinstance(a, ast.Constant) and a.value in (":", ",") for a in separators):
-                found.append(f"{function}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
+    def cuts_a_value(node) -> bool:
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("split", "rsplit", "partition", "rpartition")):
+            return False
+        separators = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
+        return any(isinstance(a, ast.Constant) and a.value in (":", ",") for a in separators)
 
-    visit(ast.parse(source), None)
-    return found
+    return [f"{function}:{line}" for line, function in sites(source, cuts_a_value)]
 
 
 def test_value_text_is_cut_only_by_the_two_config_readers():
     """A list or a ``<kind>[:<arg>]`` value has one grammar: ``config._items`` and ``config._kind`` read them all."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    sites = [f"{path.relative_to(package)}:{site}" for path in sorted(package.rglob("*.py")) for site in _value_splits(path.read_text())]
-    assert {site.rpartition(":")[0] for site in sites} == {"config.py:_items", "config.py:_kind"}
+    splits = [f"{path}:{site}" for path, text in modules() for site in _value_splits(text)]
+    assert {site.rpartition(":")[0] for site in splits} == {"config.py:_items", "config.py:_kind"}
 
 
 def test_the_value_split_guard_sees_each_spelling():
@@ -1154,30 +1130,20 @@ def _summary_sites(source: str, names_too: bool) -> list[str]:
     tree = ast.parse(source)
     scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
     docstrings = {id(n.body[0].value) for n in scopes if n.body and isinstance(n.body[0], ast.Expr)}
-    found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def hit(node) -> str | None:
         if isinstance(node, ast.Call) and "SummaryRow" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            found.append(f"{function}:{node.lineno}: SummaryRow(")
-        elif names_too and isinstance(node, ast.Constant) and "summary.csv" in str(node.value) and id(node) not in docstrings:
-            found.append(f"{function}:{node.lineno}: summary.csv")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            return "SummaryRow("
+        if names_too and isinstance(node, ast.Constant) and "summary.csv" in str(node.value) and id(node) not in docstrings:
+            return "summary.csv"
+        return None
 
-    visit(tree, None)
-    return found
+    return [f"{function}:{line}: {found}" for line, function, found in sites(tree, hit, what=hit)]
 
 
 def test_summary_csv_has_one_writer():
     """Only rebuild_summary builds summary rows, and, of the modules that write files, only it names summary.csv."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    sites = {
-        str(path.relative_to(package)): _summary_sites(path.read_text(), str(path.relative_to(package)) in FILE_WRITERS)
-        for path in sorted(package.rglob("*.py"))
-    }
-    offenders = [f"{module}:{site}" for module, found in sites.items() for site in found]
+    offenders = [f"{path}:{site}" for path, text in modules() for site in _summary_sites(text, str(path) in FILE_WRITERS)]
     assert [site for site in offenders if not site.startswith("harness.py:rebuild_summary:")] == []
     assert {site.partition(": ")[2] for site in offenders} == {"SummaryRow(", "summary.csv"}
 
@@ -1206,33 +1172,30 @@ FILE_WRITERS = {"harness.py", "checkpoint.py", "data.py"}
 
 def _file_writes(source: str) -> list[str]:
     """``line: what`` for each use of csv or json, ``.write_text(``, ``.write_bytes(`` and write-mode ``open(`` in ``source``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def writes(node) -> list[str]:
         if isinstance(node, ast.Import):
-            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name in ("csv", "json")]
-        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
-            found.append(f"{node.lineno}: from {node.module}")
-        elif isinstance(node, ast.Name) and node.id in ("csv", "json"):
-            found.append(f"{node.lineno}: {node.id}")
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("write_text", "write_bytes"):
-            found.append(f"{node.lineno}: .{node.func.attr}(")
-        elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open"):
+            return [f"import {a.name}" for a in node.names if a.name in ("csv", "json")]
+        if isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            return [f"from {node.module}"]
+        if isinstance(node, ast.Name) and node.id in ("csv", "json"):
+            return [node.id]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("write_text", "write_bytes"):
+            return [f".{node.func.attr}("]
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open"):
             # open(path, mode) or path.open(mode); a mode that is not a literal may write
             args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
             mode = next((k.value for k in node.keywords if k.arg == "mode"), args[0] if args else ast.Constant("r"))
             if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")):
-                found.append(f"{node.lineno}: open(")
-    return sorted(found)
+                return ["open("]
+        return []
+
+    return sorted(f"{line}: {found}" for line, _, hits in sites(source, writes, what=writes) for found in hits)
 
 
 def test_only_the_file_writing_modules_write_files():
     """trainer, sanity and the other modules compute; harness writes the run directory's files."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if str(path.relative_to(package)) not in FILE_WRITERS:
-            offenders += [f"{path.relative_to(package)}:{hit}" for hit in _file_writes(path.read_text())]
-    assert offenders == []
+    assert [f"{path}:{hit}" for path, text in modules() if str(path) not in FILE_WRITERS for hit in _file_writes(text)] == []
 
 
 def test_the_file_write_guard_sees_each_spelling():
@@ -1260,6 +1223,31 @@ def test_cli_seed_override_runs_single_seed(tmp_path):
     assert cli_main(["run", "--config", str(cfg_path), "--seed", "5", "--out-dir", str(out_dir)]) == 0
     rows = harness.read_summary(out_dir / "tiny" / "summary.csv")
     assert {row["seed"] for row in rows} == {"5"}
+    # the snapshot names the seed too, so a report through it lists the seed's cells
+    snapshot = out_dir / "tiny" / "config.snapshot"
+    assert cli_main(["report", "--config", str(snapshot), "--out-dir", str(out_dir)]) == 0
+    assert [(row["seed"], row["variant"]) for row in harness.read_summary(out_dir / "tiny" / "summary.csv")] == [
+        ("5", variant) for variant in ("none", "shuffle", "reinit", "invert")
+    ]
+    assert snapshot.read_text() == f"{BASE_CFG}seeds = 5\n"
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_a_mine_snapshot_loads_from_its_run_directory(tmp_path, monkeypatch, absolute):
+    """A relative ``task.path`` is appended as seen from the run directory; an absolute one leaves the text as written."""
+    monkeypatch.chdir(tmp_path)
+    make_digit_archive(Path("data", "digits"), n_train=20, n_test=10, seed=0, noise=0.25)
+    path = (tmp_path / "data" / "digits") if absolute else Path("..", "data", "digits")
+    text = DIGITS_784_4_10.replace("task.path = digits", f"run.id = exp\ntask.path = {path}")
+    Path("configs").mkdir()
+    Path("configs", "exp.cfg").write_text(text)
+    assert cli_main(["mine", "--config", "configs/exp.cfg", "--out-dir", "out"]) == 0
+    snapshot = Path("out", "exp", "config.snapshot")
+    assert cli_main(["mine", "--config", str(snapshot), "--out-dir", "again"]) == 0
+    assert snapshot.read_text() == (text if absolute else f"{text}task.path = ../../data/digits\n")
+    assert Path("again", "exp", "config.snapshot").read_text() == snapshot.read_text()
+    checkpoint = Path("masks", "seed1_none.tfmc")
+    assert Path("again", "exp", checkpoint).read_bytes() == Path("out", "exp", checkpoint).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1318,15 +1306,14 @@ def _config_reads(source: str) -> tuple[set[str], list[str]]:
     tree = ast.parse(source)
     (fields_class,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Fields"]
     readers = {f.name for f in fields_class.body if isinstance(f, ast.FunctionDef)}
-    keys, unseen = set(), []
-    for node in ast.walk(tree):
+
+    def reads(node) -> bool:
         func = getattr(node, "func", None)
-        if isinstance(func, ast.Attribute) and func.attr in readers and getattr(func.value, "id", None) == "fields" and node.args:
-            if isinstance(node.args[0], ast.Constant):
-                keys.add(node.args[0].value)
-            else:
-                unseen.append(f"{node.lineno}: {func.attr}")
-    return keys, unseen
+        return isinstance(func, ast.Attribute) and func.attr in readers and getattr(func.value, "id", None) == "fields" and bool(node.args)
+
+    calls = sites(tree, reads, what=lambda node: node)
+    keys = {node.args[0].value for _, _, node in calls if isinstance(node.args[0], ast.Constant)}
+    return keys, [f"{line}: {node.func.attr}" for line, _, node in calls if not isinstance(node.args[0], ast.Constant)]
 
 
 def _readme_keys(text: str, sections: set[str]) -> set[str]:
@@ -1336,12 +1323,11 @@ def _readme_keys(text: str, sections: set[str]) -> set[str]:
 
 
 def test_config_keys_are_the_ones_readme_and_the_property_test_list():
-    root = Path(__file__).resolve().parents[1]
-    read, unseen = _config_reads((root / "src" / "gemmine" / "config.py").read_text())
+    read, unseen = _config_reads((PACKAGE / "config.py").read_text())
     assert unseen == []  # a key the AST cannot read would escape this test
     listed = set(VALID_VALUES).union(*TASK_KEYS.values())
     sections = {key.partition(".")[0] for key in read if "." in key}
-    assert _readme_keys((root / "README.md").read_text(), sections) == read
+    assert _readme_keys((Path(__file__).resolve().parents[1] / "README.md").read_text(), sections) == read
     assert listed == read
 
 

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import tokenize
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -35,6 +34,7 @@ from gemmine.miners.gem import gem_mine
 from gemmine.miners.imp import RewindSpec, imp
 from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.sanity import invert_scores, shuffle_mask
+from source_sites import PACKAGE, modules, names, sites
 
 
 def test_round_boundary_is_kept():
@@ -470,52 +470,33 @@ def test_a_windowed_top_k_copies_no_scores(scope, shapes):
 
 def test_no_miner_concatenates_layers():
     """Cross-layer selection goes through select_smallest_across; no miner flattens the layers itself."""
-    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
-    offenders = []
-    for path in sorted(miners.rglob("*.py")):
-        with open(path, "rb") as f:
-            tokens = tokenize.tokenize(f.readline)
-            offenders += [f"{path.name}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "concatenate"]
-    assert offenders == []
+    assert [f"{path}:{line}" for path, text in modules("miners") for line, name in names(text) if name == "concatenate"] == []
 
 
 def test_no_miner_pads_excluded_entries_with_inf():
     """A miner passes the entries a selection may choose as ``eligible``; none builds an +inf-padded copy."""
-    miners = Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners"
-    offenders = []
-    for path in sorted(miners.rglob("*.py")):
-        with open(path, "rb") as f:
-            tokens = tokenize.tokenize(f.readline)
-            offenders += [f"{path.name}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "inf"]
-    assert offenders == []
+    assert [f"{path}:{line}" for path, text in modules("miners") for line, name in names(text) if name == "inf"] == []
 
 
 def test_no_full_sort_copy_in_the_package():
     """Every "k best" selection goes through select_smallest; no module's code sorts to select."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
     offenders = []
-    for path in sorted(package.rglob("*.py")):
-        with open(path, "rb") as f:
-            # names only, so docstrings and comments may still mention a sort
-            names = [(t.string, t.start[0]) for t in tokenize.tokenize(f.readline) if t.type == tokenize.NAME]
-        for (prev, _), (name, line) in zip([("", 0)] + names, names):
+    for path, text in modules():
+        # names only, so docstrings and comments may still mention a sort
+        found = names(text)
+        for (_, prev), (line, name) in zip([(0, "")] + found, found):
             if name in ("argsort", "lexsort") or (name == "sort" and prev in ("np", "numpy")):
-                offenders.append(f"{path.relative_to(package)}:{line}: {name}")
+                offenders.append(f"{path}:{line}: {name}")
     assert offenders == []
 
 
 def test_freeze_state_stays_inside_gem_mine():
     """A layer is weights + mask: only miners/gem.py handles a freeze array."""
     assert "freeze" not in {f.name for f in dataclasses.fields(MaskedLayer)}
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if path.relative_to(package) == Path("miners", "gem.py"):
-            continue
-        with open(path, "rb") as f:
-            # whole NAME tokens only: docstrings, strings and freeze_period do not count
-            tokens = tokenize.tokenize(f.readline)
-            offenders += [f"{path.relative_to(package)}:{t.start[0]}" for t in tokens if t.type == tokenize.NAME and t.string == "freeze"]
+    # whole names only: docstrings, strings and freeze_period do not count
+    offenders = [
+        f"{path}:{line}" for path, text in modules() if path != Path("miners", "gem.py") for line, name in names(text) if name == "freeze"
+    ]
     assert offenders == []
 
 
@@ -538,44 +519,27 @@ def _is_float_dtype(node) -> bool:
     return False
 
 
-def _float_casts(path: Path) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of each ``.astype(<float dtype>)`` in a module."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
-            dtypes = node.args[:1] + [k.value for k in node.keywords if k.arg == "dtype"]
-            if any(_is_float_dtype(d) for d in dtypes):
-                found.append((node.lineno, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(path.read_text()), None)
-    return found
+def _is_float_cast(node) -> bool:
+    """An ``.astype(<float dtype>)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype"):
+        return False
+    return any(_is_float_dtype(d) for d in node.args[:1] + [k.value for k in node.keywords if k.arg == "dtype"])
 
 
 def test_float_casts_under_src_build_no_mask():
     """Masks are boolean end to end: only the listed non-mask arrays are cast to a float dtype."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    casts = [
-        (path.relative_to(package), line, function)
-        for path in sorted(package.rglob("*.py"))
-        for line, function in _float_casts(path)
-    ]
+    casts = [(path, line, function) for path, text in modules() for line, function in sites(text, _is_float_cast)]
     # exactly the listed ones: a new cast fails, and so does a stale entry
     assert Counter((path, function) for path, _, function in casts) == Counter(FLOAT_CASTS_ALLOWED), casts
 
 
-def test_float_cast_guard_sees_every_spelling(tmp_path):
-    source = tmp_path / "m.py"
-    source.write_text(
+def test_float_cast_guard_sees_every_spelling():
+    source = (
         "def f(m):\n"
         "    a = m.astype(np.float64)\n    b = m.astype(float)\n    c = m.astype('<f4')\n"
         "    d = m.astype(dtype=numpy.float32)\n    e = m.astype(bool)\n    g = m.astype(np.int64)\n"
     )
-    assert _float_casts(source) == [(2, "f"), (3, "f"), (4, "f"), (5, "f")]
+    assert sites(source, _is_float_cast) == [(2, "f"), (3, "f"), (4, "f"), (5, "f")]
 
 
 # the functions that run once per batch or once per selection: (module, qualified name)
@@ -634,11 +598,10 @@ def test_per_batch_code_calls_no_python_level_numpy_wrapper():
     """Each wrapper costs a few microseconds per call before any arithmetic; these functions call the C entry
     points (``np.add.reduce``, ``.nonzero()``, ``.take``, ``.partition``) with the same arguments, hence the same bits.
     They run no masked inner loop either (``_wrapper_calls``'s ``where=``)."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
     found = {}
     for module in sorted({module for module, _ in PER_BATCH_FUNCTIONS}):
-        names = {name for m, name in PER_BATCH_FUNCTIONS if m == module}
-        found.update(((module, name), hits) for name, hits in _wrapper_calls((package / module).read_text(), names).items())
+        functions = {name for m, name in PER_BATCH_FUNCTIONS if m == module}
+        found.update(((module, name), hits) for name, hits in _wrapper_calls((PACKAGE / module).read_text(), functions).items())
     # every listed function exists, so a rename cannot take one out of the guard
     assert set(found) == PER_BATCH_FUNCTIONS
     assert {key: hits for key, hits in found.items() if hits} == {}

@@ -6,7 +6,6 @@ import math
 import pkgutil
 import re
 import tempfile
-import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from gemmine.miners.smart_ratio import MIN_RATIO, sample_ratio_mask, smart_ratio
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import INVERT, invert_scores, layerwise_report, variant_network
 from gemmine.trainer import evaluate, run_epoch
+from source_sites import modules, names, sites
 from tests.conftest import random_classification
 
 
@@ -1202,15 +1202,14 @@ def test_edge_popup_and_smart_ratio_reports_describe_the_returned_network(digits
 
 def _miner_names(banned, skip=("common.py",)):
     """``file:line: name`` for each NAME token in ``banned`` in the miner modules, except those named in ``skip``."""
-    offenders = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gemmine" / "miners").glob("*.py")):
-        if path.name in skip:
-            continue
-        with open(path, "rb") as f:
-            # whole NAME tokens only: docstrings and comments may still mention them
-            tokens = tokenize.tokenize(f.readline)
-            offenders += [f"{path.name}:{t.start[0]}: {t.string}" for t in tokens if t.type == tokenize.NAME and t.string in banned]
-    return offenders
+    # whole names only: docstrings and comments may still mention them
+    return [
+        f"{path.name}:{line}: {name}"
+        for path, text in modules("miners")
+        if path.name not in skip
+        for line, name in names(text)
+        if name in banned
+    ]
 
 
 def test_report_building_stays_in_miners_common():
@@ -1270,34 +1269,22 @@ def test_masked_weight_training_stays_in_the_trainer():
     assert _miner_names({"make_optimizer"}) == []
 
 
-def _package_sites(find) -> list[str]:
-    """``find``'s sites in every module under ``src/gemmine``, each prefixed with the module's path."""
-    package = Path(__file__).resolve().parents[1] / "src" / "gemmine"
-    return [f"{path.relative_to(package)}:{site}" for path in sorted(package.rglob("*.py")) for site in find(path.read_text())]
-
-
 def _warning_membership_tests(source: str) -> list[str]:
     """``function:line`` for each ``in`` or ``not in`` test in ``source`` against a name or attribute ``warnings``."""
-    found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Compare) and any(
+    def tests_warnings(node) -> bool:
+        return isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.In, ast.NotIn)) and "warnings" in (getattr(right, "id", None), getattr(right, "attr", None))
             for op, right in zip(node.ops, node.comparators)
-        ):
-            found.append(f"{function}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
+        )
 
-    visit(ast.parse(source), None)
-    return found
+    return [f"{function}:{line}" for line, function in sites(source, tests_warnings)]
 
 
 def test_a_warning_is_deduplicated_only_by_warn_once():
     """Every "warn once" is ``common.warn_once``'s; the miners' keep-at-least-one clamps reach it through ``keep_at_least_one``."""
-    assert [site.rpartition(":")[0] for site in _package_sites(_warning_membership_tests)] == ["miners/common.py:warn_once"]
+    tests = [f"{path}:{site}" for path, text in modules() for site in _warning_membership_tests(text)]
+    assert [site.rpartition(":")[0] for site in tests] == ["miners/common.py:warn_once"]
 
 
 def test_the_warning_guard_sees_each_spelling():
@@ -1320,27 +1307,20 @@ def _variant_collections(source: str) -> list[str]:
     the name a module-level assignment binds the literal to, else the enclosing function (``None`` at module level)."""
     tree = ast.parse(source)
     bound = {id(n.value): n.targets[0].id for n in tree.body if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)}
-    found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(
+    def holds_a_variant(node) -> bool:
+        return isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(
             isinstance(e, ast.Constant) and isinstance(e.value, str) and re.fullmatch(r"v\d+", e.value) for e in node.elts
-        ):
-            found.append(f"{bound.get(id(node), function)}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
+        )
 
-    visit(tree, None)
-    return found
+    return [f"{bound.get(node, function)}:{line}" for line, function, node in sites(tree, holds_a_variant, what=id)]
 
 
 def test_smart_ratio_variant_sets_are_named_once():
     """The variants that need a reference or an IMP profile, and the tuned ones, are each one named set in smart_ratio.py."""
-    sites = {site.rpartition(":")[0] for site in _package_sites(_variant_collections)}
-    names = ("VARIANTS", "REFERENCE_VARIANTS", "IMP_PROFILE_VARIANTS", "TUNED_VARIANTS")
-    assert sites == {f"miners/smart_ratio.py:{name}" for name in names}
+    collections = {f"{path}:{site.rpartition(':')[0]}" for path, text in modules() for site in _variant_collections(text)}
+    sets = ("VARIANTS", "REFERENCE_VARIANTS", "IMP_PROFILE_VARIANTS", "TUNED_VARIANTS")
+    assert collections == {f"miners/smart_ratio.py:{name}" for name in sets}
 
 
 def test_the_variant_set_guard_sees_each_spelling():
@@ -1559,11 +1539,8 @@ def test_edge_popup_warns_about_the_layers_it_empties():
 
 
 def test_the_layer_collapse_warning_is_spelled_once():
-    src = Path(__file__).resolve().parents[1] / "src"
-    spelled = [
-        f"{path.relative_to(src)}:{node.lineno}"
-        for path in sorted(src.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "layer_collapse" in node.value
-    ]
-    assert len(spelled) == 1 and spelled[0].startswith("gemmine/miners/common.py:"), spelled
+    def spells(node) -> bool:
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and "layer_collapse" in node.value
+
+    spelled = [f"{path}:{line}" for path, text in modules() for line, _ in sites(text, spells)]
+    assert len(spelled) == 1 and spelled[0].startswith("miners/common.py:"), spelled
