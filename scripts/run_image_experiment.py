@@ -29,7 +29,7 @@ def main() -> None:
     make_digit_archive(data_dir, **({} if args.noise is None else {"noise": args.noise}))
     # a repeated key takes its last value: these replace the file's data path and, when given, its target;
     # the path is absolute, so the run's config.snapshot can be run again from any directory
-    text = with_value(CONFIG.read_text(), "task.path", data_dir)
+    text = with_value(CONFIG.read_text(encoding="utf-8"), "task.path", data_dir)
     if args.sparsity is not None:
         text = with_value(text, "schedule.sparsity", args.sparsity)
     cfg = build_experiment_config(text)

@@ -31,7 +31,7 @@ from .masking import INIT_SCHEMES, SCALED_NORMAL, SIGNED_CONSTANT, NetworkSpec
 from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
 from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
-from .miners.smart_ratio import VARIANTS, check_smart_ratio_settings
+from .miners.smart_ratio import LAST_LAYER_KEEP, TUNE_LR, TUNE_STEPS, VARIANTS, check_smart_ratio_settings
 from .optim import Adam, SgdMomentum
 from .sanity import INVERT, VARIANT_KINDS, SanityVariant
 from .trainer import Cosine, MultiStep, TrainConfig
@@ -324,9 +324,9 @@ def build_experiment_config(
         imp_epochs_per_round=fields.number("imp.epochs_per_round", int, 1),
         imp_rewind=_kind("imp.rewind", fields.get("imp.rewind"), _REWINDS, RewindSpec()),
         sr_variant=fields.choice("sr.variant", VARIANTS, "v1"),
-        sr_last_layer_keep=fields.number("sr.last_layer_keep", float, 0.3),
-        sr_tune_steps=fields.number("sr.tune_steps", int, 50),
-        sr_tune_lr=fields.number("sr.tune_lr", float, 0.01),
+        sr_last_layer_keep=fields.number("sr.last_layer_keep", float, LAST_LAYER_KEEP),
+        sr_tune_steps=fields.number("sr.tune_steps", int, TUNE_STEPS),
+        sr_tune_lr=fields.number("sr.tune_lr", float, TUNE_LR),
         sr_reference_profile=fields.ratios("sr.reference_profile"),
         sr_imp_profile=fields.ratios("sr.imp_profile"),
         raw_text=text,
@@ -357,7 +357,7 @@ def load_experiment_config(path: str | Path, seed: int | None = None) -> Experim
     """``build_experiment_config`` of the file ``path``; a file that cannot be read as text is a ``ConfigError`` too."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError.unreadable("config", path, exc) from exc
     return build_experiment_config(text, default_run_id=path.stem, base_dir=path.parent, seed=seed)

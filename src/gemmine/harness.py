@@ -175,7 +175,7 @@ def open_run_dir(cfg: ExperimentConfig, out_root: str | Path, snapshot: bool = F
     for sub in ("masks", "reports"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     if snapshot:
-        (run_dir / "config.snapshot").write_text(_snapshot_text(cfg, run_dir))
+        (run_dir / "config.snapshot").write_text(_snapshot_text(cfg, run_dir), encoding="utf-8")
     return run_dir
 
 
@@ -258,7 +258,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | Path) -> Path:
 
     rebuild_summary(cfg, out_root)
     if errors:
-        (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
+        (run_dir / "errors.log").write_text("\n".join(errors) + "\n", encoding="utf-8")
     return run_dir
 
 

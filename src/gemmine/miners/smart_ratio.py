@@ -2,7 +2,8 @@
 
 Variant rules (L = layer count, layers indexed 1..L):
 
-    v1  smooth polynomial decay across layers 1..L-1, last layer keeps 0.3
+    v1  smooth polynomial decay across layers 1..L-1; the last layer keeps
+        ``last_layer_keep`` (default ``LAST_LAYER_KEEP``)
     v2  v1 ratios for interior layers, a reference mining profile for 1 and L
     v3  v1 ratios for interior layers, layers 1 and L fully dense
     v4  a reference magnitude-pruning profile rescaled to the target
@@ -37,6 +38,10 @@ IMP_PROFILE_VARIANTS = ("v4", "v6")  # built on a magnitude-pruning profile
 TUNED_VARIANTS = ("v5", "v6")  # whose ratios tune_ratios refines
 MIN_RATIO = 1e-3
 TUNE_BATCH_SIZE = 64
+# the defaults of the sr.last_layer_keep, sr.tune_steps and sr.tune_lr config keys
+LAST_LAYER_KEEP = 0.3
+TUNE_STEPS = 50
+TUNE_LR = 0.01
 
 __all__ = ["smart_ratio", "check_smart_ratio_settings", "smooth_ratios", "tune_ratios", "sample_ratio_mask", "VARIANTS"]
 
@@ -87,7 +92,7 @@ def _fill_to_budget(weights_per_layer: list[int], raw: list[float], budget: floa
     return [min(1.0, max(MIN_RATIO, r)) for r in ratios]
 
 
-def smooth_ratios(spec: NetworkSpec, target_sparsity: float, last_layer_keep: float = 0.3) -> LayerRatios:
+def smooth_ratios(spec: NetworkSpec, target_sparsity: float, last_layer_keep: float = LAST_LAYER_KEEP) -> LayerRatios:
     """Polynomially decaying keep ratios hitting the global target.
 
     Layer l of L gets a ratio proportional to (L - l + 1)^2 for l < L; the
@@ -162,9 +167,9 @@ def smart_ratio(
     weights: list[np.ndarray] | None = None,
     reference_profile: LayerRatios | None = None,
     imp_profile: LayerRatios | None = None,
-    last_layer_keep: float = 0.3,
-    tune_steps: int = 50,
-    tune_lr: float = 0.01,
+    last_layer_keep: float = LAST_LAYER_KEEP,
+    tune_steps: int = TUNE_STEPS,
+    tune_lr: float = TUNE_LR,
     init_scheme: str = SCALED_NORMAL,
 ) -> MiningResult:
     """Build a random subnetwork from the selected ratio rule.

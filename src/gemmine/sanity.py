@@ -10,11 +10,12 @@ variant's:
 - ``invert`` keeps the weights and each layer's kept count, and keeps the
   lowest-scoring weights instead of the highest.
 
-``variant_network`` builds every variant: ``run``,
-``gemmine sanity`` and acceptance criterion 5 all call it, so its seed
-offsets (``_SHUFFLE_SEED_OFFSET``, ``_REINIT_SEED_OFFSET``) are named only
-here. Nothing here computes the verdict: only criterion 5 checks it, with a
-margin of 0.02 on the mean over seeds.
+``variant_network`` builds every variant: ``run`` and ``gemmine sanity``
+both call it, so its seed offsets (``_SHUFFLE_SEED_OFFSET``,
+``_REINIT_SEED_OFFSET``) are named only here. Nothing here computes the
+verdict: only acceptance criterion 5 checks it, on the ``post_acc`` of the
+rows ``run`` writes to ``summary.csv``, with a margin of 0.02 on the mean
+over seeds.
 """
 
 from __future__ import annotations

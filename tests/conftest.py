@@ -1,6 +1,5 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gemmine.config import ExperimentConfig, build_experiment_config
@@ -40,20 +39,3 @@ def digits_1k(experiment_config) -> DatasetSplit:
     """The digit task of ``configs/digits_gem.cfg``: 1000 training rows, 10 classes, 784 features."""
     return build_dataset(experiment_config("digits_gem").task)
 
-
-def random_classification(n: int, dim: int, classes: int, seed: int) -> DatasetSplit:
-    """Structureless labelled data for purely structural miner tests."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, dim))
-    y = rng.integers(0, classes, size=n).astype(np.int64)
-    n_train = int(0.8 * n)
-    n_val = int(0.1 * n)
-    return DatasetSplit(
-        train_x=x[:n_train],
-        train_y=y[:n_train],
-        val_x=x[n_train : n_train + n_val],
-        val_y=y[n_train : n_train + n_val],
-        test_x=x[n_train + n_val :],
-        test_y=y[n_train + n_val :],
-        n_classes=classes,
-    )

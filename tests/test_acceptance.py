@@ -5,22 +5,27 @@ synthetic 10-class digit archive from conftest, split as
 ``configs/digits_gem.cfg`` says (1000 training rows, 784 features), so
 chance level is 10%. Criteria 1, 3, 5 and 6 read their set-ups from
 ``configs/``: ``digits_gem.cfg``, ``imp_cold.cfg`` and ``ep_ablation.cfg``.
+Criteria 5 and 6 run their configs through ``harness.run_experiment``, as
+``gemmine run`` does, and judge the ``post_acc`` of its ``summary.csv``
+rows, so every cell they compare was finetuned from its checkpoint read
+back.
 """
 
 import math
 import time
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gemmine import harness
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
 from gemmine.checkpoint import load_checkpoint, save_checkpoint
-from gemmine.harness import mine_for_seed
+from gemmine.config import ExperimentConfig
+from gemmine.harness import BASE_VARIANT, mine_for_seed
 from gemmine.masking import (
     MaskedLayer,
     NetworkSpec,
-    extract_mask,
     init_scores,
     init_weights,
     layer_stddev,
@@ -34,8 +39,7 @@ from gemmine.miners.gem import freeze_step, gem_mine
 from gemmine.miners.imp import RewindSpec, imp
 from gemmine.miners.smart_ratio import smart_ratio, smooth_ratios, tune_ratios
 from gemmine.sanity import REINIT, invert_scores, shuffle_mask, variant_network
-from gemmine.trainer import finetune
-from tests.test_miners import _enumerated_expected_loss, _toy_one_useful_weight
+from toy_tasks import enumerated_expected_loss, toy_one_useful_weight
 
 SEEDS = (1, 2, 3)
 IMAGE_SPEC = NetworkSpec((784, 128, 10))
@@ -51,11 +55,11 @@ class criterion:
         self.max_seconds = max_seconds
 
     def __enter__(self):
-        self.start = time.time()
+        self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.time() - self.start
+        elapsed = time.perf_counter() - self.start
         verdict = "PASS" if exc_type is None and elapsed < self.max_seconds else "FAIL"
         print(f"criterion {self.number} ({self.name}): {verdict} [{elapsed:.1f}s]")
         if exc_type is None and elapsed >= self.max_seconds:
@@ -148,42 +152,44 @@ def test_criterion_4_pre_finetune_signal(digits_1k):
         assert np.mean(sr_pre) <= 2 * CHANCE
 
 
-def test_criterion_5_sanity_gap(experiment_config, digits_1k):
+def summary_post_accuracies(cfg: ExperimentConfig, run_dir: Path) -> dict[str, list[float]]:
+    """Each variant's ``post_acc`` in seed order, from ``run_experiment``'s ``summary.csv`` in ``run_dir``.
+
+    The run must have logged no error and listed every cell of ``cfg``: each seed's base, then its sanity variants.
+    """
+    errors = run_dir / "errors.log"
+    assert not errors.exists(), errors.read_text()
+    rows = harness.read_summary(run_dir / "summary.csv")
+    variants = [BASE_VARIANT] + [v.kind for v in cfg.sanity]
+    assert [(int(row["seed"]), row["variant"]) for row in rows] == [(seed, v) for seed in cfg.seeds for v in variants]
+    post = {variant: [] for variant in variants}
+    for row in rows:
+        post[row["variant"]].append(float(row["post_acc"]))
+    return post
+
+
+def test_criterion_5_sanity_gap(experiment_config, tmp_path):
     with criterion(5, "sanity gap", 20 * 60.0):
         margin = 0.02
         cfg = experiment_config("digits_gem")
-        post = {"base": [], "shuffle": [], "reinit": [], "invert": []}
-        for seed in cfg.seeds:
-            res = mine_for_seed(cfg, digits_1k, seed)
-            ft = replace(cfg.finetune, seed=seed)
-            _, base = finetune(res.weights, res.mask, digits_1k, ft)
-            post["base"].append(base.post_finetune_accuracy)
-
-            for v in cfg.sanity:  # each variant as run and gemmine sanity build it
-                variant = variant_network(res.layers, v.kind, seed + v.seed, cfg.init_scheme, [])
-                _, r = finetune([layer.weights for layer in variant], extract_mask(variant), digits_1k, ft)
-                post[v.kind].append(r.post_finetune_accuracy)
-        base_mean = np.mean(post["base"])
+        assert len(cfg.seeds) == 3 and [v.kind for v in cfg.sanity] == ["shuffle", "reinit", "invert"]
+        post = summary_post_accuracies(cfg, harness.run_experiment(cfg, tmp_path))
+        base_mean = np.mean(post[BASE_VARIANT])
         for variant in ("shuffle", "reinit", "invert"):
             assert base_mean >= np.mean(post[variant]) + margin, (
                 f"{variant}: base {base_mean:.3f} vs {np.mean(post[variant]):.3f}"
             )
 
 
-def test_criterion_6_ep_ablation_ordering(experiment_config, digits_1k):
+def test_criterion_6_ep_ablation_ordering(experiment_config, tmp_path):
     with criterion(6, "edge-popup ablation ordering", 15 * 60.0):
-        vanilla_cfg = experiment_config("ep_ablation", f"ep.scope = {LAYERWISE}", "ep.gradual = false")
-        improved_cfg = experiment_config("ep_ablation", f"ep.scope = {GLOBAL}", "ep.gradual = true")
-        vanilla_post, improved_post = [], []
-        for seed in vanilla_cfg.seeds:
-            ft = replace(vanilla_cfg.finetune, seed=seed)
-            vanilla = mine_for_seed(vanilla_cfg, digits_1k, seed)
-            _, r = finetune(vanilla.weights, vanilla.mask, digits_1k, ft)
-            vanilla_post.append(r.post_finetune_accuracy)
-            improved = mine_for_seed(improved_cfg, digits_1k, seed)
-            _, r = finetune(improved.weights, improved.mask, digits_1k, ft)
-            improved_post.append(r.post_finetune_accuracy)
-        assert np.mean(improved_post) >= np.mean(vanilla_post) + 0.02
+        post = {}
+        for arm, scope, gradual in (("vanilla", LAYERWISE, "false"), ("improved", GLOBAL, "true")):
+            lines = (f"ep.scope = {scope}", f"ep.gradual = {gradual}", f"run.id = ep_ablation_{arm}")
+            cfg = experiment_config("ep_ablation", *lines)
+            assert len(cfg.seeds) == 3 and cfg.sanity == []
+            post[arm] = summary_post_accuracies(cfg, harness.run_experiment(cfg, tmp_path))[BASE_VARIANT]
+        assert np.mean(post["improved"]) >= np.mean(post["vanilla"]) + 0.02
 
 
 def test_criterion_7_gradient_correctness():
@@ -294,12 +300,12 @@ def test_criterion_9_smart_ratio_construction():
         assert v3.layer_ratios.ratios[0] == 1.0
         assert v3.layer_ratios.ratios[-1] == 1.0
 
-        data, weights = _toy_one_useful_weight()
+        data, weights = toy_one_useful_weight()
         start = LayerRatios((0.3, 0.7))
-        before = _enumerated_expected_loss(weights, start.ratios, data)
+        before = enumerated_expected_loss(weights, start.ratios, data)
         improvements = []
         for seed in range(10):
             tuned = tune_ratios(start, weights, data, steps=30, lr=0.05, seed=seed)
-            improvements.append(before - _enumerated_expected_loss(weights, tuned.ratios, data))
+            improvements.append(before - enumerated_expected_loss(weights, tuned.ratios, data))
         assert np.mean(improvements) > 0
         assert sum(1 for delta in improvements if delta > 0) >= 8

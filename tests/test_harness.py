@@ -1,8 +1,12 @@
 import ast
+import inspect
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -22,7 +26,7 @@ from gemmine.config import ConfigError, build_experiment_config, parse_key_value
 from gemmine.data import make_digit_archive, write_idx
 from gemmine.masking import SCALED_NORMAL, SIGNED_CONSTANT, MaskedLayer, extract_mask, init_weights, mask_sparsity
 from gemmine.miners.imp import WARM
-from gemmine.miners.smart_ratio import smooth_ratios
+from gemmine.miners.smart_ratio import smart_ratio, smooth_ratios
 from gemmine.optim import SgdMomentum
 from gemmine.sanity import invert_scores
 from gemmine.trainer import MultiStep, RunReport, finetune
@@ -1250,6 +1254,21 @@ def test_a_mine_snapshot_loads_from_its_run_directory(tmp_path, monkeypatch, abs
     assert Path("again", "exp", checkpoint).read_bytes() == Path("out", "exp", checkpoint).read_bytes()
 
 
+def test_a_config_is_read_and_snapshotted_as_utf8_under_any_locale(tmp_path):
+    """The format is UTF-8 whatever the locale: under ``LC_ALL=C`` the preferred encoding is ASCII, and a config
+    read in it fails on a non-ASCII comment with ``cannot be read ('ascii' codec can't decode ...)``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    probe = [sys.executable, "-c", "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)"]
+    if subprocess.run(probe, env=env, capture_output=True, text=True, check=True).stdout.strip() == "utf-8":
+        pytest.skip("under LC_ALL=C this Python still prefers UTF-8, so a read in the locale's encoding would pass too")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes(f"# café ≥ 5%{BASE_CFG}".encode("utf-8"))
+    mine = [sys.executable, "-m", "gemmine.cli", "mine", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run(mine, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "tiny" / "config.snapshot").read_bytes().startswith(cfg_path.read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # every config either runs or fails on its key
 # ---------------------------------------------------------------------------
@@ -1353,6 +1372,14 @@ def test_readme_values_when_absent_are_the_parser_defaults():
     for line in lines:
         assert replace(build_experiment_config(f"{minimal}{line}\n"), raw_text=minimal) == want, line
 
+
+def test_the_smart_ratio_keys_default_to_the_miners_own_defaults():
+    cfg = build_experiment_config("task.kind = blobs\nnet.widths = 2,4,2\nminer.algorithm = sr\n")
+    defaults = {name: p.default for name, p in inspect.signature(smart_ratio).parameters.items()}
+    assert (cfg.sr_last_layer_keep, cfg.sr_tune_steps, cfg.sr_tune_lr) == (
+        defaults["last_layer_keep"], defaults["tune_steps"], defaults["tune_lr"]
+    )
+    assert inspect.signature(smooth_ratios).parameters["last_layer_keep"].default == defaults["last_layer_keep"]
 
 def test_the_config_key_finders_see_each_spelling():
     source = '''

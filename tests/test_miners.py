@@ -39,7 +39,7 @@ from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import INVERT, invert_scores, layerwise_report, variant_network
 from gemmine.trainer import evaluate, run_epoch
 from source_sites import modules, names, sites
-from tests.conftest import random_classification
+from toy_tasks import enumerated_expected_loss, random_classification, toy_one_useful_weight
 
 
 # ---------------------------------------------------------------------------
@@ -1341,29 +1341,8 @@ def check(variant):
 # ---------------------------------------------------------------------------
 
 
-def _toy_one_useful_weight():
-    """(1, 2, 2) net where only the first hidden weight carries signal."""
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((64, 1)) * 2.0
-    y = (x[:, 0] > 0).astype(np.int64)
-    data_x = x
-    from gemmine.data import DatasetSplit
-
-    data = DatasetSplit(
-        train_x=data_x[:48],
-        train_y=y[:48],
-        val_x=data_x[48:56],
-        val_y=y[48:56],
-        test_x=data_x[56:],
-        test_y=y[56:],
-        n_classes=2,
-    )
-    weights = [np.array([[4.0], [0.0]]), np.array([[-3.0, 0.0], [3.0, 0.0]])]
-    return data, weights
-
-
 def test_tune_ratios_zero_weight_layer_unmoved():
-    data, weights = _toy_one_useful_weight()
+    data, weights = toy_one_useful_weight()
     weights = [np.zeros((2, 1)), weights[1]]
     before = LayerRatios((0.5, 0.9))
     after = tune_ratios(before, weights, data, steps=5, lr=0.5, seed=1)
@@ -1373,7 +1352,7 @@ def test_tune_ratios_zero_weight_layer_unmoved():
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
 def test_tune_ratios_rejects_a_non_finite_learning_rate(lr):
-    data, weights = _toy_one_useful_weight()
+    data, weights = toy_one_useful_weight()
     with pytest.raises(ValueError, match="tune learning rate must be finite"):
         tune_ratios(LayerRatios((0.5, 0.9)), weights, data, steps=5, lr=lr, seed=1)
 
@@ -1381,51 +1360,27 @@ def test_tune_ratios_rejects_a_non_finite_learning_rate(lr):
 @pytest.mark.parametrize("lr", [-1.0, 0.0])
 def test_tune_ratios_rejects_a_learning_rate_that_is_not_positive(lr):
     # a negative rate would climb the expected loss, and 0 would leave the ratios where they are
-    data, weights = _toy_one_useful_weight()
+    data, weights = toy_one_useful_weight()
     with pytest.raises(ValueError, match=f"tune learning rate must be > 0, got {lr}"):
         tune_ratios(LayerRatios((0.5, 0.9)), weights, data, steps=5, lr=lr, seed=1)
 
 
 def test_tune_ratios_dense_matches_dense_loss():
-    data, weights = _toy_one_useful_weight()
+    data, weights = toy_one_useful_weight()
     dense_loss = loss_and_grads(data.train_x, data.train_y, weights)[0]
     ones = [np.ones_like(w) for w in weights]
     masked_loss = loss_and_grads(data.train_x, data.train_y, [w * m for w, m in zip(weights, ones)])[0]
     assert masked_loss == dense_loss
 
 
-def _enumerated_expected_loss(weights, ratios, data) -> float:
-    """Exact expectation of the loss over all Bernoulli mask assignments."""
-    sizes = [w.size for w in weights]
-    total = sum(sizes)
-    expected = 0.0
-    for bits in range(2**total):
-        prob = 1.0
-        masks = []
-        cursor = 0
-        for w, r in zip(weights, ratios):
-            m = np.zeros(w.size)
-            for i in range(w.size):
-                keep = (bits >> (cursor + i)) & 1
-                m[i] = keep
-                prob *= r if keep else (1.0 - r)
-            cursor += w.size
-            masks.append(m.reshape(w.shape))
-        if prob == 0.0:
-            continue
-        loss = loss_and_grads(data.train_x, data.train_y, [w * m for w, m in zip(weights, masks)])[0]
-        expected += prob * loss
-    return expected
-
-
 def test_tune_ratios_improves_enumerated_objective():
-    data, weights = _toy_one_useful_weight()
+    data, weights = toy_one_useful_weight()
     start = LayerRatios((0.3, 0.7))
     improved = 0
     for seed in range(10):
         tuned = tune_ratios(start, weights, data, steps=30, lr=0.05, seed=seed)
-        before = _enumerated_expected_loss(weights, start.ratios, data)
-        after = _enumerated_expected_loss(weights, tuned.ratios, data)
+        before = enumerated_expected_loss(weights, start.ratios, data)
+        after = enumerated_expected_loss(weights, tuned.ratios, data)
         if after < before:
             improved += 1
         # the layer holding the useful weight gets a higher keep probability
@@ -1434,7 +1389,7 @@ def test_tune_ratios_improves_enumerated_objective():
 
 
 def test_tune_ratios_clamps_to_unit_interval():
-    data, weights = _toy_one_useful_weight()
+    data, weights = toy_one_useful_weight()
     tuned = tune_ratios(LayerRatios((0.9, 0.9)), weights, data, steps=40, lr=2.0, seed=0)
     assert all(1e-3 <= r <= 1.0 for r in tuned.ratios)
 

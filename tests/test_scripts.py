@@ -13,6 +13,14 @@ from gemmine.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS, m
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_pytest_collects_every_test_file_from_outside_the_repo(tmp_path):
+    # a test file that imports another through a ``tests`` package collects only with the repo root on sys.path
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    collect = [sys.executable, "-m", "pytest", str(ROOT / "tests"), "--collect-only", "-q", "-p", "no:cacheprovider"]
+    proc = subprocess.run(collect, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
+
+
 def test_make_digits_script_writes_the_library_archive(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
