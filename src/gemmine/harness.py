@@ -92,8 +92,8 @@ def write_report(stem: str | Path, report: RunReport) -> None:
 
 
 def write_layerwise(path: str | Path, rows: Sequence[dict]) -> None:
-    """Write ``sanity.layerwise_report`` rows in the columns of their keys other than ``collapsed``."""
-    header = [key for key in rows[0] if key != "collapsed"]
+    """Write ``sanity.layerwise_report`` rows in the columns of their keys."""
+    header = list(rows[0])
     write_table(path, header, ([row[key] for key in header] for row in rows))
 
 

@@ -257,7 +257,7 @@ def score_descent(
     scores = init_scores(spec, config.seed)
     optimizer = make_optimizer(config.optimizer, scores)
     rng = stream_rng(config.seed, STREAM_BATCHES)
-    report = RunReport(epochs=schedule.total_epochs)
+    report = RunReport()
     scratch = [np.empty_like(p) for p in scores] if config.reg_weight > 0.0 else None
     base = weights
     # all bits off: the first batch writes every kept entry

@@ -123,7 +123,7 @@ def imp(
     check_imp_settings(rounds, prune_rate, rewind, epochs_per_round)
     point = init_weights(spec, init_scheme, config.seed)
     mask = [np.ones(p.shape, dtype=bool) for p in point]
-    report = RunReport(epochs=rounds * epochs_per_round)
+    report = RunReport()
     rng = stream_rng(config.seed, STREAM_BATCHES)
     # how many prunes each weight has survived: in the end, the 0-indexed round that pruned it, or ``rounds``
     pruned_in = [np.zeros(p.shape, dtype=np.min_scalar_type(rounds)) for p in point]
@@ -134,7 +134,7 @@ def imp(
         weights = [p * m for p, m in zip(point, mask)]
         kept_fraction = mask_sparsity(mask)
         for epoch, mean_loss in train_masked(weights, mask, data, round_cfg, rng):
-            if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
+            if round_idx == 0 and rewind.kind == WARM and epoch == rewind.warm_epoch:
                 point = [w.copy() for w in weights]
             record_epoch(report, data, weights, round_idx * epochs_per_round + epoch, kept_fraction, mean_loss)
         if rewind.kind == LR_REWIND:

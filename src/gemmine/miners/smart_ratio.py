@@ -76,10 +76,7 @@ def _fill_to_budget(weights_per_layer: list[int], raw: list[float], budget: floa
     active = list(range(len(raw)))
     remaining = budget
     while active:
-        mass = sum(raw[i] * weights_per_layer[i] for i in active)
-        if mass <= 0.0:
-            break
-        alpha = remaining / mass
+        alpha = remaining / sum(raw[i] * weights_per_layer[i] for i in active)
         overflow = [i for i in active if alpha * raw[i] > 1.0]
         if not overflow:
             for i in active:
@@ -206,6 +203,6 @@ def smart_ratio(
         assert data is not None
         ratios = tune_ratios(ratios, weights, data, steps=tune_steps, lr=tune_lr, seed=seed)
 
-    report = RunReport(epochs=0)
+    report = RunReport()
     mask = sample_ratio_mask(spec, ratios, seed, report.warnings)
     return mining_result(weights, mask, report, data, layer_ratios=ratios)

@@ -113,15 +113,14 @@ def _layerwise_row(layer_index: int | str, params: int, kept: int) -> dict:
         "params": params,
         "kept": kept,
         "keep_fraction": kept / params,
-        "collapsed": kept == 0,
     }
 
 
 def layerwise_report(mask: Sequence[np.ndarray]) -> list[dict]:
     """Each layer's exact kept count, then a ``global`` row of their sums.
 
-    A row is ``layer_index``, ``params``, ``kept``, ``keep_fraction`` and
-    ``collapsed`` (nothing kept), in that order.
+    A row is ``layer_index``, ``params``, ``kept`` and ``keep_fraction``, in
+    that order; an empty layer's row has ``kept == 0``.
     """
     rows = [_layerwise_row(i, int(m.size), int(np.count_nonzero(m))) for i, m in enumerate(mask)]
     return rows + [_layerwise_row("global", sum(row["params"] for row in rows), sum(row["kept"] for row in rows))]

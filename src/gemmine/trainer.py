@@ -60,6 +60,8 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class EpochRecord:
+    """One epoch's report row; ``epoch`` is the number of epochs run when it was taken, 1 for the first."""
+
     epoch: int
     sparsity: float
     train_loss: float
@@ -75,9 +77,8 @@ class EpochRecord:
 
 @dataclass
 class RunReport:
-    """Per-epoch trajectory plus end-of-run accuracy summary."""
+    """Per-epoch trajectory plus end-of-run accuracy summary; the run's epoch count is ``len(records)``."""
 
-    epochs: int
     records: list[EpochRecord] = field(default_factory=list)
     pre_finetune_accuracy: float | None = None
     post_finetune_accuracy: float | None = None
@@ -188,15 +189,15 @@ def run_masked_epoch(
 def train_masked(
     weights: list[np.ndarray], mask: Sequence[np.ndarray], data: DatasetSplit, cfg: TrainConfig, rng: np.random.Generator
 ) -> Iterator[tuple[int, float]]:
-    """Train the kept weights of a masked network in place, yielding ``(epoch, mean_loss)`` after each epoch.
+    """Train the kept weights of a masked network in place, yielding ``(epochs run, mean_loss)`` after each epoch.
 
     Each mask goes through ``masking.as_mask``, and the weights must be
     C-contiguous arrays that are 0 wherever the mask is False, so that they
     are the masked network itself; otherwise ``ValueError`` names the layer
-    before any step, and the weights are left untouched. Epoch ``e`` runs at
-    ``lr_at(cfg, e)`` on batches of ``data``'s training split drawn from
-    ``rng``. Each layer is stepped in one of two layouts, chosen from its
-    mask once per call:
+    before any step, and the weights are left untouched. The ``e``-th yield
+    counts ``e`` epochs run; that epoch runs at ``lr_at(cfg, e - 1)`` on
+    batches of ``data``'s training split drawn from ``rng``. Each layer is
+    stepped in one of two layouts, chosen from its mask once per call:
 
     - a layer that keeps at least as many weights as it prunes trains in
       place: ``cfg.optimizer`` steps its flat weights and holds layer-sized
@@ -227,7 +228,7 @@ def train_masked(
         cfg.optimizer, [w.reshape(-1) if in_place else np.take(w, i) for w, (in_place, i) in zip(weights, layouts)]
     )
     for epoch in range(cfg.epochs):
-        yield epoch, run_masked_epoch(
+        yield epoch + 1, run_masked_epoch(
             weights, layouts, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
         )
 
@@ -250,7 +251,7 @@ def finetune(
     if sparsity == 0.0:
         raise ValueError("finetune: mask keeps no weights")
     trained = [np.multiply(np.asarray(w, dtype=np.float64), m, order="C") for w, m in zip(weights, mask)]
-    report = RunReport(epochs=cfg.epochs, layerwise=layerwise_report(mask))
+    report = RunReport(layerwise=layerwise_report(mask))
     report.pre_finetune_accuracy = evaluate(trained, data.test_x, data.test_y)
 
     for epoch, mean_loss in train_masked(trained, mask, data, cfg, stream_rng(cfg.seed, STREAM_BATCHES)):

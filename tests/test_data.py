@@ -74,6 +74,13 @@ def test_idx_bad_magic_names_offset(tmp_path):
         read_idx(path, 3)
 
 
+def test_idx_shorter_than_its_header_is_rejected(tmp_path):
+    path = tmp_path / "stub"
+    path.write_bytes(struct.pack(">II", 0x00000803, 2))
+    with pytest.raises(IdxFormatError, match=f"^{re.escape(str(path))}: truncated header, need 16 bytes, have 8$"):
+        read_idx(path, 3)
+
+
 def test_idx_truncated_pixels(tmp_path):
     path = tmp_path / "short"
     path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 3)

@@ -333,8 +333,8 @@ def test_rebuild_summary_writes_an_undefined_accuracy_as_nan(tmp_path):
     cfg = build_experiment_config(BASE_CFG.replace("seeds = 1,2", "seeds = 1") + "sanity =\n")
     reports = tmp_path / cfg.run_id / "reports"
     reports.mkdir(parents=True)
-    layerwise = [{"layer_index": "global", "params": 40, "kept": 12, "keep_fraction": 0.3, "collapsed": False}]
-    report = RunReport(epochs=0, pre_finetune_accuracy=float("nan"), post_finetune_accuracy=0.5, layerwise=layerwise)
+    layerwise = [{"layer_index": "global", "params": 40, "kept": 12, "keep_fraction": 0.3}]
+    report = RunReport(pre_finetune_accuracy=float("nan"), post_finetune_accuracy=0.5, layerwise=layerwise)
     harness.write_report(reports / "seed1_none", report)
     assert json.loads((reports / "seed1_none.json").read_text())["pre_finetune_accuracy"] is None
     summary, rows = harness.rebuild_summary(cfg, tmp_path)
@@ -697,6 +697,26 @@ def _write_cfg(tmp_path, text):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     return path
+
+
+def test_cli_sanity_without_variants_fails(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, BASE_CFG + "sanity =\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(_cli_argv("sanity", cfg_path, out_dir)) == 1
+    assert capsys.readouterr().err == "no sanity variants configured\n"
+
+
+def test_cli_report_without_a_run_fails(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    out_dir = tmp_path / "out"
+    assert cli_main(_cli_argv("report", cfg_path, out_dir)) == 1
+    assert capsys.readouterr().err == f"no reports directory at {out_dir / 'tiny' / 'reports'}\n"
+
+
+def test_mine_for_seed_rejects_an_unknown_algorithm():
+    cfg = replace(build_experiment_config(BASE_CFG), algorithm="magic")
+    with pytest.raises(ValueError, match="^unknown algorithm 'magic'$"):
+        harness.mine_for_seed(cfg, harness.build_dataset(cfg.task), 1)
 
 
 def test_cli_run_and_report(tmp_path, capsys):

@@ -34,7 +34,9 @@ from gemmine.miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySche
 from gemmine.miners.edge_popup import GLOBAL, LAYERWISE, edge_popup, topk_mask
 from gemmine.miners.gem import freeze_step, gem_mine
 from gemmine.miners.imp import COLD, LR_REWIND, WARM, RewindSpec, imp, prune_by_magnitude
-from gemmine.miners.smart_ratio import MIN_RATIO, sample_ratio_mask, smart_ratio, smooth_ratios, tune_ratios
+from gemmine.miners.smart_ratio import (
+    MIN_RATIO, check_smart_ratio_settings, sample_ratio_mask, smart_ratio, smooth_ratios, tune_ratios,
+)
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import INVERT, invert_scores, layerwise_report, variant_network
 from gemmine.trainer import evaluate, run_epoch
@@ -530,6 +532,17 @@ def test_global_top_k_warns_once_when_it_clamps_to_one_weight(blobs):
     ]
 
 
+@pytest.mark.parametrize("keep_fraction", [0.0, -0.5, 1.5])
+def test_topk_rejects_a_keep_fraction_outside_0_to_1(keep_fraction):
+    with pytest.raises(ValueError, match=re.escape(f"keep fraction must be in (0, 1], got {keep_fraction}")):
+        topk_mask([np.ones((2, 2))], keep_fraction, LAYERWISE)
+
+
+def test_topk_rejects_an_unknown_scope():
+    with pytest.raises(ValueError, match=re.escape("scope must be 'layerwise' or 'global', got 'network'")):
+        topk_mask([np.ones((2, 2))], 0.5, "network")
+
+
 def test_topk_global_ties_go_to_the_earlier_layer():
     scores = [np.array([[0.5, 0.1]]), np.array([[0.5, 0.5]])]
     mask = topk_mask(scores, 0.5, GLOBAL)
@@ -796,6 +809,11 @@ def test_imp_warm_epoch_must_fit_round():
             epochs_per_round=3,
             config=MinerConfig(seed=0),
         )
+
+
+def test_imp_rejects_an_unknown_rewind_kind():
+    with pytest.raises(ValueError, match=re.escape("rewind kind must be one of ('cold', 'warm', 'lr_rewind'), got 'hot'")):
+        RewindSpec("hot")
 
 
 def test_imp_masks_nest_across_rounds():
@@ -1114,6 +1132,28 @@ def test_sr_missing_inputs_raise(blobs):
         smart_ratio(spec, 0.3, "v4", seed=0)
     with pytest.raises(ValueError, match="data"):
         smart_ratio(spec, 0.3, "v5", seed=0, reference_profile=LayerRatios((0.5, 0.5)))
+
+
+def test_sr_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match=r"^variant must be one of \(.*'v6'\), got 'v7'$"):
+        check_smart_ratio_settings(NetworkSpec((2, 6, 2)), "v7", None, None, 0.3, 50, 0.01)
+
+
+def test_sr_sample_needs_one_ratio_per_layer():
+    with pytest.raises(ValueError, match="^1 ratios for 2 layers$"):
+        sample_ratio_mask(NetworkSpec((2, 6, 2)), LayerRatios((0.5,)), seed=0, warnings=[])
+
+
+def test_sr_tuning_needs_a_step(blobs):
+    spec = NetworkSpec((2, 6, 2))
+    with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
+        tune_ratios(LayerRatios((0.5, 0.5)), init_weights(spec, SCALED_NORMAL, 0), blobs, steps=0, lr=0.01)
+
+
+@pytest.mark.parametrize("target", [0.0, 1.5])
+def test_sr_rejects_a_target_outside_0_to_1(target):
+    with pytest.raises(ValueError, match=re.escape(f"target sparsity must be in (0, 1], got {target}")):
+        smart_ratio(NetworkSpec((2, 6, 2)), target, "v1", seed=0)
 
 
 def test_sr_deterministic(blobs):

@@ -106,3 +106,8 @@ def test_adam_rejects_an_infinite_eps():
     # the config reader rejects 'inf' before it builds an Adam; a library caller reaches this check
     with pytest.raises(ValueError, match="^adam eps must be finite, got inf$"):
         Adam(eps=math.inf)
+
+
+def test_make_optimizer_rejects_an_unknown_choice():
+    with pytest.raises(ValueError, match="^unknown optimizer choice 'sgd'$"):
+        make_optimizer("sgd", [np.zeros(3)])

@@ -138,20 +138,20 @@ def test_invert_degenerate_scores_warn():
 def test_layerwise_report_counts():
     mask = [np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]])]
     rows = layerwise_report(mask)
-    assert rows[0] == {"layer_index": 0, "params": 4, "kept": 2, "keep_fraction": 0.5, "collapsed": False}
-    assert rows[1] == {"layer_index": 1, "params": 2, "kept": 1, "keep_fraction": 0.5, "collapsed": False}
+    assert rows[0] == {"layer_index": 0, "params": 4, "kept": 2, "keep_fraction": 0.5}
+    assert rows[1] == {"layer_index": 1, "params": 2, "kept": 1, "keep_fraction": 0.5}
     assert rows[2]["layer_index"] == "global"
     assert rows[2]["kept"] == 3 and rows[2]["params"] == 6
     # the global row's counts are the per-layer sums, and its fraction their ratio
-    assert rows[2] == {"layer_index": "global", "params": 4 + 2, "kept": 2 + 1, "keep_fraction": 3 / 6, "collapsed": False}
+    assert rows[2] == {"layer_index": "global", "params": 4 + 2, "kept": 2 + 1, "keep_fraction": 3 / 6}
     assert rows[2]["keep_fraction"] == pytest.approx(0.5)
 
 
 def test_layerwise_report_flags_collapse():
     rows = layerwise_report([np.zeros((2, 2)), np.ones((2, 2))])
-    assert rows[0]["collapsed"] is True
+    assert rows[0]["kept"] == 0
     assert rows[0]["keep_fraction"] == 0.0
-    assert rows[1]["collapsed"] is False
+    assert rows[1]["kept"] > 0
 
 
 def test_layerwise_report_dense():

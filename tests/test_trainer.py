@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -45,6 +46,12 @@ def test_lr_cosine_boundaries():
     final = lr_at(cfg, 199)
     assert final == pytest.approx(0.4 * 0.5 * (1 + math.cos(math.pi * 199 / 200)))
     assert final < 1e-4
+
+
+@pytest.mark.parametrize("epoch", [-1, 200])
+def test_lr_at_rejects_an_epoch_outside_the_schedule(epoch):
+    with pytest.raises(ValueError, match=re.escape(f"epoch {epoch} outside [0, 200)")):
+        lr_at(TrainConfig(epochs=200, lr=0.4), epoch)
 
 
 def test_milestones_must_increase_within_range():
@@ -205,10 +212,10 @@ def test_final_loss_not_worse_than_initial_across_seeds(blobs):
 
 
 def test_run_report_json_field_names(tmp_path):
-    report = RunReport(epochs=2)
-    report.records.append(EpochRecord(epoch=0, sparsity=0.5, train_loss=1.0, val_accuracy=0.5))
+    report = RunReport()
+    report.records.append(EpochRecord(epoch=1, sparsity=0.5, train_loss=1.0, val_accuracy=0.5))
     report.records.append(
-        EpochRecord(epoch=1, sparsity=0.25, train_loss=0.75, val_accuracy=0.625, extra={"mask_sparsity": 0.375})
+        EpochRecord(epoch=2, sparsity=0.25, train_loss=0.75, val_accuracy=0.625, extra={"mask_sparsity": 0.375})
     )
     report.pre_finetune_accuracy = 0.1
     report.post_finetune_accuracy = 0.9
@@ -217,7 +224,6 @@ def test_run_report_json_field_names(tmp_path):
     write_report(tmp_path / "report", report)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert set(payload) == {
-        "epochs",
         "records",
         "pre_finetune_accuracy",
         "post_finetune_accuracy",
@@ -225,23 +231,22 @@ def test_run_report_json_field_names(tmp_path):
         "warnings",
     }
     assert payload["records"][0] == {
-        "epoch": 0,
+        "epoch": 1,
         "sparsity": 0.5,
         "train_loss": 1.0,
         "val_accuracy": 0.5,
     }
     # the whole file, key order included: a record's extra columns follow its fields
     assert (tmp_path / "report.json").read_text() == """{
-  "epochs": 2,
   "records": [
     {
-      "epoch": 0,
+      "epoch": 1,
       "sparsity": 0.5,
       "train_loss": 1.0,
       "val_accuracy": 0.5
     },
     {
-      "epoch": 1,
+      "epoch": 2,
       "sparsity": 0.25,
       "train_loss": 0.75,
       "val_accuracy": 0.625,
@@ -266,15 +271,15 @@ def test_run_report_json_field_names(tmp_path):
 
 
 def test_metrics_csv_header(tmp_path):
-    report = RunReport(epochs=1)
-    report.records.append(EpochRecord(epoch=0, sparsity=0.25, train_loss=2.0, val_accuracy=0.75))
-    report.records.append(EpochRecord(epoch=1, sparsity=0.125, train_loss=1.5, val_accuracy=0.5, extra={"mask_sparsity": 0.5}))
+    report = RunReport()
+    report.records.append(EpochRecord(epoch=1, sparsity=0.25, train_loss=2.0, val_accuracy=0.75))
+    report.records.append(EpochRecord(epoch=2, sparsity=0.125, train_loss=1.5, val_accuracy=0.5, extra={"mask_sparsity": 0.5}))
     write_report(tmp_path / "metrics", report)
     lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,sparsity,train_loss,val_accuracy"
-    assert lines[1] == "0,0.25,2,0.75"
+    assert lines[1] == "1,0.25,2,0.75"
     # the whole file: a record's extra columns stay out of the CSV
-    assert (tmp_path / "metrics.csv").read_bytes() == b"epoch,sparsity,train_loss,val_accuracy\r\n0,0.25,2,0.75\r\n1,0.125,1.5,0.5\r\n"
+    assert (tmp_path / "metrics.csv").read_bytes() == b"epoch,sparsity,train_loss,val_accuracy\r\n1,0.25,2,0.75\r\n2,0.125,1.5,0.5\r\n"
 
 
 def test_sparsity_constant_during_finetune(blobs):
@@ -383,7 +388,7 @@ def _reference_finetune(weights, mask, data, cfg):
             trained, mask, data.train_x, data.train_y, cfg.batch_size, optimizer, lr_at(cfg, epoch), rng
         )
         val_acc = evaluate(trained, data.val_x, data.val_y)
-        rows.append((epoch, mask_sparsity(list(mask)), loss, val_acc))
+        rows.append((epoch + 1, mask_sparsity(list(mask)), loss, val_acc))
     post_acc = evaluate(trained, data.test_x, data.test_y)
     return trained, rows, pre_acc, post_acc
 
@@ -409,7 +414,7 @@ def _reference_imp(data, spec, rounds, prune_rate, rewind, epochs_per_round, con
             if round_idx == 0 and rewind.kind == WARM and epoch + 1 == rewind.warm_epoch:
                 warm_checkpoint = [w.copy() for w in weights]
             val_acc = evaluate(weights, data.val_x, data.val_y)
-            rows.append((round_idx * epochs_per_round + epoch, kept_fraction, loss, val_acc))
+            rows.append((round_idx * epochs_per_round + epoch + 1, kept_fraction, loss, val_acc))
         magnitudes = [np.abs(w) for w in weights]
         # the reference holds float 0/1 masks; prune_by_magnitude takes boolean ones
         mask = [np.where(m, 1.0, 0.0) for m in prune_by_magnitude(weights, [m != 0.0 for m in mask], prune_rate, warnings)]
