@@ -17,21 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "add",
-    "mul",
-    "scale",
-    "linear",
-    "relu",
-    "sum_all",
-    "abs_all",
-    "ste_round",
-    "ste_substitute",
-    "softmax_cross_entropy",
-    "backward",
-]
-
 
 class Tensor:
     """One node of the computation graph.

@@ -24,8 +24,6 @@ from .common import MinerConfig, MiningResult, SparsitySchedule, keep_at_least_o
 LAYERWISE = "layerwise"
 GLOBAL = "global"
 
-__all__ = ["edge_popup", "topk_mask", "LAYERWISE", "GLOBAL"]
-
 
 def topk_mask(
     scores: Sequence[np.ndarray], keep_fraction: float, scope: str, warnings: list[str] | None = None,

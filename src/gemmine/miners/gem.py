@@ -22,8 +22,6 @@ from ..data import DatasetSplit
 from ..masking import SIGNED_CONSTANT, NetworkSpec, mask_sparsity, round_scores, select_smallest_across
 from .common import MinerConfig, MiningResult, SparsitySchedule, check_layer_collapse, mining_result, score_descent
 
-__all__ = ["freeze_step", "gem_mine"]
-
 
 def freeze_step(scores: list[np.ndarray], freeze: list[np.ndarray], schedule: SparsitySchedule) -> int:
     """Freeze the globally smallest unfrozen scores, in place.

@@ -23,8 +23,6 @@ COLD = "cold"
 WARM = "warm"
 LR_REWIND = "lr_rewind"
 
-__all__ = ["imp", "check_imp_settings", "RewindSpec", "RoundMasks", "COLD", "WARM", "LR_REWIND", "prune_by_magnitude"]
-
 
 @dataclass(frozen=True)
 class RewindSpec:

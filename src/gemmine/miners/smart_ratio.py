@@ -43,8 +43,6 @@ LAST_LAYER_KEEP = 0.3
 TUNE_STEPS = 50
 TUNE_LR = 0.01
 
-__all__ = ["smart_ratio", "check_smart_ratio_settings", "smooth_ratios", "tune_ratios", "sample_ratio_mask", "VARIANTS"]
-
 
 def check_smart_ratio_settings(
     spec: NetworkSpec, variant: str, reference_profile: LayerRatios | None, imp_profile: LayerRatios | None, last_layer_keep: float,

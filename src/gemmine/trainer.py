@@ -38,8 +38,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"invalid TrainConfig: epochs={self.epochs}, batch_size={self.batch_size}, lr={self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be positive, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if isinstance(self.schedule, MultiStep):
             ms = self.schedule.milestones
             if any(b <= a for a, b in zip(ms, ms[1:])) or any(m < 0 or m >= self.epochs for m in ms):

@@ -1,10 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gemmine.config import ExperimentConfig, build_experiment_config
 from gemmine.data import DatasetSplit, gen_synthetic, make_digit_archive
 from gemmine.harness import build_dataset
+
+# every run draws the same examples and reads no saved ones, so a test's verdict does not depend on the run;
+# each test keeps its own max_examples and deadline
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -319,7 +319,7 @@ def _layers_eligible_and_k(draw):
     return layers, eligible, draw(st.integers(min_value=-1, max_value=n + 1))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_layers_eligible_and_k())
 def test_select_smallest_across_ranks_only_the_eligible_entries(case):
     """With ``eligible``, the choice is the stable sort of the eligible entries alone, taken in (layer, flat index) order."""

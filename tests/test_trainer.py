@@ -63,7 +63,7 @@ def test_milestones_must_increase_within_range():
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.1])
 def test_train_config_needs_a_positive_finite_learning_rate(lr):
-    with pytest.raises(ValueError, match="invalid TrainConfig"):
+    with pytest.raises(ValueError, match=re.escape(f"learning rate must be positive and finite, got {lr}")):
         TrainConfig(epochs=1, lr=lr)
 
 
@@ -554,7 +554,7 @@ def _imp_runs(draw):
     )
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(run=_imp_runs())
 def test_imp_matches_the_dense_reference_loop_on_drawn_runs(blobs, run):
     """Drawn rates put a layer on each side of train_masked's in-place rule, from round to round and layer to layer."""
