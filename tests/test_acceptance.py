@@ -101,6 +101,7 @@ def test_criterion_2_freeze_arithmetic():
             freeze_step(scores, freeze, sched)
             assert int(np.sum(freeze[0])) == expected
         target_count = 0.014 * 10_000
+        assert expected == 136
         assert target_count - 30 <= expected <= target_count
 
 
@@ -122,6 +123,8 @@ def test_criterion_3_imp_schedule(experiment_config, digits_1k):
         for previous, current in zip(res.round_masks, res.round_masks[1:]):
             for m_prev, m_cur in zip(previous, current):
                 assert np.all(m_cur <= m_prev)
+        column = [record.sparsity for record in res.report.records]
+        assert all(b <= a for a, b in zip(column, column[1:]))
 
 
 def test_criterion_4_pre_finetune_signal(digits_1k):
@@ -234,13 +237,20 @@ def test_criterion_7_gradient_correctness():
                     assert np.max(np.abs(grad.reshape(-1) - numeric) / denom) < 1e-4
 
         # straight-through score gradients equal w*q times the effective-weight
-        # gradient, exactly, on scalar probes (both sides of the threshold)
+        # gradient, exactly, on scalar probes (both sides of the threshold),
+        # while the forward keeps the weight only at p >= 0.5
         for w, q, x, p in ((2.0, 1.0, 3.0, 0.7), (2.0, 1.0, 3.0, 0.2), (-1.5, 1.0, 4.0, 0.9), (2.0, 0.0, 3.0, 0.9)):
             leaf = Tensor(np.array(p), requires_grad=True)
             loss = mul(mul(Tensor(np.array(w * q)), ste_round(leaf)), Tensor(np.array(x)))
+            assert float(loss.data) == (w * q * x if p >= 0.5 else 0.0)
             backward(loss)
             grad = leaf.grad if leaf.grad is not None else np.zeros(())
             assert float(grad) == w * q * x
+
+
+def layer_bytes(result) -> list[tuple]:
+    """Each layer's mask, weights and scores bytes, ``None`` for a layer without scores."""
+    return [tuple(None if a is None else a.tobytes() for a in (layer.mask, layer.weights, layer.scores)) for layer in result.layers]
 
 
 def test_criterion_8_conservation_and_determinism(blobs, tmp_path):
@@ -278,8 +288,8 @@ def test_criterion_8_conservation_and_determinism(blobs, tmp_path):
         ]
         for run in miners:
             a, b = run(), run()
-            for ma, mb in zip(a.mask, b.mask):
-                assert ma.tobytes() == mb.tobytes()
+            assert layer_bytes(a) == layer_bytes(b)
+            assert a.report.as_dict() == b.report.as_dict()
 
         result = miners[0]()
         path_a, path_b = tmp_path / "a.tfmc", tmp_path / "b.tfmc"
@@ -295,10 +305,13 @@ def test_criterion_9_smart_ratio_construction():
         interior = v1.ratios[:-1]
         assert all(b <= a for a, b in zip(interior, interior[1:]))
         assert v1.ratios[-1] == 0.3
+        sizes = [o * i for o, i in spec.layer_shapes]
+        assert sum(r * s for r, s in zip(v1.ratios, sizes)) / sum(sizes) == pytest.approx(0.3, abs=1e-9)
 
         v3 = smart_ratio(spec, 0.3, "v3", seed=0)
         assert v3.layer_ratios.ratios[0] == 1.0
         assert v3.layer_ratios.ratios[-1] == 1.0
+        assert np.all(v3.mask[0]) and np.all(v3.mask[-1])
 
         data, weights = toy_one_useful_weight()
         start = LayerRatios((0.3, 0.7))
@@ -306,6 +319,8 @@ def test_criterion_9_smart_ratio_construction():
         improvements = []
         for seed in range(10):
             tuned = tune_ratios(start, weights, data, steps=30, lr=0.05, seed=seed)
+            # the layer holding the useful weight gets a higher keep probability
+            assert tuned.ratios[0] > start.ratios[0]
             improvements.append(before - enumerated_expected_loss(weights, tuned.ratios, data))
         assert np.mean(improvements) > 0
         assert sum(1 for delta in improvements if delta > 0) >= 8

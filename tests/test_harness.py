@@ -463,12 +463,6 @@ def test_cli_prints_a_config_error_as_one_line(tmp_path, capsys, command):
     assert captured.out == ""
 
 
-def test_config_missing_idx_path(tmp_path):
-    text = "task.kind = idx\ntask.path = missing_dir\nnet.widths = 2,4,2\nseeds = 0\n"
-    with pytest.raises(ConfigError, match="does not exist"):
-        build_experiment_config(text, base_dir=tmp_path)
-
-
 @pytest.mark.parametrize(
     "line, key",
     [
@@ -624,16 +618,6 @@ def test_run_experiment_isolates_seed_failures(tmp_path, monkeypatch):
     assert "Traceback" in log and "flaky" in log
     rows = harness.read_summary(run_dir / "summary.csv")
     assert {row["seed"] for row in rows} == {"2"}
-
-
-def test_checkpoint_save_load_save_in_harness_layout(tmp_path):
-    cfg = build_experiment_config(BASE_CFG)
-    run_dir = harness.run_experiment(cfg, tmp_path)
-    ckpt = run_dir / "masks" / "seed1_none.tfmc"
-    loaded = load_checkpoint(ckpt)
-    resaved = tmp_path / "resaved.tfmc"
-    save_checkpoint(resaved, loaded)
-    assert ckpt.read_bytes() == resaved.read_bytes()
 
 
 def test_base_checkpoint_reloads_the_mined_mask(tmp_path, monkeypatch):

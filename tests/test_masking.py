@@ -346,7 +346,7 @@ def _selection_runs(draw):
     return layers, tie_heavy, draw(st.sampled_from([1, 2, 8, LargestSelector.MARGIN])), steps
 
 
-def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
+def test_largest_selector_matches_the_full_selection_over_perturbed_runs():
     paths = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -375,7 +375,7 @@ def test_smallest_selector_matches_the_full_selection_over_perturbed_runs():
     assert paths["window"] > 0 and paths["fallback"] > 0, paths
 
 
-def test_smallest_selector_takes_the_window_while_values_move_little():
+def test_largest_selector_takes_the_window_while_values_move_little():
     rng = np.random.default_rng(3)
     layers = [rng.random((40, 30)), rng.random(200)]
     selector = LargestSelector()
@@ -388,7 +388,7 @@ def test_smallest_selector_takes_the_window_while_values_move_little():
     assert selector.fallback_calls == 2
 
 
-def test_smallest_selector_chooses_none_or_all_without_a_partition(monkeypatch):
+def test_largest_selector_chooses_none_or_all_without_a_partition(monkeypatch):
     def no_partition(values, k):
         raise AssertionError(f"select_smallest called with k={k}")
 

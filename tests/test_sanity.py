@@ -9,14 +9,10 @@ from gemmine.masking import (
     SIGNED_CONSTANT,
     MaskedLayer,
     NetworkSpec,
-    init_scores,
     init_weights,
-    layer_stddev,
     mask_sparsity,
-    round_scores,
 )
 from gemmine.sanity import (
-    REINIT,
     SanityVariant,
     invert_scores,
     layerwise_report,
@@ -30,13 +26,6 @@ def test_variant_kind_validation():
     SanityVariant("shuffle")
     with pytest.raises(ValueError):
         SanityVariant("scramble")
-
-
-def test_shuffle_preserves_counts():
-    mask = [np.array([[1.0, 0.0, 0.0, 1.0]])]
-    out = shuffle_mask(mask, seed=0)
-    assert int(np.sum(out[0])) == 2
-    assert sorted(out[0].reshape(-1).tolist()) == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_shuffle_all_ones_fixed_point():
@@ -68,21 +57,6 @@ def test_shuffle_conserves_layer_and_global_sparsity(seed):
     assert mask_sparsity(mask) == mask_sparsity(out)
 
 
-def test_reinit_preserves_masks_and_redraws_weights():
-    spec = NetworkSpec((4, 6, 3))
-    layers = [
-        MaskedLayer(weights=w, mask=round_scores(p), scores=p)
-        for w, p in zip(init_weights(spec, SIGNED_CONSTANT, seed=2), init_scores(spec, seed=2))
-    ]
-    fresh = variant_network(layers, REINIT, 3, SIGNED_CONSTANT, [])
-    for old, new in zip(layers, fresh):
-        assert new.scores is None  # no variant holds scores
-        assert old.mask.tobytes() == new.mask.tobytes()
-        assert old.weights.tobytes() != new.weights.tobytes()
-        # the scheme's per-layer magnitude is preserved exactly
-        assert np.all(np.abs(new.weights) == layer_stddev(old.weights.shape[1]))
-
-
 @pytest.mark.parametrize("widths", [(4, 6, 3), (3, 5, 4, 2)])
 def test_reinit_weights_draws_the_layers_shapes_as_init_weights_does(widths):
     spec = NetworkSpec(widths)
@@ -105,15 +79,6 @@ def test_invert_is_complement_at_half_density():
     inverted = invert_scores(scores, original, warnings)
     np.testing.assert_array_equal(inverted[0], 1.0 - original[0])
     assert warnings == []
-
-
-def test_invert_preserves_per_layer_counts():
-    rng = np.random.default_rng(0)
-    scores = [rng.random((5, 5)), rng.random((3, 7))]
-    mask = [(rng.random((5, 5)) < 0.3).astype(float), (rng.random((3, 7)) < 0.6).astype(float)]
-    inverted = invert_scores(scores, mask, [])
-    for m, inv in zip(mask, inverted):
-        assert int(np.sum(inv)) == int(np.sum(m))
 
 
 def test_invert_disjoint_when_sparse_and_distinct():

@@ -33,16 +33,6 @@ def test_every_traced_function_resolves(spans):
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{span}: {module}.{attr} is gone"
 
 
-def test_every_traced_module_is_reached_by_attribute(spans):
-    """Each traced module is reached from ``gemmine`` by attribute: no package binds a name over one of them."""
-    gemmine = importlib.import_module("gemmine")
-    for span, module, _, _ in spans.TARGETS:
-        found = gemmine
-        for part in module.split(".")[1:]:
-            found = getattr(found, part, None)
-        assert found is importlib.import_module(module), f"{span}: {module} by attribute is {found!r}"
-
-
 def test_every_traced_optimizer_class_has_step(spans):
     optim = importlib.import_module("gemmine.optim")
     for cls_name in spans.OPTIMIZER_CLASSES:
