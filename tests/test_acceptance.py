@@ -39,7 +39,7 @@ from gemmine.miners.gem import freeze_step, gem_mine
 from gemmine.miners.imp import RewindSpec, imp
 from gemmine.miners.smart_ratio import smart_ratio, smooth_ratios, tune_ratios
 from gemmine.sanity import REINIT, invert_scores, shuffle_mask, variant_network
-from toy_tasks import enumerated_expected_loss, toy_one_useful_weight
+from toy_tasks import assert_arrays_identical, enumerated_expected_loss, finite_difference, toy_one_useful_weight
 
 SEEDS = (1, 2, 3)
 IMAGE_SPEC = NetworkSpec((784, 128, 10))
@@ -111,18 +111,17 @@ def test_criterion_3_imp_schedule(experiment_config, digits_1k):
         rounds, rate = cfg.imp_rounds, cfg.imp_prune_rate
         res = mine_for_seed(cfg, digits_1k, cfg.seeds[0])
         d = cfg.spec.total_params
-        kept = d
+        kept = [d]  # the schedule's count after each round
         for _ in range(rounds):
-            kept -= int(rate * kept + 0.5)
-        assert sum(int(np.sum(m)) for m in res.mask) == kept
+            kept.append(kept[-1] - int(rate * kept[-1] + 0.5))
+        assert sum(int(np.sum(m)) for m in res.mask) == kept[-1]
         assert mask_sparsity(res.mask) == pytest.approx(0.8**19, abs=rounds / d)
         assert 0.8**19 == pytest.approx(0.01441, abs=5e-6)
         # 19 rounds of full-scale 150-epoch training is the 2850-epoch budget
         assert rounds * 150 == 2850
         assert res.round_masks is not None and len(res.round_masks) == rounds
-        for previous, current in zip(res.round_masks, res.round_masks[1:]):
-            for m_prev, m_cur in zip(previous, current):
-                assert np.all(m_cur <= m_prev)
+        assert [sum(int(np.count_nonzero(m)) for m in round_mask) for round_mask in res.round_masks] == kept[1:]
+        assert_arrays_identical(res.mask, res.round_masks[-1])
         column = [record.sparsity for record in res.report.records]
         assert all(b <= a for a, b in zip(column, column[1:]))
 
@@ -220,21 +219,11 @@ def test_criterion_7_gradient_correctness():
             # the closed-form kernel the training loops use faces the same probe
             _, (k1, k2) = loss_and_grads(x, y, [w1, w2])
 
-            h = 1e-5
-            for arr, grads in ((w1, (w1_t.grad, k1)), (w2, (w2_t.grad, k2))):
-                flat = arr.reshape(-1)
-                numeric = np.zeros_like(flat)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    up = loss_value(w1, w2)
-                    flat[i] = orig - h
-                    down = loss_value(w1, w2)
-                    flat[i] = orig
-                    numeric[i] = (up - down) / (2 * h)
+            numerics = finite_difference(lambda arrays: loss_value(*arrays), [w1, w2])
+            for numeric, grads in zip(numerics, ((w1_t.grad, k1), (w2_t.grad, k2))):
                 denom = np.maximum(np.abs(numeric), 1e-6)
                 for grad in grads:
-                    assert np.max(np.abs(grad.reshape(-1) - numeric) / denom) < 1e-4
+                    assert np.max(np.abs(grad - numeric) / denom) < 1e-4
 
         # straight-through score gradients equal w*q times the effective-weight
         # gradient, exactly, on scalar probes (both sides of the threshold),

@@ -18,6 +18,7 @@ from gemmine.autodiff import (
     sum_all,
 )
 from gemmine.masking import mlp_forward
+from toy_tasks import finite_difference
 
 
 def test_relu_linear_hand_example():
@@ -72,25 +73,6 @@ def test_add_shape_error():
         add(Tensor(np.ones(2)), Tensor(np.ones(3)))
 
 
-def _finite_difference(f, arrays, h=1e-5):
-    """Central-difference gradient of scalar f with respect to each array."""
-    grads = []
-    for k, a in enumerate(arrays):
-        g = np.zeros_like(a)
-        flat = a.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f(arrays)
-            flat[i] = orig - h
-            down = f(arrays)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * h)
-        grads.append(g)
-    return grads
-
-
 def test_gradient_of_mixed_ops_matches_finite_differences():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(5)
@@ -102,7 +84,7 @@ def test_gradient_of_mixed_ops_matches_finite_differences():
     t = Tensor(v.copy(), requires_grad=True)
     loss = add(sum_all(abs_all(t)), scale(sum_all(mul(t, t)), 0.25))
     backward(loss)
-    numeric = _finite_difference(f, [v.copy()])[0]
+    numeric = finite_difference(f, [v.copy()])[0]
     assert np.max(np.abs(t.grad - numeric)) < 1e-6
 
 

@@ -2,7 +2,6 @@ import ast
 import hashlib
 import re
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from gemmine.miners.gem import gem_mine
 from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.trainer import TrainConfig, evaluate, finetune
 from source_sites import modules, sites
+from toy_tasks import traced_peak
 
 
 def test_idx_image_roundtrip(tmp_path):
@@ -342,18 +342,11 @@ def test_digit_generator_bytes_are_pinned_across_blocks():
 
 @pytest.mark.parametrize("n", [2000, 6000])
 def test_digit_generator_builds_the_images_in_fixed_blocks(n):
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        gen_digit_images(n, seed=0, noise=1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(gen_digit_images, n, seed=0, noise=1.0)
     # beyond the uint8 images and the labels, one float64 block, a class's rows of it and the
     # templates: about 1.2 blocks for any n, where one buffer of all n images was 1.1 * n / 256 blocks
     float_block = DIGIT_BLOCK_ROWS * 28 * 28 * 8
-    assert peak - before - n * (28 * 28 + 3 * 8) < 1.5 * float_block
+    assert peak - n * (28 * 28 + 3 * 8) < 1.5 * float_block
 
 
 def _is_pixel_scaling(node) -> bool:

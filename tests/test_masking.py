@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from gemmine.miners.imp import RewindSpec, imp
 from gemmine.miners.smart_ratio import smart_ratio
 from gemmine.sanity import invert_scores, shuffle_mask
 from source_sites import PACKAGE, modules, names, sites
+from toy_tasks import stable_sort_selection, traced_peak
 
 
 def test_round_boundary_is_kept():
@@ -216,12 +216,6 @@ def test_mask_consistency_and_support(seed):
 SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
 
 
-def _stable_sort_selection(values: np.ndarray, k: int) -> np.ndarray:
-    chosen = np.zeros(values.size, dtype=bool)
-    chosen[np.argsort(values, kind="stable")[: max(k, 0)]] = True
-    return chosen
-
-
 @st.composite
 def _values_and_k(draw, elements):
     values = draw(hnp.arrays(np.float64, st.integers(min_value=0, max_value=40), elements=elements))
@@ -241,14 +235,14 @@ def test_select_smallest_matches_stable_sort_on_ties(case):
     values, k = case
     chosen = select_smallest(values, k)
     assert chosen.dtype == bool and chosen.shape == values.shape
-    np.testing.assert_array_equal(chosen, _stable_sort_selection(values, k))
+    np.testing.assert_array_equal(chosen, stable_sort_selection(values, k))
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_float)
 def test_select_smallest_matches_stable_sort_on_any_floats(case):
     values, k = case
-    np.testing.assert_array_equal(select_smallest(values, k), _stable_sort_selection(values, k))
+    np.testing.assert_array_equal(select_smallest(values, k), stable_sort_selection(values, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,9 +250,7 @@ def test_select_smallest_matches_stable_sort_on_any_floats(case):
 def test_select_smallest_of_negated_scores_is_stable_top_k(case):
     # topk_mask's form: the k largest scores, equal scores lowest index first
     scores, k = case
-    expected = np.zeros(scores.size, dtype=bool)
-    expected[np.argsort(-scores, kind="stable")[: max(k, 0)]] = True
-    np.testing.assert_array_equal(select_smallest(-scores, k), expected)
+    np.testing.assert_array_equal(select_smallest(-scores, k), stable_sort_selection(-scores, k))
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,22 +284,12 @@ def _layers_and_k(draw):
 def test_select_smallest_across_is_the_stable_sort_of_the_concatenation(case):
     layers, k = case
     chosen = select_smallest_across(layers, k)
-    expected = _stable_sort_selection(np.concatenate([layer.reshape(-1) for layer in layers]), k)
+    expected = stable_sort_selection(np.concatenate([layer.reshape(-1) for layer in layers]), k)
     bounds = np.cumsum([layer.size for layer in layers])[:-1]
     assert len(chosen) == len(layers)
     for got, want, layer in zip(chosen, np.split(expected, bounds), layers):
         assert got.dtype == bool and got.shape == layer.shape
         np.testing.assert_array_equal(got.reshape(-1), want)
-
-
-def test_select_smallest_across_never_chooses_inf_within_the_finite_count():
-    layers = [np.array([[np.inf, 3.0], [1.0, np.inf]]), np.array([np.inf, 1.0, 2.0]), np.full((2, 2), np.inf)]
-    for k in range(5):
-        chosen = select_smallest_across(layers, k)
-        assert sum(int(c.sum()) for c in chosen) == k
-        assert not any(np.any(c & np.isinf(layer)) for c, layer in zip(chosen, layers))
-    # equal values: the earlier layer first
-    assert [c.tolist() for c in select_smallest_across(layers, 1)[:2]] == [[[False, False], [True, False]], [False, False, False]]
 
 
 @st.composite
@@ -325,7 +307,7 @@ def test_select_smallest_across_ranks_only_the_eligible_entries(case):
     """With ``eligible``, the choice is the stable sort of the eligible entries alone, taken in (layer, flat index) order."""
     layers, eligible, k = case
     chosen = select_smallest_across((layer for layer in layers), k, eligible=eligible)  # read once, so a generator will do
-    expected = _stable_sort_selection(np.concatenate([layer[e] for layer, e in zip(layers, eligible)]), k)
+    expected = stable_sort_selection(np.concatenate([layer[e] for layer, e in zip(layers, eligible)]), k)
     assert [(c.dtype, c.shape) for c in chosen] == [(np.dtype(bool), layer.shape) for layer in layers]
     assert not any(np.any(c & ~e) for c, e in zip(chosen, eligible))
     np.testing.assert_array_equal(np.concatenate([c[e] for c, e in zip(chosen, eligible)]), expected)
@@ -439,12 +421,7 @@ def test_a_full_top_k_makes_one_negated_copy_of_the_scores():
     rng = np.random.default_rng(6)
     scores = [rng.random(shape) for shape in [(128, 784), (10, 128)]]
     selector = LargestSelector()
-    tracemalloc.start()
-    try:
-        chosen = selector(scores, 30_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    chosen, peak = traced_peak(selector, scores, 30_000)
     assert selector.fallback_calls == 1 and sum(int(np.count_nonzero(c)) for c in chosen) == 30_000
     assert peak < 2.25 * sum(p.nbytes for p in scores)
 
@@ -458,12 +435,7 @@ def test_a_windowed_top_k_copies_no_scores(scope, shapes):
     topk_mask(scores, 0.3, scope, selectors=selectors)
     for p in scores:
         p += 1e-6 * rng.standard_normal(p.shape)
-    tracemalloc.start()
-    try:
-        topk_mask(scores, 0.3, scope, selectors=selectors)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(topk_mask, scores, 0.3, scope, selectors=selectors)
     assert [s.window_calls for s in selectors] == [1] * len(selectors)
     assert peak < sum(p.nbytes for p in scores)
 
@@ -640,11 +612,6 @@ def k(x, y):
 def test_select_smallest_peaks_at_one_copy_of_its_values():
     # the partitioned copy is freed before the two comparisons allocate theirs
     values = np.random.default_rng(0).random(100_352)
-    tracemalloc.start()
-    try:
-        chosen = select_smallest(values, 50_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    chosen, peak = traced_peak(select_smallest, values, 50_000)
     assert int(np.count_nonzero(chosen)) == 50_000
     assert peak < 1.125 * values.nbytes

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,9 @@ from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import INVERT, invert_scores, layerwise_report, variant_network
 from gemmine.trainer import evaluate, run_epoch
 from source_sites import PACKAGE, modules, names, sites
-from toy_tasks import random_classification, toy_one_useful_weight
+from toy_tasks import (
+    assert_arrays_identical, random_classification, score_penalty, stable_sort_selection, toy_one_useful_weight, traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -158,44 +159,11 @@ def _single_layer_network(scores):
     return [scores.copy()], [np.ones_like(scores)]
 
 
-def test_freeze_step_bottom_half():
-    scores, freeze = _single_layer_network([0.9, 0.1, 0.8, 0.2])
-    half = SparsitySchedule(0.5, 1, 1)  # keep factor exactly 0.5
-    frozen = freeze_step(scores, freeze, half)
-    assert frozen == 2
-    np.testing.assert_array_equal(freeze[0], [[1.0, 0.0, 1.0, 0.0]])
-    np.testing.assert_array_equal(scores[0], [[0.9, 0.0, 0.8, 0.0]])
-
-
 def test_freeze_step_noop_when_target_is_dense():
     scores, freeze = _single_layer_network([0.9, 0.1, 0.8, 0.2])
     dense = SparsitySchedule(1.0, 10, 5)
     assert freeze_step(scores, freeze, dense) == 0
     np.testing.assert_array_equal(freeze[0], np.ones((1, 4)))
-
-
-def test_freeze_step_is_global_across_layers():
-    scores = [np.array([[0.9, 0.8]]), np.array([[0.1, 0.2]])]
-    freeze = [np.ones((1, 2)), np.ones((1, 2))]
-    half = SparsitySchedule(0.5, 1, 1)
-    freeze_step(scores, freeze, half)
-    np.testing.assert_array_equal(freeze[0], [[1.0, 1.0]])
-    np.testing.assert_array_equal(freeze[1], [[0.0, 0.0]])
-
-
-def test_freeze_step_breaks_ties_by_layer_then_flat_index():
-    # five unfrozen scores tie at 0.2 across both layers and four are frozen:
-    # layer a's three in row-major flat order, then the first of layer b's
-    scores = [np.array([[0.7, 0.2], [0.2, 0.2]]), np.array([[0.9, 0.2, 0.2, 0.8]])]
-    freeze = [np.ones((2, 2)), np.ones((1, 4))]
-    freeze[1][0, 0] = 0.0  # an already-frozen entry is never a candidate
-    scores[1][0, 0] = 0.0
-    half = SparsitySchedule(0.5, 1, 1)
-    assert freeze_step(scores, freeze, half) == 4  # 7 unfrozen, floor(3.5) = 3 survive
-    np.testing.assert_array_equal(freeze[0], [[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(freeze[1], [[0.0, 0.0, 1.0, 1.0]])
-    np.testing.assert_array_equal(scores[0], [[0.7, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(scores[1], [[0.0, 0.0, 0.2, 0.8]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,28 +252,19 @@ def test_gem_mine_freeze_monotone_over_run(blobs):
 
 def _reference_gem_mine(data, spec, schedule, config):
     """gem_mine written with per-batch formulas: w * freeze and float-rounded
-    scores rebuilt every batch, the L2 gradient as (g + lam*p) + lam*p."""
+    scores rebuilt every batch, the penalty added by ``score_penalty``."""
     weights = init_weights(spec, SIGNED_CONSTANT, config.seed)
     scores = init_scores(spec, config.seed)
     freeze = [np.ones_like(w) for w in weights]
     optimizer = make_optimizer(config.optimizer, scores)
     rng = stream_rng(config.seed, STREAM_BATCHES)
-    lam = config.reg_weight
 
     def batch_loss_and_grads(x, y):
         for p in scores:
             np.clip(p, 0.0, 1.0, out=p)
         base = [w * f for w, f in zip(weights, freeze)]
         loss, d_eff = loss_and_grads(x, y, [b * round_scores(p) for b, p in zip(base, scores)])
-        grads = [d * b for d, b in zip(d_eff, base)]
-        if lam > 0.0:
-            if config.regularizer == L1:
-                penalty = sum(np.sum(np.abs(p)) for p in scores)
-                grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
-            else:
-                penalty = sum(np.sum(p * p) for p in scores)
-                grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
-            loss = loss + penalty * lam
+        loss, grads = score_penalty(loss, [d * b for d, b in zip(d_eff, base)], scores, config)
         return float(loss), grads
 
     columns = {"epoch": [], "sparsity": [], "train_loss": [], "val_accuracy": [], "mask_sparsity": []}
@@ -537,21 +496,12 @@ def _reference_edge_popup(data, spec, schedule, config, scope, gradual):
     scores = init_scores(spec, config.seed)
     optimizer = make_optimizer(config.optimizer, scores)
     rng = stream_rng(config.seed, STREAM_BATCHES)
-    lam = config.reg_weight
     warnings = []
 
     def batch_loss_and_grads(x, y):
         mask = topk_mask(scores, keep, scope, warnings)
         loss, d_eff = loss_and_grads(x, y, [w * m for w, m in zip(weights, mask)])
-        grads = [d * w for d, w in zip(d_eff, weights)]
-        if lam > 0.0:
-            if config.regularizer == L1:
-                penalty = sum(np.sum(np.abs(p)) for p in scores)
-                grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
-            else:
-                penalty = sum(np.sum(p * p) for p in scores)
-                grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
-            loss = loss + penalty * lam
+        loss, grads = score_penalty(loss, [d * w for d, w in zip(d_eff, weights)], scores, config)
         return float(loss), grads
 
     columns = {"epoch": [], "sparsity": [], "train_loss": [], "val_accuracy": []}
@@ -716,11 +666,8 @@ def test_imp_single_round_no_training_keeps_top_half(blobs):
     weights = init_weights(spec, "scaled_normal", seed=6)
     flat = np.concatenate([np.abs(w).reshape(-1) for w in weights])
     kept = flat.size - int(0.5 * flat.size + 0.5)
-    threshold_order = np.argsort(-flat, kind="stable")[:kept]
-    expected = np.zeros(flat.size)
-    expected[threshold_order] = 1.0
     got = np.concatenate([m.reshape(-1) for m in res.mask])
-    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(got, stable_sort_selection(-flat, kept))
 
 
 @pytest.mark.parametrize("kind", [COLD, WARM, LR_REWIND])
@@ -849,9 +796,7 @@ def _layers_and_eligible(draw):
 
 def _padded_stable_sort(values, eligible, k):
     """The rule before only eligible entries were ranked: excluded entries as +inf, a stable sort of the concatenation."""
-    padded = np.concatenate([np.where(e, v, np.inf).reshape(-1) for v, e in zip(values, eligible)])
-    chosen = np.zeros(padded.size, dtype=bool)
-    chosen[np.argsort(padded, kind="stable")[:k]] = True
+    chosen = stable_sort_selection(np.concatenate([np.where(e, v, np.inf).reshape(-1) for v, e in zip(values, eligible)]), k)
     bounds = np.cumsum([v.size for v in values])[:-1]
     return [part.reshape(v.shape) for part, v in zip(np.split(chosen, bounds), values)]
 
@@ -893,15 +838,6 @@ def test_freeze_step_matches_the_padded_stable_sort(case, schedule, freeze_dtype
         np.testing.assert_array_equal(p, np.where(hit, 0.0, old_p))
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # tracemalloc peaks of one call on 784-128-10 with every entry eligible, in bytes, when the
 # excluded entries were still padded to +inf (three network-sized float64 arrays at the partition)
 PADDED_PEAKS = {"prune_by_magnitude": 2_442_848, "freeze_step": 2_442_840}
@@ -916,8 +852,8 @@ def test_prune_and_freeze_memory_shrinks_with_the_eligible_count(eligible_fracti
     mask = [rng.random(shape) < eligible_fraction for shape in spec.layer_shapes]
     freeze = [m.copy() for m in mask]
     peaks = {
-        "prune_by_magnitude": _traced_peak(lambda: prune_by_magnitude(weights, mask, 0.2, [])),
-        "freeze_step": _traced_peak(lambda: freeze_step(scores, freeze, SparsitySchedule(0.5, 1, 1))),
+        "prune_by_magnitude": traced_peak(prune_by_magnitude, weights, mask, 0.2, [])[1],
+        "freeze_step": traced_peak(freeze_step, scores, freeze, SparsitySchedule(0.5, 1, 1))[1],
     }
     if eligible_fraction == 1.0:
         assert all(peaks[name] <= PADDED_PEAKS[name] for name in peaks), peaks
@@ -960,31 +896,26 @@ def test_imp_round_masks_act_as_a_sequence_of_boolean_mask_lists(blobs):
     assert kept == sorted(kept, reverse=True) and len(set(kept)) == 4
     assert len(rounds) == 4 and (rounds or []) is rounds
     for got, want in zip(rounds, expected, strict=True):
-        _assert_same_masks(got, want)
-    _assert_same_masks(rounds[-1], res.mask)
-    _assert_same_masks(rounds[-4], expected[0])
+        assert_arrays_identical(got, want)
+    assert_arrays_identical(rounds[-1], res.mask)
+    assert [m.dtype for m in res.mask] == [np.bool_, np.bool_]
+    assert_arrays_identical(rounds[-4], expected[0])
     with pytest.raises(IndexError):
         rounds[4]
     tail = rounds[1:]
     assert len(tail) == 3 and type(tail) is type(rounds)
     for got, want in zip(tail, expected[1:], strict=True):
-        _assert_same_masks(got, want)
+        assert_arrays_identical(got, want)
     for got, want in zip(rounds[::-2], expected[::-2], strict=True):
-        _assert_same_masks(got, want)
+        assert_arrays_identical(got, want)
     assert len(rounds[4:]) == 0 and (rounds[4:] or []) == []
     with pytest.raises(ValueError):
         list(zip(rounds, rounds[1:], strict=True))
     # each access builds new arrays, so writing into one leaves the history as it was
     rounds[0][0][...] = False
-    _assert_same_masks(rounds[0], expected[0])
+    assert_arrays_identical(rounds[0], expected[0])
     with pytest.raises(TypeError):
         rounds[0] = expected[0]
-
-
-def _assert_same_masks(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype == np.bool_ and a.shape == b.shape and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,8 +933,6 @@ def _assert_same_masks(got, want):
     ),
 )
 def test_sampled_mask_counts_are_exact(seed, ratios):
-    from gemmine.miners.smart_ratio import sample_ratio_mask
-
     spec = NetworkSpec((7, 6, 5, 3))
     warnings: list[str] = []
     mask = sample_ratio_mask(spec, LayerRatios(ratios), seed, warnings)
@@ -1368,9 +1297,7 @@ def test_selection_sites_match_the_stable_sort_oracle(digits_1k, monkeypatch):
 
         def oracle(values, k, module=module):
             calls[module] += 1
-            chosen = np.zeros(np.size(values), dtype=bool)
-            chosen[np.argsort(np.asarray(values).reshape(-1), kind="stable")[: max(k, 0)]] = True
-            return chosen
+            return stable_sort_selection(values, k)
 
         monkeypatch.setattr(getattr(gemmine, module), "select_smallest", oracle)
     sorted_ = _mine_with_every_selection(data)

@@ -1,12 +1,12 @@
 """The in-place optimizer steps against their plain-expression form, bit for bit, and their allocations."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from gemmine.optim import Adam, SgdMomentum, make_optimizer
+from toy_tasks import traced_peak
 
 
 def _params(rng, shapes):
@@ -93,12 +93,7 @@ def test_a_step_allocates_no_parameter_sized_array(spec):
     optimizer = make_optimizer(spec, [param])
     for _ in range(2):
         grad = np.random.default_rng(4).standard_normal(param.size)
-        tracemalloc.start()
-        try:
-            optimizer.step([param], [grad], 0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(optimizer.step, [param], [grad], 0.1)
         assert peak < param.nbytes / 4
 
 

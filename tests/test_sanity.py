@@ -20,6 +20,7 @@ from gemmine.sanity import (
     shuffle_mask,
     variant_network,
 )
+from toy_tasks import stable_sort_selection
 
 
 def test_variant_kind_validation():
@@ -84,9 +85,7 @@ def test_invert_is_complement_at_half_density():
 def test_invert_disjoint_when_sparse_and_distinct():
     rng = np.random.default_rng(1)
     scores = [rng.permutation(100).astype(float).reshape(10, 10)]
-    top20 = np.zeros(100)
-    top20[np.argsort(-scores[0].reshape(-1))[:20]] = 1.0
-    mask = [top20.reshape(10, 10)]
+    mask = [stable_sort_selection(-scores[0], 20).reshape(10, 10).astype(float)]
     inverted = invert_scores(scores, mask, [])
     assert int(np.sum(mask[0] * inverted[0])) == 0
 

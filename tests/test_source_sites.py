@@ -59,17 +59,22 @@ def test_modules_reads_the_package_by_relative_path():
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each name an import in ``source`` binds and no expression reads; ``__future__`` imports are
-    exempt. ``import a.b`` binds ``a``, and a name inside a string is no read."""
+    """(line, name) of each name an import in ``source`` binds and no expression reads, and of each import of a name
+    an earlier import already imported; ``__future__`` imports are exempt. ``import a.b`` binds ``a`` but imports
+    ``a.b``, so ``import a`` beside it is no repeat, and a name inside a string is no read."""
     tree = ast.parse(source)
     loads = sites(tree, lambda node: isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load), what=lambda node: node.id)
     read = {name for _, _, name in loads}
     imports = sites(
         tree,
         lambda node: isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__",
-        what=lambda node: [alias.asname or alias.name.partition(".")[0] for alias in node.names],
+        what=lambda node: [(alias.asname or alias.name.partition(".")[0], alias.asname or alias.name) for alias in node.names],
     )
-    return [(line, name) for line, _, bound in imports for name in bound if name not in read]
+    found, imported = [], set()
+    for line, _, aliases in imports:
+        found += [(line, name) for name, target in aliases if name not in read or target in imported]
+        imported.update(target for _, target in aliases)
+    return found
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -83,12 +88,14 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_the_unused_import_guard_sees_each_spelling():
     source = """
 from __future__ import annotations
+import a
 import a.b
 import os.path
 from x import y as z
 from m import annotated, quoted, read
 def f(v: annotated) -> None:
+    from m import read
     y = "quoted"
     return a.b, read(y)
 """
-    assert _unused_imports(source) == [(4, "os"), (5, "z"), (6, "quoted")]
+    assert _unused_imports(source) == [(5, "os"), (6, "z"), (7, "quoted"), (9, "read")]

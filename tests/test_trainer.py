@@ -31,6 +31,7 @@ from gemmine.trainer import (
     run_epoch,
     train_masked,
 )
+from toy_tasks import assert_arrays_identical
 
 
 def test_lr_multistep_example():
@@ -434,13 +435,6 @@ def _record_rows(report):
     return [(r.epoch, r.sparsity, r.train_loss, r.val_accuracy) for r in report.records]
 
 
-def _assert_arrays_identical(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-
-
 # per layer of 784-16-10: the kept fraction, or a kept count: "one" weight, or half the layer's ("half") give or
 # take one; train_masked steps a layer that keeps at least half its weights in place, any other one compactly
 MASK_DENSITIES = {
@@ -483,7 +477,7 @@ def test_finetune_matches_the_dense_reference_loop(digits_1k, case, optimizer, l
     trained, report = finetune(weights, mask, data, cfg)
     want, rows, pre_acc, post_acc = _reference_finetune(weights, mask, data, cfg)
 
-    _assert_arrays_identical(trained, want)
+    assert_arrays_identical(trained, want)
     # an output layer with no kept weight leaves no path to train: the weights must not move at all
     moved = any(not np.array_equal(t, w * m) for t, w, m in zip(trained, weights, mask))
     assert moved == (case != "none_kept")
@@ -509,11 +503,11 @@ def test_imp_matches_the_dense_reference_loop(digits_1k, kind, optimizer, lr):
     )
 
     assert [row[1] for row in rows[::2]] == [1.0, 0.5, 0.25, 0.125, 0.0625]  # kept fraction trained each round
-    _assert_arrays_identical([w * m for w, m in zip(res.weights, res.mask)], weights)
-    _assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
+    assert_arrays_identical([w * m for w, m in zip(res.weights, res.mask)], weights)
+    assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
     for got, want in zip(res.round_masks, round_masks, strict=True):
-        _assert_arrays_identical(got, want)
-    _assert_arrays_identical([l.scores for l in res.layers], magnitudes)
+        assert_arrays_identical(got, want)
+    assert_arrays_identical([l.scores for l in res.layers], magnitudes)
     assert np.array(_record_rows(res.report)).tobytes() == np.array(rows).tobytes()
     assert np.array(res.report.pre_finetune_accuracy).tobytes() == np.array(pre_acc).tobytes()
     assert res.report.layerwise == layerwise
@@ -561,10 +555,10 @@ def test_imp_matches_the_dense_reference_loop_on_drawn_runs(blobs, run):
     res = imp(blobs, **run)
     weights, mask, round_masks, magnitudes, *_ = _reference_imp(blobs, **run)
 
-    _assert_arrays_identical([w * m for w, m in zip(res.weights, res.mask)], weights)
-    _assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
-    _assert_arrays_identical([m for r in res.round_masks for m in r], [m for r in round_masks for m in r])
-    _assert_arrays_identical([l.scores for l in res.layers], magnitudes)
+    assert_arrays_identical([w * m for w, m in zip(res.weights, res.mask)], weights)
+    assert_arrays_identical(res.mask, [m != 0.0 for m in mask])
+    assert_arrays_identical([m for r in res.round_masks for m in r], [m for r in round_masks for m in r])
+    assert_arrays_identical([l.scores for l in res.layers], magnitudes)
     want = sum(w.size for w in weights)
     previous = [np.ones(w.shape, dtype=bool) for w in weights]
     for masks in res.round_masks:

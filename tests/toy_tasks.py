@@ -1,6 +1,8 @@
-"""Small hand-built tasks, and an exact loss oracle, shared by several test files.
+"""The one home of the tests' shared oracles and helpers: small hand-built tasks, the exact loss oracle, the
+stable-sort selection, central finite differences, the per-batch score penalty, the traced memory peak of a call
+and the byte equality of array lists.
 
-    from toy_tasks import enumerated_expected_loss, random_classification, toy_one_useful_weight
+    from toy_tasks import enumerated_expected_loss, random_classification, stable_sort_selection, traced_peak
 
 A plain module beside the tests, imported the way ``golden`` and
 ``source_sites`` are, so ``pytest`` collects every test file from any
@@ -9,10 +11,13 @@ working directory.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from gemmine.data import DatasetSplit
 from gemmine.masking import loss_and_grads
+from gemmine.miners.common import L1
 
 
 def random_classification(n: int, dim: int, classes: int, seed: int) -> DatasetSplit:
@@ -73,3 +78,64 @@ def enumerated_expected_loss(weights, ratios, data) -> float:
         loss = loss_and_grads(data.train_x, data.train_y, [w * m for w, m in zip(weights, masks)])[0]
         expected += prob * loss
     return expected
+
+
+def stable_sort_selection(values, k: int) -> np.ndarray:
+    """The reference "k smallest" rule: a flat boolean mask of the first k entries of a stable sort of ``values``
+    read flat, so equal values go lowest index first and NaN last; a k below 0 chooses none."""
+    values = np.asarray(values).reshape(-1)
+    chosen = np.zeros(values.size, dtype=bool)
+    chosen[np.argsort(values, kind="stable")[: max(k, 0)]] = True
+    return chosen
+
+
+def finite_difference(f, arrays, h=1e-5):
+    """Central-difference gradient of scalar ``f(arrays)`` with respect to each array, perturbing each entry in place."""
+    grads = []
+    for a in arrays:
+        g = np.zeros_like(a)
+        flat = a.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = f(arrays)
+            flat[i] = orig - h
+            down = f(arrays)
+            flat[i] = orig
+            gflat[i] = (up - down) / (2 * h)
+        grads.append(g)
+    return grads
+
+
+def score_penalty(loss, grads, scores, config):
+    """A batch's loss and score gradients with ``config``'s regularizer added, written as per-batch formulas: the L1
+    gradient as lam * sign(p), the L2 one as (g + lam*p) + lam*p."""
+    lam = config.reg_weight
+    if lam > 0.0:
+        if config.regularizer == L1:
+            penalty = sum(np.sum(np.abs(p)) for p in scores)
+            grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
+        else:
+            penalty = sum(np.sum(p * p) for p in scores)
+            grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
+        loss = loss + penalty * lam
+    return loss, grads
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)``'s result and the peak of the memory tracemalloc traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_arrays_identical(got, want):
+    """Two lists of arrays, equal in length and, array by array, in dtype, shape and bytes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
