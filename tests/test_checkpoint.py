@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gemmine.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from gemmine.masking import MaskedLayer, extract_mask, round_scores
-
-BELOW_HALF = 0.5 - 2.0**-30  # rounds to 0 in float64, to exactly 0.5 in float32
+from gemmine.masking import MaskedLayer, round_scores
 
 
 def _layer(w, m, p=None):
@@ -173,52 +171,6 @@ def test_roundtrip_keeps_scores_of_any_sign_and_size(tmp_path_factory, layers):
             assert after.scores.tobytes() == before.scores.astype(np.float32).astype(np.float64).tobytes()
 
 
-# ---------------------------------------------------------------------------
-# a round trip gives back the mask that was saved
-# ---------------------------------------------------------------------------
-
-
-def _reloaded_mask(path, layers):
-    save_checkpoint(path, layers)
-    return extract_mask(load_checkpoint(path))
-
-
-def test_roundtrip_keeps_a_score_just_below_half_dropped(tmp_path):
-    # float32 stores 0.5 - 2**-30 as 0.5; the mask bit stays 0 all the same
-    scores = np.array([[BELOW_HALF, 0.5, BELOW_HALF, 0.75]])
-    freeze = np.array([[1.0, 1.0, 0.0, 1.0]])
-    layer = _layer(np.ones((1, 4)), round_scores(scores) * freeze, scores)
-    np.testing.assert_array_equal(layer.mask, [[0.0, 1.0, 0.0, 1.0]])
-    np.testing.assert_array_equal(_reloaded_mask(tmp_path / "edge.tfmc", [layer])[0], layer.mask)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    shapes=st.lists(
-        st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7)),
-        min_size=1,
-        max_size=3,
-    ),
-    with_scores=st.lists(st.booleans(), min_size=3, max_size=3),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_roundtrip_preserves_the_mask(tmp_path_factory, shapes, with_scores, seed):
-    """extract_mask(load(save(L))) == extract_mask(L), for gem-like layers and for bare masks."""
-    rng = np.random.default_rng(seed)
-    edges = np.array([BELOW_HALF, 0.5, 0.0, 1.0])
-    layers = []
-    for (fan_out, fan_in), scored in zip(shapes, with_scores):
-        p = rng.random((fan_out, fan_in))
-        pick = rng.random(p.shape) < 0.5
-        p[pick] = rng.choice(edges, size=int(np.count_nonzero(pick)))
-        q = (rng.random(p.shape) < 0.7).astype(np.float64)
-        w = rng.standard_normal(p.shape)
-        layers.append(_layer(w, round_scores(p) * q, p if scored else None))
-    reloaded = _reloaded_mask(tmp_path_factory.mktemp("ckpt") / "a.tfmc", layers)
-    for before, after in zip(extract_mask(layers), reloaded):
-        assert before.tobytes() == after.tobytes()
-
-
 @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
 def test_masked_layer_rejects_a_mask_entry_other_than_0_or_1(bad):
     # such a mask would reload rounded to 0/1, or be counted by its value
@@ -226,7 +178,3 @@ def test_masked_layer_rejects_a_mask_entry_other_than_0_or_1(bad):
         _layer(np.ones((1, 3)), [[0.0, 1.0, bad]])
 
 
-def test_masked_layer_accepts_a_boolean_mask(tmp_path):
-    mask = np.array([[True, False, True]])
-    layer = MaskedLayer(weights=np.ones((1, 3)), mask=mask)
-    assert _reloaded_mask(tmp_path / "a.tfmc", [layer])[0].tolist() == [[1.0, 0.0, 1.0]]

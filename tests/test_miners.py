@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gemmine
 from gemmine.autodiff import Tensor, backward, linear, mul, relu, softmax_cross_entropy, ste_round
@@ -88,12 +89,6 @@ def test_import_gemmine_loads_every_module_but_cli():
 # ---------------------------------------------------------------------------
 
 
-def test_envelope_boundaries():
-    sched = SparsitySchedule(0.05, 30, 5)
-    assert sched.envelope(0) == 1.0
-    assert sched.envelope(30) == pytest.approx(0.05, rel=1e-12)
-
-
 def test_envelope_halfway_value():
     sched = SparsitySchedule(0.5, 100, 5)
     assert sched.envelope(50) == pytest.approx(math.sqrt(0.5), rel=1e-12)
@@ -166,24 +161,6 @@ def test_freeze_step_noop_when_target_is_dense():
     np.testing.assert_array_equal(freeze[0], np.ones((1, 4)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_freeze_monotone_and_envelope_compliant(seed):
-    rng = np.random.default_rng(seed)
-    sched = SparsitySchedule(0.1, 12, 3)
-    scores, freeze = _single_layer_network(rng.random(500))
-    d = 500
-    previous = freeze[0].copy()
-    for event in range(1, sched.n_events + 1):
-        freeze_step(scores, freeze, sched)
-        now = freeze[0]
-        # frozen set only grows
-        assert np.all(now <= previous)
-        previous = now.copy()
-        epoch = event * sched.freeze_period
-        assert mask_sparsity(freeze) <= sched.envelope(epoch) + 1.0 / d
-
-
 # ---------------------------------------------------------------------------
 # gem_mine
 # ---------------------------------------------------------------------------
@@ -221,14 +198,6 @@ def test_gem_mine_lands_at_target_on_10k_params():
             assert record.sparsity <= sched.envelope(record.epoch) + 1.0 / spec.total_params
 
 
-def test_gem_mine_sparsity_column_non_increasing(blobs):
-    spec = NetworkSpec((2, 12, 2))
-    sched = SparsitySchedule(0.1, 8, 2)
-    res = gem_mine(blobs, spec, sched, MinerConfig(lr=0.1, seed=2, batch_size=16))
-    column = [r.sparsity for r in res.report.records]
-    assert all(b <= a for a, b in zip(column, column[1:]))
-
-
 def test_gem_mine_huge_regularization_collapses_to_chance(blobs):
     spec = NetworkSpec((2, 12, 2))
     sched = SparsitySchedule(0.5, 4, 2)
@@ -241,13 +210,6 @@ def test_gem_mine_rejects_labels_beyond_outputs(blobs):
     # blobs has 2 classes; a 1-output net cannot score label 1
     with pytest.raises(ValueError, match="label outside"):
         gem_mine(blobs, NetworkSpec((2, 4, 1)), SparsitySchedule(0.5, 2, 1), MinerConfig(batch_size=16))
-
-
-def test_gem_mine_freeze_monotone_over_run(blobs):
-    spec = NetworkSpec((2, 10, 2))
-    sched = SparsitySchedule(0.2, 6, 2)
-    res = gem_mine(blobs, spec, sched, MinerConfig(lr=0.1, seed=5, batch_size=16))
-    assert res.report.records[-1].sparsity <= 0.2 + 1e-12
 
 
 def _reference_gem_mine(data, spec, schedule, config):
@@ -443,25 +405,6 @@ def test_score_gradient_signs_invariant_to_layer_scale(scale_layer, factor):
 # ---------------------------------------------------------------------------
 
 
-def test_topk_layerwise_example():
-    mask = topk_mask([np.array([[0.9, 0.1, 0.8, 0.2]])], 0.5, LAYERWISE)
-    np.testing.assert_array_equal(mask[0], [[1.0, 0.0, 1.0, 0.0]])
-
-
-def test_topk_global_example():
-    scores = [np.array([[0.9, 0.1]]), np.array([[0.8, 0.7]])]
-    mask = topk_mask(scores, 0.5, GLOBAL)
-    np.testing.assert_array_equal(mask[0], [[1.0, 0.0]])
-    np.testing.assert_array_equal(mask[1], [[1.0, 0.0]])
-
-
-def test_topk_layerwise_keeps_at_least_one():
-    warnings: list[str] = []
-    mask = topk_mask([np.array([[0.4, 0.3, 0.2, 0.1]])], 0.01, LAYERWISE, warnings)
-    assert int(np.sum(mask[0])) == 1
-    assert any("clamped" in w for w in warnings)
-
-
 def test_global_top_k_warns_once_when_it_clamps_to_one_weight(blobs):
     # floor(0.01 * 32) = 0, so every mask, the final one included, keeps the single highest score
     res = edge_popup(blobs, NetworkSpec((2, 8, 2)), SparsitySchedule(0.01, 2, 1), MinerConfig(seed=1, batch_size=16), scope=GLOBAL)
@@ -483,11 +426,40 @@ def test_topk_rejects_an_unknown_scope():
         topk_mask([np.ones((2, 2))], 0.5, "network")
 
 
-def test_topk_global_ties_go_to_the_earlier_layer():
-    scores = [np.array([[0.5, 0.1]]), np.array([[0.5, 0.5]])]
-    mask = topk_mask(scores, 0.5, GLOBAL)
-    np.testing.assert_array_equal(mask[0], [[1.0, 0.0]])
-    np.testing.assert_array_equal(mask[1], [[1.0, 0.0]])
+# few distinct scores, so ties are everywhere, with -0.0 beside +0.0 and both infinities
+TOPK_TIED_SCORES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=st.sampled_from(TOPK_TIED_SCORES))
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    keep=st.floats(0.0, 1.0, exclude_min=True),
+    scope=st.sampled_from([LAYERWISE, GLOBAL]),
+)
+def test_topk_mask_is_the_stable_sort_of_the_negated_scores(scores, keep, scope):
+    """Per layer, or over the layers concatenated for the global scope, the first ``max(1, floor(k * size))`` of a
+    stable sort of the negated scores; each clamp to 1 is noted once, however often the masks are taken."""
+    groups = [[p] for p in scores] if scope == LAYERWISE else [scores]
+    expected, clamped = [], []
+    for i, group in enumerate(groups):
+        kept = math.floor(keep * sum(p.size for p in group))
+        if kept < 1:
+            clamped.append(f"layerwise top-k clamped to 1 weight in layer {i}" if scope == LAYERWISE else "global top-k clamped to 1 weight")
+        chosen = stable_sort_selection(-np.concatenate([p.reshape(-1) for p in group]), max(1, kept))
+        expected += np.split(chosen, np.cumsum([p.size for p in group])[:-1])
+    warnings: list[str] = []
+    for _ in range(2):
+        masks = topk_mask(scores, keep, scope, warnings)
+        for got, p, want in zip(masks, scores, expected, strict=True):
+            assert got.dtype == bool and got.shape == p.shape
+            np.testing.assert_array_equal(got.reshape(-1), want)
+    assert warnings == clamped
 
 
 def _reference_edge_popup(data, spec, schedule, config, scope, gradual):
@@ -518,7 +490,7 @@ def _reference_edge_popup(data, spec, schedule, config, scope, gradual):
             columns[name].append(value)
     mask = [np.asarray(m, dtype=np.float64) for m in topk_mask(scores, schedule.target_sparsity, scope, warnings)]
     pre_acc = evaluate([w * m for w, m in zip(weights, mask)], data.test_x, data.test_y)
-    return mask, scores, columns, pre_acc, layerwise_report(mask), warnings
+    return weights, mask, scores, columns, pre_acc, layerwise_report(mask), warnings
 
 
 EDGE_POPUP_CASES = [
@@ -544,10 +516,11 @@ def test_edge_popup_matches_the_per_batch_reference_loop(digits_1k, scope, gradu
         batch_size=32,
     )
     res = edge_popup(data, spec, sched, config, scope=scope, gradual=gradual)
-    mask, scores, columns, pre_acc, layerwise, warnings = _reference_edge_popup(data, spec, sched, config, scope, gradual)
+    weights, mask, scores, columns, pre_acc, layerwise, warnings = _reference_edge_popup(data, spec, sched, config, scope, gradual)
 
     if keep < 1 / 160:
         assert warnings == ["layerwise top-k clamped to 1 weight in layer 1"]
+    assert_arrays_identical(res.weights, weights)  # the weights never move
     for got, want in zip(res.mask, mask):  # the reference holds float 0/1 masks
         assert got.dtype == np.bool_ and got.tobytes() == (want != 0).tobytes()
     for layer, want in zip(res.layers, scores):
@@ -578,27 +551,6 @@ def test_patch_flips_keeps_the_zero_signs_of_frozen_weights():
         assert np.signbit(effective[0, [0, 4]]).all()
 
 
-def test_edge_popup_never_updates_weights(blobs):
-    spec = NetworkSpec((2, 12, 2))
-    sched = SparsitySchedule(0.25, 4, 2)
-    cfg = MinerConfig(lr=0.1, seed=3, batch_size=16)
-    res = edge_popup(blobs, spec, sched, cfg)
-    reference = init_weights(spec, SIGNED_CONSTANT, seed=3)
-    for w, ref in zip(res.weights, reference):
-        assert w.tobytes() == ref.tobytes()
-
-
-def test_edge_popup_gradual_schedule_descends(blobs):
-    spec = NetworkSpec((2, 12, 2))
-    sched = SparsitySchedule(0.2, 8, 2)
-    res = edge_popup(blobs, spec, sched, MinerConfig(lr=0.1, seed=3, batch_size=16), gradual=True)
-    column = [r.sparsity for r in res.report.records]
-    assert column[0] == 1.0
-    assert all(b <= a for a, b in zip(column, column[1:]))
-    per_layer_kept = [math.floor(0.2 * o * i) for o, i in spec.layer_shapes]
-    assert mask_sparsity(res.mask) == pytest.approx(sum(per_layer_kept) / spec.total_params)
-
-
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -608,13 +560,6 @@ def test_edge_popup_gradual_trains_its_last_period_at_the_target(blobs):
     sched = SparsitySchedule(0.1, 8, 2)
     res = edge_popup(blobs, NetworkSpec((2, 12, 2)), sched, MinerConfig(lr=0.1, seed=3, batch_size=16), gradual=True)
     assert res.report.records[-1].sparsity == sched.target_sparsity
-
-
-def test_edge_popup_fixed_keeps_constant_fraction(blobs):
-    spec = NetworkSpec((2, 12, 2))
-    sched = SparsitySchedule(0.25, 4, 2)
-    res = edge_popup(blobs, spec, sched, MinerConfig(lr=0.1, seed=8, batch_size=16), scope=GLOBAL)
-    assert all(r.sparsity == 0.25 for r in res.report.records)
 
 
 @st.composite
