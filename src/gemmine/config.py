@@ -28,26 +28,24 @@ from pathlib import Path
 
 from .data import check_split_settings, check_synthetic_settings
 from .masking import INIT_SCHEMES, SCALED_NORMAL, SIGNED_CONSTANT, NetworkSpec
-from .miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule
+from .miners.common import LayerRatios, MinerConfig, SparsitySchedule
 from .miners.edge_popup import GLOBAL, LAYERWISE
 from .miners.imp import COLD, LR_REWIND, WARM, RewindSpec, check_imp_settings
 from .miners.smart_ratio import LAST_LAYER_KEEP, TUNE_LR, TUNE_STEPS, VARIANTS, check_smart_ratio_settings
 from .optim import Adam, SgdMomentum
 from .sanity import INVERT, VARIANT_KINDS, SanityVariant
-from .trainer import Cosine, MultiStep, TrainConfig
+from .trainer import TrainConfig
 
 ALGORITHMS = ("gem", "ep", "imp", "sr")
-TASK_KINDS = ("blobs", "two_moons", "idx")
-TRUE_WORDS, FALSE_WORDS = ("true", "1", "yes"), ("false", "0", "no")
-# the kinds of each <kind>[:<arg>[:<arg>]] value: kind -> (constructor, arguments, how many are required), see _kind
-_OPTIMIZERS = {"sgd": (SgdMomentum, [(float, ("momentum",))], 0), "adam": (Adam, [(float, ("beta1", "beta2", "eps"))], 0)}
+TASK_KINDS = ("blobs", "idx")
+# the kinds of each <kind>[:<arg>] value: kind -> (constructor, its argument or None), see _kind
+_OPTIMIZERS = {"sgd": (SgdMomentum, (float, ("momentum",))), "adam": (Adam, (float, ("beta1", "beta2", "eps")))}
 _REWINDS = {
-    COLD: (partial(RewindSpec, COLD), [], 0),
-    WARM: (partial(RewindSpec, WARM), [(int, ("warm_epoch",))], 0),
-    LR_REWIND: (partial(RewindSpec, LR_REWIND), [], 0),
+    COLD: (partial(RewindSpec, COLD), None),
+    WARM: (partial(RewindSpec, WARM), (int, ("warm_epoch",))),
+    LR_REWIND: (partial(RewindSpec, LR_REWIND), None),
 }
-_SCHEDULES = {"cosine": (Cosine, [], 0), "multistep": (MultiStep, [(int, "milestones"), (float, ("gamma",))], 1)}
-_SANITY_VARIANTS = {kind: (partial(SanityVariant, kind), [(int, ("seed",))], 0) for kind in VARIANT_KINDS}
+_SANITY_VARIANTS = {kind: (partial(SanityVariant, kind), (int, ("seed",))) for kind in VARIANT_KINDS}
 
 
 class ConfigError(ValueError):
@@ -95,36 +93,31 @@ def _items(key: str, text: str, kind) -> list:
 
 
 def _kind(key: str, text: str | None, kinds: dict, absent=None):
-    """A ``<kind>[:<arg>[:<arg>]]`` value, built as ``kinds[<kind>] = (make, arguments, required)`` says,
-    or ``absent`` when ``text`` is None.
+    """A ``<kind>[:<arg>]`` value, built as ``kinds[<kind>] = (make, argument)`` says, or ``absent`` when
+    ``text`` is None.
 
-    The kind is one of ``kinds`` (``_choice``). Each argument is ``(type, names)``, its text read
-    by ``_items`` as ``type``: the entries fill the fields ``names`` in order, or, when ``names``
-    is one name, that field takes them all as a tuple. The first ``required`` arguments must be
-    given; omitted ones, and omitted entries, keep ``make``'s defaults.
+    The kind is one of ``kinds`` (``_choice``). Its ``argument`` is None, when it takes none, or
+    ``(type, names)``: the argument's text is read by ``_items`` as ``type``, and its entries fill
+    the fields ``names`` in order. An omitted argument, and omitted entries, keep ``make``'s defaults.
     """
     if text is None:
         return absent
     name, *args = (part.strip() for part in text.split(":"))
     name = _choice(key, name, kinds)
-    make, params, required = kinds[name]
-    if len(args) > len(params):
-        most = ("no argument", "at most one argument", "at most two arguments")[len(params)]
-        raise ConfigError(f"{key}: {name} takes {most}, got {text!r}")
-    if len(args) < required:
-        raise ConfigError(f"{key}: {name} needs {params[len(args)][1]}, got {text!r}")
-    if "" in args:
+    make, param = kinds[name]
+    if args and param is None:
+        raise ConfigError(f"{key}: {name} takes no argument, got {text!r}")
+    if len(args) > 1:
+        raise ConfigError(f"{key}: {name} takes at most one argument, got {text!r}")
+    if not args:
+        return _checked(key, make)
+    if args[0] == "":
         raise ConfigError(f"{key}: empty argument in {text!r}")
-    values = {}
-    for arg, (kind, names) in zip(args, params):
-        entries = _items(key, arg, kind)
-        if isinstance(names, str):
-            values[names] = tuple(entries)
-        elif len(entries) > len(names):
-            raise ConfigError(f"{key}: {name} takes only {', '.join(names)}, got {len(entries)} values")
-        else:
-            values.update(zip(names, entries))
-    return _checked(key, make, **values)
+    kind, names = param
+    entries = _items(key, args[0], kind)
+    if len(entries) > len(names):
+        raise ConfigError(f"{key}: {name} takes only {', '.join(names)}, got {len(entries)} values")
+    return _checked(key, make, **dict(zip(names, entries)))
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -146,7 +139,7 @@ def parse_key_values(text: str) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class TaskConfig:
-    kind: str  # blobs | two_moons | idx
+    kind: str  # blobs | idx
     n: int = 400
     noise: float = 0.1
     seed: int = 0
@@ -270,7 +263,6 @@ def build_experiment_config(
         MinerConfig,
         lr=fields.number("miner.lr", float, MinerConfig.lr),
         reg_weight=fields.number("miner.lambda", float, MinerConfig.reg_weight),
-        regularizer=fields.choice("miner.regularizer", (L1, L2), MinerConfig.regularizer),
         optimizer=_kind("miner.optimizer", fields.get("miner.optimizer"), _OPTIMIZERS, MinerConfig.optimizer),
         batch_size=fields.number("miner.batch_size", int, MinerConfig.batch_size),
     )
@@ -291,7 +283,6 @@ def build_experiment_config(
         batch_size=fields.number("finetune.batch_size", int, TrainConfig.batch_size),
         optimizer=_kind("finetune.optimizer", fields.get("finetune.optimizer"), _OPTIMIZERS, TrainConfig.optimizer),
         lr=fields.number("finetune.lr", float, TrainConfig.lr),
-        schedule=_kind("finetune.schedule", fields.get("finetune.schedule"), _SCHEDULES, TrainConfig.schedule),
     )
 
     sanity = [_kind("sanity", entry, _SANITY_VARIANTS) for entry in _items("sanity", fields.get("sanity", ""), str)]
@@ -318,7 +309,7 @@ def build_experiment_config(
         seeds=seeds,
         init_scheme=fields.choice("init.scheme", INIT_SCHEMES, default_scheme),
         ep_scope=fields.choice("ep.scope", (LAYERWISE, GLOBAL), LAYERWISE),
-        ep_gradual=fields.choice("ep.gradual", TRUE_WORDS + FALSE_WORDS, "false") in TRUE_WORDS,
+        ep_gradual=fields.choice("ep.gradual", ("false", "true"), "false") == "true",
         imp_rounds=fields.number("imp.rounds", int, 3),
         imp_prune_rate=fields.number("imp.prune_rate", float, 0.2),
         imp_epochs_per_round=fields.number("imp.epochs_per_round", int, 1),

@@ -207,25 +207,15 @@ def check_synthetic_settings(n: int) -> None:
         raise ValueError(f"gen_synthetic needs n >= 10, got {n}")
 
 
-def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> DatasetSplit:
-    """Reproducible 2-class planar datasets: ``blobs`` or ``two_moons``."""
+def gen_synthetic(n: int, noise: float, seed: int) -> DatasetSplit:
+    """A reproducible 2-class planar dataset, ``blobs``: two Gaussian clusters centred at -(1.5, 1.5) and (1.5, 1.5)."""
     check_synthetic_settings(n)
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0
-    if kind == "blobs":
-        center = np.array([1.5, 1.5])
-        x0 = -center + noise * rng.standard_normal((n0, 2))
-        x1 = center + noise * rng.standard_normal((n1, 2))
-    elif kind == "two_moons":
-        t0 = rng.random(n0) * np.pi
-        t1 = rng.random(n1) * np.pi
-        x0 = np.stack([np.cos(t0), np.sin(t0)], axis=1)
-        x1 = np.stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)], axis=1)
-        x0 += noise * rng.standard_normal(x0.shape)
-        x1 += noise * rng.standard_normal(x1.shape)
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+    center = np.array([1.5, 1.5])
+    x0 = -center + noise * rng.standard_normal((n0, 2))
+    x1 = center + noise * rng.standard_normal((n1, 2))
     x = np.concatenate([x0, x1]).astype(np.float64)
     y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return _stratified_split(x, y, seed)

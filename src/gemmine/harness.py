@@ -101,7 +101,7 @@ def build_dataset(task: TaskConfig) -> DatasetSplit:
     if task.kind == "idx":
         assert task.path is not None
         return load_idx(task.path, train_limit=task.train_limit, val_fraction=task.val_fraction, seed=task.seed)
-    return gen_synthetic(task.kind, task.n, task.noise, task.seed)
+    return gen_synthetic(task.n, task.noise, task.seed)
 
 
 def load_dataset(cfg: ExperimentConfig) -> DatasetSplit:

@@ -113,21 +113,19 @@ def select_smallest(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def select_smallest_across(
-    values: Iterable[np.ndarray], k: int, eligible: Sequence[np.ndarray] | None = None
+    values: Iterable[np.ndarray], k: int, eligible: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Boolean masks, one per array of ``values`` and of its shape, of the k smallest entries of them all.
+    """Boolean masks, one per array of ``values`` and of its shape, of the k smallest eligible entries of them all.
 
     This is the one statement of the cross-layer tie order: the arrays are
     ranked as one, equal values chosen from the earlier array first, then
     by lower flat index (``select_smallest`` on their concatenation).
-    With ``eligible``, one mask per array that is nonzero where an entry may
-    be chosen, only those entries are ranked, in that order.
-    ``values`` is then read once, an array at a time, so it may be a
-    generator that makes each array as it is needed: the marked entries are
-    copied into one vector and each array is freed before the next is made.
+    ``eligible``, one mask per array that is nonzero where an entry may be
+    chosen, limits the ranking to those entries, in that order.
+    ``values`` is read once, an array at a time, so it may be a generator
+    that makes each array as it is needed: the eligible entries are copied
+    into one vector and each array is freed before the next is made.
     """
-    if eligible is None:
-        return _split_like(select_smallest(np.concatenate([v.reshape(-1) for v in values]), k), values)
     counts = [int(np.count_nonzero(e)) for e in eligible]
     ranked = np.empty(sum(counts))
     start = 0

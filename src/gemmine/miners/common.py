@@ -14,9 +14,6 @@ from ..optim import OptimizerChoice, SgdMomentum, make_optimizer
 from ..sanity import layerwise_report
 from ..trainer import RunReport, evaluate, record_epoch, run_epoch
 
-L2 = "l2"
-L1 = "l1"
-
 
 @dataclass(frozen=True)
 class SparsitySchedule:
@@ -66,11 +63,14 @@ class SparsitySchedule:
 
 @dataclass(frozen=True)
 class MinerConfig:
-    """Hyperparameters common to the score-optimizing miners."""
+    """Hyperparameters of the miners that train: the score miners and IMP.
+
+    IMP reads ``lr``, ``optimizer``, ``batch_size`` and ``seed``;
+    ``reg_weight`` is the weight of the score miners' squared-L2 penalty.
+    """
 
     lr: float = 0.1
     reg_weight: float = 0.0
-    regularizer: str = L2
     optimizer: OptimizerChoice = SgdMomentum()
     batch_size: int = 32
     seed: int = 0
@@ -80,8 +80,6 @@ class MinerConfig:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not (math.isfinite(self.reg_weight) and self.reg_weight >= 0):
             raise ValueError(f"regularization weight must be >= 0 and finite, got {self.reg_weight}")
-        if self.regularizer not in (L1, L2):
-            raise ValueError(f"regularizer must be one of ({L1!r}, {L2!r}), got {self.regularizer!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
 
@@ -202,10 +200,10 @@ def score_loss_and_grads(
     ``x`` is the batch's rows as the split stores them; the kernel scales them.
     The binarization has an identity backward, so the score gradient is
     d(loss)/d(effective weight) * base, plus that of ``config.reg_weight`` times
-    the scores' L1 or squared-L2 norm. ``scratch``, one array per layer of
-    ``scores``, is overwritten with the penalty's terms; it is not read, and may
-    be ``None``, when ``config.reg_weight`` is 0. The returned gradients are the
-    kernel's freshly allocated arrays, scaled and penalized in place.
+    the scores' squared-L2 norm, added as ``lam * p`` twice. ``scratch``, one
+    array per layer of ``scores``, is overwritten with the penalty's terms; it is
+    not read, and may be ``None``, when ``config.reg_weight`` is 0. The returned
+    gradients are the kernel's freshly allocated arrays, scaled and penalized in place.
     """
     loss, grads = loss_and_grads(x, y, effective)
     for g, b in zip(grads, base):
@@ -214,17 +212,11 @@ def score_loss_and_grads(
     if lam > 0.0:
         penalty = 0.0
         for g, p, t in zip(grads, scores, scratch):
-            if config.regularizer == L1:
-                penalty += np.add.reduce(np.abs(p, out=t), axis=None)
-                np.sign(p, out=t)
-                t *= lam
-                g += t
-            else:
-                penalty += np.add.reduce(np.square(p, out=t), axis=None)
-                # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
-                np.multiply(p, lam, out=t)
-                g += t
-                g += t
+            penalty += np.add.reduce(np.square(p, out=t), axis=None)
+            # one lam*p per factor of p*p, added in turn: g + 2*lam*p rounds differently
+            np.multiply(p, lam, out=t)
+            g += t
+            g += t
         loss = loss + penalty * lam
     return float(loss), grads
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,26 +15,11 @@ from .sanity import layerwise_report
 
 
 @dataclass(frozen=True)
-class MultiStep:
-    milestones: tuple[int, ...]
-    gamma: float = 0.1
-
-
-@dataclass(frozen=True)
-class Cosine:
-    pass
-
-
-ScheduleChoice = Union[MultiStep, Cosine]
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int
     batch_size: int = 32
     optimizer: OptimizerChoice = SgdMomentum()
     lr: float = 0.1
-    schedule: ScheduleChoice = Cosine()
     seed: int = 0
 
     def __post_init__(self):
@@ -44,21 +29,12 @@ class TrainConfig:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if isinstance(self.schedule, MultiStep):
-            ms = self.schedule.milestones
-            if any(b <= a for a, b in zip(ms, ms[1:])) or any(m < 0 or m >= self.epochs for m in ms):
-                raise ValueError(f"milestones must be strictly increasing and in [0, epochs), got {ms}")
-            if not self.schedule.gamma > 0.0:
-                raise ValueError(f"multistep gamma must be > 0, got {self.schedule.gamma}")
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
-    """Learning rate for a 0-indexed epoch."""
+    """Learning rate for a 0-indexed epoch: ``cfg.lr`` annealed over ``cfg.epochs`` by a half cosine."""
     if epoch < 0 or epoch >= max(cfg.epochs, 1):
         raise ValueError(f"epoch {epoch} outside [0, {cfg.epochs})")
-    if isinstance(cfg.schedule, MultiStep):
-        passed = sum(1 for m in cfg.schedule.milestones if epoch >= m)
-        return cfg.lr * cfg.schedule.gamma**passed
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / max(cfg.epochs, 1)))
 
 

@@ -17,7 +17,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.fixture(scope="session")
 def blobs() -> DatasetSplit:
-    return gen_synthetic("blobs", 120, noise=0.4, seed=7)
+    return gen_synthetic(120, noise=0.4, seed=7)
 
 
 @pytest.fixture(scope="session")

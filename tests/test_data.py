@@ -268,34 +268,26 @@ def test_load_idx_deterministic_split(tmp_path):
 
 
 def test_synthetic_same_seed_identical():
-    a = gen_synthetic("blobs", 50, 0.2, seed=8)
-    b = gen_synthetic("blobs", 50, 0.2, seed=8)
+    a = gen_synthetic(50, 0.2, seed=8)
+    b = gen_synthetic(50, 0.2, seed=8)
     assert a.train_x.tobytes() == b.train_x.tobytes()
     assert a.train_y.tobytes() == b.train_y.tobytes()
 
 
 def test_synthetic_labels_balanced_within_one():
-    for kind in ("blobs", "two_moons"):
-        split = gen_synthetic(kind, 75, 0.1, seed=0)
-        labels = np.concatenate([split.train_y, split.val_y, split.test_y])
-        counts = np.bincount(labels, minlength=2)
-        assert abs(int(counts[0]) - int(counts[1])) <= 1
+    split = gen_synthetic(75, 0.1, seed=0)
+    labels = np.concatenate([split.train_y, split.val_y, split.test_y])
+    counts = np.bincount(labels, minlength=2)
+    assert abs(int(counts[0]) - int(counts[1])) <= 1
 
 
 def test_synthetic_minimum_size():
     with pytest.raises(ValueError):
-        gen_synthetic("blobs", 5, 0.1, seed=0)
-    with pytest.raises(ValueError):
-        gen_synthetic("spirals", 50, 0.1, seed=0)
-
-
-def test_synthetic_kind_has_one_spelling():
-    with pytest.raises(ValueError, match="unknown synthetic kind 'two-moons'"):
-        gen_synthetic("two-moons", 50, 0.1, seed=0)
+        gen_synthetic(5, 0.1, seed=0)
 
 
 def test_noiseless_blobs_trainable_to_perfect_accuracy():
-    data = gen_synthetic("blobs", 60, noise=0.0, seed=2)
+    data = gen_synthetic(60, noise=0.0, seed=2)
     spec = NetworkSpec((2, 8, 2))
     weights = init_weights(spec, "scaled_normal", seed=0)
     mask = [np.ones_like(w) for w in weights]

@@ -11,7 +11,6 @@ import pytest
 import gemmine.autodiff as autodiff
 from gemmine.autodiff import (
     Tensor,
-    abs_all,
     add,
     backward,
     mul,
@@ -23,7 +22,7 @@ from gemmine.autodiff import (
 )
 from gemmine.data import float_features
 from gemmine.masking import NetworkSpec, loss_and_grads, mlp_activations, mlp_forward, round_scores
-from gemmine.miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule, score_loss_and_grads
+from gemmine.miners.common import LayerRatios, MinerConfig, SparsitySchedule, score_loss_and_grads
 from gemmine.miners.edge_popup import GLOBAL, edge_popup
 from gemmine.miners.gem import gem_mine
 from gemmine.miners.imp import RewindSpec, imp
@@ -81,12 +80,12 @@ def _graph_loss(form, x, y, leaves, base, binary, penalty):
         return loss
     terms = None
     for leaf in leaves:
-        term = sum_all(abs_all(leaf)) if penalty == L1 else sum_all(mul(leaf, leaf))
+        term = sum_all(mul(leaf, leaf))
         terms = term if terms is None else add(terms, term)
     return add(loss, scale(terms, PENALTY_WEIGHT))
 
 
-@pytest.mark.parametrize("penalty", [None, L2, L1])
+@pytest.mark.parametrize("penalty", [None, "l2"])
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("depth", [2, 3])
 def test_kernel_matches_graph_bitwise(depth, form, penalty):
@@ -99,7 +98,7 @@ def test_kernel_matches_graph_bitwise(depth, form, penalty):
         graph_loss = _graph_loss(form, x, y, leaves, base, binary, penalty)
         backward(graph_loss)
 
-        config = MinerConfig(reg_weight=0.0 if penalty is None else PENALTY_WEIGHT, regularizer=penalty or L2)
+        config = MinerConfig(reg_weight=0.0 if penalty is None else PENALTY_WEIGHT)
         effective = [b * m for b, m in zip(base, binary)]
         loss, grads = score_loss_and_grads(x, y, effective, base, values, config, [np.empty_like(v) for v in values])
 
@@ -180,8 +179,7 @@ def test_training_loops_build_no_graph(blobs, monkeypatch):
 
     spec = NetworkSpec((2, 8, 2))
     sched = SparsitySchedule(0.3, 4, 2)
-    for regularizer in (L2, L1):
-        gem_mine(blobs, spec, sched, MinerConfig(reg_weight=1e-3, regularizer=regularizer, batch_size=16))
+    gem_mine(blobs, spec, sched, MinerConfig(reg_weight=1e-3, batch_size=16))
     edge_popup(blobs, spec, sched, MinerConfig(batch_size=16), scope=GLOBAL, gradual=True)
     pruned = imp(blobs, spec, 2, 0.4, RewindSpec("cold"), 1, MinerConfig(batch_size=16))
     smart_ratio(spec, 0.4, "v6", seed=0, data=blobs, imp_profile=LayerRatios((0.5, 0.5)), tune_steps=3)

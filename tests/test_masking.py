@@ -238,7 +238,7 @@ def _layers_and_k(draw):
 @given(_layers_and_k())
 def test_select_smallest_across_is_the_stable_sort_of_the_concatenation(case):
     layers, k = case
-    chosen = select_smallest_across(layers, k)
+    chosen = select_smallest_across(layers, k, eligible=[np.ones_like(layer, dtype=bool) for layer in layers])
     expected = stable_sort_selection(np.concatenate([layer.reshape(-1) for layer in layers]), k)
     bounds = np.cumsum([layer.size for layer in layers])[:-1]
     assert len(chosen) == len(layers)
@@ -298,7 +298,8 @@ def test_largest_selector_matches_the_full_selection_over_perturbed_runs():
             if tie_heavy:
                 layers = [np.round(layer * 4.0) / 4.0 for layer in layers]  # moved values still tie
             chosen = selector(layers, k)
-            want = select_smallest_across([-layer for layer in layers], k)
+            everywhere = [np.ones_like(layer, dtype=bool) for layer in layers]
+            want = select_smallest_across([-layer for layer in layers], k, eligible=everywhere)
             if len(layers) == 1:
                 assert want[0].tobytes() == select_smallest(-layers[0].reshape(-1), k).tobytes()
             for got, expected, layer in zip(chosen, want, layers):
@@ -318,7 +319,8 @@ def test_largest_selector_takes_the_window_while_values_move_little():
     selector = LargestSelector()
     for _ in range(6):
         layers = [layer + 1e-4 * rng.standard_normal(layer.shape) for layer in layers]
-        for got, want in zip(selector(layers, 70), select_smallest_across([-layer for layer in layers], 70)):
+        everywhere = [np.ones_like(layer, dtype=bool) for layer in layers]
+        for got, want in zip(selector(layers, 70), select_smallest_across([-layer for layer in layers], 70, eligible=everywhere)):
             assert got.tobytes() == want.tobytes()
     assert (selector.fallback_calls, selector.window_calls) == (1, 5)
     selector(layers, 700)  # the k-th largest moves far out of the window

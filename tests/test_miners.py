@@ -32,7 +32,7 @@ from gemmine.masking import (
     round_scores,
     stream_rng,
 )
-from gemmine.miners.common import L1, L2, LayerRatios, MinerConfig, SparsitySchedule, check_layer_collapse, patch_flips, score_descent
+from gemmine.miners.common import LayerRatios, MinerConfig, SparsitySchedule, check_layer_collapse, patch_flips, score_descent
 from gemmine.miners.edge_popup import GLOBAL, LAYERWISE, edge_popup, topk_mask
 from gemmine.miners.gem import freeze_step, gem_mine
 from gemmine.miners.imp import COLD, LR_REWIND, WARM, RewindSpec, imp, prune_by_magnitude
@@ -112,8 +112,6 @@ def test_miner_config_validation():
         MinerConfig(lr=0.0)
     with pytest.raises(ValueError):
         MinerConfig(reg_weight=-1.0)
-    with pytest.raises(ValueError):
-        MinerConfig(regularizer="l3")
     with pytest.raises(ValueError):
         MinerConfig(batch_size=0)
     for value in (math.nan, math.inf, -math.inf):
@@ -262,7 +260,7 @@ def _report_columns(report):
 
 
 @pytest.mark.parametrize("optimizer", [SgdMomentum(), Adam()], ids=["sgd", "adam"])
-@pytest.mark.parametrize("penalty", [None, L2, L1])
+@pytest.mark.parametrize("penalty", [None, "l2"])
 def test_gem_mine_matches_the_per_batch_reference_loop(digits_1k, penalty, optimizer):
     data = dataclasses.replace(digits_1k, train_x=digits_1k.train_x[:300], train_y=digits_1k.train_y[:300])
     spec = NetworkSpec((784, 16, 10))
@@ -270,7 +268,6 @@ def test_gem_mine_matches_the_per_batch_reference_loop(digits_1k, penalty, optim
     config = MinerConfig(
         lr=0.5 if isinstance(optimizer, SgdMomentum) else 0.05,
         reg_weight=0.0 if penalty is None else 1e-3,
-        regularizer=penalty or L2,
         optimizer=optimizer,
         seed=5,
         batch_size=32,
@@ -494,10 +491,9 @@ def _reference_edge_popup(data, spec, schedule, config, scope, gradual):
 
 
 EDGE_POPUP_CASES = [
-    pytest.param(scope, gradual, penalty, optimizer, 0.1, id=f"{scope}-{'gradual' if gradual else 'fixed'}-{penalty}-{name}")
+    pytest.param(scope, gradual, "l2", optimizer, 0.1, id=f"{scope}-{'gradual' if gradual else 'fixed'}-l2-{name}")
     for scope in (LAYERWISE, GLOBAL)
     for gradual in (False, True)
-    for penalty in (L2, L1)
     for name, optimizer in (("sgd", SgdMomentum()), ("adam", Adam()))
 ] + [pytest.param(LAYERWISE, False, None, SgdMomentum(), 0.005, id="layerwise-clamped")]
 
@@ -510,7 +506,6 @@ def test_edge_popup_matches_the_per_batch_reference_loop(digits_1k, scope, gradu
     config = MinerConfig(
         lr=0.1 if isinstance(optimizer, SgdMomentum) else 0.01,
         reg_weight=0.0 if penalty is None else 1e-3,
-        regularizer=penalty or L2,
         optimizer=optimizer,
         seed=5,
         batch_size=32,
@@ -1281,7 +1276,7 @@ def test_every_miner_returns_the_dense_weights_its_mask_selects_from(blobs, tmp_
 
 
 def test_imp_warns_about_the_layers_it_empties():
-    data = gen_synthetic("blobs", 400, 0.3, 0)
+    data = gen_synthetic(400, 0.3, 0)
     res = imp(data, NetworkSpec((2, 30, 30, 2)), 12, 0.3, RewindSpec(COLD), 1, MinerConfig(seed=1))
     assert [int(m.sum()) for m in res.mask] == [14, 0, 0]
     assert res.report.warnings == [
@@ -1291,7 +1286,7 @@ def test_imp_warns_about_the_layers_it_empties():
 
 
 def test_edge_popup_warns_about_the_layers_it_empties():
-    data = gen_synthetic("blobs", 400, 0.3, 0)
+    data = gen_synthetic(400, 0.3, 0)
     schedule = SparsitySchedule(0.02, 4, 2)
     res = edge_popup(data, NetworkSpec((2, 8, 30, 2)), schedule, MinerConfig(seed=2), scope=GLOBAL, gradual=True)
     assert [int(m.sum()) for m in res.mask] == [0, 2, 4]

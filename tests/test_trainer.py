@@ -19,9 +19,7 @@ from gemmine.optim import Adam, SgdMomentum, make_optimizer
 from gemmine.sanity import layerwise_report
 from gemmine import trainer as trainer_module
 from gemmine.trainer import (
-    Cosine,
     EpochRecord,
-    MultiStep,
     RunReport,
     TrainConfig,
     evaluate,
@@ -33,15 +31,8 @@ from gemmine.trainer import (
 from toy_tasks import assert_arrays_identical
 
 
-def test_lr_multistep_example():
-    cfg = TrainConfig(epochs=150, lr=0.1, schedule=MultiStep(milestones=(80, 120)))
-    assert lr_at(cfg, 100) == pytest.approx(0.01)
-    assert lr_at(cfg, 10) == pytest.approx(0.1)
-    assert lr_at(cfg, 130) == pytest.approx(0.001)
-
-
 def test_lr_cosine_boundaries():
-    cfg = TrainConfig(epochs=200, lr=0.4, schedule=Cosine())
+    cfg = TrainConfig(epochs=200, lr=0.4)
     assert lr_at(cfg, 0) == 0.4
     final = lr_at(cfg, 199)
     assert final == pytest.approx(0.4 * 0.5 * (1 + math.cos(math.pi * 199 / 200)))
@@ -52,13 +43,6 @@ def test_lr_cosine_boundaries():
 def test_lr_at_rejects_an_epoch_outside_the_schedule(epoch):
     with pytest.raises(ValueError, match=re.escape(f"epoch {epoch} outside [0, 200)")):
         lr_at(TrainConfig(epochs=200, lr=0.4), epoch)
-
-
-def test_milestones_must_increase_within_range():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=100, schedule=MultiStep(milestones=(50, 50)))
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=100, schedule=MultiStep(milestones=(50, 120)))
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -0.1])

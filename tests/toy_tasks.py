@@ -17,7 +17,6 @@ import numpy as np
 
 from gemmine.data import DatasetSplit
 from gemmine.masking import loss_and_grads
-from gemmine.miners.common import L1
 
 
 def random_classification(n: int, dim: int, classes: int, seed: int) -> DatasetSplit:
@@ -109,16 +108,12 @@ def finite_difference(f, arrays, h=1e-5):
 
 
 def score_penalty(loss, grads, scores, config):
-    """A batch's loss and score gradients with ``config``'s regularizer added, written as per-batch formulas: the L1
-    gradient as lam * sign(p), the L2 one as (g + lam*p) + lam*p."""
+    """A batch's loss and score gradients with ``config``'s squared-L2 score penalty added, written as per-batch
+    formulas: the gradient as (g + lam*p) + lam*p."""
     lam = config.reg_weight
     if lam > 0.0:
-        if config.regularizer == L1:
-            penalty = sum(np.sum(np.abs(p)) for p in scores)
-            grads = [g + lam * np.sign(p) for g, p in zip(grads, scores)]
-        else:
-            penalty = sum(np.sum(p * p) for p in scores)
-            grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
+        penalty = sum(np.sum(p * p) for p in scores)
+        grads = [(g + lam * p) + lam * p for g, p in zip(grads, scores)]
         loss = loss + penalty * lam
     return loss, grads
 
